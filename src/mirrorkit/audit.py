@@ -4,7 +4,8 @@ Every function here evaluates both sides of an exact algebraic identity and
 returns the defect, normalized by 1 + |LHS| so that tolerances stay
 meaningful across learning-rate sweeps. A residual at roundoff level
 certifies the implementation; anything larger indicates a broken update
-rule or a mismatched argument.
+rule or a mismatched argument. Per-step terms are computed once, as arrays
+over the step axis.
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bregman import bregman
-from .descent import Linear, convexity_margin
+from .descent import Linear, premise_holds
 
 IDENTITY_RTOL = 1e-8
 MINIMAX_SLACK = 1e-9
@@ -42,52 +43,60 @@ class MinimaxReport:
     premise_certified: bool
 
 
-def instantaneous_loss(l, m, d, w):
-    """L(w) = l(y - f(x, w))."""
-    return float(l.value(d.y - m.predict(d.x, w)))
+def _rowdot(a, b):
+    return np.sum(a * b, axis=-1)
 
 
-def instantaneous_loss_grad(l, m, d, w):
-    return -m.jacobian(d.x, w) * float(l.deriv(d.y - m.predict(d.x, w)))
+def _loss_map_bregman(l, m, X, Y, A, B):
+    """D_{L_i}(a_i, b_i) of L_i(w) = l(y_i - f(x_i, w)), one value per row."""
+    ub = _rowdot(X, B)
+    rb = Y - m.g(ub)
+    return (
+        l.value(Y - m.g(_rowdot(X, A)))
+        - l.value(rb)
+        + l.deriv(rb) * m.g_prime(ub) * _rowdot(X, A - B)
+    )
 
 
 def loss_map_bregman(l, m, d, w, w_ref):
     """Bregman divergence of w -> l(y - f(x, w)), which need not be convex."""
-    w = np.asarray(w, dtype=float)
-    w_ref = np.asarray(w_ref, dtype=float)
-    return (
-        instantaneous_loss(l, m, d, w)
-        - instantaneous_loss(l, m, d, w_ref)
-        - float(instantaneous_loss_grad(l, m, d, w_ref) @ (w - w_ref))
+    w, w_ref = np.asarray(w, dtype=float), np.asarray(w_ref, dtype=float)
+    return float(_loss_map_bregman(l, m, d.x, d.y, w, w_ref))
+
+
+def _step_terms(p, l, m, X, Y, path, w, eta):
+    """The per-step balance of every step of `path`, as an AuditRecord of arrays."""
+    prev, nxt = path[:-1], path[1:]
+    loss_noise = l.value(Y - m.g(_rowdot(X, w)))
+    d_psi_prev = bregman(p, w, prev).value
+    d_psi_next = bregman(p, w, nxt).value
+    d_lb = _loss_map_bregman(l, m, X, Y, w, prev)
+    e_term = (
+        bregman(p, nxt, prev).value
+        - eta * _loss_map_bregman(l, m, X, Y, nxt, prev)
+        + eta * l.value(Y - m.g(_rowdot(X, nxt)))
     )
+    lhs = d_psi_prev + eta * loss_noise
+    rhs = d_psi_next + eta * d_lb + e_term
+    residual = np.abs(lhs - rhs) / (1.0 + np.abs(lhs))
+    steps = np.arange(1, len(Y) + 1)
+    return AuditRecord(steps, d_psi_prev, d_psi_next, d_lb, e_term, loss_noise, residual)
 
 
-def _e_term(p, l, m, d, w_next, w_prev, eta):
-    d_mixed = bregman(p, w_next, w_prev).value - eta * loss_map_bregman(l, m, d, w_next, w_prev)
-    return d_mixed + eta * instantaneous_loss(l, m, d, w_next)
+def _records(terms):
+    """Split an AuditRecord of per-step arrays into one record per step."""
+    return [AuditRecord(*row) for row in zip(*vars(terms).values())]
 
 
 def local_identity(p, l, m, w, w_prev, w_next, d, eta, step=0):
     """Per-step balance: divergence to the reference plus scaled noise loss
     equals the post-step divergence, the loss Bregman term, and the step's
     own nonnegative energy term."""
-    v = d.y - m.predict(d.x, w)
-    loss_noise = float(l.value(v))
-    d_psi_prev = bregman(p, w, w_prev).value
-    d_psi_next = bregman(p, w, w_next).value
-    d_lb = loss_map_bregman(l, m, d, w, w_prev)
-    e_term = _e_term(p, l, m, d, w_next, w_prev, eta)
-    lhs = d_psi_prev + eta * loss_noise
-    rhs = d_psi_next + eta * d_lb + e_term
-    return AuditRecord(
-        step=step,
-        d_psi_prev=d_psi_prev,
-        d_psi_next=d_psi_next,
-        d_loss_bregman=d_lb,
-        e_term=e_term,
-        loss_noise=loss_noise,
-        local_residual=abs(lhs - rhs) / (1.0 + abs(lhs)),
-    )
+    path = np.stack([np.asarray(w_prev, dtype=float), np.asarray(w_next, dtype=float)])
+    w = np.asarray(w, dtype=float)
+    (rec,) = _records(_step_terms(p, l, m, d.x[None, :], np.array([d.y]), path, w, eta))
+    rec.step = step
+    return rec
 
 
 def _require_constant(traj):
@@ -104,22 +113,21 @@ def _require_constant(traj):
 def _noises_for(traj, w, noises):
     if noises is not None:
         return np.asarray(noises, dtype=float)
-    return np.array([d.y - traj.model.predict(d.x, w) for d in traj.data])
+    return traj.Y - traj.model.g(_rowdot(traj.X, w))
 
 
-def _trajectory_terms(traj, w, noises):
-    p, l, m = traj.potential, traj.loss, traj.model
-    eta = _require_constant(traj)
-    v = _noises_for(traj, w, noises)
-    sum_loss_noise = float(np.sum(l.value(v))) if len(v) else 0.0
-    sum_d_lb = 0.0
-    sum_e = 0.0
-    for i, d in enumerate(traj.data, start=1):
-        w_prev = traj.iterate_before(i)
-        w_next = traj.iterates[i - 1]
-        sum_d_lb += loss_map_bregman(l, m, d, w, w_prev)
-        sum_e += _e_term(p, l, m, d, w_next, w_prev, eta)
-    return eta, sum_loss_noise, sum_d_lb, sum_e
+def _audit(traj, w, noises):
+    """Per-step terms and the telescoped global residual of a trajectory.
+
+    The global balance takes its noise losses from `noises`, so it stays an
+    independent check on the summed per-step terms.
+    """
+    p, l, eta = traj.potential, traj.loss, _require_constant(traj)
+    w = np.asarray(w, dtype=float)
+    terms = _step_terms(p, l, traj.model, traj.X, traj.Y, traj.path, w, eta)
+    lhs = bregman(p, w, traj.w0).value + eta * np.sum(l.value(_noises_for(traj, w, noises)))
+    rhs = bregman(p, w, traj.final).value + eta * np.sum(terms.d_loss_bregman) + np.sum(terms.e_term)
+    return terms, float(abs(lhs - rhs) / (1.0 + abs(lhs)))
 
 
 def global_identity(traj, w, noises=None):
@@ -128,33 +136,14 @@ def global_identity(traj, w, noises=None):
     `noises` defaults to y_i - f(x_i, w), the only values for which the
     identity is exact.
     """
-    p = traj.potential
-    eta, sum_loss_noise, sum_d_lb, sum_e = _trajectory_terms(traj, w, noises)
-    lhs = bregman(p, w, traj.w0).value + eta * sum_loss_noise
-    rhs = bregman(p, w, traj.final).value + eta * sum_d_lb + sum_e
-    return abs(lhs - rhs) / (1.0 + abs(lhs))
+    return _audit(traj, w, noises)[1]
 
 
 def audit_trajectory(traj, w, noises=None):
     """Fill traj.audits with per-step records; return the global residual."""
-    eta = _require_constant(traj)
-    v = _noises_for(traj, w, noises)
-    records = []
-    for i, d in enumerate(traj.data, start=1):
-        rec = local_identity(
-            traj.potential,
-            traj.loss,
-            traj.model,
-            w,
-            traj.iterate_before(i),
-            traj.iterates[i - 1],
-            d,
-            eta,
-            step=i,
-        )
-        records.append(rec)
-    traj.audits = records
-    return global_identity(traj, w, noises=v if len(v) else None)
+    terms, residual = _audit(traj, w, noises)
+    traj.audits = _records(terms)
+    return residual
 
 
 def minimax_ratio(traj, w, noises=None, certify=True):
@@ -163,28 +152,30 @@ def minimax_ratio(traj, w, noises=None, certify=True):
     numerator := D_psi(w, w_T) + eta * sum_i D_{L_i}(w, w_{i-1})
     denominator := D_psi(w, w_0) + eta * sum_i l(v_i)
 
-    `certify=False` skips the per-iterate convexity probes (useful in bulk
+    `certify=False` skips the convexity certificate (useful in bulk
     achievability sweeps where only the ratio matters); the report then
-    carries premise_certified=False.
+    carries premise_certified=False. The certificate probes the premise at
+    w_{i-1} and w_i for every step i.
     """
     from .errors import DegenerateError
 
     p, l, m = traj.potential, traj.loss, traj.model
-    eta, sum_loss_noise, sum_d_lb, _ = _trajectory_terms(traj, w, noises)
-    numerator = bregman(p, w, traj.final).value + eta * sum_d_lb
-    denominator = bregman(p, w, traj.w0).value + eta * sum_loss_noise
+    eta = _require_constant(traj)
+    w = np.asarray(w, dtype=float)
+    X, Y = traj.X, traj.Y
+    v = _noises_for(traj, w, noises)
+    prev = traj.path[:-1]
+    numerator = bregman(p, w, traj.final).value + eta * np.sum(_loss_map_bregman(l, m, X, Y, w, prev))
+    denominator = bregman(p, w, traj.w0).value + eta * np.sum(l.value(v))
     if denominator < DENOMINATOR_FLOOR:
         raise DegenerateError(
             "denominator vanishes: reference equals the start and all noises are zero"
         )
     certified = False
-    if certify:
-        probes = []
-        for i, d in enumerate(traj.data, start=1):
-            probes.append((traj.iterate_before(i), d))
-            probes.append((traj.iterates[i - 1], d))
-        certified = bool(probes) and convexity_margin(p, l, m, eta, probes) >= 0.0
-    return MinimaxReport(numerator, denominator, numerator / denominator, certified)
+    if certify and len(Y):
+        probes = np.concatenate([prev, traj.iterates])
+        certified = bool(premise_holds(p, l, m, eta, probes, np.tile(X, (2, 1)), np.tile(Y, 2)).all())
+    return MinimaxReport(float(numerator), float(denominator), float(numerator / denominator), certified)
 
 
 def exponent_identity_residual(p, l, w, traj, z):
@@ -200,25 +191,21 @@ def exponent_identity_residual(p, l, w, traj, z):
     eta = _require_constant(traj)
     w = np.asarray(w, dtype=float)
     z = np.asarray(z, dtype=float)
-    ys = np.array([d.y for d in traj.data])
-    xs = [np.asarray(d.x, dtype=float) for d in traj.data]
-    preds_w = np.array([float(x @ w) for x in xs])
+    X, Y = traj.X, traj.Y
+    r_w = Y - _rowdot(X, w)
+    r_i = Y - _rowdot(X, traj.iterates)
 
     lhs = -bregman(p, w, traj.w0).value / eta
-    lhs -= float(np.sum(l.value(ys - preds_w))) if len(ys) else 0.0
-    lhs += float(np.sum(l.bregman(ys - preds_w, ys - z))) if len(ys) else 0.0
+    lhs -= np.sum(l.value(r_w))
+    lhs += np.sum(l.bregman(r_w, Y - z))
 
     rhs = -bregman(p, w, traj.final).value / eta
-    for i in range(1, len(traj.data) + 1):
-        w_prev = traj.iterate_before(i)
-        w_i = traj.iterates[i - 1]
-        pred_i = float(xs[i - 1] @ w_i)
-        rhs -= (
-            bregman(p, w_i, w_prev).value / eta
-            + float(l.value(ys[i - 1] - pred_i))
-            - float(l.bregman(ys[i - 1] - pred_i, ys[i - 1] - z[i - 1]))
-        )
-    return abs(lhs - rhs) / (1.0 + abs(lhs))
+    rhs -= np.sum(
+        bregman(p, traj.iterates, traj.path[:-1]).value / eta
+        + l.value(r_i)
+        - l.bregman(r_i, Y - z)
+    )
+    return float(abs(lhs - rhs) / (1.0 + abs(lhs)))
 
 
 def step_exponent_residual(p, l, w_i, w_prev, d, z, eta):

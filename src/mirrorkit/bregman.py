@@ -19,11 +19,11 @@ class BregmanValue(NamedTuple):
 
 
 def bregman(p, w, w_ref):
-    """D_psi(w, w_ref) = psi(w) - psi(w_ref) - grad psi(w_ref)^T (w - w_ref)."""
+    """D_psi(w, w_ref) = psi(w) - psi(w_ref) - grad psi(w_ref)^T (w - w_ref), per row."""
     w = p.check_domain(np.asarray(w, dtype=float))
     w_ref = p.check_domain(np.asarray(w_ref, dtype=float))
-    val = p.value(w) - p.value(w_ref) - float(p.grad(w_ref) @ (w - w_ref))
-    return BregmanValue(val, True)
+    terms = p.elementwise_value(w) - p.elementwise_value(w_ref) - p.grad(w_ref) * (w - w_ref)
+    return BregmanValue(np.sum(terms, axis=-1), True)
 
 
 def loss_bregman(l, a, b):

@@ -8,7 +8,7 @@ the same data from the same seed:
     2  noise stream      1000+t  per-trial streams
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -93,6 +93,11 @@ class Problem:
     noises: np.ndarray
     data: list
     prior: ExpFamilySpec | None
+
+
+def _reseeded(cfg, trial):
+    """A distinct but reproducible seed for one trial or case."""
+    return replace(cfg, seed=(cfg.seed + 0x9E3779B9 * (trial + 1)) % 2**63)
 
 
 def prior_scale(cfg):

@@ -1,9 +1,10 @@
 """Iteration engines: mirror steps, symmetric mirror steps, and plain SGD.
 
-The update always happens in the mirror domain: the gradient of the
-potential is shifted by a multiple of the model Jacobian times the loss
-derivative, then pulled back through the inverse mirror map. With the
-squared-L2 potential this reduces to ordinary SGD bit for bit.
+Every engine runs one kernel, `mirror_update`: the mirror-domain state
+u = grad psi(w) is shifted by eta * coef * x and pulled back through the
+inverse mirror map. The state is carried in the mirror domain and never
+recomputed from w. SGD is the kernel with the identity mirror map, so with
+the squared-L2 potential SMD and SGD agree bit for bit.
 """
 
 import warnings
@@ -14,10 +15,9 @@ from scipy.special import expit
 
 from .errors import ConfigError, DomainError, StabilityWarning
 from .losses import LossFn
-from .potentials import Potential, SeparableQ
+from .potentials import Potential, SeparableQ, SquaredL2
 
 HESSIAN_PROBE_EXCLUSION = 1e-8
-FD_STEP = 1e-5
 
 
 @dataclass
@@ -34,21 +34,6 @@ class DataPoint:
             raise ValueError("data point has non-finite entries")
 
 
-class Linear:
-    """predict(x, w) = x^T w."""
-
-    kind = "linear"
-
-    def predict(self, x, w):
-        return float(np.dot(x, w))
-
-    def jacobian(self, x, w):
-        return np.asarray(x, dtype=float)
-
-    def __repr__(self):
-        return "Linear()"
-
-
 class GeneralizedLinear:
     """predict(x, w) = g(x^T w) for a smooth scalar link g."""
 
@@ -59,26 +44,53 @@ class GeneralizedLinear:
             raise ValueError(f"unknown link {link!r}")
         self.link = link
 
-    def _g(self, u):
+    def g(self, u):
         if self.link == "tanh":
             return np.tanh(u)
         return np.logaddexp(0.0, u)
 
-    def _g_prime(self, u):
+    def g_prime(self, u):
         if self.link == "tanh":
             t = np.tanh(u)
             return 1.0 - t * t
         return expit(u)
 
+    def g_second(self, u):
+        if self.link == "tanh":
+            t = np.tanh(u)
+            return -2.0 * t * (1.0 - t * t)
+        s = expit(u)
+        return s * (1.0 - s)
+
     def predict(self, x, w):
-        return float(self._g(np.dot(x, w)))
+        return float(self.g(np.dot(x, w)))
 
     def jacobian(self, x, w):
-        x = np.asarray(x, dtype=float)
-        return self._g_prime(np.dot(x, w)) * x
+        return self.g_prime(np.dot(x, w)) * np.asarray(x, dtype=float)
 
     def __repr__(self):
         return f"GeneralizedLinear(link={self.link!r})"
+
+
+class Linear(GeneralizedLinear):
+    """predict(x, w) = x^T w: the identity link."""
+
+    kind = "linear"
+
+    def __init__(self):
+        self.link = "identity"
+
+    def g(self, u):
+        return u
+
+    def g_prime(self, u):
+        return 1.0
+
+    def g_second(self, u):
+        return 0.0
+
+    def __repr__(self):
+        return "Linear()"
 
 
 @dataclass(frozen=True)
@@ -127,13 +139,14 @@ class NoiseSpec:
 
 @dataclass
 class Trajectory:
-    """Iterates of one run plus everything needed to audit it."""
+    """One run as a (T+1, dim) path (w_0 first), its data as arrays (inputs
+    X of shape (T, dim), outputs Y of shape (T,)), and everything needed to
+    audit it."""
 
-    w0: np.ndarray
-    iterates: list
-    data: list
+    path: np.ndarray
+    X: np.ndarray
+    Y: np.ndarray
     schedule: object
-    etas: list
     potential: Potential
     loss: LossFn
     model: object
@@ -141,51 +154,93 @@ class Trajectory:
     audits: list = field(default_factory=list)
 
     def __len__(self):
-        return len(self.iterates)
+        return len(self.path) - 1
+
+    @property
+    def w0(self):
+        return self.path[0]
+
+    @property
+    def iterates(self):
+        """w_1 .. w_T as a (T, dim) array."""
+        return self.path[1:]
 
     @property
     def final(self):
-        return self.iterates[-1] if self.iterates else self.w0
+        return self.path[-1]
 
     def iterate_before(self, i):
         """w_{i-1} for a 1-based step index i."""
-        return self.w0 if i == 1 else self.iterates[i - 2]
+        return self.path[i - 1]
+
+
+def mirror_update(p, U, x, coef, eta):
+    """The SMD kernel: grad psi(w) += eta * coef * x, then pull back through p.
+
+    `U` is the mirror state of a batch, shape (n, dim) with one `coef` per
+    row, or (dim,) with a scalar `coef`; the input `x` is shared by the
+    batch. Returns the new state and weights.
+    """
+    U = U + np.multiply.outer(eta * coef, x)
+    return U, p.grad_inv(U)
+
+
+def _smd_coef(l, m, x, y, w):
+    # J_f(w) = g'(x^T w) x, so the shift is eta * l'(y - g(x^T w)) g'(x^T w) * x
+    u = np.dot(x, w)
+    return l.deriv(y - m.g(u)) * m.g_prime(u)
+
+
+def _ssmd_coef(l, x, y, w):
+    return l.deriv(y) - l.deriv(np.dot(x, w))
+
+
+def _step(p, w_prev, x, coef, eta):
+    if eta <= 0.0:
+        raise ValueError("eta must be > 0")
+    w_prev = p.check_domain(np.asarray(w_prev, dtype=float))
+    if not np.any(eta * coef * x):
+        return w_prev.copy()
+    return mirror_update(p, p.grad(w_prev), x, coef, eta)[1]
 
 
 def smd_step(p, l, m, w_prev, d, eta):
     """One mirror step: shift grad psi(w) by eta * J_f * l'(residual)."""
-    if eta <= 0.0:
-        raise ValueError("eta must be > 0")
-    w_prev = p.check_domain(np.asarray(w_prev, dtype=float))
-    increment = eta * m.jacobian(d.x, w_prev) * l.deriv(d.y - m.predict(d.x, w_prev))
-    if not np.any(increment):
-        return w_prev.copy()
-    # check_domain catches floating-point escapes (exp underflowing to 0)
-    return p.check_domain(p.grad_inv(p.grad(w_prev) + increment))
+    return _step(p, w_prev, d.x, _smd_coef(l, m, d.x, d.y, w_prev), eta)
 
 
 def ssmd_step(p, l, w_prev, d, eta):
     """Symmetric mirror step for linear models: eta * x * (l'(y) - l'(x^T w))."""
-    if eta <= 0.0:
-        raise ValueError("eta must be > 0")
-    w_prev = p.check_domain(np.asarray(w_prev, dtype=float))
-    increment = eta * d.x * (l.deriv(d.y) - l.deriv(float(np.dot(d.x, w_prev))))
-    if not np.any(increment):
-        return w_prev.copy()
-    return p.check_domain(p.grad_inv(p.grad(w_prev) + increment))
+    return _step(p, w_prev, d.x, _ssmd_coef(l, d.x, d.y, w_prev), eta)
 
 
 def genrec_step(p, l, w_prev, d, z, eta):
     """Prediction-driven mirror step: eta * x * l'(y - z) for an arbitrary z."""
-    w_prev = p.check_domain(np.asarray(w_prev, dtype=float))
-    increment = eta * d.x * l.deriv(d.y - z)
-    if not np.any(increment):
-        return w_prev.copy()
-    return p.check_domain(p.grad_inv(p.grad(w_prev) + increment))
+    return _step(p, w_prev, d.x, l.deriv(d.y - z), eta)
 
 
-def _sgd_step(l, m, w_prev, d, eta):
-    return w_prev + eta * m.jacobian(d.x, w_prev) * l.deriv(d.y - m.predict(d.x, w_prev))
+def _recursion(p, mirror, data, w0, etas, coef):
+    """The mirror recursion over `data`, with `coef(i, x, y, w)` the shift of step
+    i at the previous iterate w; returns (path, X, Y). The domain is checked on
+    entry and once over the whole path, naming the first step that left it."""
+    w0 = p.check_domain(np.asarray(w0, dtype=float))
+    X = np.array([d.x for d in data], dtype=float).reshape(len(data), w0.size)
+    Y = np.array([d.y for d in data], dtype=float)
+    path = np.empty((len(Y) + 1, w0.size))
+    path[0] = w0
+    u = mirror.grad(w0)
+    for i in range(len(Y)):
+        u, path[i + 1] = mirror_update(mirror, u, X[i], coef(i, X[i], Y[i], path[i]), etas[i])
+    try:
+        p.check_domain(path)
+    except DomainError:
+        for i, w in enumerate(path):
+            try:
+                p.check_domain(w)
+            except DomainError as e:
+                raise DomainError(f"step {i}: {e}") from e
+        raise
+    return path, X, Y
 
 
 def iterate(p, l, m, data, schedule, w0, algorithm="smd", check_margin=True):
@@ -200,64 +255,32 @@ def iterate(p, l, m, data, schedule, w0, algorithm="smd", check_margin=True):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if algorithm == "ssmd" and not isinstance(m, Linear):
         raise ConfigError("ssmd is defined for linear models only")
-    w = p.check_domain(np.asarray(w0, dtype=float)).copy()
-    iterates, etas = [], []
-    warned = False
-    for i, d in enumerate(data, start=1):
-        eta = schedule.rate(i)
-        try:
-            if algorithm == "smd":
-                w = smd_step(p, l, m, w, d, eta)
-            elif algorithm == "ssmd":
-                w = ssmd_step(p, l, w, d, eta)
-            else:
-                w = _sgd_step(l, m, w, d, eta)
-        except DomainError as e:
-            raise DomainError(f"step {i}: {e}") from e
-        iterates.append(w)
-        etas.append(eta)
-        if check_margin and not warned:
-            if convexity_margin(p, l, m, eta, [(w, d)]) < 0.0:
-                warnings.warn(
-                    f"convexity margin negative at step {i}; "
-                    "the minimax premise is not certified on this run",
-                    StabilityWarning,
-                    stacklevel=2,
-                )
-                warned = True
-    return Trajectory(
-        w0=np.asarray(w0, dtype=float).copy(),
-        iterates=iterates,
-        data=list(data),
-        schedule=schedule,
-        etas=etas,
-        potential=p,
-        loss=l,
-        model=m,
-        algorithm=algorithm,
-    )
+    mirror = SquaredL2(p.dim) if algorithm == "sgd" else p
+    etas = np.array([schedule.rate(i) for i in range(1, len(data) + 1)])
+    if algorithm == "ssmd":
+        coef = lambda i, x, y, w: _ssmd_coef(l, x, y, w)
+    else:
+        coef = lambda i, x, y, w: _smd_coef(l, m, x, y, w)
+    path, X, Y = _recursion(p, mirror, data, w0, etas, coef)
+    if check_margin and len(Y):
+        holds = premise_holds(p, l, m, etas, path[1:], X, Y)
+        if not holds.all():
+            warnings.warn(
+                f"convexity margin negative at step {int(np.argmin(holds)) + 1}; "
+                "the minimax premise is not certified on this run",
+                StabilityWarning,
+                stacklevel=2,
+            )
+    return Trajectory(path, X, Y, schedule, p, l, m, algorithm)
 
 
 def run_general_recursion(p, l, data, z, eta, w0):
     """Trajectory of the prediction-driven recursion for a given z sequence."""
     if len(z) != len(data):
         raise ValueError("z and data must have equal length")
-    w = p.check_domain(np.asarray(w0, dtype=float)).copy()
-    iterates = []
-    for d, z_i in zip(data, z):
-        w = genrec_step(p, l, w, d, z_i, eta)
-        iterates.append(w)
-    return Trajectory(
-        w0=np.asarray(w0, dtype=float).copy(),
-        iterates=iterates,
-        data=list(data),
-        schedule=Constant(eta),
-        etas=[eta] * len(data),
-        potential=p,
-        loss=l,
-        model=Linear(),
-        algorithm="genrec",
-    )
+    coef = lambda i, x, y, w: l.deriv(y - z[i])
+    path, X, Y = _recursion(p, p, data, w0, [eta] * len(data), coef)
+    return Trajectory(path, X, Y, Constant(eta), p, l, Linear(), "genrec")
 
 
 def run_trajectory(cfg):
@@ -281,19 +304,30 @@ def run_trajectory(cfg):
     )
 
 
-def _loss_hessian(l, m, d, w):
-    """Hessian of w -> l(y - f(x, w)); analytic for linear models."""
-    if isinstance(m, Linear):
-        x = np.asarray(d.x, dtype=float)
-        return np.outer(x, x) * float(l.second_deriv(d.y - np.dot(x, w)))
-    grad = lambda v: -m.jacobian(d.x, v) * l.deriv(d.y - m.predict(d.x, v))
-    n = w.size
-    H = np.empty((n, n))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = FD_STEP
-        H[:, k] = (grad(w + e) - grad(w - e)) / (2.0 * FD_STEP)
-    return 0.5 * (H + H.T)
+def _loss_curvature(l, m, u, y):
+    """c in hess_w l(y - g(x^T w)) = c * x x^T, at u = x^T w."""
+    r = y - m.g(u)
+    return l.second_deriv(r) * m.g_prime(u) ** 2 - l.deriv(r) * m.g_second(u)
+
+
+def _kept(p, w):
+    # SeparableQ's Hessian is singular or zero at 0 unless q = 2
+    return np.abs(w) >= HESSIAN_PROBE_EXCLUSION if isinstance(p, SeparableQ) else np.ones(np.shape(w), bool)
+
+
+def premise_holds(p, l, m, eta, W, X, Y):
+    """Exact test of hess psi - eta * hess L >= 0 at each probe (rows of W, X, Y).
+
+    The loss Hessian is rank one, c * x x^T, so with D the diagonal of
+    hess psi on the kept coordinates the premise holds exactly when
+    eta * c * x^T D^{-1} x <= 1. A probe with no kept coordinate passes, as
+    in `convexity_margin`. `eta` is a scalar or one rate per probe.
+    """
+    keep = _kept(p, W)
+    D = p.hessian_diag(W)
+    s = np.sum(np.divide(np.square(X), D, out=np.zeros_like(D), where=keep), axis=-1)
+    c = _loss_curvature(l, m, np.sum(X * W, axis=-1), Y)
+    return (eta * c * s <= 1.0) | ~keep.any(axis=-1)
 
 
 def convexity_margin(p, l, m, eta, probes):
@@ -302,19 +336,17 @@ def convexity_margin(p, l, m, eta, probes):
     A positive value certifies (on the probes) the convexity premise behind
     the minimax and risk-sensitive optimality statements. Near-zero
     coordinates are excluded for SeparableQ, whose Hessian is singular or
-    zero there.
+    zero there. `premise_holds` gives the same verdict without eigenvalues.
     """
     best = np.inf
     for w, d in probes:
         w = p.check_domain(np.asarray(w, dtype=float))
-        keep = (
-            np.abs(w) >= HESSIAN_PROBE_EXCLUSION
-            if isinstance(p, SeparableQ)
-            else np.ones(w.size, dtype=bool)
-        )
+        keep = _kept(p, w)
         if not np.any(keep):
             continue
-        A = np.diag(p.hessian_diag(w)[keep]) - eta * _loss_hessian(l, m, d, w)[np.ix_(keep, keep)]
+        x = d.x[keep]
+        c = _loss_curvature(l, m, np.dot(d.x, w), d.y)
+        A = np.diag(p.hessian_diag(w)[keep]) - eta * c * np.outer(x, x)
         best = min(best, float(np.linalg.eigvalsh(A)[0]))
     return best
 

@@ -2,13 +2,11 @@
 against independent oracles, and mean-square convergence under vanishing steps.
 
 Monte Carlo trials draw from per-trial random streams, so results are
-independent of execution order and of the worker count (MIRRORKIT_THREADS).
+independent of execution order.
 """
 
 import logging
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +21,14 @@ from .datagen import (
     make_inputs,
     planted_weight,
 )
-from .descent import DataPoint, Linear, NoiseSpec, convexity_margin, persistent_excitation
+from .descent import (
+    DataPoint,
+    Linear,
+    NoiseSpec,
+    convexity_margin,
+    mirror_update,
+    persistent_excitation,
+)
 from .errors import ConfigError, ConvergenceError, RankError, StepCapError
 from .potentials import SquaredL2
 from .samplers import ExpFamilySpec, RngStream, sample_noise, sample_weight, sample_white_noise
@@ -34,16 +39,6 @@ KKT_TOL = 1e-10
 FEASIBILITY_TOL = 1e-9
 STEP_CAP = 1_000_000
 BOOTSTRAP_RESAMPLES = 2000
-
-
-def worker_count():
-    """Worker cap from MIRRORKIT_THREADS; 0 or unset means serial."""
-    raw = os.environ.get("MIRRORKIT_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"MIRRORKIT_THREADS must be an integer, got {raw!r}")
-    return max(n, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +152,7 @@ class MirrorEstimator(CausalEstimator):
             coef = self.l.deriv(y) - self.l.deriv(pred)
         else:
             coef = self.l.deriv(y - pred)
-        self.U += self.eta * coef[:, None] * x[None, :]
-        self.W = self.p.grad_inv(self.U)
+        self.U, self.W = mirror_update(self.p, self.U, x, coef, self.eta)
 
 
 class ConstantEstimator(CausalEstimator):
@@ -265,20 +259,10 @@ def _draw_trials(prior, l, T, n_trials, seed):
     dim = prior.potential.dim
     W = np.empty((n_trials, dim))
     V = np.empty((n_trials, T))
-
-    def fill(t0, t1):
-        for t in range(t0, t1):
-            rng = RngStream(seed, STREAM_TRIAL_BASE + t)
-            W[t] = sample_weight(prior, rng)
-            V[t] = sample_noise(l, rng, size=T)
-
-    workers = worker_count()
-    if workers > 1:
-        bounds = np.linspace(0, n_trials, workers + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: fill(*b), zip(bounds[:-1], bounds[1:])))
-    else:
-        fill(0, n_trials)
+    for t in range(n_trials):
+        rng = RngStream(seed, STREAM_TRIAL_BASE + t)
+        W[t] = sample_weight(prior, rng)
+        V[t] = sample_noise(l, rng, size=T)
     return W, V
 
 
@@ -525,9 +509,7 @@ def run_interpolating_descent(
         if steps % n == 0 and shuffle_rng is not None:
             order = np.argsort(shuffle_rng.uniform(n))
         i = order[steps % n]
-        r = y[i] - float(X[i] @ w)
-        u = u + eta * X[i] * float(l.deriv(r))
-        w = p.grad_inv(u)
+        u, w = mirror_update(p, u, X[i], l.deriv(y[i] - float(X[i] @ w)), eta)
         steps += 1
         if steps == next_log or steps % n == 0:
             feas = float(np.max(np.abs(X @ w - y)))
@@ -597,11 +579,8 @@ def _msq_runs(p, l, X, y_clean, V, schedule, w0):
     marks = sorted({c for c in (100, 1000, 10_000) if c <= T} | {T})
     out = {}
     for i in range(T):
-        eta = schedule.rate(i + 1)
         y_i = y_clean[i] + V[:, i]
-        coef = l.deriv(y_i - W @ X[i])
-        U += eta * coef[:, None] * X[i][None, :]
-        W = p.grad_inv(U)
+        U, W = mirror_update(p, U, X[i], l.deriv(y_i - W @ X[i]), schedule.rate(i + 1))
         if i + 1 in marks:
             out[i + 1] = W
     return marks, out

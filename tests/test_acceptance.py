@@ -158,7 +158,7 @@ MINIMAX_CONFIGS = [
 
 
 def test_criterion_2_minimax_optimality():
-    from mirrorkit.cli import _reseeded
+    from mirrorkit.datagen import _reseeded
 
     t0 = time.perf_counter()
     summaries = []

@@ -215,3 +215,31 @@ def test_grid_override_reaches_sampler(tmp_path):
     )
     with pytest.raises(GridError):
         risk_compare(cfg)
+
+
+def test_minimax_fails_closed_when_no_trial_is_certified(tmp_path, caplog):
+    # eta 1.5 on gaussian inputs breaks the convexity premise on every trial
+    cfg = make_config(
+        potential="squared_l2", loss="quadratic", dim=3, T=30, n_trials=50, seed=0,
+        schedule={"kind": "constant", "eta": 1.5}, inputs={"kind": "gaussian"},
+        output_dir=str(tmp_path),
+    )
+    with caplog.at_level(logging.INFO, logger="mirrorkit"):
+        assert dispatch(cfg, "minimax") == EXIT_ASSERTION
+    assert any("0/50 trials premise-certified" in r.message for r in caplog.records)
+    assert any(r.levelno == logging.ERROR for r in caplog.records)
+
+
+@pytest.mark.parametrize("field", ["mc_cost", "ci_low"])
+def test_risk_verdict_fails_on_nan(field, tmp_path, monkeypatch):
+    from mirrorkit import experiments
+    from mirrorkit.experiments import EstimatorCost, RiskReport, SMDCost
+
+    baseline = dict(name="constant", mc_cost=2.0, ci_low=1.8, ci_high=2.2, n_trials=10)
+    baseline[field] = float("nan")
+    report = RiskReport(
+        entries=[EstimatorCost("smd", 1.0, 0.9, 1.1, 10), EstimatorCost(**baseline)],
+        exponent_mode=SMDCost(),
+    )
+    monkeypatch.setattr(experiments, "risk_compare", lambda cfg, warn_only=False: report)
+    assert dispatch(_cfg_for("risk", tmp_path), "risk") == EXIT_ASSERTION

@@ -8,10 +8,12 @@ from mirrorkit import (
     DomainError,
     GeneralizedLinear,
     Linear,
+    LogCosh,
     NegEntropy,
     Quadratic,
     Quartic,
     RobbinsMonro,
+    SeparableQ,
     SquaredL2,
     StabilityWarning,
     convexity_margin,
@@ -21,7 +23,7 @@ from mirrorkit import (
     ssmd_step,
 )
 from mirrorkit.config import make_config
-from mirrorkit.descent import run_trajectory
+from mirrorkit.descent import premise_holds, run_trajectory
 from mirrorkit.datagen import gaussian_inputs
 from mirrorkit.samplers import RngStream
 
@@ -195,6 +197,37 @@ def test_convexity_margin_entropy_small_eta(rng):
     x = np.abs(rng.normal(size=3)) + 0.1
     margin = convexity_margin(NegEntropy(3), Quadratic(), Linear(), 1e-9, [(w, DataPoint(x, 0.0))])
     assert margin == pytest.approx(1.0 / np.max(w), rel=1e-6)
+
+
+def _finite_difference_margin(p, l, m, eta, w, d, h=1e-5):
+    """Oracle: eigvalsh of hess psi - eta * a central-difference loss Hessian."""
+    grad = lambda v: -m.jacobian(d.x, v) * l.deriv(d.y - m.predict(d.x, v))
+    H = np.column_stack([(grad(w + h * e) - grad(w - h * e)) / (2.0 * h) for e in np.eye(w.size)])
+    keep = np.abs(w) >= 1e-8
+    A = np.diag(p.hessian_diag(w)[keep]) - eta * 0.5 * (H + H.T)[np.ix_(keep, keep)]
+    return float(np.linalg.eigvalsh(A)[0])
+
+
+def test_rank_one_certificate_matches_finite_difference_oracle(rng):
+    potentials = [SquaredL2(3), NegEntropy(3), SeparableQ(1.5, 3), SeparableQ(3.0, 3)]
+    models = [Linear(), GeneralizedLinear("tanh"), GeneralizedLinear("softplus")]
+    verdicts = []
+    for p in potentials:
+        for l in (Quadratic(), Quartic(), LogCosh()):
+            for m in models:
+                for _ in range(10):
+                    w = random_in_domain(p, rng)
+                    d = DataPoint(rng.normal(size=3), float(rng.normal()))
+                    eta = 10.0 ** rng.uniform(-2.0, 1.0)
+                    oracle = _finite_difference_margin(p, l, m, eta, w, d)
+                    if abs(oracle) < 1e-6:
+                        continue
+                    holds = premise_holds(p, l, m, eta, w[None, :], d.x[None, :], np.array([d.y]))
+                    assert bool(holds[0]) == (oracle >= 0.0), (p, l, m, eta, oracle)
+                    margin = convexity_margin(p, l, m, eta, [(w, d)])
+                    assert margin == pytest.approx(oracle, rel=1e-6, abs=1e-6)
+                    verdicts.append(bool(holds[0]))
+    assert len(verdicts) > 300 and 0 < sum(verdicts) < len(verdicts)
 
 
 def test_persistent_excitation_basis():

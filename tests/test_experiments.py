@@ -276,25 +276,32 @@ def test_msq_vectorized_matches_engine():
     np.testing.assert_allclose(snaps[120][0], traj.iterates[-1], rtol=1e-12, atol=1e-14)
 
 
-def test_worker_count_env(monkeypatch):
-    from mirrorkit.experiments import worker_count
+def test_engines_share_one_mirror_update_bitwise():
+    """iterate, the batched convergence runner and the risk estimator run the
+    same mirror update, so one trajectory fed to each comes out bit for bit
+    identical."""
+    from mirrorkit import Constant
+    from mirrorkit.experiments import _msq_runs
 
-    monkeypatch.delenv("MIRRORKIT_THREADS", raising=False)
-    assert worker_count() == 0
-    monkeypatch.setenv("MIRRORKIT_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("MIRRORKIT_THREADS", "soup")
-    with pytest.raises(ConfigError):
-        worker_count()
+    from conftest import all_losses, all_potentials
 
-
-def test_threaded_trials_match_serial(monkeypatch):
-    monkeypatch.delenv("MIRRORKIT_THREADS", raising=False)
-    serial = risk_compare(_gaussian_cfg(n_trials=400))
-    monkeypatch.setenv("MIRRORKIT_THREADS", "4")
-    threaded = risk_compare(_gaussian_cfg(n_trials=400))
-    for a, b in zip(serial.entries, threaded.entries):
-        assert a.mc_cost == b.mc_cost
+    rng = RngStream(21, 0)
+    X = np.stack([np.asarray(rng.normal(3)) for _ in range(120)])
+    Y = X @ np.array([0.9, 1.4, 0.6]) + 0.3 * np.asarray(rng.normal(120))
+    data = [DataPoint(x, y) for x, y in zip(X, Y)]
+    w0 = np.ones(3)
+    for p in all_potentials(3):
+        for l in all_losses():
+            traj = iterate(p, l, Linear(), data, Constant(0.02), w0, check_margin=False)
+            marks, snaps = _msq_runs(p, l, X, Y, np.zeros((1, 120)), Constant(0.02), w0)
+            for t in marks:
+                assert np.array_equal(snaps[t][0], traj.iterates[t - 1])
+            est = MirrorEstimator(p, l, 0.02)
+            est.reset(1, w0)
+            for i, (x, y) in enumerate(zip(X, Y)):
+                est.predict(x)
+                est.observe(x, np.array([y]))
+                assert np.array_equal(est.W[0], traj.iterates[i])
 
 
 def test_shuffled_epochs_reach_same_limit():
