@@ -78,6 +78,7 @@ from .samplers import (
     GridSpec,
     MirrorMeanReport,
     RngStream,
+    ks_two_sample,
     mirror_mean_check,
     sample_noise,
     sample_weight,

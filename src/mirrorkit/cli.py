@@ -12,17 +12,17 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from . import audit as audit_mod
 from . import experiments as exp_mod
 from .config import parse_config
 from .datagen import STREAM_TRIAL_BASE, _reseeded, generate_problem, prior_scale
-from .descent import iterate
+from .descent import iterate, run_trajectory
 from .errors import MirrorkitError, StabilityWarning
 from .samplers import (
     ExpFamilySpec,
     RngStream,
+    ks_two_sample,
     mirror_mean_check,
     sample_noise,
     sample_weight,
@@ -62,27 +62,11 @@ def _out(cfg, name):
 
 
 def _cmd_run(cfg):
-    traj = _generated_trajectory(cfg)
+    traj = run_trajectory(cfg)
     header = ["step"] + [f"w{j}" for j in range(cfg.dim)]
     rows = [[i] + list(w) for i, w in enumerate(traj.path)]
     write_csv(_out(cfg, "trajectory.csv"), header, rows)
     return EXIT_PASS
-
-
-def _generated_trajectory(cfg):
-    problem = generate_problem(cfg)
-    traj = iterate(
-        cfg.build_potential(),
-        cfg.build_loss(),
-        cfg.build_model(),
-        problem.data,
-        cfg.build_schedule(),
-        cfg.w0_vector(),
-        algorithm=cfg.algorithm,
-        check_margin=cfg.check_margin,
-    )
-    traj.problem = problem
-    return traj
 
 
 def _require_gradient_form(cfg, what):
@@ -96,7 +80,7 @@ def _require_gradient_form(cfg, what):
 
 def _cmd_audit(cfg):
     _require_gradient_form(cfg, "the conservation-law audit")
-    traj = _generated_trajectory(cfg)
+    traj = run_trajectory(cfg)
     problem = traj.problem
     global_residual = audit_mod.audit_trajectory(traj, problem.w_true, noises=problem.noises)
     header = [
@@ -232,11 +216,11 @@ def _cmd_sample_check(cfg):
     tab = np.asarray(sample_weight(spec, RngStream(cfg.seed, STREAM_TRIAL_BASE + 2),
                                    size=n, force_tabulated=True))[:, 0]
     short = np.asarray(sample_weight(spec, RngStream(cfg.seed, STREAM_TRIAL_BASE + 3), size=n))[:, 0]
-    ks = ks_2samp(tab, short)
-    ks_ok = bool(ks.pvalue > 0.01)
+    ks_stat, ks_pvalue = ks_two_sample(tab, short)
+    ks_ok = bool(ks_pvalue > 0.01)
     ok = ok and ks_ok
     rows.append(["ks_tabulated_vs_short_circuit", p.kind, l.kind, 0,
-                 float(ks.statistic), 0.0, float(ks.pvalue), ks_ok])
+                 ks_stat, 0.0, ks_pvalue, ks_ok])
     write_csv(
         _out(cfg, "sample_check.csv"),
         ["check", "potential", "loss", "coordinate", "mc_estimate", "target", "sigma_bound", "pass"],

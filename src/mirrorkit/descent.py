@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, DomainError, StabilityWarning
 from .losses import LossFn
@@ -34,6 +33,12 @@ class DataPoint:
             raise ValueError("data point has non-finite entries")
 
 
+def _logistic(u):
+    """1 / (1 + exp(-u)), split on the sign of u so that exp never overflows."""
+    e = np.exp(-np.abs(u))
+    return np.where(np.asarray(u) >= 0.0, 1.0, e) / (1.0 + e)
+
+
 class GeneralizedLinear:
     """predict(x, w) = g(x^T w) for a smooth scalar link g."""
 
@@ -53,13 +58,13 @@ class GeneralizedLinear:
         if self.link == "tanh":
             t = np.tanh(u)
             return 1.0 - t * t
-        return expit(u)
+        return _logistic(u)
 
     def g_second(self, u):
         if self.link == "tanh":
             t = np.tanh(u)
             return -2.0 * t * (1.0 - t * t)
-        s = expit(u)
+        s = _logistic(u)
         return s * (1.0 - s)
 
     def predict(self, x, w):
@@ -141,7 +146,8 @@ class NoiseSpec:
 class Trajectory:
     """One run as a (T+1, dim) path (w_0 first), its data as arrays (inputs
     X of shape (T, dim), outputs Y of shape (T,)), and everything needed to
-    audit it."""
+    audit it; `problem` is the generated problem when the run made its own
+    data (`run_trajectory`)."""
 
     path: np.ndarray
     X: np.ndarray
@@ -152,6 +158,7 @@ class Trajectory:
     model: object
     algorithm: str = "smd"
     audits: list = field(default_factory=list)
+    problem: object = None
 
     def __len__(self):
         return len(self.path) - 1
@@ -284,24 +291,23 @@ def run_general_recursion(p, l, data, z, eta, w0):
 
 
 def run_trajectory(cfg):
-    """Generate the configured data stream and run the configured algorithm."""
+    """Generate the configured problem and run the configured algorithm on
+    its data; the problem stays on the returned trajectory."""
     from .datagen import generate_problem
 
-    p = cfg.build_potential()
-    l = cfg.build_loss()
-    m = cfg.build_model()
-    schedule = cfg.build_schedule()
     problem = generate_problem(cfg)
-    return iterate(
-        p,
-        l,
-        m,
+    traj = iterate(
+        cfg.build_potential(),
+        cfg.build_loss(),
+        cfg.build_model(),
         problem.data,
-        schedule,
+        cfg.build_schedule(),
         cfg.w0_vector(),
         algorithm=cfg.algorithm,
         check_margin=cfg.check_margin,
     )
+    traj.problem = problem
+    return traj
 
 
 def _loss_curvature(l, m, u, y):

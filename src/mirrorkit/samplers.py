@@ -5,15 +5,16 @@ noise densities are proportional to exp(-l(v)). Both factor per coordinate
 for the separable potentials here, so sampling reduces to one-dimensional
 inverse-transform draws from a tabulated CDF. The Gaussian special cases
 (squared-L2 potential, quadratic loss) short-circuit to exact Box-Muller
-draws; a flag forces the tabulated path so the two can be compared.
+draws; a flag forces the tabulated path so the two can be compared, for
+instance with the two-sample Kolmogorov-Smirnov test below.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.special import xlogy
+from numpy.random import PCG64, Generator  # loaded at import, not lazily in the first draw
 
 from .errors import GridError
 from .losses import Quadratic
@@ -53,7 +54,7 @@ class RngStream:
     def __init__(self, seed, stream_index=0):
         self.seed = int(seed)
         self.stream_index = int(stream_index)
-        self._gen = np.random.Generator(np.random.PCG64(derive_seed(seed, stream_index)))
+        self._gen = Generator(PCG64(derive_seed(seed, stream_index)))
 
     def uniform(self, size=None):
         """U[0, 1) variates."""
@@ -100,6 +101,11 @@ class GridSpec:
             raise ValueError("points must be >= 16")
 
 
+def _cumulative_trapezoid(y, x):
+    """Running trapezoid-rule integral of y over the grid x, starting at 0."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
+
+
 class TabulatedDensity:
     """Inverse-CDF table for a 1-D density exp(-d(x) / eta).
 
@@ -127,7 +133,7 @@ class TabulatedDensity:
             half *= 2.0
         xs = np.linspace(lo, hi, grid.points)
         dens = np.exp(-d(xs) / eta)
-        cdf = np.concatenate([[0.0], cumulative_trapezoid(dens, xs)])
+        cdf = _cumulative_trapezoid(dens, xs)
         total = cdf[-1]
         if not (np.isfinite(total) and total > 0.0):
             raise GridError("tabulated density has no finite mass on the grid")
@@ -193,7 +199,8 @@ def _coordinate_bregman(p1, c):
     if isinstance(p1, SquaredL2):
         return (lambda x: 0.5 * (x - c) ** 2), (lambda x: x - c)
     if isinstance(p1, NegEntropy):
-        d = lambda x: xlogy(x, x / c) - x + c
+        # x log(x / c) takes its limit 0 at x = 0, finite and warning-free there
+        d = lambda x: x * np.log(np.where(np.asarray(x) == 0.0, 1.0, x / c)) - x + c
         dp = lambda x: np.log(x / c) if x > 0 else -np.inf
         return d, dp
     q = p1.q
@@ -213,7 +220,6 @@ class ExpFamilySpec:
         self.center = potential.check_domain(np.asarray(center, dtype=float)).copy()
         self.scale = float(scale)
         self.grid = grid
-        self._tables = None
 
     def _one_dim(self):
         p = self.potential
@@ -222,19 +228,24 @@ class ExpFamilySpec:
         return type(p)(1)
 
     def tables(self):
-        """Per-coordinate inverse-CDF tables (built lazily, then cached)."""
-        if self._tables is None:
-            p1 = self._one_dim()
-            lower = 0.0 if isinstance(self.potential, NegEntropy) else None
-            tabs = []
-            for c in self.center:
-                d, dp = _coordinate_bregman(p1, float(c))
-                s = _laplace_scale(p1, float(c), self.scale)
-                tabs.append(
-                    TabulatedDensity(d, dp, float(c), self.scale, s, self.grid, lower=lower)
-                )
-            self._tables = tabs
-        return self._tables
+        """Per-coordinate inverse-CDF tables, each built once per process."""
+        p1 = self._one_dim()
+        return [_prior_table(p1, float(c), self.scale, self.grid) for c in self.center]
+
+
+_PRIOR_TABLES = {}
+
+
+def _prior_table(p1, c, scale, grid):
+    """Table of exp(-D_psi(x, c) / scale) for the 1-D potential p1, memoized
+    like `_noise_table`: specs that share a prior coordinate share its table."""
+    key = (p1.kind, getattr(p1, "q", None), c, scale, grid)
+    if key not in _PRIOR_TABLES:
+        d, dp = _coordinate_bregman(p1, c)
+        s = _laplace_scale(p1, c, scale)
+        lower = 0.0 if isinstance(p1, NegEntropy) else None
+        _PRIOR_TABLES[key] = TabulatedDensity(d, dp, c, scale, s, grid, lower=lower)
+    return _PRIOR_TABLES[key]
 
 
 def sample_weight(spec, rng, size=None, force_tabulated=False):
@@ -319,3 +330,43 @@ def sample_white_noise(spec, rng, size=None):
     else:
         draws = np.where(rng.uniform(n) < 0.5, -sd, sd)
     return float(draws[0]) if size is None else draws
+
+
+def kolmogorov_sf(lam):
+    """P(K > lam) for the limiting Kolmogorov distribution K.
+
+    From 0.82 up the alternating series 2 sum_k (-1)^(k-1) exp(-2 k^2 lam^2)
+    converges in a few terms. Below it that series cancels badly, so the
+    complement of the theta-function form of the CDF,
+    sqrt(2 pi) / lam * sum_k exp(-(2k - 1)^2 pi^2 / (8 lam^2)), is used
+    instead (Marsaglia, Tsang & Wang, J. Stat. Softw. 8(18), 2003).
+    """
+    lam = float(lam)
+    if lam <= 0.0:
+        return 1.0
+    k = np.arange(1, 21)
+    if lam < 0.82:
+        terms = np.exp(-(((2 * k - 1) * np.pi / lam) ** 2) / 8.0)
+        return float(1.0 - np.sqrt(2.0 * np.pi) / lam * np.sum(terms))
+    return float(2.0 * np.sum((-1.0) ** (k - 1) * np.exp(-2.0 * (k * lam) ** 2)))
+
+
+def ks_two_sample(a, b):
+    """Two-sided two-sample Kolmogorov-Smirnov test of equal distributions;
+    returns (statistic, pvalue).
+
+    The statistic D is the largest gap between the two empirical CDFs, which
+    is attained at an observation. D is a multiple of 1 / lcm(n, m) for
+    sample sizes n and m, so the float gap is rounded onto that lattice. The
+    p-value is the limiting one, P(K > D sqrt(n m / (n + m))).
+    """
+    a = np.sort(np.asarray(a, dtype=float).ravel())
+    b = np.sort(np.asarray(b, dtype=float).ravel())
+    n, m = a.size, b.size
+    if n == 0 or m == 0:
+        raise ValueError("both samples must be non-empty")
+    pooled = np.concatenate([a, b])
+    gap = np.searchsorted(a, pooled, side="right") / n - np.searchsorted(b, pooled, side="right") / m
+    lcm = math.lcm(n, m)
+    d = round(float(np.max(np.abs(gap))) * lcm) / lcm
+    return d, kolmogorov_sf(d * np.sqrt(n * m / (n + m)))

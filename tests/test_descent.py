@@ -129,6 +129,19 @@ def test_empty_stream_echoes_start():
     np.testing.assert_allclose(traj.final, cfg.w0_vector())
 
 
+def test_run_trajectory_keeps_its_problem():
+    cfg = make_config(potential="neg_entropy", loss="quadratic", dim=3, T=20, w0=1.0, seed=4,
+                      schedule={"kind": "constant", "eta": 0.05})
+    from mirrorkit.datagen import generate_problem
+
+    traj = run_trajectory(cfg)
+    problem = generate_problem(cfg)
+    np.testing.assert_array_equal(traj.problem.w_true, problem.w_true)
+    np.testing.assert_array_equal(traj.problem.noises, problem.noises)
+    np.testing.assert_array_equal(traj.X, np.array(problem.inputs))
+    np.testing.assert_array_equal(traj.Y, [d.y for d in problem.data])
+
+
 def test_noiseless_consistent_data_interpolates():
     cfg = make_config(
         potential="squared_l2", loss="quadratic", dim=3, T=400,

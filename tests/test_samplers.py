@@ -157,3 +157,36 @@ def test_weight_draw_shapes():
     batch = sample_weight(spec, RngStream(9, 0), size=10)
     assert batch.shape == (10, 3)
     np.testing.assert_array_equal(batch[0], single)
+
+
+def test_prior_tables_are_built_once_across_trials(monkeypatch):
+    from mirrorkit import samplers
+    from mirrorkit.config import make_config
+    from mirrorkit.datagen import _reseeded, generate_problem
+
+    cfgs = [
+        make_config(potential="neg_entropy", loss="quadratic", dim=3, T=5, w0=[0.5, 1.0, 1.0],
+                    schedule={"kind": "constant", "eta": 0.05}),
+        make_config(potential={"kind": "separable_q", "q": 3.0}, loss="logcosh", dim=2, T=5,
+                    w0=1.0, schedule={"kind": "constant", "eta": 0.1}),
+    ]
+    trials = [_reseeded(cfg, t) for cfg in cfgs for t in range(50)]
+    fresh = []
+    for cfg in trials:  # every trial with its own tables, as without the memo
+        monkeypatch.setattr(samplers, "_PRIOR_TABLES", {})
+        fresh.append(generate_problem(cfg).w_true)
+
+    built = []
+    init = samplers.TabulatedDensity.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[2])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(samplers, "_PRIOR_TABLES", {})
+    monkeypatch.setattr(samplers, "_NOISE_TABLES", {})
+    monkeypatch.setattr(samplers.TabulatedDensity, "__init__", counting_init)
+    memo = [generate_problem(cfg).w_true for cfg in trials]
+    # neg_entropy centers 0.5 and 1.0, separable_q center 1.0, the logcosh noise
+    assert len(built) == len(samplers._PRIOR_TABLES) + len(samplers._NOISE_TABLES) == 4
+    assert all(np.array_equal(a, b) for a, b in zip(memo, fresh))
