@@ -15,8 +15,6 @@ import numpy as np
 from .bregman import bregman
 from .descent import Linear, premise_holds
 
-IDENTITY_RTOL = 1e-8
-MINIMAX_SLACK = 1e-9
 DENOMINATOR_FLOOR = 1e-14
 
 

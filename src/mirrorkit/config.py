@@ -7,7 +7,7 @@ applied is echoed to the log.
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -43,27 +43,27 @@ DEFAULT_ESTIMATORS = (
 class ExperimentConfig:
     """A validated, fully defaulted description of one run."""
 
-    algorithm: str = "smd"
-    potential: dict = field(default_factory=lambda: {"kind": "squared_l2"})
-    loss: str = "quadratic"
-    model: str = "linear"
-    glm_link: str | None = None
-    schedule: dict = field(default_factory=lambda: {"kind": "constant", "eta": 0.1})
-    dim: int = 2
-    T: int = 50
-    n_trials: int = 1000
-    seed: int = 0
-    delta_pe: float = 0.1
-    w0: object = None
-    inputs: dict = field(default_factory=lambda: {"kind": "gaussian", "scale": 1.0})
-    noise: dict = field(default_factory=lambda: {"kind": "model", "sigma2": 1.0})
-    planted: dict = field(default_factory=lambda: {"kind": "auto", "support": 3})
-    estimators: list = field(default_factory=lambda: [dict(e) for e in DEFAULT_ESTIMATORS])
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-    grid: dict = field(default_factory=lambda: {"half_width": 12.0, "points": 4096, "auto_expand": True})
-    check_margin: bool = True
-    control_eta: float | None = None
-    output_dir: str = "out"
+    algorithm: str
+    potential: dict
+    loss: str
+    model: str
+    glm_link: str | None
+    schedule: dict
+    dim: int
+    T: int
+    n_trials: int
+    seed: int
+    delta_pe: float
+    w0: object
+    inputs: dict
+    noise: dict
+    planted: dict
+    estimators: list
+    tolerances: dict
+    grid: dict
+    check_margin: bool
+    control_eta: float | None
+    output_dir: str
 
     def build_potential(self):
         kind = self.potential["kind"]
@@ -290,10 +290,9 @@ def config_from_mapping(raw):
         if key not in raw_tol:
             log.info("applied default tolerances.%s = %r", key, tolerances[key])
 
-    grid_defaults = {"half_width": 12.0, "points": 4096, "auto_expand": True}
-    grid = dict(grid_defaults)
+    grid = asdict(GridSpec())
     raw_grid = raw.get("grid") or {}
-    _reject_unknown(raw_grid, set(grid_defaults), "grid")
+    _reject_unknown(raw_grid, set(grid), "grid")
     if "half_width" in raw_grid:
         grid["half_width"] = _positive(raw_grid["half_width"], "grid.half_width")
     if "points" in raw_grid:

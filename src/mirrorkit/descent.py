@@ -2,9 +2,11 @@
 
 Every engine runs one kernel, `mirror_update`: the mirror-domain state
 u = grad psi(w) is shifted by eta * coef * x and pulled back through the
-inverse mirror map. The state is carried in the mirror domain and never
-recomputed from w. SGD is the kernel with the identity mirror map, so with
-the squared-L2 potential SMD and SGD agree bit for bit.
+inverse mirror map. The multi-step engines iterate one generator of it,
+`mirror_steps`, over one start or a batch of trials; the state is carried in
+the mirror domain and never recomputed from w. SGD is the kernel with the
+identity mirror map, so with the squared-L2 potential SMD and SGD agree bit
+for bit.
 """
 
 import warnings
@@ -226,18 +228,32 @@ def genrec_step(p, l, w_prev, d, z, eta):
     return _step(p, w_prev, d.x, l.deriv(d.y - z), eta)
 
 
+def mirror_steps(mirror, W, X, Y, etas, coef):
+    """Yield w_1 .. w_T of the mirror recursion started at W = w_0.
+
+    `W` is one start of shape (dim,) or a batch of shape (n, dim) whose trials
+    share the inputs `X`. Step i reads the output `Y[i]` (a scalar, or one per
+    trial), the rate `etas[i]`, and the shift `coef(i, x, y, W)` at the
+    previous iterate; `Y` and `etas` may be any iterables. The state
+    U = grad psi(W) is carried and never recomputed from W.
+    """
+    U = mirror.grad(W)
+    for i, (x, y, eta) in enumerate(zip(X, Y, etas)):
+        U, W = mirror_update(mirror, U, x, coef(i, x, y, W), eta)
+        yield W
+
+
 def _recursion(p, mirror, data, w0, etas, coef):
-    """The mirror recursion over `data`, with `coef(i, x, y, w)` the shift of step
-    i at the previous iterate w; returns (path, X, Y). The domain is checked on
-    entry and once over the whole path, naming the first step that left it."""
+    """`mirror_steps` over `data` from w0, recorded; returns (path, X, Y). The
+    domain is checked on entry and once over the whole path, naming the first
+    step that left it."""
     w0 = p.check_domain(np.asarray(w0, dtype=float))
     X = np.array([d.x for d in data], dtype=float).reshape(len(data), w0.size)
     Y = np.array([d.y for d in data], dtype=float)
     path = np.empty((len(Y) + 1, w0.size))
     path[0] = w0
-    u = mirror.grad(w0)
-    for i in range(len(Y)):
-        u, path[i + 1] = mirror_update(mirror, u, X[i], coef(i, X[i], Y[i], path[i]), etas[i])
+    for i, w in enumerate(mirror_steps(mirror, w0, X, Y, etas, coef), 1):
+        path[i] = w
     try:
         p.check_domain(path)
     except DomainError:
@@ -358,16 +374,16 @@ def convexity_margin(p, l, m, eta, probes):
 
 
 def persistent_excitation(data, delta):
-    """Earliest T with lambda_min(sum_{i<=T} x_i x_i^T) >= delta, if any."""
+    """Earliest T with lambda_min(sum_{i<=T} x_i x_i^T) >= delta, if any.
+
+    `data` is any iterable of data points; it is read only up to that T.
+    """
     if delta <= 0.0:
         raise ValueError("delta must be > 0")
-    if not data:
-        return False, 0
-    m = np.asarray(data[0].x).size
-    G = np.zeros((m, m))
+    G = 0.0
     for T, d in enumerate(data, start=1):
         x = np.asarray(d.x, dtype=float)
-        G += np.outer(x, x)
+        G = G + np.outer(x, x)
         if float(np.linalg.eigvalsh(G)[0]) >= delta:
             return True, T
     return False, 0

@@ -8,6 +8,7 @@ independent of execution order.
 import logging
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -25,9 +26,10 @@ from .descent import (
     DataPoint,
     Linear,
     NoiseSpec,
-    convexity_margin,
+    mirror_steps,
     mirror_update,
     persistent_excitation,
+    premise_holds,
 )
 from .errors import ConfigError, ConvergenceError, RankError, StepCapError
 from .potentials import SquaredL2
@@ -35,7 +37,6 @@ from .samplers import ExpFamilySpec, RngStream, sample_noise, sample_weight, sam
 
 log = logging.getLogger("mirrorkit")
 
-KKT_TOL = 1e-10
 FEASIBILITY_TOL = 1e-9
 STEP_CAP = 1_000_000
 BOOTSTRAP_RESAMPLES = 2000
@@ -94,112 +95,51 @@ def risk_cost(predictions, w, data, l, mode=SMDCost()):
 # causal estimators (batched across trials)
 
 
-class CausalEstimator:
-    """Online predictor fed one observation at a time.
+def estimator_predictions(spec, p, l, eta, prior, X, Y, w0):
+    """(name, predictions) of one config-level estimator on a batch of trials.
 
-    The protocol enforces causality structurally: each round asks for the
-    prediction first, then reveals the observation.
+    `Y` holds each trial's outputs, shape (n_trials, T), for the shared inputs
+    `X`; `predictions` yields one (n_trials,) column per step. Causality is
+    structural: prediction i is taken from the state after steps 1 .. i-1,
+    before y_i is used.
     """
-
-    name = "abstract"
-
-    def reset(self, n_trials, w0):
-        self._awaiting_observe = False
-
-    def predict(self, x):
-        if self._awaiting_observe:
-            raise RuntimeError("predict called twice without an observation")
-        self._awaiting_observe = True
-        return self._predict(x)
-
-    def observe(self, x, y):
-        if not self._awaiting_observe:
-            raise RuntimeError("observe called before predict")
-        self._awaiting_observe = False
-        self._observe(x, y)
-
-    def _predict(self, x):
-        raise NotImplementedError
-
-    def _observe(self, x, y):
-        raise NotImplementedError
-
-
-class MirrorEstimator(CausalEstimator):
-    """Mirror-descent predictions z_i = x_i^T w_{i-1}, optionally with a
-    scaled learning rate or the symmetric update rule."""
-
-    def __init__(self, p, l, eta, gamma=1.0, symmetric=False, name=None):
-        self.p = p
-        self.l = l
-        self.eta = eta * gamma
-        self.symmetric = symmetric
-        if name is None:
-            name = "ssmd" if symmetric else ("smd" if gamma == 1.0 else f"scaled_smd({gamma:g})")
-        self.name = name
-
-    def reset(self, n_trials, w0):
-        super().reset(n_trials, w0)
-        self.U = np.tile(self.p.grad(np.asarray(w0, dtype=float)), (n_trials, 1))
-        self.W = np.tile(np.asarray(w0, dtype=float), (n_trials, 1))
-
-    def _predict(self, x):
-        return self.W @ x
-
-    def _observe(self, x, y):
-        pred = self.W @ x
-        if self.symmetric:
-            coef = self.l.deriv(y) - self.l.deriv(pred)
-        else:
-            coef = self.l.deriv(y - pred)
-        self.U, self.W = mirror_update(self.p, self.U, x, coef, self.eta)
+    kind = spec["kind"]
+    if kind == "constant":
+        # the no-update baseline z_i = x_i^T w_0
+        return "constant", (np.full(len(Y), float(w0 @ x)) for x in X)
+    if kind == "risk_neutral":
+        if prior.potential.dim != 1:
+            raise ConfigError("risk_neutral estimator supports dim=1 only")
+        return "risk_neutral", _posterior_mean_predictions(prior, l, X, Y)
+    if kind == "ssmd":
+        name = "ssmd"
+        coef = lambda i, x, y, W: l.deriv(y) - l.deriv(W @ x)
+    elif kind in ("smd", "scaled_smd"):
+        gamma = spec.get("gamma", 1.0)
+        name = "smd" if gamma == 1.0 else f"scaled_smd({gamma:g})"
+        eta = eta * gamma
+        coef = lambda i, x, y, W: l.deriv(y - W @ x)
+    else:
+        raise ConfigError(f"unknown estimator kind {kind!r}")
+    # mirror-descent predictions z_i = x_i^T w_{i-1}
+    W0 = np.tile(np.asarray(w0, dtype=float), (len(Y), 1))
+    steps = mirror_steps(p, W0, X, Y.T, repeat(eta), coef)
+    return name, (W @ x for x, W in zip(X, chain([W0], steps)))
 
 
-class ConstantEstimator(CausalEstimator):
-    """The no-update baseline z_i = x_i^T w_0."""
-
-    name = "constant"
-
-    def reset(self, n_trials, w0):
-        super().reset(n_trials, w0)
-        self.w0 = np.asarray(w0, dtype=float)
-        self.n = n_trials
-
-    def _predict(self, x):
-        return np.full(self.n, float(self.w0 @ x))
-
-    def _observe(self, x, y):
-        pass
-
-
-class RiskNeutralEstimator(CausalEstimator):
+def _posterior_mean_predictions(prior, l, X, Y):
     """Posterior-mean predictions by grid quadrature (scalar weights only).
 
     This is the conditional-mean baseline; it is reported descriptively and
     never enters dominance assertions.
     """
-
-    name = "risk_neutral"
-
-    def __init__(self, prior, l):
-        if prior.potential.dim != 1:
-            raise ConfigError("risk_neutral estimator supports dim=1 only")
-        self.prior = prior
-        self.l = l
-
-    def reset(self, n_trials, w0):
-        super().reset(n_trials, w0)
-        table = self.prior.tables()[0]
-        self.grid = table.xs
-        self.logw = np.tile(np.log(np.maximum(table.pdf, 1e-300)), (n_trials, 1))
-
-    def _predict(self, x):
-        w = np.exp(self.logw - self.logw.max(axis=1, keepdims=True))
-        mean_w = (w @ self.grid) / w.sum(axis=1)
-        return float(x[0]) * mean_w
-
-    def _observe(self, x, y):
-        self.logw -= self.l.value(y[:, None] - float(x[0]) * self.grid[None, :])
+    table = prior.tables()[0]
+    grid = table.xs
+    logw = np.tile(np.log(np.maximum(table.pdf, 1e-300)), (len(Y), 1))
+    for x, y in zip(X, Y.T):
+        w = np.exp(logw - logw.max(axis=1, keepdims=True))
+        yield float(x[0]) * ((w @ grid) / w.sum(axis=1))
+        logw -= l.value(y[:, None] - float(x[0]) * grid[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +169,18 @@ class RiskReport:
         raise KeyError(name)
 
 
+def _linear_quantile(s, q):
+    """np.quantile's default (linear) rule on a sorted 1-D array, which
+    np.quantile itself reaches only by importing numpy.ma."""
+    if np.isnan(s[-1]):
+        return s[-1]
+    k = (s.size - 1) * q
+    j = int(k)
+    a, b, t = s[j], s[min(j + 1, s.size - 1)], k - j
+    d = b - a
+    return b - d * (1.0 - t) if t >= 0.5 else a + d * t
+
+
 def bootstrap_basic_ci(values, rng, n_resamples=BOOTSTRAP_RESAMPLES, level=0.95):
     """Basic (reverse-percentile) bootstrap interval for the mean."""
     values = np.asarray(values, dtype=float)
@@ -243,7 +195,8 @@ def bootstrap_basic_ci(values, rng, n_resamples=BOOTSTRAP_RESAMPLES, level=0.95)
             means[done : done + k] = values[idx].mean(axis=1)
             done += k
         alpha = (1.0 - level) / 2.0
-        lo_q, hi_q = np.quantile(means, [alpha, 1.0 - alpha])
+        means.sort()
+        lo_q, hi_q = _linear_quantile(means, alpha), _linear_quantile(means, 1.0 - alpha)
         m = float(values.mean())
         return 2.0 * m - float(hi_q), 2.0 * m - float(lo_q)
 
@@ -266,38 +219,55 @@ def _draw_trials(prior, l, T, n_trials, seed):
     return W, V
 
 
-def build_estimator(spec, p, l, eta, prior):
-    """Estimator factory for config-level estimator descriptions."""
-    kind = spec["kind"]
-    if kind == "smd":
-        return MirrorEstimator(p, l, eta)
-    if kind == "ssmd":
-        return MirrorEstimator(p, l, eta, symmetric=True)
-    if kind == "scaled_smd":
-        return MirrorEstimator(p, l, eta, gamma=spec["gamma"])
-    if kind == "constant":
-        return ConstantEstimator()
-    if kind == "risk_neutral":
-        return RiskNeutralEstimator(prior, l)
-    raise ConfigError(f"unknown estimator kind {kind!r}")
-
-
-def certify_margin(cfg, p, l, eta, inputs, prior, warn_only=False):
-    """Probe the convexity premise at the prior center and a few draws."""
+def certify_margin(cfg, p, l, eta, X, prior, warn_only=False):
+    """Certify the convexity premise at the prior center and a few draws,
+    at every input row of `X`."""
     rng = RngStream(cfg.seed, STREAM_PROBE)
-    w0 = cfg.w0_vector()
-    probe_ws = [w0] + [sample_weight(prior, rng) for _ in range(4)]
+    probe_ws = np.stack([cfg.w0_vector()] + [sample_weight(prior, rng) for _ in range(4)])
+    W = p.check_domain(np.repeat(probe_ws, len(X), axis=0))
+    Xp = np.tile(X, (len(probe_ws), 1))
     # zero-residual observations maximize the loss curvature for the
     # quadratic and log-cosh losses, making the probe conservative there
-    probes = [(w, DataPoint(x, float(x @ w))) for w in probe_ws for x in inputs]
-    margin = convexity_margin(p, l, Linear(), eta, probes)
-    if margin < 0.0:
-        msg = f"convexity margin {margin:.3e} not certified for eta={eta}"
+    holds = premise_holds(p, l, Linear(), eta, W, Xp, np.sum(Xp * W, axis=-1))
+    failing = int(np.count_nonzero(~holds))
+    if failing:
+        msg = f"convexity premise fails at {failing} of {holds.size} probes for eta={eta}"
         if warn_only:
             warnings.warn(msg)
         else:
             raise ConfigError(msg + " (pass warn_only=True to continue)")
-    return margin
+
+
+def _risk_trials(cfg, T, warn_only, what):
+    """The shared setup of the risk comparison and the blow-up probe: the
+    constant rate, T inputs, the certified prior, and every trial's clean
+    outputs XW and noisy outputs Y, both (n_trials, T)."""
+    p = cfg.build_potential()
+    l = cfg.build_loss()
+    schedule = cfg.build_schedule()
+    if schedule.kind != "constant":
+        raise ConfigError(f"{what} requires a constant learning rate")
+    eta = schedule.eta
+    X = np.stack(make_inputs(cfg, count=T))
+    w0 = cfg.w0_vector()
+    prior = ExpFamilySpec(p, w0, eta, grid=cfg.grid_spec())
+    certify_margin(cfg, p, l, eta, X, prior, warn_only=warn_only)
+    W_true, V = _draw_trials(prior, l, T, cfg.n_trials, cfg.seed)
+    XW = W_true @ X.T
+    return p, l, eta, prior, X, w0, XW, XW + V
+
+
+def _costs_at(marks, mode, l, XW, Y, predictions):
+    """{t: every trial's exponential cost after t steps} for t in `marks`; the
+    exponent is accumulated step by step as the predictions arrive."""
+    S = np.zeros(len(Y))
+    costs = {}
+    with np.errstate(over="ignore"):
+        for t, z in enumerate(predictions, 1):
+            S += _mode_increment(mode, l, Y[:, t - 1], XW[:, t - 1], z)
+            if t in marks:
+                costs[t] = np.exp(S)
+    return costs
 
 
 def risk_compare(cfg, warn_only=False):
@@ -307,43 +277,20 @@ def risk_compare(cfg, warn_only=False):
     symmetric-update estimator is scored under its own cost exponent and is
     reported descriptively alongside the rest.
     """
-    p = cfg.build_potential()
-    l = cfg.build_loss()
     if cfg.model != "linear":
         raise ConfigError("risk comparison is defined for the linear model")
-    schedule = cfg.build_schedule()
-    if schedule.kind != "constant":
-        raise ConfigError("risk comparison requires a constant learning rate")
-    eta = schedule.eta
-    T, n_trials = cfg.T, cfg.n_trials
-    inputs = make_inputs(cfg)
-    X = np.stack(inputs)
-    w0 = cfg.w0_vector()
-    prior = ExpFamilySpec(p, w0, eta, grid=cfg.grid_spec())
-    certify_margin(cfg, p, l, eta, inputs, prior, warn_only=warn_only)
-
-    W_true, V = _draw_trials(prior, l, T, n_trials, cfg.seed)
-    XW = W_true @ X.T
-    Y = XW + V
-
+    p, l, eta, prior, X, w0, XW, Y = _risk_trials(cfg, cfg.T, warn_only, "risk comparison")
     entries = []
     rng_boot = RngStream(cfg.seed, STREAM_BOOTSTRAP)
     for spec in cfg.estimators:
-        est = build_estimator(spec, p, l, eta, prior)
+        name, predictions = estimator_predictions(spec, p, l, eta, prior, X, Y, w0)
         mode = SSMDCost() if spec["kind"] == "ssmd" else SMDCost()
-        est.reset(n_trials, w0)
-        S = np.zeros(n_trials)
-        with np.errstate(over="ignore"):
-            for i in range(T):
-                z = est.predict(X[i])
-                S += _mode_increment(mode, l, Y[:, i], XW[:, i], z)
-                est.observe(X[i], Y[:, i])
-            costs = np.exp(S)
+        costs = _costs_at({cfg.T}, mode, l, XW, Y, predictions)[cfg.T]
         ci_low, ci_high = bootstrap_basic_ci(costs, rng_boot)
         entries.append(
-            EstimatorCost(est.name, float(costs.mean()), ci_low, ci_high, n_trials, mode, costs)
+            EstimatorCost(name, float(costs.mean()), ci_low, ci_high, cfg.n_trials, mode, costs)
         )
-        log.info("estimator %-18s mc_cost=%.6f ci=[%.6f, %.6f]", est.name, costs.mean(), ci_low, ci_high)
+        log.info("estimator %-18s mc_cost=%.6f ci=[%.6f, %.6f]", name, costs.mean(), ci_low, ci_high)
     return RiskReport(entries=entries, exponent_mode=SMDCost())
 
 
@@ -354,39 +301,12 @@ def exponent_blowup_probe(cfg, alpha=1.0, checkpoints=(10, 20, 30, 40, 50), warn
     confirmed by finite Monte Carlo, so the output is the blow-up curve of
     the worst observed trial cost at each horizon.
     """
-    p = cfg.build_potential()
-    l = cfg.build_loss()
-    schedule = cfg.build_schedule()
-    if schedule.kind != "constant":
-        raise ConfigError("the blow-up probe requires a constant learning rate")
-    eta = schedule.eta
-    T = max(checkpoints)
-    n_trials = cfg.n_trials
-    inputs = make_inputs(cfg, count=T)
-    X = np.stack(inputs)
-    w0 = cfg.w0_vector()
-    prior = ExpFamilySpec(p, w0, eta, grid=cfg.grid_spec())
-    certify_margin(cfg, p, l, eta, inputs, prior, warn_only=warn_only)
-
-    W_true, V = _draw_trials(prior, l, T, n_trials, cfg.seed)
-    XW = W_true @ X.T
-    Y = XW + V
-    mode = ScaledQuadratic(alpha)
-
-    est = MirrorEstimator(p, l, eta)
-    est.reset(n_trials, w0)
-    S = np.zeros(n_trials)
-    curve = []
-    marks = set(checkpoints)
-    with np.errstate(over="ignore"):
-        for i in range(T):
-            z = est.predict(X[i])
-            S += _mode_increment(mode, l, Y[:, i], XW[:, i], z)
-            est.observe(X[i], Y[:, i])
-            if i + 1 in marks:
-                costs = np.exp(S)
-                curve.append((i + 1, float(costs.max()), float(costs.mean())))
-    return curve
+    p, l, eta, prior, X, w0, XW, Y = _risk_trials(
+        cfg, max(checkpoints), warn_only, "the blow-up probe"
+    )
+    _, predictions = estimator_predictions({"kind": "smd"}, p, l, eta, prior, X, Y, w0)
+    costs = _costs_at(set(checkpoints), ScaledQuadratic(alpha), l, XW, Y, predictions)
+    return [(t, float(c.max()), float(c.mean())) for t, c in sorted(costs.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -574,16 +494,12 @@ class MsqReport:
 def _msq_runs(p, l, X, y_clean, V, schedule, w0):
     """Vectorized multi-run recursion; returns iterate snapshots at checkpoints."""
     n_runs, T = V.shape
-    U = np.tile(p.grad(np.asarray(w0, dtype=float)), (n_runs, 1))
-    W = np.tile(np.asarray(w0, dtype=float), (n_runs, 1))
+    W0 = np.tile(np.asarray(w0, dtype=float), (n_runs, 1))
+    Y = (y + v for y, v in zip(y_clean, V.T))
+    etas = (schedule.rate(i) for i in range(1, T + 1))
+    steps = mirror_steps(p, W0, X, Y, etas, lambda i, x, y, W: l.deriv(y - W @ x))
     marks = sorted({c for c in (100, 1000, 10_000) if c <= T} | {T})
-    out = {}
-    for i in range(T):
-        y_i = y_clean[i] + V[:, i]
-        U, W = mirror_update(p, U, X[i], l.deriv(y_i - W @ X[i]), schedule.rate(i + 1))
-        if i + 1 in marks:
-            out[i + 1] = W
-    return marks, out
+    return marks, {t: W for t, W in enumerate(steps, 1) if t in marks}
 
 
 def msq_convergence(cfg, control_eta=None):
@@ -602,8 +518,7 @@ def msq_convergence(cfg, control_eta=None):
         raise ConfigError("mean-square convergence uses white noise (gaussian/uniform/rademacher)")
     T, n_runs = cfg.T, cfg.n_trials
     inputs = basis_then_gaussian(cfg.dim, T, RngStream(cfg.seed, STREAM_INPUTS), scale=cfg.inputs["scale"])
-    data = [DataPoint(x, 0.0) for x in inputs]
-    ok, t_found = persistent_excitation(data, cfg.delta_pe)
+    ok, t_found = persistent_excitation((DataPoint(x, 0.0) for x in inputs), cfg.delta_pe)
     if not ok:
         raise ConfigError(f"inputs are not persistently exciting at delta={cfg.delta_pe}")
     log.info("persistent excitation reached at T=%d", t_found)

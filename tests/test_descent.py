@@ -260,6 +260,10 @@ def test_persistent_excitation_gaussian_matches_eig_oracle():
     data = [DataPoint(x, 0.0) for x in xs]
     ok, T = persistent_excitation(data, 0.1)
     assert ok
+    # any iterable of data points works, and is read only up to T
+    rest = (d for d in data)
+    assert persistent_excitation(rest, 0.1) == (ok, T)
+    assert len(list(rest)) == len(data) - T
     # independent oracle: cumulative Gram eigenvalues
     G = np.zeros((5, 5))
     oracle_T = 0

@@ -25,10 +25,10 @@ from mirrorkit import (
 )
 from mirrorkit.config import make_config
 from mirrorkit.experiments import (
-    ConstantEstimator,
-    MirrorEstimator,
-    RiskNeutralEstimator,
+    BOOTSTRAP_RESAMPLES,
+    _linear_quantile,
     bootstrap_basic_ci,
+    estimator_predictions,
     paired_gap_ci,
 )
 from mirrorkit.samplers import ExpFamilySpec, RngStream, sample_noise, sample_weight
@@ -71,18 +71,6 @@ def test_risk_cost_modes(rng):
     assert scaled == pytest.approx(smd)
 
 
-def test_estimator_protocol_enforced():
-    est = ConstantEstimator()
-    est.reset(3, np.zeros(2))
-    x = np.array([1.0, 0.0])
-    with pytest.raises(RuntimeError):
-        est.observe(x, np.zeros(3))
-    est.predict(x)
-    with pytest.raises(RuntimeError):
-        est.predict(x)
-    est.observe(x, np.zeros(3))
-
-
 def test_estimator_causality_black_box():
     """Changing y_i must not change z_i, only later predictions."""
     p, l = SquaredL2(2), Quadratic()
@@ -92,13 +80,8 @@ def test_estimator_causality_black_box():
     Y2[0, 1] = 5.0  # future observation differs at step 2
     zs = []
     for Y in (Y1, Y2):
-        est = MirrorEstimator(p, l, 0.3)
-        est.reset(1, np.zeros(2))
-        z_seq = []
-        for i in range(3):
-            z_seq.append(float(est.predict(X[i])[0]))
-            est.observe(X[i], Y[:, i])
-        zs.append(z_seq)
+        _, predictions = estimator_predictions({"kind": "smd"}, p, l, 0.3, None, X, Y, np.zeros(2))
+        zs.append([float(z[0]) for z in predictions])
     assert zs[0][0] == zs[1][0]
     assert zs[0][1] == zs[1][1]
     assert zs[0][2] != zs[1][2]
@@ -158,7 +141,37 @@ def test_risk_neutral_estimator_beats_nothing_fancy():
 def test_risk_neutral_requires_scalar():
     prior = ExpFamilySpec(SquaredL2(2), np.zeros(2), 0.1)
     with pytest.raises(ConfigError):
-        RiskNeutralEstimator(prior, Quadratic())
+        estimator_predictions({"kind": "risk_neutral"}, SquaredL2(2), Quadratic(), 0.1, prior,
+                              np.eye(2), np.zeros((3, 2)), np.zeros(2))
+
+
+@pytest.mark.parametrize("spec, name", [
+    ({"kind": "smd"}, "smd"),
+    ({"kind": "scaled_smd", "gamma": 1.0}, "smd"),
+    ({"kind": "scaled_smd", "gamma": 0.3}, "scaled_smd(0.3)"),
+    ({"kind": "ssmd"}, "ssmd"),
+    ({"kind": "constant"}, "constant"),
+])
+def test_estimator_names(spec, name):
+    X, Y = np.eye(2), np.zeros((3, 2))
+    assert estimator_predictions(spec, SquaredL2(2), Quadratic(), 0.1, None, X, Y, np.zeros(2))[0] == name
+
+
+def test_linear_quantile_equals_numpy_quantile():
+    """The bootstrap's order statistics follow np.quantile's default rule
+    exactly, on light- and heavy-tailed samples, ties, infinities and NaN."""
+    rng = np.random.default_rng(3)
+    n = BOOTSTRAP_RESAMPLES
+    alpha = (1.0 - 0.95) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = [rng.standard_normal(n), rng.lognormal(0.0, 3.0, n), 1.0 + rng.pareto(0.7, n),
+                   np.round(rng.standard_normal(n), 1), np.exp(rng.standard_normal(n) * 300.0)]
+        samples.append(np.where(rng.uniform(size=n) < 0.01, np.nan, samples[0]))
+        samples += [rng.standard_normal(k) for k in (1, 2, 3, 7)]
+        for x in samples:
+            s = np.sort(x)
+            for q in (alpha, 1.0 - alpha, 0.0, 0.1, 0.5, 0.9, 1.0):
+                assert np.array_equal(_linear_quantile(s, q), np.quantile(x, q), equal_nan=True), (x.size, q)
 
 
 def test_bootstrap_ci_brackets_mean():
@@ -277,10 +290,15 @@ def test_msq_vectorized_matches_engine():
 
 
 def test_engines_share_one_mirror_update_bitwise():
-    """iterate, the batched convergence runner and the risk estimator run the
-    same mirror update, so one trajectory fed to each comes out bit for bit
-    identical."""
+    """iterate, the batched convergence runner and a batch of one through
+    mirror_steps run the same mirror update, so one trajectory fed to each
+    comes out bit for bit identical. (Batches of two or more trials take
+    W @ x through BLAS, which can differ from the one-row dot product in the
+    last bit.)"""
+    from itertools import repeat
+
     from mirrorkit import Constant
+    from mirrorkit.descent import mirror_steps
     from mirrorkit.experiments import _msq_runs
 
     from conftest import all_losses, all_potentials
@@ -296,12 +314,11 @@ def test_engines_share_one_mirror_update_bitwise():
             marks, snaps = _msq_runs(p, l, X, Y, np.zeros((1, 120)), Constant(0.02), w0)
             for t in marks:
                 assert np.array_equal(snaps[t][0], traj.iterates[t - 1])
-            est = MirrorEstimator(p, l, 0.02)
-            est.reset(1, w0)
-            for i, (x, y) in enumerate(zip(X, Y)):
-                est.predict(x)
-                est.observe(x, np.array([y]))
-                assert np.array_equal(est.W[0], traj.iterates[i])
+            coef = lambda i, x, y, W: l.deriv(y - W @ x)
+            steps = mirror_steps(p, w0[None, :], X, Y[:, None], repeat(0.02), coef)
+            for i, W in enumerate(steps):
+                assert np.array_equal(W[0], traj.iterates[i])
+            assert i == len(Y) - 1
 
 
 def test_shuffled_epochs_reach_same_limit():
@@ -363,19 +380,16 @@ def test_risk_pipeline_against_quadrature_oracle():
     Wmc = sample_weight(prior, RngStream(77, 0), size=n)[:, 0]
     V1 = sample_noise(l, RngStream(77, 1), size=n)
     V2 = sample_noise(l, RngStream(77, 2), size=n)
-    X = [np.array([x1]), np.array([x2])]
+    X = np.array([[x1], [x2]])
     XW = np.stack([x1 * Wmc, x2 * Wmc], axis=1)
     Y = XW + np.stack([V1, V2], axis=1)
-    for est, target in [
-        (MirrorEstimator(SquaredL2(1), l, eta), quad_smd),
-        (ConstantEstimator(), quad_const),
-    ]:
-        est.reset(n, np.array([w0]))
+    for kind, target in [("smd", quad_smd), ("constant", quad_const)]:
+        _, predictions = estimator_predictions(
+            {"kind": kind}, SquaredL2(1), l, eta, prior, X, Y, np.array([w0])
+        )
         S = np.zeros(n)
-        for i in range(2):
-            z = est.predict(X[i])
+        for i, z in enumerate(predictions):
             S += l.bregman(Y[:, i] - XW[:, i], Y[:, i] - z)
-            est.observe(X[i], Y[:, i])
         costs = np.exp(S)
         band = 4.0 * costs.std(ddof=1) / np.sqrt(n)
         assert abs(costs.mean() - target) <= band

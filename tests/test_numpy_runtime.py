@@ -1,9 +1,11 @@
 """The runtime needs numpy only; scipy serves the tests as an independent oracle.
 
 Each numpy form that replaced a scipy call is pinned here to scipy's own
-value, and two gates keep scipy off the import path.
+value, two gates keep scipy off the import path, and a third keeps numpy.ma
+off the path of a risk run.
 """
 
+import json
 import os
 import re
 import subprocess
@@ -119,3 +121,24 @@ def test_runtime_dependencies_are_numpy_only():
     name = lambda req: re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower()
     assert [name(r) for r in project["dependencies"]] == ["numpy"]
     assert "scipy" in [name(r) for r in project["optional-dependencies"]["test"]]
+
+
+def test_risk_run_loads_no_numpy_ma(tmp_path):
+    """np.quantile reaches numpy.ma through np.unique; the bootstrap takes its
+    order statistics without it, so a risk run never imports numpy.ma."""
+    cfg = tmp_path / "risk.json"
+    cfg.write_text(json.dumps({
+        "potential": "squared_l2", "loss": "quadratic", "dim": 2, "T": 5, "n_trials": 200,
+        "w0": 0.0, "inputs": {"kind": "unit"}, "schedule": {"kind": "constant", "eta": 0.05},
+    }))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = (
+        "import sys; from mirrorkit.cli import main; "
+        f"print(main(['risk', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}])); "
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split("\n")
+    assert out[0] in ("0", "2")
+    assert (tmp_path / "risk.csv").exists()
+    assert out[1] == "[]"
