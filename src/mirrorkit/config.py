@@ -1,13 +1,21 @@
-"""Experiment configuration: strict JSON parsing with echoed defaults.
+"""Experiment configuration: one declarative schema, strict JSON parsing,
+echoed defaults.
 
-Unknown keys are rejected outright; a typo that silently fell back to a
-default would invalidate a scientific run. Every default that does get
-applied is echoed to the log.
+`SCHEMA` has one row per key a config may set: its default and the one check
+its value must pass. A variant block ("potential", "schedule", ...) lists
+each kind's parameters as rows too, and a nested record ("tolerances",
+"grid") has one row per key. Unknown keys are rejected outright; a typo that
+silently fell back to a default would invalidate a scientific run. Every
+default that does get applied is echoed to the log, except the sampler's
+tabulation grid, whose defaults are `GridSpec`'s. The resolved config
+re-parses to itself: `config_from_mapping(asdict(cfg)) == cfg`.
 """
 
 import json
 import logging
-from dataclasses import asdict, dataclass, replace
+import math
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,25 +27,6 @@ from .samplers import GridSpec
 
 log = logging.getLogger("mirrorkit")
 
-DEFAULT_TOLERANCES = {
-    "identity_rtol": 1e-8,
-    "cosines_rtol": 1e-9,
-    "minimax_slack": 1e-9,
-    "feasibility": 1e-9,
-    "gap_squared_l2": 1e-6,
-    "gap_general": 1e-5,
-    "kkt_tol": 1e-10,
-    "step_cap": 1_000_000,
-}
-
-DEFAULT_ESTIMATORS = (
-    {"kind": "smd"},
-    {"kind": "constant"},
-    {"kind": "scaled_smd", "gamma": 0.5},
-    {"kind": "scaled_smd", "gamma": 2.0},
-    {"kind": "ssmd"},
-)
-
 
 @dataclass
 class ExperimentConfig:
@@ -46,8 +35,7 @@ class ExperimentConfig:
     algorithm: str
     potential: dict
     loss: str
-    model: str
-    glm_link: str | None
+    model: dict
     schedule: dict
     dim: int
     T: int
@@ -61,7 +49,6 @@ class ExperimentConfig:
     estimators: list
     tolerances: dict
     grid: dict
-    check_margin: bool
     control_eta: float | None
     output_dir: str
 
@@ -77,9 +64,9 @@ class ExperimentConfig:
         return make_loss(self.loss)
 
     def build_model(self):
-        if self.model == "linear":
+        if self.model["kind"] == "linear":
             return Linear()
-        return GeneralizedLinear(self.glm_link)
+        return GeneralizedLinear(self.model["link"])
 
     def build_schedule(self):
         if self.schedule["kind"] == "constant":
@@ -87,253 +74,219 @@ class ExperimentConfig:
         return RobbinsMonro(self.schedule["c"])
 
     def grid_spec(self):
-        g = self.grid
-        return GridSpec(g["half_width"], g["points"], g["auto_expand"])
+        return GridSpec(**self.grid)
 
     def w0_vector(self):
         """Explicit start, or the potential's minimizer when unspecified."""
         if self.w0 is None:
             return self.build_potential().argmin_point()
-        if np.isscalar(self.w0):
-            return np.full(self.dim, float(self.w0))
-        v = np.asarray(self.w0, dtype=float)
-        if v.shape != (self.dim,):
-            raise ValidationError(f"w0 must be a scalar or a list of length dim={self.dim}")
-        return v
+        return np.full(self.dim, self.w0, dtype=float)
 
     def with_overrides(self, seed=None, output_dir=None):
-        cfg = self
-        if seed is not None:
-            cfg = replace(cfg, seed=int(seed))
-        if output_dir is not None:
-            cfg = replace(cfg, output_dir=str(output_dir))
-        return cfg
+        """A copy with the command-line overrides, checked like the file."""
+        given = {"seed": seed, "output_dir": output_dir}
+        return replace(self, **{k: SCHEMA[k][1](v, k) for k, v in given.items() if v is not None})
 
 
-def _reject_unknown(mapping, allowed, path):
+# One check per value type: each takes (value, path) and returns the
+# normalized value, or raises ValidationError naming the path.
+
+
+def _number(above=None):
+    """A finite number, > `above` when given."""
+
+    def check(value, path):
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):  # not a number, or an integer past the double range
+            finite = False
+        if not finite:
+            raise ValidationError(f"{path} must be a finite number, got {value!r}")
+        if above is not None and not value > above:
+            raise ValidationError(f"{path} must be > {above:g}")
+        return float(value)
+
+    return check
+
+
+def _integer(low, high=None):
+    """An integer in [low, high); an integral float such as JSON 1e4 counts."""
+
+    def check(value, path):
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{path} must be an integer, got {value!r}")
+        if value < low:
+            raise ValidationError(f"{path} must be >= {low}")
+        if high is not None and value >= high:
+            raise ValidationError(f"{path} must be < {high}")
+        return int(value)
+
+    return check
+
+
+def _boolean(value, path):
+    if not isinstance(value, bool):
+        raise ValidationError(f"{path} must be true or false, got {value!r}")
+    return value
+
+
+def _text(value, path):
+    if not isinstance(value, str):
+        raise ValidationError(f"{path} must be a string, got {value!r}")
+    return value
+
+
+def _choice(*options):
+    def check(value, path):
+        if not isinstance(value, str) or value not in options:
+            raise ValidationError(f"{path} must be one of {list(options)}, got {value!r}")
+        return value
+
+    return check
+
+
+def _variant(kinds):
+    """A kind name, or an object with a "kind" and that kind's parameters;
+    `kinds` maps each kind to the rows of its parameters."""
+
+    def check(value, path):
+        if isinstance(value, str):
+            value = {"kind": value}
+        if not isinstance(value, dict) or "kind" not in value:
+            raise ValidationError(f"{path} must be a name or an object with a 'kind'")
+        kind = _choice(*kinds)(value["kind"], f"{path}.kind")
+        params = {k: v for k, v in value.items() if k != "kind"}
+        return {"kind": kind, **_resolve(kinds[kind], params, f"{path}.{kind}")}
+
+    return check
+
+
+def _record(rows, echo=True):
+    """An object with one row per key."""
+
+    def check(value, path):
+        if not isinstance(value, dict):
+            raise ValidationError(f"{path} must be an object, got {value!r}")
+        return _resolve(rows, value, path, echo)
+
+    return check
+
+
+def _start(value, path):
+    """One number for every coordinate, or a list of numbers."""
+    if isinstance(value, list):
+        return [FINITE(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return FINITE(value, path)
+
+
+def _estimators(value, path):
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ValidationError(f"{path} must be a nonempty list")
+    return [_ESTIMATOR(e, f"{path}[{i}]") for i, e in enumerate(value)]
+
+
+REQUIRED = object()  # row default of a parameter that must be given
+FINITE = _number()
+POSITIVE = _number(above=0.0)
+
+_ESTIMATOR = _variant({
+    "smd": {},
+    "ssmd": {},
+    "constant": {},
+    "scaled_smd": {"gamma": (REQUIRED, POSITIVE)},
+    "risk_neutral": {},
+})
+
+SCHEMA = {
+    "algorithm": ("smd", _choice("smd", "ssmd", "sgd")),
+    "potential": ("squared_l2", _variant({
+        "squared_l2": {},
+        "neg_entropy": {},
+        "separable_q": {"q": (REQUIRED, _number(above=1.0))},
+    })),
+    "loss": ("quadratic", _choice("quadratic", "quartic", "logcosh")),
+    "model": ("linear", _variant({
+        "linear": {},
+        "glm": {"link": ("tanh", _choice("tanh", "softplus"))},
+    })),
+    "schedule": ({"kind": "constant", "eta": 0.1}, _variant({
+        "constant": {"eta": (REQUIRED, POSITIVE)},
+        "robbins_monro": {"c": (REQUIRED, POSITIVE)},
+    })),
+    "dim": (2, _integer(1)),
+    "T": (50, _integer(0)),
+    "n_trials": (1000, _integer(1)),
+    "seed": (0, _integer(0, 2**64)),
+    "delta_pe": (0.1, POSITIVE),
+    "w0": (None, _start),
+    "inputs": ({"kind": "gaussian"}, _variant(dict.fromkeys(
+        ("gaussian", "unit", "basis_then_gaussian"), {"scale": (1.0, POSITIVE)},
+    ))),
+    "noise": ({"kind": "model"}, _variant(dict.fromkeys(
+        ("model", "gaussian", "uniform", "rademacher", "none"), {"sigma2": (1.0, POSITIVE)},
+    ))),
+    "planted": ({"kind": "auto"}, _variant(dict.fromkeys(
+        ("auto", "gaussian", "positive", "sparse"), {"support": (3, _integer(1))},
+    ))),
+    "estimators": (
+        ({"kind": "smd"}, {"kind": "constant"}, {"kind": "scaled_smd", "gamma": 0.5},
+         {"kind": "scaled_smd", "gamma": 2.0}, {"kind": "ssmd"}),
+        _estimators,
+    ),
+    "tolerances": ({}, _record({
+        "identity_rtol": (1e-8, POSITIVE),
+        "minimax_slack": (1e-9, POSITIVE),
+        "feasibility": (1e-9, POSITIVE),
+        "gap_squared_l2": (1e-6, POSITIVE),
+        "gap_general": (1e-5, POSITIVE),
+        "kkt_tol": (1e-10, POSITIVE),
+        "step_cap": (1_000_000, _integer(1)),
+    })),
+    "grid": ({}, _record({
+        "half_width": (GridSpec.half_width, POSITIVE),
+        "points": (GridSpec.points, _integer(16)),
+        "auto_expand": (GridSpec.auto_expand, _boolean),
+    }, echo=False)),
+    "control_eta": (None, POSITIVE),
+    "output_dir": ("out", _text),
+}
+
+
+def _resolve(rows, mapping, path, echo=True):
+    """Check `mapping` against `rows`. An absent or null key takes its row's
+    default: None stays None, and an empty record defaults (and echoes)
+    each of its own rows."""
     for key in mapping:
-        if key not in allowed:
-            raise ParseError(f"unknown key {key!r} in {path}")
-
-
-def _positive(value, path, kind=float, strict=True):
-    try:
-        value = kind(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{path} must be a number")
-    if strict and not value > 0:
-        raise ValidationError(f"{path} must be > 0")
-    if not strict and value < 0:
-        raise ValidationError(f"{path} must be >= 0")
-    return value
-
-
-def _variant(raw, path, allowed_kinds):
-    """Normalize "name" or {"kind": "name", ...} into a dict with "kind"."""
-    if isinstance(raw, str):
-        raw = {"kind": raw}
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise ValidationError(f"{path} must be a name or an object with a 'kind'")
-    if raw["kind"] not in allowed_kinds:
-        raise ValidationError(
-            f"{path}.kind must be one of {sorted(allowed_kinds)}, got {raw['kind']!r}"
-        )
-    return dict(raw)
-
-
-def _default(mapping, key, value, path):
-    if key in mapping and mapping[key] is not None:
-        return mapping[key]
-    log.info("applied default %s = %r", f"{path}.{key}" if path else key, value)
-    return value
+        if key not in rows:
+            raise ParseError(f"unknown key {key!r} in {path or 'config'}")
+    resolved = {}
+    for key, (default, check) in rows.items():
+        name = f"{path}.{key}" if path else key
+        value = mapping.get(key)
+        if value is None:
+            if default is REQUIRED:
+                raise ValidationError(f"{name} is required")
+            if echo and default not in (None, {}):
+                log.info("applied default %s = %r", name, default)
+            value = default
+        resolved[key] = None if value is None else check(value, name)
+    return resolved
 
 
 def config_from_mapping(raw):
     """Build a validated ExperimentConfig from a parsed JSON mapping."""
     if not isinstance(raw, dict):
         raise ParseError("top-level config must be a JSON object")
-    allowed = {
-        "algorithm", "potential", "loss", "model", "schedule", "dim", "T",
-        "n_trials", "seed", "delta_pe", "w0", "inputs", "noise", "planted",
-        "estimators", "tolerances", "grid", "check_margin", "control_eta",
-        "output_dir",
-    }
-    _reject_unknown(raw, allowed, "config")
-
-    algorithm = _default(raw, "algorithm", "smd", "")
-    if algorithm not in ("smd", "ssmd", "sgd"):
-        raise ValidationError(f"algorithm must be smd, ssmd, or sgd, got {algorithm!r}")
-
-    potential = _variant(
-        _default(raw, "potential", "squared_l2", ""),
-        "potential",
-        {"squared_l2", "neg_entropy", "separable_q"},
-    )
-    if potential["kind"] == "separable_q":
-        _reject_unknown(potential, {"kind", "q"}, "potential")
-        if "q" not in potential:
-            raise ValidationError("potential.separable_q requires a 'q' parameter")
-        potential["q"] = _positive(potential["q"], "potential.q")
-        if not potential["q"] > 1.0:
-            raise ValidationError("potential.q must be > 1")
-    else:
-        _reject_unknown(potential, {"kind"}, "potential")
-
-    loss = _default(raw, "loss", "quadratic", "")
-    if loss not in ("quadratic", "quartic", "logcosh"):
-        raise ValidationError(f"loss must be quadratic, quartic, or logcosh, got {loss!r}")
-
-    model_raw = _variant(_default(raw, "model", "linear", ""), "model", {"linear", "glm"})
-    glm_link = None
-    if model_raw["kind"] == "glm":
-        _reject_unknown(model_raw, {"kind", "link"}, "model")
-        glm_link = model_raw.get("link", "tanh")
-        if glm_link not in ("tanh", "softplus"):
-            raise ValidationError(f"model.glm.link must be tanh or softplus, got {glm_link!r}")
-    else:
-        _reject_unknown(model_raw, {"kind"}, "model")
-    model = model_raw["kind"]
-
-    schedule = _variant(
-        _default(raw, "schedule", {"kind": "constant", "eta": 0.1}, ""),
-        "schedule",
-        {"constant", "robbins_monro"},
-    )
-    if schedule["kind"] == "constant":
-        _reject_unknown(schedule, {"kind", "eta"}, "schedule")
-        eta = schedule.get("eta")
-        if eta is None:
-            raise ValidationError("schedule.constant requires 'eta'")
-        try:
-            eta = float(eta)
-        except (TypeError, ValueError):
-            raise ValidationError("schedule.constant.eta must be a number")
-        if not eta > 0:
-            raise ValidationError("schedule.constant.eta must be > 0")
-        schedule["eta"] = eta
-    else:
-        _reject_unknown(schedule, {"kind", "c"}, "schedule")
-        if "c" not in schedule:
-            raise ValidationError("schedule.robbins_monro requires 'c'")
-        schedule["c"] = _positive(schedule["c"], "schedule.robbins_monro.c")
-
-    dim = _positive(_default(raw, "dim", 2, ""), "dim", int)
-    T = int(_default(raw, "T", 50, ""))
-    if T < 0:
-        raise ValidationError("T must be >= 0")
-    n_trials = _positive(_default(raw, "n_trials", 1000, ""), "n_trials", int)
-    seed = int(_default(raw, "seed", 0, ""))
-    if not 0 <= seed < 2**64:
-        raise ValidationError("seed must fit in an unsigned 64-bit integer")
-    delta_pe = _positive(_default(raw, "delta_pe", 0.1, ""), "delta_pe")
-
-    w0 = raw.get("w0")
-    if w0 is not None and not (np.isscalar(w0) or isinstance(w0, list)):
-        raise ValidationError("w0 must be a number or a list of numbers")
-
-    inputs = _variant(
-        _default(raw, "inputs", {"kind": "gaussian"}, ""),
-        "inputs",
-        {"gaussian", "unit", "basis_then_gaussian"},
-    )
-    _reject_unknown(inputs, {"kind", "scale"}, "inputs")
-    inputs["scale"] = _positive(
-        _default(inputs, "scale", 1.0, "inputs"), "inputs.scale"
-    )
-
-    noise = _variant(
-        _default(raw, "noise", {"kind": "model"}, ""),
-        "noise",
-        {"model", "gaussian", "uniform", "rademacher", "none"},
-    )
-    _reject_unknown(noise, {"kind", "sigma2"}, "noise")
-    noise["sigma2"] = _positive(
-        _default(noise, "sigma2", 1.0, "noise"), "noise.sigma2"
-    )
-
-    planted = _variant(
-        _default(raw, "planted", {"kind": "auto"}, ""),
-        "planted",
-        {"auto", "gaussian", "positive", "sparse"},
-    )
-    _reject_unknown(planted, {"kind", "support"}, "planted")
-    planted["support"] = _positive(
-        _default(planted, "support", 3, "planted"), "planted.support", int
-    )
-
-    estimators = raw.get("estimators")
-    if estimators is None:
-        estimators = [dict(e) for e in DEFAULT_ESTIMATORS]
-        log.info("applied default estimators = %r", [e["kind"] for e in estimators])
-    else:
-        if not isinstance(estimators, list) or not estimators:
-            raise ValidationError("estimators must be a nonempty list")
-        normalized = []
-        for i, e in enumerate(estimators):
-            e = _variant(e, f"estimators[{i}]", {"smd", "ssmd", "constant", "scaled_smd", "risk_neutral"})
-            if e["kind"] == "scaled_smd":
-                _reject_unknown(e, {"kind", "gamma"}, f"estimators[{i}]")
-                if "gamma" not in e:
-                    raise ValidationError(f"estimators[{i}].scaled_smd requires 'gamma'")
-                e["gamma"] = _positive(e["gamma"], f"estimators[{i}].gamma")
-            else:
-                _reject_unknown(e, {"kind"}, f"estimators[{i}]")
-            normalized.append(e)
-        estimators = normalized
-
-    tolerances = dict(DEFAULT_TOLERANCES)
-    raw_tol = raw.get("tolerances") or {}
-    _reject_unknown(raw_tol, set(DEFAULT_TOLERANCES), "tolerances")
-    for key, value in raw_tol.items():
-        tolerances[key] = _positive(value, f"tolerances.{key}", int if key == "step_cap" else float)
-    for key in DEFAULT_TOLERANCES:
-        if key not in raw_tol:
-            log.info("applied default tolerances.%s = %r", key, tolerances[key])
-
-    grid = asdict(GridSpec())
-    raw_grid = raw.get("grid") or {}
-    _reject_unknown(raw_grid, set(grid), "grid")
-    if "half_width" in raw_grid:
-        grid["half_width"] = _positive(raw_grid["half_width"], "grid.half_width")
-    if "points" in raw_grid:
-        grid["points"] = _positive(raw_grid["points"], "grid.points", int)
-    if "auto_expand" in raw_grid:
-        grid["auto_expand"] = bool(raw_grid["auto_expand"])
-
-    check_margin = bool(_default(raw, "check_margin", True, ""))
-    control_eta = raw.get("control_eta")
-    if control_eta is not None:
-        control_eta = _positive(control_eta, "control_eta")
-    output_dir = str(_default(raw, "output_dir", "out", ""))
-
-    if algorithm == "sgd" and potential["kind"] != "squared_l2":
+    cfg = ExperimentConfig(**_resolve(SCHEMA, raw, ""))
+    if cfg.algorithm == "sgd" and cfg.potential["kind"] != "squared_l2":
         raise ValidationError("algorithm sgd requires potential squared_l2")
-    if algorithm == "ssmd" and model != "linear":
+    if cfg.algorithm == "ssmd" and cfg.model["kind"] != "linear":
         raise ValidationError("algorithm ssmd requires the linear model")
-
-    return ExperimentConfig(
-        algorithm=algorithm,
-        potential=potential,
-        loss=loss,
-        model=model,
-        glm_link=glm_link,
-        schedule=schedule,
-        dim=dim,
-        T=T,
-        n_trials=n_trials,
-        seed=seed,
-        delta_pe=delta_pe,
-        w0=w0,
-        inputs=inputs,
-        noise=noise,
-        planted=planted,
-        estimators=estimators,
-        tolerances=tolerances,
-        grid=grid,
-        check_margin=check_margin,
-        control_eta=control_eta,
-        output_dir=output_dir,
-    )
+    if isinstance(cfg.w0, list) and len(cfg.w0) != cfg.dim:
+        raise ValidationError(f"w0 must be a number or a list of length dim={cfg.dim}")
+    return cfg
 
 
 def make_config(**kwargs):

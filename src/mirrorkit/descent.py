@@ -320,7 +320,6 @@ def run_trajectory(cfg):
         cfg.build_schedule(),
         cfg.w0_vector(),
         algorithm=cfg.algorithm,
-        check_margin=cfg.check_margin,
     )
     traj.problem = problem
     return traj

@@ -242,6 +242,8 @@ def _risk_trials(cfg, T, warn_only, what):
     """The shared setup of the risk comparison and the blow-up probe: the
     constant rate, T inputs, the certified prior, and every trial's clean
     outputs XW and noisy outputs Y, both (n_trials, T)."""
+    if T < 1:
+        raise ConfigError(f"{what} needs at least one step, got T={T}")
     p = cfg.build_potential()
     l = cfg.build_loss()
     schedule = cfg.build_schedule()
@@ -277,7 +279,7 @@ def risk_compare(cfg, warn_only=False):
     symmetric-update estimator is scored under its own cost exponent and is
     reported descriptively alongside the rest.
     """
-    if cfg.model != "linear":
+    if cfg.model["kind"] != "linear":
         raise ConfigError("risk comparison is defined for the linear model")
     p, l, eta, prior, X, w0, XW, Y = _risk_trials(cfg, cfg.T, warn_only, "risk comparison")
     entries = []

@@ -63,8 +63,10 @@ class RngStream:
     def normal(self, size=None):
         """Standard normals via the Box-Muller transform.
 
-        Pair outputs are interleaved, so shorter draws are prefixes of
-        longer ones from an identically constructed stream.
+        A draw of n values takes ceil(n/2) uniforms for the radii and then
+        ceil(n/2) for the angles, so a draw depends on its length: a shorter
+        draw is not a prefix of a longer one from an identically
+        constructed stream.
         """
         n = 1 if size is None else int(np.prod(size))
         pairs = (n + 1) // 2
@@ -251,10 +253,12 @@ def _prior_table(p1, c, scale, grid):
 def sample_weight(spec, rng, size=None, force_tabulated=False):
     """Draw weight vectors from the exponential-family prior.
 
-    Returns shape (dim,) for size=None, else (size, dim). Draws are
-    trial-major, so a single draw is the first row of a batch from an
-    identically constructed stream. The squared-L2 potential short-circuits
-    to exact Gaussian draws N(center, scale).
+    Returns shape (dim,) for size=None, else (size, dim). Tabulated draws
+    are trial-major uniforms, so a single draw is the first row of a batch
+    from an identically constructed stream. The squared-L2 potential
+    short-circuits to exact Gaussian draws N(center, scale), which take one
+    `RngStream.normal` of size * dim values, so their first row depends on
+    the batch size.
     """
     n = 1 if size is None else int(size)
     dim = spec.potential.dim
@@ -284,16 +288,14 @@ def _noise_table(l, grid=GridSpec()):
     return _NOISE_TABLES[key]
 
 
-def sample_noise(l, rng, size=None, force_tabulated=False):
-    """Draw noises with density proportional to exp(-l(v)).
+def sample_noise(l, rng, size, force_tabulated=False):
+    """Draw `size` noises with density proportional to exp(-l(v)).
 
     The quadratic loss short-circuits to exact N(0, 1) draws.
     """
     if isinstance(l, Quadratic) and not force_tabulated:
         return rng.normal(size)
-    table = _noise_table(l)
-    draws = table.sample(rng, 1 if size is None else int(size))
-    return float(draws[0]) if size is None else draws
+    return _noise_table(l).sample(rng, int(size))
 
 
 @dataclass
@@ -319,17 +321,15 @@ def mirror_mean_check(spec, n_samples, rng):
     return MirrorMeanReport(est, target, bound, bool(np.all(np.abs(est - target) <= bound)))
 
 
-def sample_white_noise(spec, rng, size=None):
-    """Zero-mean noise with variance spec.variance from the named family."""
-    n = 1 if size is None else int(size)
+def sample_white_noise(spec, rng, size):
+    """`size` zero-mean noises with variance spec.variance from the named family."""
+    n = int(size)
     sd = np.sqrt(spec.variance)
     if spec.kind == "gaussian":
-        draws = sd * np.asarray(rng.normal(n))
-    elif spec.kind == "uniform":
-        draws = (rng.uniform(n) - 0.5) * np.sqrt(12.0) * sd
-    else:
-        draws = np.where(rng.uniform(n) < 0.5, -sd, sd)
-    return float(draws[0]) if size is None else draws
+        return sd * np.asarray(rng.normal(n))
+    if spec.kind == "uniform":
+        return (rng.uniform(n) - 0.5) * np.sqrt(12.0) * sd
+    return np.where(rng.uniform(n) < 0.5, -sd, sd)
 
 
 def kolmogorov_sf(lam):

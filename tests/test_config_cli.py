@@ -1,12 +1,17 @@
 import json
 import logging
+import re
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mirrorkit import ParseError, ValidationError, parse_config
-from mirrorkit.cli import EXIT_ASSERTION, EXIT_PASS, dispatch, main, write_csv
-from mirrorkit.config import make_config
+from mirrorkit import ConfigError, ParseError, ValidationError, exponent_blowup_probe, parse_config
+from mirrorkit.cli import EXIT_ASSERTION, EXIT_ERROR, EXIT_PASS, dispatch, main, write_csv
+from mirrorkit.config import SCHEMA, config_from_mapping, make_config
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _write(tmp_path, payload, name="cfg.json"):
@@ -243,3 +248,75 @@ def test_risk_verdict_fails_on_nan(field, tmp_path, monkeypatch):
     )
     monkeypatch.setattr(experiments, "risk_compare", lambda cfg, warn_only=False: report)
     assert dispatch(_cfg_for("risk", tmp_path), "risk") == EXIT_ASSERTION
+
+
+BAD_CONFIGS = {
+    "T_string": ({"T": "abc"}, ValidationError),
+    "seed_string": ({"seed": "x"}, ValidationError),
+    "tolerances_number": ({"tolerances": 5}, ValidationError),
+    "grid_number": ({"grid": 3}, ValidationError),
+    "w0_strings": ({"w0": ["a", "b"]}, ValidationError),
+    "w0_wrong_length": ({"dim": 3, "w0": [1.0, 2.0]}, ValidationError),
+    "dim_fraction": ({"dim": 2.7}, ValidationError),
+    "T_fraction": ({"T": 2.5}, ValidationError),
+    "dim_bool": ({"dim": True}, ValidationError),
+    "delta_pe_past_double_range": ({"delta_pe": 10**400}, ValidationError),
+    "auto_expand_string": ({"grid": {"auto_expand": "false"}}, ValidationError),
+    "grid_points_below_spec": ({"grid": {"points": 8}}, ValidationError),
+    "check_margin_removed": ({"check_margin": False}, ParseError),
+    "cosines_rtol_removed": ({"tolerances": {"cosines_rtol": 1e-9}}, ParseError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_value_is_a_config_error(case, tmp_path, caplog):
+    raw, error = BAD_CONFIGS[case]
+    with pytest.raises(error):
+        config_from_mapping(raw)
+    path = _write(tmp_path, dict(raw, output_dir=str(tmp_path / "o")))
+    with caplog.at_level(logging.ERROR, logger="mirrorkit"):
+        assert main(["run", "--config", str(path)]) == EXIT_ERROR
+    assert any(r.message.startswith(error.__name__) for r in caplog.records)
+    assert not (tmp_path / "o").exists()
+
+
+def test_integral_float_counts_as_integer():
+    cfg = make_config(T=1e4, n_trials=1e3)
+    assert (cfg.T, cfg.n_trials) == (10_000, 1000)
+    assert isinstance(cfg.T, int)
+
+
+@pytest.mark.parametrize("seed", ["-3", str(2**64)])
+def test_seed_override_is_checked_like_the_file(seed, tmp_path, caplog):
+    path = _write(tmp_path, dict(BASE, output_dir=str(tmp_path / "o")))
+    with caplog.at_level(logging.ERROR, logger="mirrorkit"):
+        assert main(["run", "--config", str(path), "--seed", seed]) == EXIT_ERROR
+    assert any(r.message.startswith("ValidationError: seed") for r in caplog.records)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name", [p.stem for p in sorted(ROOT.glob("configs/*.json"))] + ["make_config"])
+def test_resolved_config_round_trips(name, caplog):
+    cfg = make_config() if name == "make_config" else parse_config(ROOT / "configs" / f"{name}.json")
+    resolved = asdict(cfg)
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="mirrorkit"):
+        assert config_from_mapping(resolved) == cfg
+        assert config_from_mapping(json.loads(json.dumps(resolved, sort_keys=True))) == cfg
+    assert not [r for r in caplog.records if "applied default" in r.message]
+
+
+def test_readme_config_table_lists_every_key():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Config keys\n", 1)[1].split("\n## ", 1)[0]
+    keys = {name.split(".")[0] for name in re.findall(r"^\| `([^`]+)` \|", section, re.M)}
+    assert keys == set(SCHEMA)
+
+
+def test_risk_needs_at_least_one_step(tmp_path, caplog):
+    path = _write(tmp_path, {"T": 0, "n_trials": 10, "output_dir": str(tmp_path / "o")})
+    with caplog.at_level(logging.ERROR, logger="mirrorkit"):
+        assert main(["risk", "--config", str(path)]) == EXIT_ERROR
+    assert any(r.message.startswith("ConfigError") for r in caplog.records)
+    with pytest.raises(ConfigError, match="T=0"):
+        exponent_blowup_probe(make_config(n_trials=10), checkpoints=(0,))

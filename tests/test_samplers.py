@@ -154,9 +154,13 @@ def test_weight_draw_shapes():
     single = sample_weight(spec, RngStream(9, 0))
     assert single.shape == (3,)
     assert np.all(single > 0)
-    batch = sample_weight(spec, RngStream(9, 0), size=10)
-    assert batch.shape == (10, 3)
-    np.testing.assert_array_equal(batch[0], single)
+    # tabulated draws take one uniform per value in order, so a single draw
+    # is the first row of a batch from the same stream
+    for spec in (spec, ExpFamilySpec(SeparableQ(3.0, 2), [1.0, 1.0], 0.1)):
+        dim = spec.potential.dim
+        batch = sample_weight(spec, RngStream(9, 0), size=10)
+        assert batch.shape == (10, dim)
+        np.testing.assert_array_equal(batch[0], sample_weight(spec, RngStream(9, 0)))
 
 
 def test_prior_tables_are_built_once_across_trials(monkeypatch):
