@@ -11,7 +11,6 @@ import numpy as np
 
 from mirrorkit import (
     Constant,
-    DataPoint,
     Linear,
     NegEntropy,
     Quadratic,
@@ -26,12 +25,12 @@ rng = RngStream(seed=42, stream_index=0)
 dim, T, eta = 3, 40, 0.05
 
 p, l, m = NegEntropy(dim), Quadratic(), Linear()
-xs = gaussian_inputs(dim, T, rng, unit=True)
+X = gaussian_inputs(dim, T, rng, unit=True)
 w_true = np.array([0.8, 1.4, 0.5])
 noises = 0.2 * np.asarray(rng.normal(T))
-data = [DataPoint(x, float(x @ w_true) + v) for x, v in zip(xs, noises)]
+Y = X @ w_true + noises
 
-traj = iterate(p, l, m, data, Constant(eta), np.ones(dim), check_margin=False)
+traj = iterate(p, l, m, X, Y, Constant(eta), np.ones(dim), check_margin=False)
 global_residual = audit_trajectory(traj, w_true, noises)
 
 print(f"{'step':>4} {'D(w,w_prev)':>12} {'D(w,w_next)':>12} {'loss-Bregman':>13} "

@@ -10,7 +10,7 @@ is tight.
 
 import numpy as np
 
-from mirrorkit import Constant, DataPoint, Linear, Quadratic, SquaredL2, iterate, minimax_ratio
+from mirrorkit import Constant, Linear, Quadratic, SquaredL2, iterate, minimax_ratio
 from mirrorkit.datagen import gaussian_inputs
 from mirrorkit.samplers import RngStream
 
@@ -21,11 +21,10 @@ print("=== random challenges (eta = 0.4, certified) ===")
 worst = 0.0
 for trial in range(400):
     rng = RngStream(seed=7, stream_index=trial)
-    xs = gaussian_inputs(dim, T, rng, unit=True)
+    X = gaussian_inputs(dim, T, rng, unit=True)
     w = np.asarray(rng.normal(dim))
     noises = 0.4 * np.asarray(rng.normal(T))
-    data = [DataPoint(x, float(x @ w) + v) for x, v in zip(xs, noises)]
-    traj = iterate(p, l, m, data, Constant(0.4), np.zeros(dim), check_margin=False)
+    traj = iterate(p, l, m, X, X @ w + noises, Constant(0.4), np.zeros(dim), check_margin=False)
     rep = minimax_ratio(traj, w, noises)
     assert rep.premise_certified
     worst = max(worst, rep.ratio)
@@ -34,11 +33,10 @@ print(f"sup ratio over 400 random (w, noise) challenges: {worst:.6f}  (<= 1)")
 print()
 print("=== approach to one on noiseless consistent data ===")
 rng = RngStream(seed=11, stream_index=0)
-xs = gaussian_inputs(dim, 30, rng, unit=True)
+X = gaussian_inputs(dim, 30, rng, unit=True)
 w = np.array([0.8, -0.5, 0.3])
-data = [DataPoint(x, float(x @ w)) for x in xs]
 for eta in (0.5, 0.1, 0.02, 0.005, 0.001):
-    traj = iterate(p, l, m, data, Constant(eta), np.zeros(dim), check_margin=False)
+    traj = iterate(p, l, m, X, X @ w, Constant(eta), np.zeros(dim), check_margin=False)
     rep = minimax_ratio(traj, w, np.zeros(30), certify=False)
     print(f"eta = {eta:<6g} ratio = {rep.ratio:.6f}")
 print("the optimal (worst-case) value of the ratio game is exactly 1")

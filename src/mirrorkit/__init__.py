@@ -26,7 +26,6 @@ from .bregman import (
 from .config import ExperimentConfig, make_config, parse_config
 from .descent import (
     Constant,
-    DataPoint,
     GeneralizedLinear,
     Linear,
     NoiseSpec,

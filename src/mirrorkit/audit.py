@@ -56,10 +56,10 @@ def _loss_map_bregman(l, m, X, Y, A, B):
     )
 
 
-def loss_map_bregman(l, m, d, w, w_ref):
+def loss_map_bregman(l, m, x, y, w, w_ref):
     """Bregman divergence of w -> l(y - f(x, w)), which need not be convex."""
-    w, w_ref = np.asarray(w, dtype=float), np.asarray(w_ref, dtype=float)
-    return float(_loss_map_bregman(l, m, d.x, d.y, w, w_ref))
+    x, w, w_ref = (np.asarray(a, dtype=float) for a in (x, w, w_ref))
+    return float(_loss_map_bregman(l, m, x, y, w, w_ref))
 
 
 def _step_terms(p, l, m, X, Y, path, w, eta):
@@ -86,13 +86,14 @@ def _records(terms):
     return [AuditRecord(*row) for row in zip(*vars(terms).values())]
 
 
-def local_identity(p, l, m, w, w_prev, w_next, d, eta, step=0):
+def local_identity(p, l, m, w, w_prev, w_next, x, y, eta, step=0):
     """Per-step balance: divergence to the reference plus scaled noise loss
     equals the post-step divergence, the loss Bregman term, and the step's
     own nonnegative energy term."""
     path = np.stack([np.asarray(w_prev, dtype=float), np.asarray(w_next, dtype=float)])
     w = np.asarray(w, dtype=float)
-    (rec,) = _records(_step_terms(p, l, m, d.x[None, :], np.array([d.y]), path, w, eta))
+    X = np.asarray(x, dtype=float)[None, :]
+    (rec,) = _records(_step_terms(p, l, m, X, np.array([y], dtype=float), path, w, eta))
     rec.step = step
     return rec
 
@@ -206,7 +207,7 @@ def exponent_identity_residual(p, l, w, traj, z):
     return float(abs(lhs - rhs) / (1.0 + abs(lhs)))
 
 
-def step_exponent_residual(p, l, w_i, w_prev, d, z, eta):
+def step_exponent_residual(p, l, w_i, w_prev, x, y, z, eta):
     """Single-step form of the exponent identity (the recursive-minimization step).
 
     For a step of the prediction-driven recursion,
@@ -217,13 +218,13 @@ def step_exponent_residual(p, l, w_i, w_prev, d, z, eta):
     """
     w_i = np.asarray(w_i, dtype=float)
     w_prev = np.asarray(w_prev, dtype=float)
-    x = np.asarray(d.x, dtype=float)
+    x = np.asarray(x, dtype=float)
     pred_i = float(x @ w_i)
     pred_prev = float(x @ w_prev)
-    lhs = float(l.value(d.y - pred_i)) - float(l.bregman(d.y - pred_i, d.y - z))
+    lhs = float(l.value(y - pred_i)) - float(l.bregman(y - pred_i, y - z))
     rhs = (
-        float(l.value(d.y - pred_prev))
-        - float(l.bregman(d.y - pred_prev, d.y - z))
+        float(l.value(y - pred_prev))
+        - float(l.bregman(y - pred_prev, y - z))
         - float((p.grad(w_i) - p.grad(w_prev)) @ (w_i - w_prev)) / eta
     )
     return abs(lhs - rhs) / (1.0 + abs(lhs))

@@ -18,7 +18,7 @@ from . import experiments as exp_mod
 from .config import parse_config
 from .datagen import STREAM_TRIAL_BASE, _reseeded, generate_problem, prior_scale
 from .descent import iterate, run_trajectory
-from .errors import MirrorkitError, StabilityWarning
+from .errors import ConfigError, MirrorkitError, StabilityWarning
 from .samplers import (
     ExpFamilySpec,
     RngStream,
@@ -73,13 +73,14 @@ def _require_gradient_form(cfg, what):
     # the per-step balance is an identity of the gradient-form update; the
     # symmetric rule follows a different recursion and would flag falsely
     if cfg.algorithm == "ssmd":
-        from .errors import ConfigError
-
         raise ConfigError(f"{what} applies to the smd/sgd recursions, not ssmd")
 
 
 def _cmd_audit(cfg):
     _require_gradient_form(cfg, "the conservation-law audit")
+    if cfg.T < 1:
+        # with no step audited the residual check would pass vacuously
+        raise ConfigError(f"the conservation-law audit needs at least one step, got T={cfg.T}")
     traj = run_trajectory(cfg)
     problem = traj.problem
     global_residual = audit_mod.audit_trajectory(traj, problem.w_true, noises=problem.noises)
@@ -93,7 +94,7 @@ def _cmd_audit(cfg):
     ]
     write_csv(_out(cfg, "audit.csv"), header, rows)
     tol = cfg.tolerances["identity_rtol"]
-    worst = max((r.local_residual for r in traj.audits), default=0.0)
+    worst = max(r.local_residual for r in traj.audits)
     log.info("audit: worst local residual %.3e, global residual %.3e", worst, global_residual)
     if worst > tol or global_residual > tol:
         log.error("conservation-law residuals exceed %.1e", tol)
@@ -112,7 +113,7 @@ def _cmd_minimax(cfg):
     slack = cfg.tolerances["minimax_slack"]
     for trial in range(cfg.n_trials):
         problem = generate_problem(_reseeded(cfg, trial))
-        traj = iterate(p, l, m, problem.data, schedule, cfg.w0_vector(),
+        traj = iterate(p, l, m, problem.X, problem.Y, schedule, cfg.w0_vector(),
                        algorithm=cfg.algorithm, check_margin=False)
         report = audit_mod.minimax_ratio(traj, problem.w_true, noises=problem.noises)
         rows.append([trial, report.numerator, report.denominator, report.ratio, report.premise_certified])
@@ -264,7 +265,12 @@ def main(argv=None):
     parser.add_argument("--out", default=None, help="override the config output directory")
     parser.add_argument("--strict", action="store_true", help="treat warnings as errors")
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 2 on a usage error, the code reserved for a failed
+        # assertion; --help exits 0
+        return EXIT_ERROR if e.code else EXIT_PASS
 
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,

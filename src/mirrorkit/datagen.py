@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .descent import DataPoint, NoiseSpec
+from .descent import NoiseSpec
 from .potentials import NegEntropy
 from .samplers import ExpFamilySpec, RngStream, sample_noise, sample_weight, sample_white_noise
 
@@ -25,19 +25,17 @@ STREAM_TRIAL_BASE = 1000
 
 
 def gaussian_inputs(dim, count, rng, unit=False, scale=1.0):
-    """Rows of i.i.d. standard normal inputs, optionally normalized."""
-    xs = []
-    for _ in range(count):
-        x = np.asarray(rng.normal(dim))
-        if unit:
-            norm = np.linalg.norm(x)
-            if norm < 1e-12:
-                x = np.zeros(dim)
-                x[0] = 1.0
-                norm = 1.0
-            x = x / norm
-        xs.append(scale * x)
-    return xs
+    """A (count, dim) array of i.i.d. standard normal rows, optionally
+    normalized; row r is the r-th of `count` successive `rng.normal(dim)`."""
+    X = rng.normal_rows(count, dim)
+    if unit:
+        # np.vecdot takes each row's dot product as np.dot does, so a row's
+        # norm is bit for bit np.linalg.norm of that row
+        norm = np.sqrt(np.vecdot(X, X))[:, None]
+        zero = norm[:, 0] < 1e-12
+        X[zero], norm[zero] = np.eye(dim)[0], 1.0
+        X = X / norm
+    return scale * X
 
 
 def basis_then_gaussian(dim, count, rng, scale=1.0):
@@ -46,8 +44,8 @@ def basis_then_gaussian(dim, count, rng, scale=1.0):
     The prefix makes the accumulated Gram matrix hit any excitation level
     delta <= scale^2 after exactly dim steps.
     """
-    prefix = [scale * np.eye(dim)[j] for j in range(min(dim, count))]
-    return prefix + gaussian_inputs(dim, count - len(prefix), rng, scale=scale)
+    prefix = scale * np.eye(dim)[: min(dim, count)]
+    return np.concatenate([prefix, gaussian_inputs(dim, count - len(prefix), rng, scale=scale)])
 
 
 def make_inputs(cfg, count=None):
@@ -86,12 +84,13 @@ def planted_weight(cfg, potential, rng):
 
 @dataclass
 class Problem:
-    """One generated estimation problem: truth, stream, and observations."""
+    """One generated estimation problem: truth, inputs X (T, dim), outputs
+    Y (T,), noise stream, and the weight prior (None for a planted weight)."""
 
     w_true: np.ndarray
-    inputs: list
+    X: np.ndarray
+    Y: np.ndarray
     noises: np.ndarray
-    data: list
     prior: ExpFamilySpec | None
 
 
@@ -111,7 +110,7 @@ def generate_problem(cfg):
     p = cfg.build_potential()
     l = cfg.build_loss()
     m = cfg.build_model()
-    inputs = make_inputs(cfg)
+    X = make_inputs(cfg)
     rng_w = RngStream(cfg.seed, STREAM_WEIGHT)
     rng_v = RngStream(cfg.seed, STREAM_NOISE)
     prior = None
@@ -127,7 +126,6 @@ def generate_problem(cfg):
         else:
             spec = NoiseSpec(variance=cfg.noise["sigma2"], kind=kind)
             noises = np.asarray(sample_white_noise(spec, rng_v, size=cfg.T))
-    data = [
-        DataPoint(x, m.predict(x, w_true) + v) for x, v in zip(inputs, noises)
-    ]
-    return Problem(w_true=w_true, inputs=inputs, noises=noises, data=data, prior=prior)
+    # per-row dot products, each exactly np.dot(x, w_true), as in gaussian_inputs
+    Y = m.g(np.vecdot(X, w_true)) + noises
+    return Problem(w_true=w_true, X=X, Y=Y, noises=noises, prior=prior)

@@ -21,20 +21,6 @@ from .potentials import Potential, SeparableQ, SquaredL2
 HESSIAN_PROBE_EXCLUSION = 1e-8
 
 
-@dataclass
-class DataPoint:
-    """One observation: input vector x and scalar output y."""
-
-    x: np.ndarray
-    y: float
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.y = float(self.y)
-        if not (np.all(np.isfinite(self.x)) and np.isfinite(self.y)):
-            raise ValueError("data point has non-finite entries")
-
-
 def _logistic(u):
     """1 / (1 + exp(-u)), split on the sign of u so that exp never overflows."""
     e = np.exp(-np.abs(u))
@@ -42,7 +28,7 @@ def _logistic(u):
 
 
 class GeneralizedLinear:
-    """predict(x, w) = g(x^T w) for a smooth scalar link g."""
+    """f(x, w) = g(x^T w) for a smooth scalar link g."""
 
     kind = "glm"
 
@@ -69,18 +55,12 @@ class GeneralizedLinear:
         s = _logistic(u)
         return s * (1.0 - s)
 
-    def predict(self, x, w):
-        return float(self.g(np.dot(x, w)))
-
-    def jacobian(self, x, w):
-        return self.g_prime(np.dot(x, w)) * np.asarray(x, dtype=float)
-
     def __repr__(self):
         return f"GeneralizedLinear(link={self.link!r})"
 
 
 class Linear(GeneralizedLinear):
-    """predict(x, w) = x^T w: the identity link."""
+    """f(x, w) = x^T w: the identity link."""
 
     kind = "linear"
 
@@ -208,24 +188,26 @@ def _step(p, w_prev, x, coef, eta):
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
     w_prev = p.check_domain(np.asarray(w_prev, dtype=float))
+    x = np.asarray(x, dtype=float)
     if not np.any(eta * coef * x):
         return w_prev.copy()
     return mirror_update(p, p.grad(w_prev), x, coef, eta)[1]
 
 
-def smd_step(p, l, m, w_prev, d, eta):
-    """One mirror step: shift grad psi(w) by eta * J_f * l'(residual)."""
-    return _step(p, w_prev, d.x, _smd_coef(l, m, d.x, d.y, w_prev), eta)
+def smd_step(p, l, m, w_prev, x, y, eta):
+    """One mirror step on the observation (x, y): shift grad psi(w) by
+    eta * J_f * l'(residual)."""
+    return _step(p, w_prev, x, _smd_coef(l, m, x, y, w_prev), eta)
 
 
-def ssmd_step(p, l, w_prev, d, eta):
+def ssmd_step(p, l, w_prev, x, y, eta):
     """Symmetric mirror step for linear models: eta * x * (l'(y) - l'(x^T w))."""
-    return _step(p, w_prev, d.x, _ssmd_coef(l, d.x, d.y, w_prev), eta)
+    return _step(p, w_prev, x, _ssmd_coef(l, x, y, w_prev), eta)
 
 
-def genrec_step(p, l, w_prev, d, z, eta):
+def genrec_step(p, l, w_prev, x, y, z, eta):
     """Prediction-driven mirror step: eta * x * l'(y - z) for an arbitrary z."""
-    return _step(p, w_prev, d.x, l.deriv(d.y - z), eta)
+    return _step(p, w_prev, x, l.deriv(y - z), eta)
 
 
 def mirror_steps(mirror, W, X, Y, etas, coef):
@@ -243,13 +225,18 @@ def mirror_steps(mirror, W, X, Y, etas, coef):
         yield W
 
 
-def _recursion(p, mirror, data, w0, etas, coef):
-    """`mirror_steps` over `data` from w0, recorded; returns (path, X, Y). The
-    domain is checked on entry and once over the whole path, naming the first
-    step that left it."""
+def _recursion(p, mirror, X, Y, w0, rate, coef):
+    """`mirror_steps` over the observations (X, Y) from w0 at the rates
+    rate(1) .. rate(T), recorded; returns (path, X, Y, etas). Mis-shaped or
+    non-finite observations raise ValueError. The domain is checked on entry
+    and once over the whole path, naming the first step that left it."""
     w0 = p.check_domain(np.asarray(w0, dtype=float))
-    X = np.array([d.x for d in data], dtype=float).reshape(len(data), w0.size)
-    Y = np.array([d.y for d in data], dtype=float)
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    if Y.ndim != 1 or X.shape != (len(Y), w0.size):
+        raise ValueError(f"X must be (T, {w0.size}) and Y (T,), got {X.shape} and {Y.shape}")
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise ValueError("observations have non-finite entries")
+    etas = np.array([rate(i) for i in range(1, len(Y) + 1)])
     path = np.empty((len(Y) + 1, w0.size))
     path[0] = w0
     for i, w in enumerate(mirror_steps(mirror, w0, X, Y, etas, coef), 1):
@@ -263,11 +250,12 @@ def _recursion(p, mirror, data, w0, etas, coef):
             except DomainError as e:
                 raise DomainError(f"step {i}: {e}") from e
         raise
-    return path, X, Y
+    return path, X, Y, etas
 
 
-def iterate(p, l, m, data, schedule, w0, algorithm="smd", check_margin=True):
-    """Run a full trajectory over `data`, recording every iterate.
+def iterate(p, l, m, X, Y, schedule, w0, algorithm="smd", check_margin=True):
+    """Run a full trajectory over the inputs X (T, dim) and outputs Y (T,),
+    recording every iterate.
 
     `algorithm` is one of "smd", "ssmd" (linear model only), or "sgd"
     (plain gradient update, meaningful with the squared-L2 potential).
@@ -279,12 +267,11 @@ def iterate(p, l, m, data, schedule, w0, algorithm="smd", check_margin=True):
     if algorithm == "ssmd" and not isinstance(m, Linear):
         raise ConfigError("ssmd is defined for linear models only")
     mirror = SquaredL2(p.dim) if algorithm == "sgd" else p
-    etas = np.array([schedule.rate(i) for i in range(1, len(data) + 1)])
     if algorithm == "ssmd":
         coef = lambda i, x, y, w: _ssmd_coef(l, x, y, w)
     else:
         coef = lambda i, x, y, w: _smd_coef(l, m, x, y, w)
-    path, X, Y = _recursion(p, mirror, data, w0, etas, coef)
+    path, X, Y, etas = _recursion(p, mirror, X, Y, w0, schedule.rate, coef)
     if check_margin and len(Y):
         holds = premise_holds(p, l, m, etas, path[1:], X, Y)
         if not holds.all():
@@ -297,13 +284,14 @@ def iterate(p, l, m, data, schedule, w0, algorithm="smd", check_margin=True):
     return Trajectory(path, X, Y, schedule, p, l, m, algorithm)
 
 
-def run_general_recursion(p, l, data, z, eta, w0):
+def run_general_recursion(p, l, X, Y, z, eta, w0):
     """Trajectory of the prediction-driven recursion for a given z sequence."""
-    if len(z) != len(data):
-        raise ValueError("z and data must have equal length")
+    if len(z) != len(Y):
+        raise ValueError("z and Y must have equal length")
     coef = lambda i, x, y, w: l.deriv(y - z[i])
-    path, X, Y = _recursion(p, p, data, w0, [eta] * len(data), coef)
-    return Trajectory(path, X, Y, Constant(eta), p, l, Linear(), "genrec")
+    schedule = Constant(eta)
+    path, X, Y, _ = _recursion(p, p, X, Y, w0, schedule.rate, coef)
+    return Trajectory(path, X, Y, schedule, p, l, Linear(), "genrec")
 
 
 def run_trajectory(cfg):
@@ -316,7 +304,8 @@ def run_trajectory(cfg):
         cfg.build_potential(),
         cfg.build_loss(),
         cfg.build_model(),
-        problem.data,
+        problem.X,
+        problem.Y,
         cfg.build_schedule(),
         cfg.w0_vector(),
         algorithm=cfg.algorithm,
@@ -351,8 +340,9 @@ def premise_holds(p, l, m, eta, W, X, Y):
     return (eta * c * s <= 1.0) | ~keep.any(axis=-1)
 
 
-def convexity_margin(p, l, m, eta, probes):
-    """Smallest eigenvalue of hess psi - eta * hess L over the probe points.
+def convexity_margin(p, l, m, eta, W, X, Y):
+    """Smallest eigenvalue of hess psi - eta * hess L over the probes (rows
+    of W, X, Y, as in `premise_holds`).
 
     A positive value certifies (on the probes) the convexity premise behind
     the minimax and risk-sensitive optimality statements. Near-zero
@@ -360,28 +350,27 @@ def convexity_margin(p, l, m, eta, probes):
     zero there. `premise_holds` gives the same verdict without eigenvalues.
     """
     best = np.inf
-    for w, d in probes:
+    for w, x, y in zip(W, np.asarray(X, dtype=float), Y):
         w = p.check_domain(np.asarray(w, dtype=float))
         keep = _kept(p, w)
         if not np.any(keep):
             continue
-        x = d.x[keep]
-        c = _loss_curvature(l, m, np.dot(d.x, w), d.y)
-        A = np.diag(p.hessian_diag(w)[keep]) - eta * c * np.outer(x, x)
+        c = _loss_curvature(l, m, np.dot(x, w), y)
+        A = np.diag(p.hessian_diag(w)[keep]) - eta * c * np.outer(x[keep], x[keep])
         best = min(best, float(np.linalg.eigvalsh(A)[0]))
     return best
 
 
-def persistent_excitation(data, delta):
+def persistent_excitation(X, delta):
     """Earliest T with lambda_min(sum_{i<=T} x_i x_i^T) >= delta, if any.
 
-    `data` is any iterable of data points; it is read only up to that T.
+    `X` is any iterable of input rows; it is read only up to that T.
     """
     if delta <= 0.0:
         raise ValueError("delta must be > 0")
     G = 0.0
-    for T, d in enumerate(data, start=1):
-        x = np.asarray(d.x, dtype=float)
+    for T, x in enumerate(X, start=1):
+        x = np.asarray(x, dtype=float)
         G = G + np.outer(x, x)
         if float(np.linalg.eigvalsh(G)[0]) >= delta:
             return True, T

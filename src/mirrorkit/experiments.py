@@ -23,7 +23,6 @@ from .datagen import (
     planted_weight,
 )
 from .descent import (
-    DataPoint,
     Linear,
     NoiseSpec,
     mirror_steps,
@@ -80,14 +79,15 @@ def _mode_increment(mode, l, y, xw_true, z):
     return mode.alpha * np.square(xw_true - z)
 
 
-def risk_cost(predictions, w, data, l, mode=SMDCost()):
-    """Single-realization exponential cost of a prediction sequence."""
-    if len(predictions) != len(data):
-        raise ValueError("predictions and data must have equal length")
+def risk_cost(predictions, w, X, Y, l, mode=SMDCost()):
+    """Single-realization exponential cost of a prediction sequence on the
+    inputs X (T, dim) and outputs Y (T,)."""
+    if len(predictions) != len(Y):
+        raise ValueError("predictions and Y must have equal length")
     w = np.asarray(w, dtype=float)
     s = 0.0
-    for z, d in zip(predictions, data):
-        s += float(_mode_increment(mode, l, d.y, float(d.x @ w), float(z)))
+    for z, x, y in zip(predictions, X, Y):
+        s += float(_mode_increment(mode, l, float(y), float(x @ w), float(z)))
     return float(np.exp(s))
 
 
@@ -250,7 +250,7 @@ def _risk_trials(cfg, T, warn_only, what):
     if schedule.kind != "constant":
         raise ConfigError(f"{what} requires a constant learning rate")
     eta = schedule.eta
-    X = np.stack(make_inputs(cfg, count=T))
+    X = make_inputs(cfg, count=T)
     w0 = cfg.w0_vector()
     prior = ExpFamilySpec(p, w0, eta, grid=cfg.grid_spec())
     certify_margin(cfg, p, l, eta, X, prior, warn_only=warn_only)
@@ -462,10 +462,11 @@ def implicit_reg_experiment(cfg):
     if schedule.kind != "constant":
         raise ConfigError("implicit regularization uses a constant learning rate")
     n, m = cfg.T, cfg.dim
+    if n < 1:
+        raise ConfigError(f"implicit regularization needs at least one step, got T={n}")
     if not n < m:
         raise ConfigError(f"need an underdetermined system (T={n} rows < dim={m})")
-    inputs = make_inputs(cfg)
-    X = np.stack(inputs)
+    X = make_inputs(cfg)
     w_true = planted_weight(cfg, p, RngStream(cfg.seed, STREAM_WEIGHT))
     y = X @ w_true
     w0 = cfg.w0_vector()
@@ -519,13 +520,12 @@ def msq_convergence(cfg, control_eta=None):
     if cfg.noise["kind"] not in ("gaussian", "uniform", "rademacher"):
         raise ConfigError("mean-square convergence uses white noise (gaussian/uniform/rademacher)")
     T, n_runs = cfg.T, cfg.n_trials
-    inputs = basis_then_gaussian(cfg.dim, T, RngStream(cfg.seed, STREAM_INPUTS), scale=cfg.inputs["scale"])
-    ok, t_found = persistent_excitation((DataPoint(x, 0.0) for x in inputs), cfg.delta_pe)
+    X = basis_then_gaussian(cfg.dim, T, RngStream(cfg.seed, STREAM_INPUTS), scale=cfg.inputs["scale"])
+    ok, t_found = persistent_excitation(X, cfg.delta_pe)
     if not ok:
         raise ConfigError(f"inputs are not persistently exciting at delta={cfg.delta_pe}")
     log.info("persistent excitation reached at T=%d", t_found)
     w_true = planted_weight(cfg, p, RngStream(cfg.seed, STREAM_WEIGHT))
-    X = np.stack(inputs)
     y_clean = X @ w_true
     spec = NoiseSpec(variance=cfg.noise["sigma2"], kind=cfg.noise["kind"])
     V = np.empty((n_runs, T))

@@ -60,26 +60,29 @@ class RngStream:
         """U[0, 1) variates."""
         return self._gen.random(size)
 
-    def normal(self, size=None):
-        """Standard normals via the Box-Muller transform.
+    def normal(self, size):
+        """Standard normals of shape `size` via the Box-Muller transform: the
+        one row of `normal_rows(1, n)` for n = prod(size).
 
         A draw of n values takes ceil(n/2) uniforms for the radii and then
         ceil(n/2) for the angles, so a draw depends on its length: a shorter
         draw is not a prefix of a longer one from an identically
         constructed stream.
         """
-        n = 1 if size is None else int(np.prod(size))
-        pairs = (n + 1) // 2
-        u1 = 1.0 - self._gen.random(pairs)
-        u2 = self._gen.random(pairs)
-        r = np.sqrt(-2.0 * np.log(u1))
-        z = np.empty(2 * pairs)
-        z[0::2] = r * np.cos(2.0 * np.pi * u2)
-        z[1::2] = r * np.sin(2.0 * np.pi * u2)
-        z = z[:n]
-        if size is None:
-            return float(z[0])
-        return z.reshape(size)
+        return self.normal_rows(1, int(np.prod(size)))[0].reshape(size)
+
+    def normal_rows(self, count, dim):
+        """A (count, dim) array of standard normals whose rows are, bit for
+        bit, `count` successive `normal(dim)` draws: each row takes its
+        ceil(dim/2) radius uniforms, then its ceil(dim/2) angle uniforms."""
+        pairs = (dim + 1) // 2
+        u = self._gen.random((count, 2 * pairs))
+        r = np.sqrt(-2.0 * np.log(1.0 - u[:, :pairs]))
+        angle = 2.0 * np.pi * u[:, pairs:]
+        z = np.empty((count, 2 * pairs))
+        z[:, 0::2] = r * np.cos(angle)
+        z[:, 1::2] = r * np.sin(angle)
+        return z[:, :dim]
 
     def integers(self, low, high, size=None):
         return self._gen.integers(low, high, size=size)

@@ -12,7 +12,6 @@ from scipy.stats import ks_2samp
 
 from mirrorkit import (
     Constant,
-    DataPoint,
     ExpFamilySpec,
     GeneralizedLinear,
     Linear,
@@ -89,20 +88,20 @@ def test_criterion_1_identity_suite():
                 m = Linear() if model_kind == "linear" else GeneralizedLinear("tanh")
                 eta = 0.01 if lk == "quartic" else 0.05
                 stream = RngStream(4000 + combos, 0)
-                xs = gaussian_inputs(dim, T, stream, unit=True)
+                X = gaussian_inputs(dim, T, stream, unit=True)
                 w_ref = _in_domain(p, rng)
                 noises = 0.1 * rng.standard_normal(T)
-                data = [DataPoint(x, m.predict(x, w_ref) + v) for x, v in zip(xs, noises)]
-                traj = iterate(p, l, m, data, Constant(eta), _in_domain(p, rng), check_margin=False)
-                for i, d in enumerate(data, 1):
+                Y = m.g(X @ w_ref) + noises
+                traj = iterate(p, l, m, X, Y, Constant(eta), _in_domain(p, rng), check_margin=False)
+                for i, (x, y) in enumerate(zip(X, Y), 1):
                     rec = local_identity(
-                        p, l, m, w_ref, traj.iterate_before(i), traj.iterates[i - 1], d, eta, step=i
+                        p, l, m, w_ref, traj.iterate_before(i), traj.iterates[i - 1], x, y, eta, step=i
                     )
                     worst["local"] = max(worst["local"], rec.local_residual)
                 worst["global"] = max(worst["global"], global_identity(traj, w_ref, noises))
                 if model_kind == "linear":
                     z = rng.standard_normal(T)
-                    gen = run_general_recursion(p, l, data, z, eta, _in_domain(p, rng))
+                    gen = run_general_recursion(p, l, X, Y, z, eta, _in_domain(p, rng))
                     worst["exponent"] = max(
                         worst["exponent"], exponent_identity_residual(p, l, w_ref, gen, z)
                     )
@@ -111,7 +110,7 @@ def test_criterion_1_identity_suite():
                             worst["step_exponent"],
                             step_exponent_residual(
                                 p, l, gen.iterates[i - 1], gen.iterate_before(i),
-                                data[i - 1], z[i - 1], eta,
+                                X[i - 1], Y[i - 1], z[i - 1], eta,
                             ),
                         )
                 combos += 1
@@ -170,7 +169,7 @@ def test_criterion_2_minimax_optimality():
         attempts = 0
         while len(certified_ratios) < 1000 and attempts < 1500:
             problem = generate_problem(_reseeded(cfg, attempts))
-            traj = iterate(p, l, m, problem.data, schedule, cfg.w0_vector(), check_margin=False)
+            traj = iterate(p, l, m, problem.X, problem.Y, schedule, cfg.w0_vector(), check_margin=False)
             rep = minimax_ratio(traj, problem.w_true, noises=problem.noises)
             if rep.premise_certified:
                 certified_ratios.append(rep.ratio)
@@ -190,7 +189,7 @@ def test_criterion_2_minimax_optimality():
     sup_ratio = 0.0
     for trial in range(10_000):
         problem = generate_problem(_reseeded(probe_cfg, trial))
-        traj = iterate(p, l, m, problem.data, schedule, probe_cfg.w0_vector(), check_margin=False)
+        traj = iterate(p, l, m, problem.X, problem.Y, schedule, probe_cfg.w0_vector(), check_margin=False)
         rep = minimax_ratio(traj, problem.w_true, noises=problem.noises, certify=False)
         sup_ratio = max(sup_ratio, rep.ratio)
         assert rep.ratio <= 1.0 + MINIMAX_SLACK

@@ -4,7 +4,6 @@ import sympy
 
 from mirrorkit import (
     Constant,
-    DataPoint,
     DegenerateError,
     GeneralizedLinear,
     Linear,
@@ -40,11 +39,10 @@ def _eta_for(l):
 def _make_problem(p, m, rng, T=25, noise=0.1, dim=None):
     dim = dim or p.dim
     stream = RngStream(hash(p.kind) % 1000 + dim, 0)
-    xs = gaussian_inputs(dim, T, stream, unit=True)
+    X = gaussian_inputs(dim, T, stream, unit=True)
     w_true = random_in_domain(p, rng)
     noises = noise * rng.standard_normal(T)
-    data = [DataPoint(x, m.predict(x, w_true) + v) for x, v in zip(xs, noises)]
-    return w_true, noises, data
+    return w_true, noises, X, m.g(X @ w_true) + noises
 
 
 @pytest.mark.parametrize("model_kind", ["linear", "glm"])
@@ -52,12 +50,12 @@ def test_local_identity_residuals(model_kind, rng):
     m = Linear() if model_kind == "linear" else GeneralizedLinear("tanh")
     for p in all_potentials(3):
         for l in all_losses():
-            w_ref, _, data = _make_problem(p, m, rng)
+            w_ref, _, X, Y = _make_problem(p, m, rng)
             eta = _eta_for(l)
-            traj = iterate(p, l, m, data, Constant(eta), random_in_domain(p, rng), check_margin=False)
-            for i, d in enumerate(data, 1):
+            traj = iterate(p, l, m, X, Y, Constant(eta), random_in_domain(p, rng), check_margin=False)
+            for i, (x, y) in enumerate(zip(X, Y), 1):
                 rec = local_identity(
-                    p, l, m, w_ref, traj.iterate_before(i), traj.iterates[i - 1], d, eta, step=i
+                    p, l, m, w_ref, traj.iterate_before(i), traj.iterates[i - 1], x, y, eta, step=i
                 )
                 assert rec.local_residual <= 1e-9
 
@@ -65,43 +63,43 @@ def test_local_identity_residuals(model_kind, rng):
 def test_local_identity_reference_at_start(rng):
     p, l, m = SquaredL2(2), Quadratic(), Linear()
     w0 = np.array([0.4, -0.2])
-    d = DataPoint(np.array([1.0, 2.0]), float(np.array([1.0, 2.0]) @ w0))
+    x = np.array([1.0, 2.0])
     w1 = np.array(w0)  # zero residual keeps the iterate fixed
-    rec = local_identity(p, l, m, w0, w0, w1, d, ETA)
+    rec = local_identity(p, l, m, w0, w0, w1, x, float(x @ w0), ETA)
     assert rec.local_residual <= 1e-9
     assert rec.loss_noise == 0.0
 
 
 def test_quadratic_loss_bregman_is_squared_prediction_error(rng):
     p, l, m = SquaredL2(3), Quadratic(), Linear()
-    w_ref, _, data = _make_problem(p, m, rng, T=10)
-    traj = iterate(p, l, m, data, Constant(ETA), np.zeros(3), check_margin=False)
-    for i, d in enumerate(data, 1):
+    w_ref, _, X, Y = _make_problem(p, m, rng, T=10)
+    traj = iterate(p, l, m, X, Y, Constant(ETA), np.zeros(3), check_margin=False)
+    for i, (x, y) in enumerate(zip(X, Y), 1):
         w_prev = traj.iterate_before(i)
-        expected = 0.5 * float(d.x @ (w_ref - w_prev)) ** 2
-        assert loss_map_bregman(l, m, d, w_ref, w_prev) == pytest.approx(expected, abs=1e-12)
+        expected = 0.5 * float(x @ (w_ref - w_prev)) ** 2
+        assert loss_map_bregman(l, m, x, y, w_ref, w_prev) == pytest.approx(expected, abs=1e-12)
 
 
 def test_global_identity_random_trajectories(rng):
     for p in all_potentials(4):
         for l in all_losses():
             m = Linear()
-            w_ref, noises, data = _make_problem(p, m, rng, T=50, dim=4)
+            w_ref, noises, X, Y = _make_problem(p, m, rng, T=50, dim=4)
             eta = _eta_for(l)
-            traj = iterate(p, l, m, data, Constant(eta), random_in_domain(p, rng), check_margin=False)
+            traj = iterate(p, l, m, X, Y, Constant(eta), random_in_domain(p, rng), check_margin=False)
             assert global_identity(traj, w_ref, noises) <= 1e-8
 
 
 def test_global_identity_empty_trajectory(rng):
     p = SquaredL2(2)
-    traj = iterate(p, Quadratic(), Linear(), [], Constant(ETA), np.zeros(2), check_margin=False)
+    traj = iterate(p, Quadratic(), Linear(), np.empty((0, 2)), [], Constant(ETA), np.zeros(2), check_margin=False)
     assert global_identity(traj, np.array([1.0, 2.0]), []) == 0.0
 
 
 def test_global_equals_telescoped_locals(rng):
     p, l, m = NegEntropy(3), Quadratic(), Linear()
-    w_ref, noises, data = _make_problem(p, m, rng, T=30)
-    traj = iterate(p, l, m, data, Constant(ETA), np.ones(3), check_margin=False)
+    w_ref, noises, X, Y = _make_problem(p, m, rng, T=30)
+    traj = iterate(p, l, m, X, Y, Constant(ETA), np.ones(3), check_margin=False)
     global_residual = audit_trajectory(traj, w_ref, noises)
     assert global_residual <= 1e-8
     assert len(traj.audits) == 30
@@ -119,8 +117,8 @@ def test_global_equals_telescoped_locals(rng):
 
 def test_global_identity_requires_constant_schedule(rng):
     p, l, m = SquaredL2(2), Quadratic(), Linear()
-    w_ref, noises, data = _make_problem(p, m, rng, T=5)
-    traj = iterate(p, l, m, data, RobbinsMonro(1.0), np.zeros(2), check_margin=False)
+    w_ref, noises, X, Y = _make_problem(p, m, rng, T=5)
+    traj = iterate(p, l, m, X, Y, RobbinsMonro(1.0), np.zeros(2), check_margin=False)
     with pytest.raises(ScheduleError):
         global_identity(traj, w_ref, noises)
 
@@ -129,12 +127,12 @@ def test_e_term_nonnegative_under_certified_margin(rng):
     from mirrorkit import convexity_margin
 
     p, l, m = SquaredL2(3), Quadratic(), Linear()
-    w_ref, noises, data = _make_problem(p, m, rng, T=40)
-    traj = iterate(p, l, m, data, Constant(0.02), np.zeros(3), check_margin=False)
+    w_ref, noises, X, Y = _make_problem(p, m, rng, T=40)
+    traj = iterate(p, l, m, X, Y, Constant(0.02), np.zeros(3), check_margin=False)
     audit_trajectory(traj, w_ref, noises)
-    for i, (rec, d) in enumerate(zip(traj.audits, data), 1):
+    for i, rec in enumerate(traj.audits, 1):
         margins = convexity_margin(
-            p, l, m, 0.02, [(traj.iterate_before(i), d), (traj.iterates[i - 1], d)]
+            p, l, m, 0.02, traj.path[i - 1 : i + 1], X[[i - 1, i - 1]], Y[[i - 1, i - 1]]
         )
         if margins >= 0:
             assert rec.e_term >= -1e-12
@@ -144,11 +142,10 @@ def test_minimax_ratio_bounded_on_certified_runs(rng):
     p, l, m = SquaredL2(3), Quadratic(), Linear()
     for trial in range(200):
         stream = RngStream(900 + trial, 0)
-        xs = gaussian_inputs(3, 15, stream, unit=True)
+        X = gaussian_inputs(3, 15, stream, unit=True)
         w_true = rng.standard_normal(3)
         noises = 0.3 * rng.standard_normal(15)
-        data = [DataPoint(x, float(x @ w_true) + v) for x, v in zip(xs, noises)]
-        traj = iterate(p, l, m, data, Constant(0.5), np.zeros(3), check_margin=False)
+        traj = iterate(p, l, m, X, X @ w_true + noises, Constant(0.5), np.zeros(3), check_margin=False)
         rep = minimax_ratio(traj, w_true, noises)
         assert rep.premise_certified
         assert rep.ratio <= 1.0 + 1e-9
@@ -160,12 +157,11 @@ def test_minimax_ratio_approaches_one_for_small_eta(rng):
     # and E_i -> 0 with the step size on noiseless consistent data
     p, l, m = SquaredL2(3), Quadratic(), Linear()
     stream = RngStream(77, 0)
-    xs = gaussian_inputs(3, 30, stream, unit=True)
+    X = gaussian_inputs(3, 30, stream, unit=True)
     w_true = np.array([0.8, -0.5, 0.3])
-    data = [DataPoint(x, float(x @ w_true)) for x in xs]
     ratios = {}
     for eta in (0.5, 0.02, 0.002):
-        traj = iterate(p, l, m, data, Constant(eta), np.zeros(3), check_margin=False)
+        traj = iterate(p, l, m, X, X @ w_true, Constant(eta), np.zeros(3), check_margin=False)
         rep = minimax_ratio(traj, w_true, np.zeros(30), certify=False)
         ratios[eta] = rep.ratio
         assert rep.ratio <= 1.0
@@ -177,16 +173,15 @@ def test_minimax_quadratic_matches_filter_energy_form(rng):
     # errors, so assemble the ratio independently from raw trajectories
     p, l, m = SquaredL2(2), Quadratic(), Linear()
     stream = RngStream(13, 0)
-    xs = gaussian_inputs(2, 12, stream, unit=True)
+    X = gaussian_inputs(2, 12, stream, unit=True)
     w_true = np.array([0.6, -1.1])
     noises = 0.25 * rng.standard_normal(12)
-    data = [DataPoint(x, float(x @ w_true) + v) for x, v in zip(xs, noises)]
-    traj = iterate(p, l, m, data, Constant(0.4), np.zeros(2), check_margin=False)
+    traj = iterate(p, l, m, X, X @ w_true + noises, Constant(0.4), np.zeros(2), check_margin=False)
     rep = minimax_ratio(traj, w_true, noises)
     num = 0.5 * np.sum((w_true - traj.final) ** 2)
     num += 0.4 * sum(
-        0.5 * float(d.x @ (w_true - traj.iterate_before(i))) ** 2
-        for i, d in enumerate(data, 1)
+        0.5 * float(x @ (w_true - traj.iterate_before(i))) ** 2
+        for i, x in enumerate(X, 1)
     )
     den = 0.5 * np.sum(w_true**2) + 0.4 * np.sum(0.5 * noises**2)
     assert rep.ratio == pytest.approx(num / den, rel=1e-12)
@@ -195,9 +190,8 @@ def test_minimax_quadratic_matches_filter_energy_form(rng):
 def test_minimax_degenerate_denominator(rng):
     p, l, m = SquaredL2(2), Quadratic(), Linear()
     w0 = np.array([0.3, 0.4])
-    xs = gaussian_inputs(2, 5, RngStream(1, 0))
-    data = [DataPoint(x, float(x @ w0)) for x in xs]
-    traj = iterate(p, l, m, data, Constant(0.1), w0, check_margin=False)
+    X = gaussian_inputs(2, 5, RngStream(1, 0))
+    traj = iterate(p, l, m, X, X @ w0, Constant(0.1), w0, check_margin=False)
     with pytest.raises(DegenerateError):
         minimax_ratio(traj, w0, np.zeros(5))
 
@@ -206,24 +200,24 @@ def test_exponent_identity_random_z(rng):
     for p in all_potentials(3):
         for l in all_losses():
             m = Linear()
-            w_ref, _, data = _make_problem(p, m, rng, T=20)
+            w_ref, _, X, Y = _make_problem(p, m, rng, T=20)
             eta = _eta_for(l)
             z = rng.standard_normal(20)
-            traj = run_general_recursion(p, l, data, z, eta, random_in_domain(p, rng))
+            traj = run_general_recursion(p, l, X, Y, z, eta, random_in_domain(p, rng))
             assert exponent_identity_residual(p, l, w_ref, traj, z) <= 1e-8
             for i in (1, 10, 20):
                 r = step_exponent_residual(
-                    p, l, traj.iterates[i - 1], traj.iterate_before(i), data[i - 1], z[i - 1], eta
+                    p, l, traj.iterates[i - 1], traj.iterate_before(i), X[i - 1], Y[i - 1], z[i - 1], eta
                 )
                 assert r <= 1e-9
 
 
 def test_recursion_with_own_predictions_is_mirror_descent(rng):
     p, l, m = NegEntropy(3), Quadratic(), Linear()
-    w_ref, _, data = _make_problem(p, m, rng, T=15)
-    smd = iterate(p, l, m, data, Constant(ETA), np.ones(3), check_margin=False)
-    z = [float(d.x @ smd.iterate_before(i)) for i, d in enumerate(data, 1)]
-    gen = run_general_recursion(p, l, data, z, ETA, np.ones(3))
+    w_ref, _, X, Y = _make_problem(p, m, rng, T=15)
+    smd = iterate(p, l, m, X, Y, Constant(ETA), np.ones(3), check_margin=False)
+    z = [float(x @ smd.iterate_before(i)) for i, x in enumerate(X, 1)]
+    gen = run_general_recursion(p, l, X, Y, z, ETA, np.ones(3))
     for a, b in zip(smd.iterates, gen.iterates):
         assert np.array_equal(a, b)
 
@@ -231,25 +225,25 @@ def test_recursion_with_own_predictions_is_mirror_descent(rng):
 def test_step_exponent_self_prediction_drops_term(rng):
     p, l = SquaredL2(2), Quadratic()
     w_prev = rng.standard_normal(2)
-    d = DataPoint(rng.standard_normal(2), float(rng.standard_normal()))
-    z = float(d.x @ w_prev)
+    x, y = rng.standard_normal(2), float(rng.standard_normal())
+    z = float(x @ w_prev)
     from mirrorkit.descent import genrec_step
 
-    w_i = genrec_step(p, l, w_prev, d, z, ETA)
-    assert float(l.bregman(d.y - float(d.x @ w_prev), d.y - z)) == 0.0
-    assert step_exponent_residual(p, l, w_i, w_prev, d, z, ETA) <= 1e-12
+    w_i = genrec_step(p, l, w_prev, x, y, z, ETA)
+    assert float(l.bregman(y - float(x @ w_prev), y - z)) == 0.0
+    assert step_exponent_residual(p, l, w_i, w_prev, x, y, z, ETA) <= 1e-12
 
 
 def test_step_exponent_fixed_point(rng):
     p, l = NegEntropy(2), Quadratic()
     w_prev = np.abs(rng.standard_normal(2)) + 0.5
-    d = DataPoint(rng.standard_normal(2), 1.3)
-    z = d.y  # l'(y - z) = 0 freezes the iterate
+    x, y = rng.standard_normal(2), 1.3
+    z = y  # l'(y - z) = 0 freezes the iterate
     from mirrorkit.descent import genrec_step
 
-    w_i = genrec_step(p, l, w_prev, d, z, ETA)
+    w_i = genrec_step(p, l, w_prev, x, y, z, ETA)
     assert np.array_equal(w_i, w_prev)
-    assert step_exponent_residual(p, l, w_i, w_prev, d, z, ETA) <= 1e-12
+    assert step_exponent_residual(p, l, w_i, w_prev, x, y, z, ETA) <= 1e-12
 
 
 def test_exponent_identity_scalar_symbolic_oracle():
@@ -271,8 +265,8 @@ def test_exponent_identity_scalar_symbolic_oracle():
 
     subs = {w: 0.7, w0: -0.2, x: 1.3, y: 0.9, z: 0.4, eta: 0.05}
     p, l = SquaredL2(1), Quadratic()
-    d = DataPoint(np.array([float(subs[x])]), float(subs[y]))
-    traj = run_general_recursion(p, l, [d], [float(subs[z])], float(subs[eta]), np.array([float(subs[w0])]))
+    traj = run_general_recursion(p, l, [[float(subs[x])]], [float(subs[y])], [float(subs[z])],
+                                 float(subs[eta]), np.array([float(subs[w0])]))
     got = exponent_identity_residual(p, l, np.array([float(subs[w])]), traj, [float(subs[z])])
     lhs_num = float(lhs.subs(subs))
     rhs_num = float(rhs.subs(subs))
@@ -283,10 +277,10 @@ def test_exponent_identity_scalar_symbolic_oracle():
 def test_local_identity_softplus_link(rng):
     m = GeneralizedLinear("softplus")
     p, l = SquaredL2(3), Quadratic()
-    w_ref, _, data = _make_problem(p, m, rng, T=15)
-    traj = iterate(p, l, m, data, Constant(0.05), rng.standard_normal(3), check_margin=False)
-    for i, d in enumerate(data, 1):
+    w_ref, _, X, Y = _make_problem(p, m, rng, T=15)
+    traj = iterate(p, l, m, X, Y, Constant(0.05), rng.standard_normal(3), check_margin=False)
+    for i, (x, y) in enumerate(zip(X, Y), 1):
         rec = local_identity(
-            p, l, m, w_ref, traj.iterate_before(i), traj.iterates[i - 1], d, 0.05, step=i
+            p, l, m, w_ref, traj.iterate_before(i), traj.iterates[i - 1], x, y, 0.05, step=i
         )
         assert rec.local_residual <= 1e-9

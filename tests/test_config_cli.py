@@ -320,3 +320,26 @@ def test_risk_needs_at_least_one_step(tmp_path, caplog):
     assert any(r.message.startswith("ConfigError") for r in caplog.records)
     with pytest.raises(ConfigError, match="T=0"):
         exponent_blowup_probe(make_config(n_trials=10), checkpoints=(0,))
+
+
+@pytest.mark.parametrize("sub", ["audit", "implicit"])
+def test_verdicts_need_at_least_one_step(sub, tmp_path, caplog):
+    path = _write(tmp_path, {"T": 0, "n_trials": 10, "output_dir": str(tmp_path / "o")})
+    with caplog.at_level(logging.ERROR, logger="mirrorkit"):
+        assert main([sub, "--config", str(path)]) == EXIT_ERROR
+    assert any(r.message.startswith("ConfigError") and "at least one step" in r.message
+               for r in caplog.records)
+    assert not (tmp_path / "o").exists()
+    # a path of w_0 alone asserts nothing, so `run` still writes it
+    assert main(["run", "--config", str(path)]) == EXIT_PASS
+    assert len((tmp_path / "o" / "trajectory.csv").read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["run", "--config", "cfg.json", "--seed", "abc"], EXIT_ERROR),
+    (["optimize", "--config", "cfg.json"], EXIT_ERROR),
+    (["run"], EXIT_ERROR),
+    (["--help"], EXIT_PASS),
+])
+def test_usage_errors_exit_1_and_help_exits_0(argv, code, capsys):
+    assert main(argv) == code

@@ -4,7 +4,6 @@ import pytest
 from mirrorkit import (
     ConfigError,
     Constant,
-    DataPoint,
     DomainError,
     GeneralizedLinear,
     Linear,
@@ -33,7 +32,7 @@ from conftest import all_losses, all_potentials, random_in_domain
 def test_smd_step_is_lms_for_quadratic_l2():
     w = smd_step(
         SquaredL2(2), Quadratic(), Linear(),
-        np.zeros(2), DataPoint(np.array([1.0, 1.0]), 1.0), 0.1,
+        np.zeros(2), np.array([1.0, 1.0]), 1.0, 0.1,
     )
     np.testing.assert_allclose(w, [0.1, 0.1])
 
@@ -41,7 +40,7 @@ def test_smd_step_is_lms_for_quadratic_l2():
 def test_smd_step_exponentiated_gradient():
     w = smd_step(
         NegEntropy(2), Quadratic(), Linear(),
-        np.array([1.0, 1.0]), DataPoint(np.array([1.0, 0.0]), 2.0), 0.5,
+        np.array([1.0, 1.0]), np.array([1.0, 0.0]), 2.0, 0.5,
     )
     np.testing.assert_allclose(w, [np.exp(0.5), 1.0], rtol=1e-12)
 
@@ -51,22 +50,21 @@ def test_smd_fixed_point_is_exact(rng):
         for l in all_losses():
             w = random_in_domain(p, rng)
             x = np.asarray(rng.normal(size=3))
-            d = DataPoint(x, float(x @ w))
-            out = smd_step(p, l, Linear(), w, d, 0.3)
+            out = smd_step(p, l, Linear(), w, x, float(x @ w), 0.3)
             assert np.array_equal(out, w)
 
 
 def test_ssmd_examples():
     np.testing.assert_allclose(
-        ssmd_step(SquaredL2(1), Quadratic(), np.zeros(1), DataPoint(np.array([1.0]), 1.0), 0.1),
+        ssmd_step(SquaredL2(1), Quadratic(), np.zeros(1), np.array([1.0]), 1.0, 0.1),
         [0.1],
     )
     np.testing.assert_allclose(
-        ssmd_step(SquaredL2(1), Quartic(), np.ones(1), DataPoint(np.array([1.0]), 1.0), 0.1),
+        ssmd_step(SquaredL2(1), Quartic(), np.ones(1), np.array([1.0]), 1.0, 0.1),
         [1.0],
     )
     np.testing.assert_allclose(
-        ssmd_step(SquaredL2(1), Quartic(), np.zeros(1), DataPoint(np.array([1.0]), 2.0), 0.1),
+        ssmd_step(SquaredL2(1), Quartic(), np.zeros(1), np.array([1.0]), 2.0, 0.1),
         [0.8],
     )
 
@@ -76,9 +74,9 @@ def test_ssmd_equals_smd_for_quadratic(rng):
         for _ in range(30):
             w = random_in_domain(p, rng)
             x = np.asarray(rng.normal(size=3))
-            d = DataPoint(x, float(rng.normal()))
-            a = smd_step(p, Quadratic(), Linear(), w, d, 0.2)
-            b = ssmd_step(p, Quadratic(), w, d, 0.2)
+            y = float(rng.normal())
+            a = smd_step(p, Quadratic(), Linear(), w, x, y, 0.2)
+            b = ssmd_step(p, Quadratic(), w, x, y, 0.2)
             assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -86,27 +84,27 @@ def test_mirror_domain_additivity(rng):
     stream = RngStream(3, 0)
     for p in all_potentials(3):
         l = Quadratic()
-        xs = gaussian_inputs(3, 25, stream)
+        X = gaussian_inputs(3, 25, stream)
         w_true = random_in_domain(p, rng)
-        data = [DataPoint(x, float(x @ w_true) + 0.1 * rng.normal()) for x in xs]
-        traj = iterate(p, l, Linear(), data, Constant(0.05), random_in_domain(p, rng), check_margin=False)
-        for i, d in enumerate(data, 1):
+        Y = X @ w_true + 0.1 * rng.normal(size=25)
+        traj = iterate(p, l, Linear(), X, Y, Constant(0.05), random_in_domain(p, rng), check_margin=False)
+        for i, (x, y) in enumerate(zip(X, Y), 1):
             w_prev = traj.iterate_before(i)
             w_next = traj.iterates[i - 1]
             lhs = p.grad(w_next) - p.grad(w_prev)
-            rhs = 0.05 * d.x * l.deriv(d.y - float(d.x @ w_prev))
+            rhs = 0.05 * x * l.deriv(y - float(x @ w_prev))
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 def test_sgd_equivalence_bitwise(rng):
     stream = RngStream(11, 0)
-    xs = gaussian_inputs(4, 100, stream)
+    X = gaussian_inputs(4, 100, stream)
     w_true = np.asarray(rng.normal(size=4))
-    data = [DataPoint(x, float(x @ w_true) + 0.2 * rng.normal()) for x in xs]
+    Y = X @ w_true + 0.2 * rng.normal(size=100)
     p, l = SquaredL2(4), Quadratic()
     w0 = np.asarray(rng.normal(size=4))
-    smd = iterate(p, l, Linear(), data, Constant(0.05), w0, algorithm="smd", check_margin=False)
-    sgd = iterate(p, l, Linear(), data, Constant(0.05), w0, algorithm="sgd", check_margin=False)
+    smd = iterate(p, l, Linear(), X, Y, Constant(0.05), w0, algorithm="smd", check_margin=False)
+    sgd = iterate(p, l, Linear(), X, Y, Constant(0.05), w0, algorithm="sgd", check_margin=False)
     for a, b in zip(smd.iterates, sgd.iterates):
         assert np.array_equal(a, b)
 
@@ -114,10 +112,10 @@ def test_sgd_equivalence_bitwise(rng):
 def test_positive_orthant_preserved(rng):
     stream = RngStream(5, 0)
     p = NegEntropy(3)
-    xs = gaussian_inputs(3, 200, stream)
+    X = gaussian_inputs(3, 200, stream)
     w_true = np.abs(rng.normal(size=3)) + 0.3
-    data = [DataPoint(x, float(x @ w_true) + 0.3 * rng.normal()) for x in xs]
-    traj = iterate(p, Quadratic(), Linear(), data, Constant(0.05), np.ones(3), check_margin=False)
+    Y = X @ w_true + 0.3 * rng.normal(size=200)
+    traj = iterate(p, Quadratic(), Linear(), X, Y, Constant(0.05), np.ones(3), check_margin=False)
     for w in traj.iterates:
         assert np.all(w > 0)
 
@@ -138,8 +136,8 @@ def test_run_trajectory_keeps_its_problem():
     problem = generate_problem(cfg)
     np.testing.assert_array_equal(traj.problem.w_true, problem.w_true)
     np.testing.assert_array_equal(traj.problem.noises, problem.noises)
-    np.testing.assert_array_equal(traj.X, np.array(problem.inputs))
-    np.testing.assert_array_equal(traj.Y, [d.y for d in problem.data])
+    np.testing.assert_array_equal(traj.X, problem.X)
+    np.testing.assert_array_equal(traj.Y, problem.Y)
 
 
 def test_noiseless_consistent_data_interpolates():
@@ -152,69 +150,79 @@ def test_noiseless_consistent_data_interpolates():
     from mirrorkit.datagen import generate_problem
 
     problem = generate_problem(cfg)
-    residuals = [abs(d.y - float(d.x @ traj.final)) for d in problem.data]
+    residuals = np.abs(problem.Y - problem.X @ traj.final)
     assert max(residuals) < 1e-6
 
 
 def test_domain_error_reports_step_index():
     p = NegEntropy(1)
-    data = [DataPoint(np.array([1.0]), -50.0)]
     # a huge negative mirror shift underflows exp to exactly 0, leaving the domain
     with pytest.raises(DomainError, match="step 1"):
-        iterate(p, Quadratic(), Linear(), data, Constant(50.0), np.array([1e-3]), check_margin=False)
+        iterate(p, Quadratic(), Linear(), [[1.0]], [-50.0], Constant(50.0), np.array([1e-3]),
+                check_margin=False)
+
+
+@pytest.mark.parametrize("X, Y", [
+    ([[np.nan, 1.0], [0.0, 1.0]], [0.5, 0.5]),
+    ([[np.inf, 1.0], [0.0, 1.0]], [0.5, 0.5]),
+    ([[1.0, 1.0], [0.0, 1.0]], [0.5, np.nan]),
+    ([[1.0, 1.0], [0.0, 1.0]], [-np.inf, 0.5]),
+    ([[1.0, 1.0], [0.0, 1.0]], [0.5]),
+    ([[1.0, 1.0]], [0.5, 0.5]),
+    ([[1.0, 1.0, 1.0], [0.0, 1.0, 1.0]], [0.5, 0.5]),
+    ([1.0, 1.0], [0.5, 0.5]),
+])
+def test_iterate_rejects_bad_observations(X, Y):
+    with pytest.raises(ValueError):
+        iterate(SquaredL2(2), Quadratic(), Linear(), X, Y, Constant(0.1), np.zeros(2), check_margin=False)
 
 
 def test_stability_warning_emitted():
-    data = [DataPoint(np.array([2.0]), 1.0)]
     with pytest.warns(StabilityWarning):
-        iterate(SquaredL2(1), Quadratic(), Linear(), data, Constant(1.0), np.zeros(1))
+        iterate(SquaredL2(1), Quadratic(), Linear(), [[2.0]], [1.0], Constant(1.0), np.zeros(1))
 
 
 def test_ssmd_requires_linear():
     with pytest.raises(ConfigError):
         iterate(
             SquaredL2(1), Quadratic(), GeneralizedLinear("tanh"),
-            [DataPoint(np.array([1.0]), 0.5)], Constant(0.1), np.zeros(1),
+            [[1.0]], [0.5], Constant(0.1), np.zeros(1),
             algorithm="ssmd",
         )
 
 
 def test_glm_jacobian_matches_finite_differences(rng):
+    """The Jacobian g'(x^T w) x and the loss curvature rest on g_prime and
+    g_second: each matches central differences of the derivative below it."""
     h = 1e-6
+    u = 3.0 * np.asarray(rng.normal(size=60))
     for link in ("tanh", "softplus"):
         m = GeneralizedLinear(link)
-        for _ in range(20):
-            w = np.asarray(rng.normal(size=3))
-            x = np.asarray(rng.normal(size=3))
-            jac = m.jacobian(x, w)
-            for j in range(3):
-                e = np.zeros(3)
-                e[j] = h
-                fd = (m.predict(x, w + e) - m.predict(x, w - e)) / (2 * h)
-                assert fd == pytest.approx(jac[j], rel=1e-6, abs=1e-8)
+        for f, df in ((m.g, m.g_prime), (m.g_prime, m.g_second)):
+            fd = (f(u + h) - f(u - h)) / (2 * h)
+            np.testing.assert_allclose(fd, df(u), rtol=1e-6, atol=1e-8)
 
 
 def test_convexity_margin_lms_bound(rng):
     x = np.asarray(rng.normal(size=3))
-    d = DataPoint(x, 0.7)
-    w = np.zeros(3)
+    W, X, Y = np.zeros((1, 3)), x[None, :], [0.7]
     for eta in (0.05, 0.2):
-        margin = convexity_margin(SquaredL2(3), Quadratic(), Linear(), eta, [(w, d)])
+        margin = convexity_margin(SquaredL2(3), Quadratic(), Linear(), eta, W, X, Y)
         assert margin == pytest.approx(1.0 - eta * float(x @ x), abs=1e-10)
     eta_star = 1.0 / float(x @ x)
-    assert abs(convexity_margin(SquaredL2(3), Quadratic(), Linear(), eta_star, [(w, d)])) < 1e-10
+    assert abs(convexity_margin(SquaredL2(3), Quadratic(), Linear(), eta_star, W, X, Y)) < 1e-10
 
 
 def test_convexity_margin_entropy_small_eta(rng):
     w = np.abs(rng.normal(size=3)) + 0.2
     x = np.abs(rng.normal(size=3)) + 0.1
-    margin = convexity_margin(NegEntropy(3), Quadratic(), Linear(), 1e-9, [(w, DataPoint(x, 0.0))])
+    margin = convexity_margin(NegEntropy(3), Quadratic(), Linear(), 1e-9, w[None, :], x[None, :], [0.0])
     assert margin == pytest.approx(1.0 / np.max(w), rel=1e-6)
 
 
-def _finite_difference_margin(p, l, m, eta, w, d, h=1e-5):
+def _finite_difference_margin(p, l, m, eta, w, x, y, h=1e-5):
     """Oracle: eigvalsh of hess psi - eta * a central-difference loss Hessian."""
-    grad = lambda v: -m.jacobian(d.x, v) * l.deriv(d.y - m.predict(d.x, v))
+    grad = lambda v: -m.g_prime(x @ v) * x * l.deriv(y - m.g(x @ v))
     H = np.column_stack([(grad(w + h * e) - grad(w - h * e)) / (2.0 * h) for e in np.eye(w.size)])
     keep = np.abs(w) >= 1e-8
     A = np.diag(p.hessian_diag(w)[keep]) - eta * 0.5 * (H + H.T)[np.ix_(keep, keep)]
@@ -230,14 +238,14 @@ def test_rank_one_certificate_matches_finite_difference_oracle(rng):
             for m in models:
                 for _ in range(10):
                     w = random_in_domain(p, rng)
-                    d = DataPoint(rng.normal(size=3), float(rng.normal()))
+                    x, y = rng.normal(size=3), float(rng.normal())
                     eta = 10.0 ** rng.uniform(-2.0, 1.0)
-                    oracle = _finite_difference_margin(p, l, m, eta, w, d)
+                    oracle = _finite_difference_margin(p, l, m, eta, w, x, y)
                     if abs(oracle) < 1e-6:
                         continue
-                    holds = premise_holds(p, l, m, eta, w[None, :], d.x[None, :], np.array([d.y]))
+                    holds = premise_holds(p, l, m, eta, w[None, :], x[None, :], np.array([y]))
                     assert bool(holds[0]) == (oracle >= 0.0), (p, l, m, eta, oracle)
-                    margin = convexity_margin(p, l, m, eta, [(w, d)])
+                    margin = convexity_margin(p, l, m, eta, w[None, :], x[None, :], [y])
                     assert margin == pytest.approx(oracle, rel=1e-6, abs=1e-6)
                     verdicts.append(bool(holds[0]))
     assert len(verdicts) > 300 and 0 < sum(verdicts) < len(verdicts)
@@ -245,25 +253,24 @@ def test_rank_one_certificate_matches_finite_difference_oracle(rng):
 
 def test_persistent_excitation_basis():
     m = 4
-    data = [DataPoint(np.eye(m)[j % m], 0.0) for j in range(3 * m)]
-    assert persistent_excitation(data, 1.0) == (True, m)
+    X = np.eye(m)[np.arange(3 * m) % m]
+    assert persistent_excitation(X, 1.0) == (True, m)
 
 
 def test_persistent_excitation_rank_deficient():
-    data = [DataPoint(np.array([1.0, 0.0]), 0.0)] * 10
-    assert persistent_excitation(data, 0.01) == (False, 0)
+    X = np.tile([1.0, 0.0], (10, 1))
+    assert persistent_excitation(X, 0.01) == (False, 0)
 
 
 def test_persistent_excitation_gaussian_matches_eig_oracle():
     stream = RngStream(17, 0)
     xs = gaussian_inputs(5, 60, stream)
-    data = [DataPoint(x, 0.0) for x in xs]
-    ok, T = persistent_excitation(data, 0.1)
+    ok, T = persistent_excitation(xs, 0.1)
     assert ok
-    # any iterable of data points works, and is read only up to T
-    rest = (d for d in data)
+    # any iterable of rows works, and is read only up to T
+    rest = (x for x in xs)
     assert persistent_excitation(rest, 0.1) == (ok, T)
-    assert len(list(rest)) == len(data) - T
+    assert len(list(rest)) == len(xs) - T
     # independent oracle: cumulative Gram eigenvalues
     G = np.zeros((5, 5))
     oracle_T = 0

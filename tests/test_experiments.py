@@ -3,7 +3,6 @@ import pytest
 
 from mirrorkit import (
     ConfigError,
-    DataPoint,
     Linear,
     NegEntropy,
     Quadratic,
@@ -34,38 +33,32 @@ from mirrorkit.experiments import (
 from mirrorkit.samplers import ExpFamilySpec, RngStream, sample_noise, sample_weight
 
 
-def _data(rng, dim, T):
-    xs = [rng.standard_normal(dim) for _ in range(T)]
-    return [DataPoint(x, float(rng.standard_normal())) for x in xs]
-
-
 def test_risk_cost_clairvoyant_is_one(rng):
     l = Quadratic()
-    data = _data(rng, 2, 6)
+    X, Y = rng.standard_normal((6, 2)), rng.standard_normal(6)
     w = rng.standard_normal(2)
-    preds = [float(d.x @ w) for d in data]
-    assert risk_cost(preds, w, data, l) == pytest.approx(1.0)
+    assert risk_cost(X @ w, w, X, Y, l) == pytest.approx(1.0)
 
 
 def test_risk_cost_empty_is_one():
-    assert risk_cost([], np.zeros(2), [], Quadratic()) == 1.0
+    assert risk_cost([], np.zeros(2), np.empty((0, 2)), [], Quadratic()) == 1.0
 
 
 def test_risk_cost_unit_gap_quadratic():
-    d = DataPoint(np.array([1.0]), 0.3)
+    X, Y = np.array([[1.0]]), [0.3]
     w = np.array([1.0])
     # prediction one unit away from x^T w gives exp(1/2)
-    assert risk_cost([0.0], w, [d], Quadratic()) == pytest.approx(np.exp(0.5))
+    assert risk_cost([0.0], w, X, Y, Quadratic()) == pytest.approx(np.exp(0.5))
 
 
 def test_risk_cost_modes(rng):
     l = Quadratic()
-    d = DataPoint(np.array([1.0]), 0.0)
+    X, Y = np.array([[1.0]]), [0.0]
     w = np.array([2.0])
     z = [0.5]
-    smd = risk_cost(z, w, [d], l, SMDCost())
-    ssmd = risk_cost(z, w, [d], l, SSMDCost())
-    scaled = risk_cost(z, w, [d], l, ScaledQuadratic(0.5))
+    smd = risk_cost(z, w, X, Y, l, SMDCost())
+    ssmd = risk_cost(z, w, X, Y, l, SSMDCost())
+    scaled = risk_cost(z, w, X, Y, l, ScaledQuadratic(0.5))
     assert smd == pytest.approx(np.exp(0.5 * 1.5**2))
     assert ssmd == pytest.approx(smd)  # quadratic bregman depends on the gap only
     assert scaled == pytest.approx(smd)
@@ -284,8 +277,7 @@ def test_msq_vectorized_matches_engine():
     v = np.asarray(rng.normal(120))
     schedule = RobbinsMonro(0.5)
     marks, snaps = _msq_runs(p, l, X, X @ w_true, v[None, :], schedule, np.ones(3))
-    data = [DataPoint(x, float(x @ w_true) + n) for x, n in zip(X, v)]
-    traj = iterate(p, l, Linear(), data, schedule, np.ones(3), check_margin=False)
+    traj = iterate(p, l, Linear(), X, X @ w_true + v, schedule, np.ones(3), check_margin=False)
     np.testing.assert_allclose(snaps[120][0], traj.iterates[-1], rtol=1e-12, atol=1e-14)
 
 
@@ -306,11 +298,10 @@ def test_engines_share_one_mirror_update_bitwise():
     rng = RngStream(21, 0)
     X = np.stack([np.asarray(rng.normal(3)) for _ in range(120)])
     Y = X @ np.array([0.9, 1.4, 0.6]) + 0.3 * np.asarray(rng.normal(120))
-    data = [DataPoint(x, y) for x, y in zip(X, Y)]
     w0 = np.ones(3)
     for p in all_potentials(3):
         for l in all_losses():
-            traj = iterate(p, l, Linear(), data, Constant(0.02), w0, check_margin=False)
+            traj = iterate(p, l, Linear(), X, Y, Constant(0.02), w0, check_margin=False)
             marks, snaps = _msq_runs(p, l, X, Y, np.zeros((1, 120)), Constant(0.02), w0)
             for t in marks:
                 assert np.array_equal(snaps[t][0], traj.iterates[t - 1])

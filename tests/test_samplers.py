@@ -194,3 +194,13 @@ def test_prior_tables_are_built_once_across_trials(monkeypatch):
     # neg_entropy centers 0.5 and 1.0, separable_q center 1.0, the logcosh noise
     assert len(built) == len(samplers._PRIOR_TABLES) + len(samplers._NOISE_TABLES) == 4
     assert all(np.array_equal(a, b) for a, b in zip(memo, fresh))
+
+
+def test_normal_is_box_muller_of_the_stream_uniforms():
+    for n in (1, 2, 5, 8, 99):
+        pairs = (n + 1) // 2
+        u = RngStream(4, 2).uniform(2 * pairs)
+        r = np.sqrt(-2.0 * np.log(1.0 - u[:pairs]))
+        angle = 2.0 * np.pi * u[pairs:]
+        z = np.column_stack([r * np.cos(angle), r * np.sin(angle)]).ravel()[:n]
+        assert np.array_equal(RngStream(4, 2).normal(n), z)
