@@ -32,7 +32,7 @@ from .descent import (
 )
 from .errors import ConfigError, ConvergenceError, RankError, StepCapError
 from .potentials import SquaredL2
-from .samplers import ExpFamilySpec, RngStream, sample_noise, sample_weight, sample_white_noise
+from .samplers import ExpFamilySpec, RngStream, noise_draw, sample_weight, sample_white_noise, weight_draw
 
 log = logging.getLogger("mirrorkit")
 
@@ -160,7 +160,6 @@ class EstimatorCost:
 @dataclass
 class RiskReport:
     entries: list
-    exponent_mode: object
 
     def entry(self, name):
         for e in self.entries:
@@ -182,23 +181,28 @@ def _linear_quantile(s, q):
 
 
 def bootstrap_basic_ci(values, rng, n_resamples=BOOTSTRAP_RESAMPLES, level=0.95):
-    """Basic (reverse-percentile) bootstrap interval for the mean."""
+    """Basic (reverse-percentile) bootstrap interval for the mean of `values`
+    (n,), or one per row of a stack (E, n) of paired samples. All rows share
+    the resampling indices and are gathered, not counted: with a count matrix
+    one overflowed value would make every resample mean NaN (0 * inf)."""
     values = np.asarray(values, dtype=float)
-    n = values.size
-    means = np.empty(n_resamples)
-    chunk = max(1, min(n_resamples, int(2e6) // max(n, 1)))
-    done = 0
+    rows = np.atleast_2d(values)
+    n = rows.shape[1]
+    if n < 2:
+        raise ValueError(f"a bootstrap interval needs at least 2 values, got {n}")
+    means = np.empty((len(rows), n_resamples))
+    chunk = max(1, min(n_resamples, int(2e6) // n))
     with np.errstate(over="ignore", invalid="ignore"):
-        while done < n_resamples:
-            k = min(chunk, n_resamples - done)
-            idx = rng.integers(0, n, (k, n))
-            means[done : done + k] = values[idx].mean(axis=1)
-            done += k
+        for done in range(0, n_resamples, chunk):
+            idx = rng.integers(0, n, (min(chunk, n_resamples - done), n))
+            for row, row_means in zip(rows, means):
+                row_means[done : done + len(idx)] = row[idx].mean(axis=1)
         alpha = (1.0 - level) / 2.0
-        means.sort()
-        lo_q, hi_q = _linear_quantile(means, alpha), _linear_quantile(means, 1.0 - alpha)
-        m = float(values.mean())
-        return 2.0 * m - float(hi_q), 2.0 * m - float(lo_q)
+        means.sort(axis=1)
+        m = [float(row.mean()) for row in rows]
+        cis = [(2.0 * mi - float(_linear_quantile(s, 1.0 - alpha)),
+                2.0 * mi - float(_linear_quantile(s, alpha))) for mi, s in zip(m, means)]
+    return cis if values.ndim == 2 else cis[0]
 
 
 def paired_gap_ci(costs_a, costs_b, rng, n_resamples=BOOTSTRAP_RESAMPLES, level=0.95):
@@ -209,14 +213,13 @@ def paired_gap_ci(costs_a, costs_b, rng, n_resamples=BOOTSTRAP_RESAMPLES, level=
 
 
 def _draw_trials(prior, l, T, n_trials, seed):
-    dim = prior.potential.dim
-    W = np.empty((n_trials, dim))
-    V = np.empty((n_trials, T))
-    for t in range(n_trials):
-        rng = RngStream(seed, STREAM_TRIAL_BASE + t)
-        W[t] = sample_weight(prior, rng)
-        V[t] = sample_noise(l, rng, size=T)
-    return W, V
+    """Every trial's weight (n_trials, dim) and noises (n_trials, T). Trial t
+    takes both, weight first, from one uniform draw of stream 1000 + t."""
+    kw, weights = weight_draw(prior)
+    kv, noises = noise_draw(l, T)
+    rows = (RngStream(seed, STREAM_TRIAL_BASE + t).uniform(kw + kv) for t in range(n_trials))
+    U = np.fromiter(rows, np.dtype((float, kw + kv)), count=n_trials)
+    return weights(U[:, :kw]), noises(U[:, kw:])
 
 
 def certify_margin(cfg, p, l, eta, X, prior, warn_only=False):
@@ -281,19 +284,20 @@ def risk_compare(cfg, warn_only=False):
     """
     if cfg.model["kind"] != "linear":
         raise ConfigError("risk comparison is defined for the linear model")
+    if cfg.n_trials < 2:
+        raise ConfigError(f"risk comparison needs at least 2 trials, got n_trials={cfg.n_trials}")
     p, l, eta, prior, X, w0, XW, Y = _risk_trials(cfg, cfg.T, warn_only, "risk comparison")
-    entries = []
-    rng_boot = RngStream(cfg.seed, STREAM_BOOTSTRAP)
+    runs = []
     for spec in cfg.estimators:
         name, predictions = estimator_predictions(spec, p, l, eta, prior, X, Y, w0)
         mode = SSMDCost() if spec["kind"] == "ssmd" else SMDCost()
-        costs = _costs_at({cfg.T}, mode, l, XW, Y, predictions)[cfg.T]
-        ci_low, ci_high = bootstrap_basic_ci(costs, rng_boot)
-        entries.append(
-            EstimatorCost(name, float(costs.mean()), ci_low, ci_high, cfg.n_trials, mode, costs)
-        )
-        log.info("estimator %-18s mc_cost=%.6f ci=[%.6f, %.6f]", name, costs.mean(), ci_low, ci_high)
-    return RiskReport(entries=entries, exponent_mode=SMDCost())
+        runs.append((name, mode, _costs_at({cfg.T}, mode, l, XW, Y, predictions)[cfg.T]))
+    cis = bootstrap_basic_ci(np.stack([c for *_, c in runs]), RngStream(cfg.seed, STREAM_BOOTSTRAP))
+    entries = [EstimatorCost(name, float(costs.mean()), lo, hi, cfg.n_trials, mode, costs)
+               for (name, mode, costs), (lo, hi) in zip(runs, cis)]
+    for e in entries:
+        log.info("estimator %-18s mc_cost=%.6f ci=[%.6f, %.6f]", e.name, e.mc_cost, e.ci_low, e.ci_high)
+    return RiskReport(entries=entries)
 
 
 def exponent_blowup_probe(cfg, alpha=1.0, checkpoints=(10, 20, 30, 40, 50), warn_only=True):

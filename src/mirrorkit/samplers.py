@@ -43,6 +43,19 @@ def derive_seed(seed, stream_index):
     return _splitmix64((int(seed) + (int(stream_index) + 1) * _GOLDEN) & _MASK64)
 
 
+def box_muller(u, n):
+    """n standard normals from each row of the uniforms `u`, shape
+    (rows, n + n % 2), by the Box-Muller transform: a row's first half holds
+    the radius uniforms, its second half the angle uniforms."""
+    pairs = (n + 1) // 2
+    r = np.sqrt(-2.0 * np.log(1.0 - u[:, :pairs]))
+    angle = 2.0 * np.pi * u[:, pairs:]
+    z = np.empty((len(u), 2 * pairs))
+    z[:, 0::2] = r * np.cos(angle)
+    z[:, 1::2] = r * np.sin(angle)
+    return z[:, :n]
+
+
 class RngStream:
     """A named, reproducible random stream.
 
@@ -61,28 +74,15 @@ class RngStream:
         return self._gen.random(size)
 
     def normal(self, size):
-        """Standard normals of shape `size` via the Box-Muller transform: the
-        one row of `normal_rows(1, n)` for n = prod(size).
-
-        A draw of n values takes ceil(n/2) uniforms for the radii and then
-        ceil(n/2) for the angles, so a draw depends on its length: a shorter
-        draw is not a prefix of a longer one from an identically
-        constructed stream.
-        """
+        """Standard normals of shape `size`, the one row of `normal_rows(1, n)`
+        for n = prod(size). All radii come before all angles (`box_muller`),
+        so a shorter draw is not a prefix of a longer one."""
         return self.normal_rows(1, int(np.prod(size)))[0].reshape(size)
 
     def normal_rows(self, count, dim):
         """A (count, dim) array of standard normals whose rows are, bit for
-        bit, `count` successive `normal(dim)` draws: each row takes its
-        ceil(dim/2) radius uniforms, then its ceil(dim/2) angle uniforms."""
-        pairs = (dim + 1) // 2
-        u = self._gen.random((count, 2 * pairs))
-        r = np.sqrt(-2.0 * np.log(1.0 - u[:, :pairs]))
-        angle = 2.0 * np.pi * u[:, pairs:]
-        z = np.empty((count, 2 * pairs))
-        z[:, 0::2] = r * np.cos(angle)
-        z[:, 1::2] = r * np.sin(angle)
-        return z[:, :dim]
+        bit, `count` successive `normal(dim)` draws."""
+        return box_muller(self._gen.random((count, dim + dim % 2)), dim)
 
     def integers(self, low, high, size=None):
         return self._gen.integers(low, high, size=size)
@@ -171,13 +171,6 @@ class TabulatedDensity:
             w = np.maximum(w, np.nextafter(self._open_lower, np.inf))
         return w
 
-    def sample(self, rng, size=None):
-        return self.ppf(rng.uniform(size))
-
-    def moment(self, k):
-        """Grid-quadrature estimate of E[x^k] under the tabulated density."""
-        return float(np.trapezoid(self.xs**k * self.pdf, self.xs))
-
 
 def _laplace_scale(p1, c, eta):
     """Characteristic width sqrt(eta / psi''(c)) of the density peak.
@@ -253,28 +246,33 @@ def _prior_table(p1, c, scale, grid):
     return _PRIOR_TABLES[key]
 
 
-def sample_weight(spec, rng, size=None, force_tabulated=False):
-    """Draw weight vectors from the exponential-family prior.
-
-    Returns shape (dim,) for size=None, else (size, dim). Tabulated draws
-    are trial-major uniforms, so a single draw is the first row of a batch
-    from an identically constructed stream. The squared-L2 potential
-    short-circuits to exact Gaussian draws N(center, scale), which take one
-    `RngStream.normal` of size * dim values, so their first row depends on
-    the batch size.
-    """
-    n = 1 if size is None else int(size)
-    dim = spec.potential.dim
+def weight_draw(spec, size=None, force_tabulated=False):
+    """(k, values): `size` weight vectors take k uniforms, and `values` maps a
+    (rows, k) block of them to (rows, dim) weights, or (rows, size, dim).
+    Tabulated draws take one uniform per value in order; squared-L2 ones are
+    exact N(center, scale), one Box-Muller draw of all size * dim values."""
+    shape = (spec.potential.dim,) if size is None else (int(size), spec.potential.dim)
+    m = math.prod(shape)
     if isinstance(spec.potential, SquaredL2) and not force_tabulated:
-        z = np.asarray(rng.normal((n, dim)))
-        out = spec.center + np.sqrt(spec.scale) * z
-    else:
-        tabs = spec.tables()
-        u = rng.uniform((n, dim))
-        out = np.empty((n, dim))
-        for j in range(dim):
-            out[:, j] = tabs[j].ppf(u[:, j])
-    return out[0] if size is None else out
+        root = np.sqrt(spec.scale)
+        return m + m % 2, lambda U: spec.center + root * box_muller(U, m).reshape(-1, *shape)
+    tabs = spec.tables()
+
+    def values(U):
+        out = U.reshape(-1, *shape).copy()
+        for j, tab in enumerate(tabs):
+            out[..., j] = tab.ppf(out[..., j])
+        return out
+
+    return m, values
+
+
+def sample_weight(spec, rng, size=None, force_tabulated=False):
+    """Weight vectors from the exponential-family prior, shape (dim,) for
+    size=None, else (size, dim). A single tabulated draw is the first row of
+    a batch from an identically constructed stream; a squared-L2 one is not."""
+    k, values = weight_draw(spec, size, force_tabulated)
+    return values(rng.uniform((1, k)))[0]
 
 
 _NOISE_TABLES = {}
@@ -291,14 +289,19 @@ def _noise_table(l, grid=GridSpec()):
     return _NOISE_TABLES[key]
 
 
-def sample_noise(l, rng, size, force_tabulated=False):
-    """Draw `size` noises with density proportional to exp(-l(v)).
-
-    The quadratic loss short-circuits to exact N(0, 1) draws.
-    """
+def noise_draw(l, size, force_tabulated=False):
+    """(k, values): `size` noises with density proportional to exp(-l(v))
+    take k uniforms, and `values` maps a (rows, k) block of them to (rows,
+    size) noises. The quadratic loss short-circuits to exact N(0, 1) draws."""
+    n = int(size)
     if isinstance(l, Quadratic) and not force_tabulated:
-        return rng.normal(size)
-    return _noise_table(l).sample(rng, int(size))
+        return n + n % 2, lambda U: box_muller(U, n)
+    return n, _noise_table(l).ppf
+
+
+def sample_noise(l, rng, size, force_tabulated=False):
+    k, values = noise_draw(l, size, force_tabulated)
+    return values(rng.uniform((1, k)))[0]
 
 
 @dataclass

@@ -238,13 +238,12 @@ def test_minimax_fails_closed_when_no_trial_is_certified(tmp_path, caplog):
 @pytest.mark.parametrize("field", ["mc_cost", "ci_low"])
 def test_risk_verdict_fails_on_nan(field, tmp_path, monkeypatch):
     from mirrorkit import experiments
-    from mirrorkit.experiments import EstimatorCost, RiskReport, SMDCost
+    from mirrorkit.experiments import EstimatorCost, RiskReport
 
     baseline = dict(name="constant", mc_cost=2.0, ci_low=1.8, ci_high=2.2, n_trials=10)
     baseline[field] = float("nan")
     report = RiskReport(
         entries=[EstimatorCost("smd", 1.0, 0.9, 1.1, 10), EstimatorCost(**baseline)],
-        exponent_mode=SMDCost(),
     )
     monkeypatch.setattr(experiments, "risk_compare", lambda cfg, warn_only=False: report)
     assert dispatch(_cfg_for("risk", tmp_path), "risk") == EXIT_ASSERTION
@@ -320,6 +319,22 @@ def test_risk_needs_at_least_one_step(tmp_path, caplog):
     assert any(r.message.startswith("ConfigError") for r in caplog.records)
     with pytest.raises(ConfigError, match="T=0"):
         exponent_blowup_probe(make_config(n_trials=10), checkpoints=(0,))
+
+
+def test_risk_needs_two_trials(tmp_path, caplog):
+    # one trial collapses every bootstrap interval to its point, so the
+    # interval separation would pass on a single draw
+    mapping = json.loads((ROOT / "configs" / "risk_gaussian.json").read_text(encoding="utf-8"))
+    mapping["output_dir"] = str(tmp_path / "o")
+    path = _write(tmp_path, dict(mapping, n_trials=1))
+    with caplog.at_level(logging.ERROR, logger="mirrorkit"):
+        assert main(["risk", "--config", str(path)]) == EXIT_ERROR
+    assert any(r.message.startswith("ConfigError") and "n_trials=1" in r.message
+               for r in caplog.records)
+    assert not (tmp_path / "o").exists()
+    path = _write(tmp_path, dict(mapping, n_trials=2))
+    assert main(["risk", "--config", str(path)]) != EXIT_ERROR
+    assert (tmp_path / "o" / "risk.csv").exists()
 
 
 @pytest.mark.parametrize("sub", ["audit", "implicit"])

@@ -23,13 +23,16 @@ from mirrorkit import (
     run_interpolating_descent,
 )
 from mirrorkit.config import make_config
+from mirrorkit.datagen import STREAM_TRIAL_BASE
 from mirrorkit.experiments import (
     BOOTSTRAP_RESAMPLES,
+    _draw_trials,
     _linear_quantile,
     bootstrap_basic_ci,
     estimator_predictions,
     paired_gap_ci,
 )
+from mirrorkit.losses import LogCosh, Quartic
 from mirrorkit.samplers import ExpFamilySpec, RngStream, sample_noise, sample_weight
 
 
@@ -175,6 +178,49 @@ def test_bootstrap_ci_brackets_mean():
     assert hi - lo < 0.02
     gap_lo, gap_hi = paired_gap_ci(values, values + 0.05, RngStream(5, 2))
     assert gap_hi < 0.0  # a is uniformly smaller
+
+
+def test_stacked_bootstrap_shares_indices_row_by_row():
+    rng = np.random.default_rng(3)
+    a = np.exp(rng.standard_normal(3000))  # 3000 values: three full chunks and a partial one
+    b = a + 0.25
+    cis = bootstrap_basic_ci(np.stack([a, b, a]), RngStream(8, 4))
+    assert len(cis) == 3
+    assert cis[0] == bootstrap_basic_ci(a, RngStream(8, 4))
+    assert cis[2] == cis[0]
+    # paired: resampled on the same trials, a shifted row's interval shifts
+    # by exactly the offset, up to roundoff
+    np.testing.assert_allclose(cis[1], np.add(cis[0], 0.25), rtol=0, atol=1e-12)
+    # a gathered resample mean sees only its own row, and is NaN-free: a
+    # resample-count product would give 0 * inf = NaN for every mean of row 1
+    b[7] = np.inf
+    overflowed = bootstrap_basic_ci(np.stack([a, b]), RngStream(8, 4))
+    assert overflowed[0] == cis[0]
+    assert overflowed[1][1] == np.inf
+
+
+@pytest.mark.parametrize("values", [[1.0], np.ones((3, 1)), []])
+def test_bootstrap_needs_two_values(values):
+    with pytest.raises(ValueError, match="at least 2 values"):
+        bootstrap_basic_ci(values, RngStream(8, 4))
+
+
+@pytest.mark.parametrize("kind", ["squared_l2", "neg_entropy", "separable_q"])
+@pytest.mark.parametrize("loss", [Quadratic(), Quartic(), LogCosh()], ids=lambda l: l.kind)
+@pytest.mark.parametrize("dim, T", [(1, 7), (2, 4), (3, 20), (4, 5)])
+def test_batched_trial_draws_equal_per_trial_draws(kind, loss, dim, T):
+    p = {"squared_l2": SquaredL2(dim), "neg_entropy": NegEntropy(dim),
+         "separable_q": SeparableQ(3.0, dim)}[kind]
+    prior = ExpFamilySpec(p, np.linspace(0.5, 1.5, dim), 0.1)
+    W, V = _draw_trials(prior, loss, T, 30, seed=17)
+    assert W.shape == (30, dim) and V.shape == (30, T)
+    for t in range(30):
+        rng = RngStream(17, STREAM_TRIAL_BASE + t)
+        assert np.array_equal(W[t], sample_weight(prior, rng))
+        assert np.array_equal(V[t], sample_noise(loss, rng, size=T))
+    # a trial depends only on (seed, t), not on how many trials are drawn
+    W5, V5 = _draw_trials(prior, loss, T, 5, seed=17)
+    assert np.array_equal(W5, W[:5]) and np.array_equal(V5, V[:5])
 
 
 def test_exponent_probe_grows():
