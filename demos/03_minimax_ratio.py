@@ -37,6 +37,6 @@ X = gaussian_inputs(dim, 30, rng, unit=True)
 w = np.array([0.8, -0.5, 0.3])
 for eta in (0.5, 0.1, 0.02, 0.005, 0.001):
     traj = iterate(p, l, m, X, X @ w, Constant(eta), np.zeros(dim), check_margin=False)
-    rep = minimax_ratio(traj, w, np.zeros(30), certify=False)
+    rep = minimax_ratio(traj, w, np.zeros(30))
     print(f"eta = {eta:<6g} ratio = {rep.ratio:.6f}")
 print("the optimal (worst-case) value of the ratio game is exactly 1")

@@ -10,6 +10,7 @@ from .audit import (
     AuditRecord,
     MinimaxReport,
     audit_trajectory,
+    energy_gain,
     exponent_identity_residual,
     global_identity,
     local_identity,

@@ -33,7 +33,7 @@ class AuditRecord:
 
 @dataclass
 class MinimaxReport:
-    """Energy-gain ratio of one trajectory against a reference weight."""
+    """Energy-gain ratio against a reference weight, of one run or per run of a batch."""
 
     numerator: float
     denominator: float
@@ -112,7 +112,7 @@ def _require_constant(traj):
 def _noises_for(traj, w, noises):
     if noises is not None:
         return np.asarray(noises, dtype=float)
-    return traj.Y - traj.model.g(_rowdot(traj.X, w))
+    return traj.Y - traj.model.g(_rowdot(traj.X, w[..., None, :]))
 
 
 def _audit(traj, w, noises):
@@ -145,16 +145,16 @@ def audit_trajectory(traj, w, noises=None):
     return residual
 
 
-def minimax_ratio(traj, w, noises=None, certify=True):
+def energy_gain(traj, w, noises=None):
     """Energy-gain ratio; at most 1 whenever the convexity premise holds.
 
     numerator := D_psi(w, w_T) + eta * sum_i D_{L_i}(w, w_{i-1})
     denominator := D_psi(w, w_0) + eta * sum_i l(v_i)
 
-    `certify=False` skips the convexity certificate (useful in bulk
-    achievability sweeps where only the ratio matters); the report then
-    carries premise_certified=False. The certificate probes the premise at
-    w_{i-1} and w_i for every step i.
+    `traj` is one run or a batch, with `w` (dim,) or (n, dim) and `noises`
+    (T,) or (n, T) to match; sums run along the step axis. The certificate
+    probes the premise at w_{i-1} and w_i for every step i, so a run with no
+    step is never certified.
     """
     from .errors import DegenerateError
 
@@ -163,18 +163,24 @@ def minimax_ratio(traj, w, noises=None, certify=True):
     w = np.asarray(w, dtype=float)
     X, Y = traj.X, traj.Y
     v = _noises_for(traj, w, noises)
-    prev = traj.path[:-1]
-    numerator = bregman(p, w, traj.final).value + eta * np.sum(_loss_map_bregman(l, m, X, Y, w, prev))
-    denominator = bregman(p, w, traj.w0).value + eta * np.sum(l.value(v))
-    if denominator < DENOMINATOR_FLOOR:
+    prev = traj.path[..., :-1, :]
+    d_loss = _loss_map_bregman(l, m, X, Y, w[..., None, :], prev)
+    numerator = bregman(p, w, traj.final).value + eta * np.sum(d_loss, axis=-1)
+    denominator = bregman(p, w, traj.w0).value + eta * np.sum(l.value(v), axis=-1)
+    if np.any(denominator < DENOMINATOR_FLOOR):
         raise DegenerateError(
             "denominator vanishes: reference equals the start and all noises are zero"
         )
-    certified = False
-    if certify and len(Y):
-        probes = np.concatenate([prev, traj.iterates])
-        certified = bool(premise_holds(p, l, m, eta, probes, np.tile(X, (2, 1)), np.tile(Y, 2)).all())
-    return MinimaxReport(float(numerator), float(denominator), float(numerator / denominator), certified)
+    probes = np.concatenate([prev, traj.iterates], axis=-2)
+    XX, YY = np.concatenate([X, X], axis=-2), np.concatenate([Y, Y], axis=-1)
+    certified = premise_holds(p, l, m, eta, probes, XX, YY).all(axis=-1) & (len(traj) > 0)
+    return MinimaxReport(numerator, denominator, numerator / denominator, certified)
+
+
+def minimax_ratio(traj, w, noises=None):
+    """`energy_gain` of one trajectory, as floats."""
+    r = energy_gain(traj, w, noises)
+    return MinimaxReport(float(r.numerator), float(r.denominator), float(r.ratio), bool(r.premise_certified))
 
 
 def exponent_identity_residual(p, l, w, traj, z):

@@ -85,13 +85,12 @@ def planted_weight(cfg, potential, rng):
 @dataclass
 class Problem:
     """One generated estimation problem: truth, inputs X (T, dim), outputs
-    Y (T,), noise stream, and the weight prior (None for a planted weight)."""
+    Y (T,) and noise stream; a batch of trials adds a leading axis to each."""
 
     w_true: np.ndarray
     X: np.ndarray
     Y: np.ndarray
     noises: np.ndarray
-    prior: ExpFamilySpec | None
 
 
 def _reseeded(cfg, trial):
@@ -113,7 +112,6 @@ def generate_problem(cfg):
     X = make_inputs(cfg)
     rng_w = RngStream(cfg.seed, STREAM_WEIGHT)
     rng_v = RngStream(cfg.seed, STREAM_NOISE)
-    prior = None
     kind = cfg.noise["kind"]
     if kind == "model":
         prior = ExpFamilySpec(p, cfg.w0_vector(), prior_scale(cfg), grid=cfg.grid_spec())
@@ -128,4 +126,10 @@ def generate_problem(cfg):
             noises = np.asarray(sample_white_noise(spec, rng_v, size=cfg.T))
     # per-row dot products, each exactly np.dot(x, w_true), as in gaussian_inputs
     Y = m.g(np.vecdot(X, w_true)) + noises
-    return Problem(w_true=w_true, X=X, Y=Y, noises=noises, prior=prior)
+    return Problem(w_true=w_true, X=X, Y=Y, noises=noises)
+
+
+def generate_problems(cfg, n):
+    """`generate_problem(_reseeded(cfg, t))` for t < n, stacked on a leading axis."""
+    problems = [vars(generate_problem(_reseeded(cfg, t))).values() for t in range(n)]
+    return Problem(*(np.stack(a) for a in zip(*problems)))

@@ -127,9 +127,9 @@ class NoiseSpec:
 @dataclass
 class Trajectory:
     """One run as a (T+1, dim) path (w_0 first), its data as arrays (inputs
-    X of shape (T, dim), outputs Y of shape (T,)), and everything needed to
-    audit it; `problem` is the generated problem when the run made its own
-    data (`run_trajectory`)."""
+    X (T, dim), outputs Y (T,)), and everything needed to audit it; a batch
+    of n runs from one start adds a leading trial axis to each array.
+    `problem` is the generated problem when the run made its own data."""
 
     path: np.ndarray
     X: np.ndarray
@@ -138,50 +138,49 @@ class Trajectory:
     potential: Potential
     loss: LossFn
     model: object
-    algorithm: str = "smd"
     audits: list = field(default_factory=list)
     problem: object = None
 
     def __len__(self):
-        return len(self.path) - 1
+        return self.path.shape[-2] - 1
 
     @property
     def w0(self):
-        return self.path[0]
+        return self.path[..., 0, :]
 
     @property
     def iterates(self):
-        """w_1 .. w_T as a (T, dim) array."""
-        return self.path[1:]
+        """w_1 .. w_T as a (T, dim) array, or (n, T, dim) for a batch."""
+        return self.path[..., 1:, :]
 
     @property
     def final(self):
-        return self.path[-1]
+        return self.path[..., -1, :]
 
     def iterate_before(self, i):
         """w_{i-1} for a 1-based step index i."""
-        return self.path[i - 1]
+        return self.path[..., i - 1, :]
 
 
 def mirror_update(p, U, x, coef, eta):
     """The SMD kernel: grad psi(w) += eta * coef * x, then pull back through p.
 
     `U` is the mirror state of a batch, shape (n, dim) with one `coef` per
-    row, or (dim,) with a scalar `coef`; the input `x` is shared by the
-    batch. Returns the new state and weights.
+    row, or (dim,) with a scalar `coef`; the input `x` is shared (dim,) or
+    one row per trial (n, dim). Returns the new state and weights.
     """
-    U = U + np.multiply.outer(eta * coef, x)
+    U = U + np.asarray(eta * coef)[..., None] * x
     return U, p.grad_inv(U)
 
 
 def _smd_coef(l, m, x, y, w):
     # J_f(w) = g'(x^T w) x, so the shift is eta * l'(y - g(x^T w)) g'(x^T w) * x
-    u = np.dot(x, w)
+    u = np.vecdot(x, w)
     return l.deriv(y - m.g(u)) * m.g_prime(u)
 
 
 def _ssmd_coef(l, x, y, w):
-    return l.deriv(y) - l.deriv(np.dot(x, w))
+    return l.deriv(y) - l.deriv(np.vecdot(x, w))
 
 
 def _step(p, w_prev, x, coef, eta):
@@ -213,11 +212,11 @@ def genrec_step(p, l, w_prev, x, y, z, eta):
 def mirror_steps(mirror, W, X, Y, etas, coef):
     """Yield w_1 .. w_T of the mirror recursion started at W = w_0.
 
-    `W` is one start of shape (dim,) or a batch of shape (n, dim) whose trials
-    share the inputs `X`. Step i reads the output `Y[i]` (a scalar, or one per
-    trial), the rate `etas[i]`, and the shift `coef(i, x, y, W)` at the
-    previous iterate; `Y` and `etas` may be any iterables. The state
-    U = grad psi(W) is carried and never recomputed from W.
+    `W` is one start of shape (dim,) or a batch of shape (n, dim). Step i
+    reads the input `X[i]` (shared, or one row per trial), the output `Y[i]`
+    (a scalar, or one per trial), the rate `etas[i]`, and the shift
+    `coef(i, x, y, W)` at the previous iterate; all may be any iterables.
+    The state U = grad psi(W) is carried and never recomputed from W.
     """
     U = mirror.grad(W)
     for i, (x, y, eta) in enumerate(zip(X, Y, etas)):
@@ -227,24 +226,26 @@ def mirror_steps(mirror, W, X, Y, etas, coef):
 
 def _recursion(p, mirror, X, Y, w0, rate, coef):
     """`mirror_steps` over the observations (X, Y) from w0 at the rates
-    rate(1) .. rate(T), recorded; returns (path, X, Y, etas). Mis-shaped or
-    non-finite observations raise ValueError. The domain is checked on entry
-    and once over the whole path, naming the first step that left it."""
+    rate(1) .. rate(T), recorded; returns (path, X, Y, etas). X (n, T, dim)
+    and Y (n, T) run n trials, recorded as an (n, T+1, dim) path. Mis-shaped
+    or non-finite observations raise ValueError. The domain is checked on
+    entry and once over the whole path, naming the first step that left it."""
     w0 = p.check_domain(np.asarray(w0, dtype=float))
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
-    if Y.ndim != 1 or X.shape != (len(Y), w0.size):
-        raise ValueError(f"X must be (T, {w0.size}) and Y (T,), got {X.shape} and {Y.shape}")
+    if Y.ndim not in (1, 2) or X.shape != Y.shape + (w0.size,):
+        raise ValueError(f"X must be ([n,] T, {w0.size}) and Y ([n,] T), got {X.shape} and {Y.shape}")
     if not (np.isfinite(X).all() and np.isfinite(Y).all()):
         raise ValueError("observations have non-finite entries")
-    etas = np.array([rate(i) for i in range(1, len(Y) + 1)])
-    path = np.empty((len(Y) + 1, w0.size))
-    path[0] = w0
-    for i, w in enumerate(mirror_steps(mirror, w0, X, Y, etas, coef), 1):
-        path[i] = w
+    etas = np.array([rate(i) for i in range(1, Y.shape[-1] + 1)])
+    path = np.empty(Y.shape[:-1] + (len(etas) + 1, w0.size))
+    path[..., 0, :] = w0
+    steps = mirror_steps(mirror, w0, np.moveaxis(X, -2, 0), np.moveaxis(Y, -1, 0), etas, coef)
+    for i, w in enumerate(steps, 1):
+        path[..., i, :] = w
     try:
         p.check_domain(path)
     except DomainError:
-        for i, w in enumerate(path):
+        for i, w in enumerate(np.moveaxis(path, -2, 0)):
             try:
                 p.check_domain(w)
             except DomainError as e:
@@ -255,7 +256,7 @@ def _recursion(p, mirror, X, Y, w0, rate, coef):
 
 def iterate(p, l, m, X, Y, schedule, w0, algorithm="smd", check_margin=True):
     """Run a full trajectory over the inputs X (T, dim) and outputs Y (T,),
-    recording every iterate.
+    or n trials from w0 over X (n, T, dim) and Y (n, T), recording every iterate.
 
     `algorithm` is one of "smd", "ssmd" (linear model only), or "sgd"
     (plain gradient update, meaningful with the squared-L2 potential).
@@ -272,8 +273,8 @@ def iterate(p, l, m, X, Y, schedule, w0, algorithm="smd", check_margin=True):
     else:
         coef = lambda i, x, y, w: _smd_coef(l, m, x, y, w)
     path, X, Y, etas = _recursion(p, mirror, X, Y, w0, schedule.rate, coef)
-    if check_margin and len(Y):
-        holds = premise_holds(p, l, m, etas, path[1:], X, Y)
+    if check_margin and len(etas):
+        holds = premise_holds(p, l, m, etas, path[..., 1:, :], X, Y).reshape(-1, len(etas)).all(axis=0)
         if not holds.all():
             warnings.warn(
                 f"convexity margin negative at step {int(np.argmin(holds)) + 1}; "
@@ -281,7 +282,7 @@ def iterate(p, l, m, X, Y, schedule, w0, algorithm="smd", check_margin=True):
                 StabilityWarning,
                 stacklevel=2,
             )
-    return Trajectory(path, X, Y, schedule, p, l, m, algorithm)
+    return Trajectory(path, X, Y, schedule, p, l, m)
 
 
 def run_general_recursion(p, l, X, Y, z, eta, w0):
@@ -291,7 +292,7 @@ def run_general_recursion(p, l, X, Y, z, eta, w0):
     coef = lambda i, x, y, w: l.deriv(y - z[i])
     schedule = Constant(eta)
     path, X, Y, _ = _recursion(p, p, X, Y, w0, schedule.rate, coef)
-    return Trajectory(path, X, Y, schedule, p, l, Linear(), "genrec")
+    return Trajectory(path, X, Y, schedule, p, l, Linear())
 
 
 def run_trajectory(cfg):

@@ -49,14 +49,10 @@ BOOTSTRAP_RESAMPLES = 2000
 class SMDCost:
     """Exponent sum_i D_l(y_i - x_i^T w, y_i - z_i)."""
 
-    label = "smd_cost"
-
 
 @dataclass(frozen=True)
 class SSMDCost:
     """Exponent sum_i D_l(x_i^T w, z_i)."""
-
-    label = "ssmd_cost"
 
 
 @dataclass(frozen=True)
@@ -65,10 +61,6 @@ class ScaledQuadratic:
     quadratic-loss SMD cost."""
 
     alpha: float
-
-    @property
-    def label(self):
-        return f"scaled_quadratic({self.alpha:g})"
 
 
 def _mode_increment(mode, l, y, xw_true, z):

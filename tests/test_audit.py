@@ -13,6 +13,7 @@ from mirrorkit import (
     ScheduleError,
     SquaredL2,
     audit_trajectory,
+    energy_gain,
     exponent_identity_residual,
     global_identity,
     iterate,
@@ -22,10 +23,12 @@ from mirrorkit import (
     step_exponent_residual,
 )
 from mirrorkit.audit import loss_map_bregman
-from mirrorkit.datagen import gaussian_inputs
+from mirrorkit.config import make_config
+from mirrorkit.datagen import _reseeded, gaussian_inputs, generate_problem, generate_problems
 from mirrorkit.samplers import RngStream
 
 from conftest import all_losses, all_potentials, random_in_domain
+from test_acceptance import MINIMAX_CONFIGS
 
 ETA = 0.05
 
@@ -162,7 +165,7 @@ def test_minimax_ratio_approaches_one_for_small_eta(rng):
     ratios = {}
     for eta in (0.5, 0.02, 0.002):
         traj = iterate(p, l, m, X, X @ w_true, Constant(eta), np.zeros(3), check_margin=False)
-        rep = minimax_ratio(traj, w_true, np.zeros(30), certify=False)
+        rep = minimax_ratio(traj, w_true, np.zeros(30))
         ratios[eta] = rep.ratio
         assert rep.ratio <= 1.0
     assert ratios[0.002] >= 0.95
@@ -194,6 +197,57 @@ def test_minimax_degenerate_denominator(rng):
     traj = iterate(p, l, m, X, X @ w0, Constant(0.1), w0, check_margin=False)
     with pytest.raises(DegenerateError):
         minimax_ratio(traj, w0, np.zeros(5))
+
+
+BATCH_PAIRINGS = MINIMAX_CONFIGS + [
+    dict(potential="squared_l2", loss="quadratic", dim=3, T=12, model={"kind": "glm", "link": "tanh"},
+         schedule={"kind": "constant", "eta": 0.3}, inputs={"kind": "unit"}, w0=0.0),
+    dict(potential="squared_l2", loss="logcosh", algorithm="sgd", dim=2, T=10,
+         schedule={"kind": "constant", "eta": 0.1}, w0=0.0),
+]
+
+
+@pytest.mark.parametrize("base", BATCH_PAIRINGS, ids=["l2", "neg_entropy", "q3_logcosh", "glm_tanh", "sgd"])
+def test_batch_equals_per_trial_bit_for_bit(base):
+    cfg = make_config(seed=31, **base)
+    p, l, m, schedule = cfg.build_potential(), cfg.build_loss(), cfg.build_model(), cfg.build_schedule()
+
+    def run(X, Y):
+        return iterate(p, l, m, X, Y, schedule, cfg.w0_vector(), algorithm=cfg.algorithm, check_margin=False)
+
+    n, k = 40, 13
+    batch = generate_problems(cfg, n)
+    traj = run(batch.X, batch.Y)
+    rep = energy_gain(traj, batch.w_true, batch.noises)
+    assert traj.path.shape == (n, cfg.T + 1, cfg.dim) and rep.ratio.shape == (n,)
+    for t in range(n):
+        one = generate_problem(_reseeded(cfg, t))
+        for name, value in vars(one).items():
+            assert np.array_equal(getattr(batch, name)[t], value), name
+        single = run(one.X, one.Y)
+        assert np.array_equal(traj.path[t], single.path)
+        r = minimax_ratio(single, one.w_true, one.noises)
+        assert rep.numerator[t] == r.numerator and rep.denominator[t] == r.denominator
+        assert rep.ratio[t] == r.ratio and rep.premise_certified[t] == r.premise_certified
+    head = generate_problems(cfg, k)
+    head_rep = energy_gain(run(head.X, head.Y), head.w_true, head.noises)
+    for name, value in vars(head).items():
+        assert np.array_equal(value, getattr(batch, name)[:k]), name
+    for name, value in vars(head_rep).items():
+        assert np.array_equal(value, getattr(rep, name)[:k]), name
+
+
+def test_energy_gain_certifies_nothing_without_a_step():
+    p, l, m = SquaredL2(2), Quadratic(), Linear()
+    w = np.array([0.5, -0.2])
+    single = iterate(p, l, m, np.zeros((0, 2)), np.zeros(0), Constant(0.1), np.zeros(2))
+    batch = iterate(p, l, m, np.zeros((3, 0, 2)), np.zeros((3, 0)), Constant(0.1), np.zeros(2))
+    rep = energy_gain(single, w, np.zeros(0))
+    assert rep.ratio == 1.0 and not rep.premise_certified
+    assert not minimax_ratio(single, w, np.zeros(0)).premise_certified
+    rep = energy_gain(batch, np.tile(w, (3, 1)), np.zeros((3, 0)))
+    assert rep.premise_certified.shape == (3,) and not rep.premise_certified.any()
+    assert (rep.ratio == 1.0).all()
 
 
 def test_exponent_identity_random_z(rng):

@@ -337,7 +337,7 @@ def test_risk_needs_two_trials(tmp_path, caplog):
     assert (tmp_path / "o" / "risk.csv").exists()
 
 
-@pytest.mark.parametrize("sub", ["audit", "implicit"])
+@pytest.mark.parametrize("sub", ["audit", "implicit", "minimax"])
 def test_verdicts_need_at_least_one_step(sub, tmp_path, caplog):
     path = _write(tmp_path, {"T": 0, "n_trials": 10, "output_dir": str(tmp_path / "o")})
     with caplog.at_level(logging.ERROR, logger="mirrorkit"):

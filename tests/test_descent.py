@@ -22,7 +22,7 @@ from mirrorkit import (
     ssmd_step,
 )
 from mirrorkit.config import make_config
-from mirrorkit.descent import premise_holds, run_trajectory
+from mirrorkit.descent import mirror_update, premise_holds, run_trajectory
 from mirrorkit.datagen import gaussian_inputs
 from mirrorkit.samplers import RngStream
 
@@ -160,6 +160,12 @@ def test_domain_error_reports_step_index():
     with pytest.raises(DomainError, match="step 1"):
         iterate(p, Quadratic(), Linear(), [[1.0]], [-50.0], Constant(50.0), np.array([1e-3]),
                 check_margin=False)
+    # a batch names the first step at which any trial left: trial 1 leaves
+    # at step 3, trial 0 at step 2, and trial 2 stays inside
+    X = np.array([[[0.0], [1.0], [0.0]], [[0.0], [0.0], [1.0]], [[0.0], [0.0], [0.0]]])
+    with pytest.raises(DomainError, match="step 2"):
+        iterate(p, Quadratic(), Linear(), X, np.full((3, 3), -50.0), Constant(50.0), np.array([1e-3]),
+                check_margin=False)
 
 
 @pytest.mark.parametrize("X, Y", [
@@ -171,15 +177,34 @@ def test_domain_error_reports_step_index():
     ([[1.0, 1.0]], [0.5, 0.5]),
     ([[1.0, 1.0, 1.0], [0.0, 1.0, 1.0]], [0.5, 0.5]),
     ([1.0, 1.0], [0.5, 0.5]),
+    # batches of trials: mismatched step counts, a 3-D Y, a NaN in one trial
+    (np.zeros((2, 3, 2)), np.zeros((2, 4))),
+    (np.zeros((1, 2, 3, 2)), np.zeros((1, 2, 3))),
+    (np.zeros((2, 3, 2)), [[0.5, 0.5, 0.5], [0.5, np.nan, 0.5]]),
 ])
 def test_iterate_rejects_bad_observations(X, Y):
     with pytest.raises(ValueError):
         iterate(SquaredL2(2), Quadratic(), Linear(), X, Y, Constant(0.1), np.zeros(2), check_margin=False)
 
 
+def test_mirror_update_per_trial_rows_equal_row_loop(rng):
+    for p in all_potentials(3):
+        W = np.array([random_in_domain(p, rng) for _ in range(6)])
+        U, X, coef = p.grad(W), rng.standard_normal((6, 3)), rng.standard_normal(6)
+        for x in (X, X[0]):  # one input row per trial, or one shared input
+            U1, W1 = mirror_update(p, U, x, coef, 0.05)
+            for t in range(6):
+                u, w = mirror_update(p, U[t], x if x.ndim == 1 else x[t], coef[t], 0.05)
+                assert np.array_equal(U1[t], u) and np.array_equal(W1[t], w)
+
+
 def test_stability_warning_emitted():
     with pytest.warns(StabilityWarning):
         iterate(SquaredL2(1), Quadratic(), Linear(), [[2.0]], [1.0], Constant(1.0), np.zeros(1))
+    # a batch names the first step at which any trial's premise fails
+    with pytest.warns(StabilityWarning, match="step 2"):
+        iterate(SquaredL2(1), Quadratic(), Linear(), [[[0.5], [0.5]], [[0.5], [2.0]]], np.ones((2, 2)),
+                Constant(1.0), np.zeros(1))
 
 
 def test_ssmd_requires_linear():
