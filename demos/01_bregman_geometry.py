@@ -21,15 +21,15 @@ rng = np.random.default_rng(0)
 
 print("=== divergences ===")
 l2 = SquaredL2(2)
-print("half squared distance:", bregman(l2, [1.0, 0.0], [0.0, 0.0]).value)
+print("half squared distance:", bregman(l2, [1.0, 0.0], [0.0, 0.0]))
 
 ent = NegEntropy(2)
 p, q = np.array([0.5, 0.5]), np.array([0.25, 0.75])
-print("entropy divergence   :", bregman(ent, p, q).value)
+print("entropy divergence   :", bregman(ent, p, q))
 print("KL formula           :", float(np.sum(p * np.log(p / q))))
 
 q3 = SeparableQ(3.0, 2)
-print("cubic-family         :", bregman(q3, [1.0, -1.0], [0.5, 0.5]).value)
+print("cubic-family         :", bregman(q3, [1.0, -1.0], [0.5, 0.5]))
 
 # The mirror map and its inverse are exact closed forms for every kind.
 w = rng.uniform(0.2, 2.0, size=2)
@@ -56,11 +56,11 @@ print("entropy + L2 balance of anchors (1, 1):", w_star, "(solves 1 + ln w + w =
 w1, w2 = rng.uniform(0.2, 1.5, size=2), rng.uniform(0.2, 1.5, size=2)
 w_star = complete_squares(ent, q3, w1, w2)
 w_probe = rng.uniform(0.2, 1.5, size=2)
-lhs = bregman(ent, w_probe, w1).value + bregman(q3, w_probe, w2).value
+lhs = bregman(ent, w_probe, w1) + bregman(q3, w_probe, w2)
 rhs = (
-    bregman(ent, w_star, w1).value
-    + bregman(q3, w_star, w2).value
-    + bregman(ent, w_probe, w_star).value
-    + bregman(q3, w_probe, w_star).value
+    bregman(ent, w_star, w1)
+    + bregman(q3, w_star, w2)
+    + bregman(ent, w_probe, w_star)
+    + bregman(q3, w_probe, w_star)
 )
 print(f"two-geometry decomposition defect: {abs(lhs - rhs):.2e}")

@@ -15,8 +15,8 @@ from mirrorkit import (
     NegEntropy,
     Quadratic,
     audit_trajectory,
+    energy_gain,
     iterate,
-    minimax_ratio,
 )
 from mirrorkit.datagen import gaussian_inputs
 from mirrorkit.samplers import RngStream
@@ -31,19 +31,19 @@ noises = 0.2 * np.asarray(rng.normal(T))
 Y = X @ w_true + noises
 
 traj = iterate(p, l, m, X, Y, Constant(eta), np.ones(dim), check_margin=False)
-global_residual = audit_trajectory(traj, w_true, noises)
+terms, global_residual = audit_trajectory(traj, w_true, noises)
 
 print(f"{'step':>4} {'D(w,w_prev)':>12} {'D(w,w_next)':>12} {'loss-Bregman':>13} "
       f"{'E_i':>10} {'residual':>10}")
-for rec in traj.audits[:8]:
-    print(f"{rec.step:>4} {rec.d_psi_prev:>12.6f} {rec.d_psi_next:>12.6f} "
-          f"{rec.d_loss_bregman:>13.6f} {rec.e_term:>10.2e} {rec.local_residual:>10.2e}")
+for i in range(8):
+    print(f"{terms.step[i]:>4} {terms.d_psi_prev[i]:>12.6f} {terms.d_psi_next[i]:>12.6f} "
+          f"{terms.d_loss_bregman[i]:>13.6f} {terms.e_term[i]:>10.2e} {terms.local_residual[i]:>10.2e}")
 print("  ...")
-print(f"worst local residual : {max(r.local_residual for r in traj.audits):.2e}")
+print(f"worst local residual : {terms.local_residual.max():.2e}")
 print(f"global residual      : {global_residual:.2e}")
 
 # Every E_i is nonnegative here, which is exactly what makes the run's
 # energy-gain ratio land at or below one.
-print(f"min E_i              : {min(r.e_term for r in traj.audits):.3e}")
-rep = minimax_ratio(traj, w_true, noises)
+print(f"min E_i              : {terms.e_term.min():.3e}")
+rep = energy_gain(traj, w_true, noises)
 print(f"energy-gain ratio    : {rep.ratio:.6f} (premise certified: {rep.premise_certified})")

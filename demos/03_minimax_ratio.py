@@ -10,7 +10,7 @@ is tight.
 
 import numpy as np
 
-from mirrorkit import Constant, Linear, Quadratic, SquaredL2, iterate, minimax_ratio
+from mirrorkit import Constant, Linear, Quadratic, SquaredL2, energy_gain, iterate
 from mirrorkit.datagen import gaussian_inputs
 from mirrorkit.samplers import RngStream
 
@@ -25,7 +25,7 @@ for trial in range(400):
     w = np.asarray(rng.normal(dim))
     noises = 0.4 * np.asarray(rng.normal(T))
     traj = iterate(p, l, m, X, X @ w + noises, Constant(0.4), np.zeros(dim), check_margin=False)
-    rep = minimax_ratio(traj, w, noises)
+    rep = energy_gain(traj, w, noises)
     assert rep.premise_certified
     worst = max(worst, rep.ratio)
 print(f"sup ratio over 400 random (w, noise) challenges: {worst:.6f}  (<= 1)")
@@ -37,6 +37,6 @@ X = gaussian_inputs(dim, 30, rng, unit=True)
 w = np.array([0.8, -0.5, 0.3])
 for eta in (0.5, 0.1, 0.02, 0.005, 0.001):
     traj = iterate(p, l, m, X, X @ w, Constant(eta), np.zeros(dim), check_margin=False)
-    rep = minimax_ratio(traj, w, np.zeros(30))
+    rep = energy_gain(traj, w, np.zeros(30))
     print(f"eta = {eta:<6g} ratio = {rep.ratio:.6f}")
 print("the optimal (worst-case) value of the ratio game is exactly 1")

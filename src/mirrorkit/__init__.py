@@ -14,22 +14,14 @@ from .audit import (
     exponent_identity_residual,
     global_identity,
     local_identity,
-    minimax_ratio,
     step_exponent_residual,
 )
-from .bregman import (
-    BregmanValue,
-    bregman,
-    complete_squares,
-    law_of_cosines_residual,
-    loss_bregman,
-)
+from .bregman import bregman, complete_squares, law_of_cosines_residual
 from .config import ExperimentConfig, make_config, parse_config
 from .descent import (
     Constant,
     GeneralizedLinear,
     Linear,
-    NoiseSpec,
     RobbinsMonro,
     Trajectory,
     convexity_margin,
@@ -77,6 +69,7 @@ from .samplers import (
     ExpFamilySpec,
     GridSpec,
     MirrorMeanReport,
+    NoiseSpec,
     RngStream,
     ks_two_sample,
     mirror_mean_check,

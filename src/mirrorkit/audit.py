@@ -14,13 +14,15 @@ import numpy as np
 
 from .bregman import bregman
 from .descent import Linear, premise_holds
+from .errors import DegenerateError, ScheduleError
 
 DENOMINATOR_FLOOR = 1e-14
 
 
 @dataclass
 class AuditRecord:
-    """All terms of the per-step balance around one update."""
+    """All terms of the per-step balance around one update, or one array per
+    term over the steps of a trajectory."""
 
     step: int
     d_psi_prev: float
@@ -45,8 +47,9 @@ def _rowdot(a, b):
     return np.sum(a * b, axis=-1)
 
 
-def _loss_map_bregman(l, m, X, Y, A, B):
-    """D_{L_i}(a_i, b_i) of L_i(w) = l(y_i - f(x_i, w)), one value per row."""
+def loss_map_bregman(l, m, X, Y, A, B):
+    """D_{L_i}(a_i, b_i) of L_i(w) = l(y_i - f(x_i, w)), one value per row;
+    this Bregman divergence of the loss map need not be nonnegative."""
     ub = _rowdot(X, B)
     rb = Y - m.g(ub)
     return (
@@ -56,22 +59,16 @@ def _loss_map_bregman(l, m, X, Y, A, B):
     )
 
 
-def loss_map_bregman(l, m, x, y, w, w_ref):
-    """Bregman divergence of w -> l(y - f(x, w)), which need not be convex."""
-    x, w, w_ref = (np.asarray(a, dtype=float) for a in (x, w, w_ref))
-    return float(_loss_map_bregman(l, m, x, y, w, w_ref))
-
-
 def _step_terms(p, l, m, X, Y, path, w, eta):
     """The per-step balance of every step of `path`, as an AuditRecord of arrays."""
     prev, nxt = path[:-1], path[1:]
     loss_noise = l.value(Y - m.g(_rowdot(X, w)))
-    d_psi_prev = bregman(p, w, prev).value
-    d_psi_next = bregman(p, w, nxt).value
-    d_lb = _loss_map_bregman(l, m, X, Y, w, prev)
+    d_psi_prev = bregman(p, w, prev)
+    d_psi_next = bregman(p, w, nxt)
+    d_lb = loss_map_bregman(l, m, X, Y, w, prev)
     e_term = (
-        bregman(p, nxt, prev).value
-        - eta * _loss_map_bregman(l, m, X, Y, nxt, prev)
+        bregman(p, nxt, prev)
+        - eta * loss_map_bregman(l, m, X, Y, nxt, prev)
         + eta * l.value(Y - m.g(_rowdot(X, nxt)))
     )
     lhs = d_psi_prev + eta * loss_noise
@@ -81,11 +78,6 @@ def _step_terms(p, l, m, X, Y, path, w, eta):
     return AuditRecord(steps, d_psi_prev, d_psi_next, d_lb, e_term, loss_noise, residual)
 
 
-def _records(terms):
-    """Split an AuditRecord of per-step arrays into one record per step."""
-    return [AuditRecord(*row) for row in zip(*vars(terms).values())]
-
-
 def local_identity(p, l, m, w, w_prev, w_next, x, y, eta, step=0):
     """Per-step balance: divergence to the reference plus scaled noise loss
     equals the post-step divergence, the loss Bregman term, and the step's
@@ -93,15 +85,12 @@ def local_identity(p, l, m, w, w_prev, w_next, x, y, eta, step=0):
     path = np.stack([np.asarray(w_prev, dtype=float), np.asarray(w_next, dtype=float)])
     w = np.asarray(w, dtype=float)
     X = np.asarray(x, dtype=float)[None, :]
-    (rec,) = _records(_step_terms(p, l, m, X, np.array([y], dtype=float), path, w, eta))
-    rec.step = step
-    return rec
+    _, *terms = vars(_step_terms(p, l, m, X, np.array([y], dtype=float), path, w, eta)).values()
+    return AuditRecord(step, *(float(t[0]) for t in terms))
 
 
 def _require_constant(traj):
     if traj.schedule.kind != "constant":
-        from .errors import ScheduleError
-
         raise ScheduleError(
             "the conservation law and minimax ratio hold for a fixed learning rate; "
             f"got schedule kind {traj.schedule.kind!r}"
@@ -115,8 +104,9 @@ def _noises_for(traj, w, noises):
     return traj.Y - traj.model.g(_rowdot(traj.X, w[..., None, :]))
 
 
-def _audit(traj, w, noises):
-    """Per-step terms and the telescoped global residual of a trajectory.
+def audit_trajectory(traj, w, noises=None):
+    """The per-step terms of a trajectory, as an AuditRecord of arrays over
+    its steps, and the telescoped global residual.
 
     The global balance takes its noise losses from `noises`, so it stays an
     independent check on the summed per-step terms.
@@ -124,8 +114,8 @@ def _audit(traj, w, noises):
     p, l, eta = traj.potential, traj.loss, _require_constant(traj)
     w = np.asarray(w, dtype=float)
     terms = _step_terms(p, l, traj.model, traj.X, traj.Y, traj.path, w, eta)
-    lhs = bregman(p, w, traj.w0).value + eta * np.sum(l.value(_noises_for(traj, w, noises)))
-    rhs = bregman(p, w, traj.final).value + eta * np.sum(terms.d_loss_bregman) + np.sum(terms.e_term)
+    lhs = bregman(p, w, traj.w0) + eta * np.sum(l.value(_noises_for(traj, w, noises)))
+    rhs = bregman(p, w, traj.final) + eta * np.sum(terms.d_loss_bregman) + np.sum(terms.e_term)
     return terms, float(abs(lhs - rhs) / (1.0 + abs(lhs)))
 
 
@@ -135,14 +125,7 @@ def global_identity(traj, w, noises=None):
     `noises` defaults to y_i - f(x_i, w), the only values for which the
     identity is exact.
     """
-    return _audit(traj, w, noises)[1]
-
-
-def audit_trajectory(traj, w, noises=None):
-    """Fill traj.audits with per-step records; return the global residual."""
-    terms, residual = _audit(traj, w, noises)
-    traj.audits = _records(terms)
-    return residual
+    return audit_trajectory(traj, w, noises)[1]
 
 
 def energy_gain(traj, w, noises=None):
@@ -156,17 +139,15 @@ def energy_gain(traj, w, noises=None):
     probes the premise at w_{i-1} and w_i for every step i, so a run with no
     step is never certified.
     """
-    from .errors import DegenerateError
-
     p, l, m = traj.potential, traj.loss, traj.model
     eta = _require_constant(traj)
     w = np.asarray(w, dtype=float)
     X, Y = traj.X, traj.Y
     v = _noises_for(traj, w, noises)
     prev = traj.path[..., :-1, :]
-    d_loss = _loss_map_bregman(l, m, X, Y, w[..., None, :], prev)
-    numerator = bregman(p, w, traj.final).value + eta * np.sum(d_loss, axis=-1)
-    denominator = bregman(p, w, traj.w0).value + eta * np.sum(l.value(v), axis=-1)
+    d_loss = loss_map_bregman(l, m, X, Y, w[..., None, :], prev)
+    numerator = bregman(p, w, traj.final) + eta * np.sum(d_loss, axis=-1)
+    denominator = bregman(p, w, traj.w0) + eta * np.sum(l.value(v), axis=-1)
     if np.any(denominator < DENOMINATOR_FLOOR):
         raise DegenerateError(
             "denominator vanishes: reference equals the start and all noises are zero"
@@ -178,7 +159,8 @@ def energy_gain(traj, w, noises=None):
 
 
 def minimax_ratio(traj, w, noises=None):
-    """`energy_gain` of one trajectory, as floats."""
+    """`energy_gain` of one trajectory, as floats. Nothing in the package calls
+    it; the benchmark's layer trace (perfbench/layers.py) counts its calls."""
     r = energy_gain(traj, w, noises)
     return MinimaxReport(float(r.numerator), float(r.denominator), float(r.ratio), bool(r.premise_certified))
 
@@ -200,13 +182,13 @@ def exponent_identity_residual(p, l, w, traj, z):
     r_w = Y - _rowdot(X, w)
     r_i = Y - _rowdot(X, traj.iterates)
 
-    lhs = -bregman(p, w, traj.w0).value / eta
+    lhs = -bregman(p, w, traj.w0) / eta
     lhs -= np.sum(l.value(r_w))
     lhs += np.sum(l.bregman(r_w, Y - z))
 
-    rhs = -bregman(p, w, traj.final).value / eta
+    rhs = -bregman(p, w, traj.final) / eta
     rhs -= np.sum(
-        bregman(p, traj.iterates, traj.path[:-1]).value / eta
+        bregman(p, traj.iterates, traj.path[:-1]) / eta
         + l.value(r_i)
         - l.bregman(r_i, Y - z)
     )

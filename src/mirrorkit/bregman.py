@@ -1,21 +1,9 @@
 """Bregman divergences and the two-potential completion-of-squares solver."""
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import ConvergenceError
 from .potentials import POSITIVE_ORTHANT, SeparableQ, SquaredL2
-
-
-class BregmanValue(NamedTuple):
-    """A nonnegative divergence plus a flag that both arguments were feasible."""
-
-    value: float
-    first_arg_ok: bool = True
-
-    def __float__(self):
-        return float(self.value)
 
 
 def bregman(p, w, w_ref):
@@ -23,12 +11,7 @@ def bregman(p, w, w_ref):
     w = p.check_domain(np.asarray(w, dtype=float))
     w_ref = p.check_domain(np.asarray(w_ref, dtype=float))
     terms = p.elementwise_value(w) - p.elementwise_value(w_ref) - p.grad(w_ref) * (w - w_ref)
-    return BregmanValue(np.sum(terms, axis=-1), True)
-
-
-def loss_bregman(l, a, b):
-    """Scalar Bregman divergence of a loss: l(a) - l(b) - l'(b)(a - b)."""
-    return BregmanValue(float(l.bregman(float(a), float(b))), True)
+    return np.sum(terms, axis=-1)
 
 
 def law_of_cosines_residual(p, w, w_prime, w_dprime):
@@ -40,8 +23,8 @@ def law_of_cosines_residual(p, w, w_prime, w_dprime):
     """
     w = np.asarray(w, dtype=float)
     w_dprime = np.asarray(w_dprime, dtype=float)
-    lhs = bregman(p, w, w_prime).value
-    rhs = bregman(p, w, w_dprime).value + bregman(p, w_dprime, w_prime).value
+    lhs = bregman(p, w, w_prime)
+    rhs = bregman(p, w, w_dprime) + bregman(p, w_dprime, w_prime)
     cross = float((p.grad(w_prime) - p.grad(w_dprime)) @ (w - w_dprime))
     return abs(lhs - rhs + cross)
 
@@ -51,29 +34,31 @@ _NEWTON_MAX_ITER = 100
 _NEWTON_MAX_HALVINGS = 30
 
 
-def _in_domain_scalar(p, x):
-    return x > 0.0 if p.domain == POSITIVE_ORTHANT else np.isfinite(x)
-
-
-def _newton_1d(g, h, x0, in_domain):
-    """Damped Newton for a strictly increasing scalar equation g(x) = 0."""
-    x = x0
+def _newton(p1, p2, rhs, x):
+    """Damped Newton on the separable equation g(x) = grad(psi1 + psi2)(x) - rhs = 0,
+    every coordinate at once. A coordinate stops once |g| <= 1e-10; each step
+    is halved until the point is finite, in the domain, and |g| decreases."""
+    positive = POSITIVE_ORTHANT in (p1.domain, p2.domain)
+    if positive:
+        x = np.where(x > 0.0, x, 1.0)
+    g = lambda x: p1.grad(x) + p2.grad(x) - rhs
     gx = g(x)
     for _ in range(_NEWTON_MAX_ITER):
-        if abs(gx) <= _NEWTON_TOL:
+        active = ~(np.abs(gx) <= _NEWTON_TOL)
+        if not active.any():
             return x
-        hx = h(x)
-        if not np.isfinite(hx) or hx <= 1e-300:
-            hx = 1.0
-        step = gx / hx
+        h = p1.hessian_diag(x) + p2.hessian_diag(x)
+        step = gx / np.where(np.isfinite(h) & (h > 1e-300), h, 1.0)
         t = 1.0
         for _ in range(_NEWTON_MAX_HALVINGS):
             cand = x - t * step
-            if in_domain(cand):
-                gc = g(cand)
-                if abs(gc) < abs(gx):
-                    x, gx = cand, gc
-                    break
+            ok = np.isfinite(cand) & ((cand > 0.0) if positive else True)
+            gc = g(np.where(ok, cand, x))
+            ok &= active & (np.abs(gc) < np.abs(gx))
+            x, gx = np.where(ok, cand, x), np.where(ok, gc, gx)
+            active &= ~ok
+            if not active.any():
+                break
             t *= 0.5
         else:
             raise ConvergenceError("Newton step halving stalled")
@@ -84,8 +69,8 @@ def complete_squares(p1, p2, w1, w2, x0=None):
     """Solve grad(psi1 + psi2)(w*) = grad psi1(w1) + grad psi2(w2) for w*.
 
     Closed form when both potentials are SquaredL2 or both are SeparableQ
-    with the same exponent; otherwise a damped coordinatewise Newton (the
-    potentials are separable, so the system decouples). The solution is
+    with the same exponent; otherwise one damped Newton over all coordinates
+    (the potentials are separable, so the system decouples). The solution is
     certified to satisfy the gradient equation within 1e-10 in max-norm.
     """
     if p1.dim != p2.dim:
@@ -103,48 +88,10 @@ def complete_squares(p1, p2, w1, w2, x0=None):
     ):
         w_star = np.sign(rhs) * (0.5 * np.abs(rhs)) ** (1.0 / (p1.q - 1.0))
     else:
-        positive = POSITIVE_ORTHANT in (p1.domain, p2.domain)
-        if x0 is None:
-            x0 = w1.copy()
-        else:
-            x0 = np.asarray(x0, dtype=float).copy()
-        if positive:
-            x0 = np.where(x0 > 0.0, x0, 1.0)
-        w_star = np.empty_like(x0)
-        for j in range(p1.dim):
-            g1, g2 = _coord_grad(p1, j), _coord_grad(p2, j)
-            h1, h2 = _coord_hess(p1, j), _coord_hess(p2, j)
-            target = rhs[j]
-            w_star[j] = _newton_1d(
-                lambda x: g1(x) + g2(x) - target,
-                lambda x: h1(x) + h2(x),
-                x0[j],
-                lambda x: _in_domain_scalar(p1, x) and _in_domain_scalar(p2, x),
-            )
+        w_star = _newton(p1, p2, rhs, np.array(w1 if x0 is None else x0, dtype=float))
 
     resid = np.max(np.abs(p1.grad(w_star) + p2.grad(w_star) - rhs))
     if resid > _NEWTON_TOL:
         raise ConvergenceError(f"completion-of-squares residual {resid:.3e} exceeds {_NEWTON_TOL}")
     return w_star
 
-
-def _coord_grad(p, j):
-    def g(x):
-        w = np.full(p.dim, _safe_fill(p))
-        w[j] = x
-        return p.grad(w)[j]
-
-    return g
-
-
-def _coord_hess(p, j):
-    def h(x):
-        w = np.full(p.dim, _safe_fill(p))
-        w[j] = x
-        return p.hessian_diag(w)[j]
-
-    return h
-
-
-def _safe_fill(p):
-    return 1.0 if p.domain == POSITIVE_ORTHANT else 0.0

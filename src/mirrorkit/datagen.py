@@ -12,9 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .descent import NoiseSpec
 from .potentials import NegEntropy
-from .samplers import ExpFamilySpec, RngStream, sample_noise, sample_weight, sample_white_noise
+from .samplers import ExpFamilySpec, NoiseSpec, RngStream, sample_noise, sample_weight, sample_white_noise
 
 STREAM_INPUTS = 0
 STREAM_WEIGHT = 1

@@ -10,10 +10,11 @@ for bit.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .datagen import generate_problem
 from .errors import ConfigError, DomainError, StabilityWarning
 from .losses import LossFn
 from .potentials import Potential, SeparableQ, SquaredL2
@@ -110,20 +111,6 @@ class RobbinsMonro:
         return self.c / i
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """White-noise description for the stochastic-convergence setting."""
-
-    variance: float = 1.0
-    kind: str = "gaussian"
-
-    def __post_init__(self):
-        if not self.variance > 0.0:
-            raise ValueError("variance must be > 0")
-        if self.kind not in ("gaussian", "uniform", "rademacher"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-
-
 @dataclass
 class Trajectory:
     """One run as a (T+1, dim) path (w_0 first), its data as arrays (inputs
@@ -138,7 +125,6 @@ class Trajectory:
     potential: Potential
     loss: LossFn
     model: object
-    audits: list = field(default_factory=list)
     problem: object = None
 
     def __len__(self):
@@ -298,8 +284,6 @@ def run_general_recursion(p, l, X, Y, z, eta, w0):
 def run_trajectory(cfg):
     """Generate the configured problem and run the configured algorithm on
     its data; the problem stays on the returned trajectory."""
-    from .datagen import generate_problem
-
     problem = generate_problem(cfg)
     traj = iterate(
         cfg.build_potential(),

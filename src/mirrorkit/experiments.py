@@ -23,8 +23,8 @@ from .datagen import (
     planted_weight,
 )
 from .descent import (
+    Constant,
     Linear,
-    NoiseSpec,
     mirror_steps,
     mirror_update,
     persistent_excitation,
@@ -32,7 +32,15 @@ from .descent import (
 )
 from .errors import ConfigError, ConvergenceError, RankError, StepCapError
 from .potentials import SquaredL2
-from .samplers import ExpFamilySpec, RngStream, noise_draw, sample_weight, sample_white_noise, weight_draw
+from .samplers import (
+    ExpFamilySpec,
+    NoiseSpec,
+    RngStream,
+    noise_draw,
+    sample_weight,
+    sample_white_noise,
+    weight_draw,
+)
 
 log = logging.getLogger("mirrorkit")
 
@@ -87,6 +95,13 @@ def risk_cost(predictions, w, X, Y, l, mode=SMDCost()):
 # causal estimators (batched across trials)
 
 
+def estimator_name(spec):
+    """The report name of a config-level estimator; scaled_smd with gamma 1 is smd."""
+    if spec["kind"] == "scaled_smd" and spec.get("gamma", 1.0) != 1.0:
+        return f"scaled_smd({spec['gamma']:g})"
+    return "smd" if spec["kind"] == "scaled_smd" else spec["kind"]
+
+
 def estimator_predictions(spec, p, l, eta, prior, X, Y, w0):
     """(name, predictions) of one config-level estimator on a batch of trials.
 
@@ -95,21 +110,18 @@ def estimator_predictions(spec, p, l, eta, prior, X, Y, w0):
     structural: prediction i is taken from the state after steps 1 .. i-1,
     before y_i is used.
     """
-    kind = spec["kind"]
+    kind, name = spec["kind"], estimator_name(spec)
     if kind == "constant":
         # the no-update baseline z_i = x_i^T w_0
-        return "constant", (np.full(len(Y), float(w0 @ x)) for x in X)
+        return name, (np.full(len(Y), float(w0 @ x)) for x in X)
     if kind == "risk_neutral":
         if prior.potential.dim != 1:
             raise ConfigError("risk_neutral estimator supports dim=1 only")
-        return "risk_neutral", _posterior_mean_predictions(prior, l, X, Y)
+        return name, _posterior_mean_predictions(prior, l, X, Y)
     if kind == "ssmd":
-        name = "ssmd"
         coef = lambda i, x, y, W: l.deriv(y) - l.deriv(W @ x)
     elif kind in ("smd", "scaled_smd"):
-        gamma = spec.get("gamma", 1.0)
-        name = "smd" if gamma == 1.0 else f"scaled_smd({gamma:g})"
-        eta = eta * gamma
+        eta = eta * spec.get("gamma", 1.0)
         coef = lambda i, x, y, W: l.deriv(y - W @ x)
     else:
         raise ConfigError(f"unknown estimator kind {kind!r}")
@@ -195,13 +207,6 @@ def bootstrap_basic_ci(values, rng, n_resamples=BOOTSTRAP_RESAMPLES, level=0.95)
         cis = [(2.0 * mi - float(_linear_quantile(s, 1.0 - alpha)),
                 2.0 * mi - float(_linear_quantile(s, alpha))) for mi, s in zip(m, means)]
     return cis if values.ndim == 2 else cis[0]
-
-
-def paired_gap_ci(costs_a, costs_b, rng, n_resamples=BOOTSTRAP_RESAMPLES, level=0.95):
-    """Basic bootstrap interval for E[cost_a - cost_b] on paired trials."""
-    return bootstrap_basic_ci(
-        np.asarray(costs_a) - np.asarray(costs_b), rng, n_resamples, level
-    )
 
 
 def _draw_trials(prior, l, T, n_trials, seed):
@@ -535,8 +540,6 @@ def msq_convergence(cfg, control_eta=None):
     ]
     control = None
     if control_eta is not None:
-        from .descent import Constant
-
         _, csnaps = _msq_runs(p, l, X, y_clean, V, Constant(control_eta), w0)
         control = [
             (t, float(np.mean(np.sum((csnaps[t] - w_true) ** 2, axis=1)))) for t in marks

@@ -327,6 +327,20 @@ def mirror_mean_check(spec, n_samples, rng):
     return MirrorMeanReport(est, target, bound, bool(np.all(np.abs(est - target) <= bound)))
 
 
+@dataclass(frozen=True)
+class NoiseSpec:
+    """White-noise description for the stochastic-convergence setting."""
+
+    variance: float = 1.0
+    kind: str = "gaussian"
+
+    def __post_init__(self):
+        if not self.variance > 0.0:
+            raise ValueError("variance must be > 0")
+        if self.kind not in ("gaussian", "uniform", "rademacher"):
+            raise ValueError(f"unknown noise kind {self.kind!r}")
+
+
 def sample_white_noise(spec, rng, size):
     """`size` zero-mean noises with variance spec.variance from the named family."""
     n = int(size)

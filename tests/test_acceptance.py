@@ -127,10 +127,10 @@ def test_criterion_1_identity_suite():
                 w1, w2 = _in_domain(p1, rng), _in_domain(p2, rng)
                 w_star = complete_squares(p1, p2, w1, w2)
                 w = rng.uniform(0.3, 1.5, size=dim)
-                lhs = bregman(p1, w, w1).value + bregman(p2, w, w2).value
+                lhs = bregman(p1, w, w1) + bregman(p2, w, w2)
                 rhs = (
-                    bregman(p1, w_star, w1).value + bregman(p2, w_star, w2).value
-                    + bregman(p1, w, w_star).value + bregman(p2, w, w_star).value
+                    bregman(p1, w_star, w1) + bregman(p2, w_star, w2)
+                    + bregman(p1, w, w_star) + bregman(p2, w, w_star)
                 )
                 worst["completion"] = max(
                     worst["completion"], abs(lhs - rhs) / (1 + abs(lhs))

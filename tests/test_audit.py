@@ -18,11 +18,10 @@ from mirrorkit import (
     global_identity,
     iterate,
     local_identity,
-    minimax_ratio,
     run_general_recursion,
     step_exponent_residual,
 )
-from mirrorkit.audit import loss_map_bregman
+from mirrorkit.audit import loss_map_bregman, minimax_ratio
 from mirrorkit.config import make_config
 from mirrorkit.datagen import _reseeded, gaussian_inputs, generate_problem, generate_problems
 from mirrorkit.samplers import RngStream
@@ -103,19 +102,36 @@ def test_global_equals_telescoped_locals(rng):
     p, l, m = NegEntropy(3), Quadratic(), Linear()
     w_ref, noises, X, Y = _make_problem(p, m, rng, T=30)
     traj = iterate(p, l, m, X, Y, Constant(ETA), np.ones(3), check_margin=False)
-    global_residual = audit_trajectory(traj, w_ref, noises)
+    terms, global_residual = audit_trajectory(traj, w_ref, noises)
     assert global_residual <= 1e-8
-    assert len(traj.audits) == 30
+    assert len(terms.step) == 30
     # summing the recorded local terms reproduces the global balance
     from mirrorkit.bregman import bregman
 
-    lhs = bregman(p, w_ref, traj.w0).value + ETA * sum(r.loss_noise for r in traj.audits)
+    lhs = bregman(p, w_ref, traj.w0) + ETA * sum(terms.loss_noise)
     rhs = (
-        bregman(p, w_ref, traj.final).value
-        + ETA * sum(r.d_loss_bregman for r in traj.audits)
-        + sum(r.e_term for r in traj.audits)
+        bregman(p, w_ref, traj.final)
+        + ETA * sum(terms.d_loss_bregman)
+        + sum(terms.e_term)
     )
     assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
+
+
+@pytest.mark.parametrize("model_kind", ["linear", "tanh"])
+def test_audit_rows_equal_local_identity(model_kind, rng):
+    m = Linear() if model_kind == "linear" else GeneralizedLinear("tanh")
+    for p in all_potentials(3)[:3]:
+        for l in all_losses():
+            w_ref, noises, X, Y = _make_problem(p, m, rng, T=12)
+            eta = _eta_for(l)
+            traj = iterate(p, l, m, X, Y, Constant(eta), random_in_domain(p, rng), check_margin=False)
+            terms, _ = audit_trajectory(traj, w_ref, noises)
+            for i, (x, y) in enumerate(zip(X, Y), 1):
+                rec = local_identity(
+                    p, l, m, w_ref, traj.iterate_before(i), traj.iterates[i - 1], x, y, eta, step=i
+                )
+                for name, value in vars(rec).items():
+                    assert getattr(terms, name)[i - 1] == value, (p.kind, l.kind, i, name)
 
 
 def test_global_identity_requires_constant_schedule(rng):
@@ -132,13 +148,13 @@ def test_e_term_nonnegative_under_certified_margin(rng):
     p, l, m = SquaredL2(3), Quadratic(), Linear()
     w_ref, noises, X, Y = _make_problem(p, m, rng, T=40)
     traj = iterate(p, l, m, X, Y, Constant(0.02), np.zeros(3), check_margin=False)
-    audit_trajectory(traj, w_ref, noises)
-    for i, rec in enumerate(traj.audits, 1):
+    terms, _ = audit_trajectory(traj, w_ref, noises)
+    for i, e_term in enumerate(terms.e_term, 1):
         margins = convexity_margin(
             p, l, m, 0.02, traj.path[i - 1 : i + 1], X[[i - 1, i - 1]], Y[[i - 1, i - 1]]
         )
         if margins >= 0:
-            assert rec.e_term >= -1e-12
+            assert e_term >= -1e-12
 
 
 def test_minimax_ratio_bounded_on_certified_runs(rng):
@@ -149,7 +165,7 @@ def test_minimax_ratio_bounded_on_certified_runs(rng):
         w_true = rng.standard_normal(3)
         noises = 0.3 * rng.standard_normal(15)
         traj = iterate(p, l, m, X, X @ w_true + noises, Constant(0.5), np.zeros(3), check_margin=False)
-        rep = minimax_ratio(traj, w_true, noises)
+        rep = energy_gain(traj, w_true, noises)
         assert rep.premise_certified
         assert rep.ratio <= 1.0 + 1e-9
         assert rep.denominator > 0
@@ -165,7 +181,7 @@ def test_minimax_ratio_approaches_one_for_small_eta(rng):
     ratios = {}
     for eta in (0.5, 0.02, 0.002):
         traj = iterate(p, l, m, X, X @ w_true, Constant(eta), np.zeros(3), check_margin=False)
-        rep = minimax_ratio(traj, w_true, np.zeros(30))
+        rep = energy_gain(traj, w_true, np.zeros(30))
         ratios[eta] = rep.ratio
         assert rep.ratio <= 1.0
     assert ratios[0.002] >= 0.95
@@ -180,7 +196,7 @@ def test_minimax_quadratic_matches_filter_energy_form(rng):
     w_true = np.array([0.6, -1.1])
     noises = 0.25 * rng.standard_normal(12)
     traj = iterate(p, l, m, X, X @ w_true + noises, Constant(0.4), np.zeros(2), check_margin=False)
-    rep = minimax_ratio(traj, w_true, noises)
+    rep = energy_gain(traj, w_true, noises)
     num = 0.5 * np.sum((w_true - traj.final) ** 2)
     num += 0.4 * sum(
         0.5 * float(x @ (w_true - traj.iterate_before(i))) ** 2
@@ -196,7 +212,7 @@ def test_minimax_degenerate_denominator(rng):
     X = gaussian_inputs(2, 5, RngStream(1, 0))
     traj = iterate(p, l, m, X, X @ w0, Constant(0.1), w0, check_margin=False)
     with pytest.raises(DegenerateError):
-        minimax_ratio(traj, w0, np.zeros(5))
+        energy_gain(traj, w0, np.zeros(5))
 
 
 BATCH_PAIRINGS = MINIMAX_CONFIGS + [
@@ -226,7 +242,7 @@ def test_batch_equals_per_trial_bit_for_bit(base):
             assert np.array_equal(getattr(batch, name)[t], value), name
         single = run(one.X, one.Y)
         assert np.array_equal(traj.path[t], single.path)
-        r = minimax_ratio(single, one.w_true, one.noises)
+        r = energy_gain(single, one.w_true, one.noises)
         assert rep.numerator[t] == r.numerator and rep.denominator[t] == r.denominator
         assert rep.ratio[t] == r.ratio and rep.premise_certified[t] == r.premise_certified
     head = generate_problems(cfg, k)

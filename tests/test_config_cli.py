@@ -337,6 +337,46 @@ def test_risk_needs_two_trials(tmp_path, caplog):
     assert (tmp_path / "o" / "risk.csv").exists()
 
 
+RISK_SMALL = dict(potential="squared_l2", loss="quadratic", dim=2, T=5, n_trials=50, seed=3,
+                  inputs={"kind": "unit"}, schedule={"kind": "constant", "eta": 0.05})
+
+
+@pytest.mark.parametrize("estimators, missing", [
+    (["constant", "ssmd"], "needs an smd estimator"),
+    (["smd", "ssmd"], "needs a baseline"),
+    (["scaled_smd", "ssmd", "risk_neutral"], "needs a baseline"),
+    (["ssmd"], "needs an smd estimator"),
+], ids=["no_smd", "no_baseline", "descriptive_only", "ssmd_only"])
+def test_risk_verdict_needs_smd_and_a_baseline(estimators, missing, tmp_path, caplog):
+    # without either the run would exit 0 having compared nothing
+    specs = [{"kind": k, "gamma": 1.0} if k == "scaled_smd" else {"kind": k} for k in estimators]
+    path = _write(tmp_path, dict(RISK_SMALL, estimators=specs, output_dir=str(tmp_path / "o")))
+    with caplog.at_level(logging.ERROR, logger="mirrorkit"):
+        assert main(["risk", "--config", str(path)]) == EXIT_ERROR
+    assert any(r.message.startswith("ConfigError") and missing in r.message for r in caplog.records)
+    assert not (tmp_path / "o").exists()
+
+
+def test_risk_scaled_smd_with_gamma_one_is_smd(tmp_path):
+    specs = [{"kind": "scaled_smd", "gamma": 1.0}, {"kind": "constant"}]
+    path = _write(tmp_path, dict(RISK_SMALL, estimators=specs, output_dir=str(tmp_path / "o")))
+    assert main(["risk", "--config", str(path)]) != EXIT_ERROR
+    rows = (tmp_path / "o" / "risk.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["smd", "constant"]
+
+
+def test_converge_fails_closed_when_the_control_diverges(tmp_path, caplog):
+    # eta 5 makes the constant-rate control overflow to NaN; a NaN plateau
+    # must not let the vanishing-rate run pass untested
+    mapping = json.loads((ROOT / "configs" / "converge.json").read_text(encoding="utf-8"))
+    mapping.update(T=2000, n_trials=10, control_eta=5.0, output_dir=str(tmp_path / "o"))
+    path = _write(tmp_path, mapping)
+    with caplog.at_level(logging.INFO, logger="mirrorkit"), np.errstate(all="ignore"):
+        assert main(["converge", "--config", str(path)]) == EXIT_ASSERTION
+    assert any(r.levelno == logging.ERROR and "plateau comparison was not tested" in r.message
+               for r in caplog.records)
+
+
 @pytest.mark.parametrize("sub", ["audit", "implicit", "minimax"])
 def test_verdicts_need_at_least_one_step(sub, tmp_path, caplog):
     path = _write(tmp_path, {"T": 0, "n_trials": 10, "output_dir": str(tmp_path / "o")})

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mirrorkit import LogCosh, Quadratic, Quartic, loss_bregman, make_loss
+from mirrorkit import LogCosh, Quadratic, Quartic, make_loss
 
 from conftest import all_losses
 
@@ -46,18 +46,18 @@ def test_logcosh_large_arguments_stable():
 def test_quadratic_bregman_is_half_squared_difference(rng):
     l = Quadratic()
     for a, b in rng.uniform(-4, 4, size=(30, 2)):
-        assert loss_bregman(l, a, b).value == pytest.approx(0.5 * (a - b) ** 2)
+        assert l.bregman(a, b) == pytest.approx(0.5 * (a - b) ** 2)
 
 
 def test_loss_bregman_examples():
-    assert loss_bregman(Quartic(), 1.0, 0.0).value == pytest.approx(0.25)
-    assert loss_bregman(LogCosh(), 2.0, 2.0).value == 0.0
+    assert Quartic().bregman(1.0, 0.0) == pytest.approx(0.25)
+    assert LogCosh().bregman(2.0, 2.0) == 0.0
 
 
 def test_loss_bregman_nonnegative(rng):
     for l in all_losses():
         for a, b in rng.uniform(-4, 4, size=(100, 2)):
-            assert loss_bregman(l, a, b).value >= -1e-12
+            assert l.bregman(a, b) >= -1e-12
 
 
 def test_make_loss():

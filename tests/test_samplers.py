@@ -19,8 +19,7 @@ from mirrorkit import (
     sample_weight,
     sample_white_noise,
 )
-from mirrorkit.descent import NoiseSpec
-from mirrorkit.samplers import derive_seed
+from mirrorkit.samplers import NoiseSpec, derive_seed
 
 N = 100_000
 
