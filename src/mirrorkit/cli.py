@@ -16,11 +16,12 @@ import numpy as np
 
 from . import audit as audit_mod
 from . import experiments as exp_mod
-from .config import parse_config
-from .datagen import STREAM_TRIAL_BASE, _reseeded, generate_problems, prior_scale
+from .config import estimator_name, parse_config
+from .datagen import _reseeded, generate_problems, prior_scale
 from .descent import iterate, run_trajectory
 from .errors import ConfigError, MirrorkitError, StabilityWarning
 from .samplers import (
+    STREAM_TRIAL_BASE,
     ExpFamilySpec,
     RngStream,
     ks_two_sample,
@@ -118,7 +119,7 @@ def _cmd_minimax(cfg):
 
 
 def _cmd_risk(cfg):
-    names = {exp_mod.estimator_name(spec) for spec in cfg.estimators}
+    names = {estimator_name(spec) for spec in cfg.estimators}
     # the symmetric rule (own cost exponent) and the posterior-mean baseline
     # are reported descriptively, never asserted against
     baseline_names = names - {"smd", "ssmd", "risk_neutral"}

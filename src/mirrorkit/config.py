@@ -181,10 +181,25 @@ def _start(value, path):
     return FINITE(value, path)
 
 
+def estimator_name(spec):
+    """The report name of a config-level estimator; scaled_smd with gamma 1 is smd."""
+    if spec["kind"] == "scaled_smd" and spec.get("gamma", 1.0) != 1.0:
+        return f"scaled_smd({spec['gamma']:g})"
+    return "smd" if spec["kind"] == "scaled_smd" else spec["kind"]
+
+
 def _estimators(value, path):
     if not isinstance(value, (list, tuple)) or not value:
         raise ValidationError(f"{path} must be a nonempty list")
-    return [_ESTIMATOR(e, f"{path}[{i}]") for i, e in enumerate(value)]
+    specs = [_ESTIMATOR(e, f"{path}[{i}]") for i, e in enumerate(value)]
+    seen = {}
+    for i, spec in enumerate(specs):
+        name = estimator_name(spec)
+        if name in seen:
+            # one name would run twice and write two rows that report it
+            raise ValidationError(f"{path}[{i}] repeats the estimator {name!r} of {path}[{seen[name]}]")
+        seen[name] = i
+    return specs
 
 
 REQUIRED = object()  # row default of a parameter that must be given

@@ -5,7 +5,19 @@ the same data from the same seed:
 
     0  inputs            3  margin probes
     1  planted weight    4  bootstrap resampling
-    2  noise stream      1000+t  per-trial streams
+    2  noise stream      1000+t  trial t: row t of `trial_uniforms`
+
+Streams 0-4 are PCG64 `RngStream`s. Trial t seeds no generator: its draws
+are row t of the counter-based block `samplers.trial_uniforms(seed, n, k)`,
+laid out per subcommand as
+
+    risk, blow-up probe   [weight | noises]
+    converge (run t)      [noises]
+    minimax               [inputs | weight | noises]
+
+`sample-check` alone reads PCG64 streams 1000-1003, for four draws that are
+not trials. Each transform below is a (k, values) pair, as in the samplers:
+k uniforms per draw, and `values` maps a (rows, k) block to one draw per row.
 """
 
 from dataclasses import dataclass, replace
@@ -13,54 +25,79 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .potentials import NegEntropy
-from .samplers import ExpFamilySpec, NoiseSpec, RngStream, sample_noise, sample_weight, sample_white_noise
+from .samplers import (
+    ExpFamilySpec,
+    NoiseSpec,
+    RngStream,
+    box_muller,
+    noise_draw,
+    one_draw,
+    trial_uniforms,
+    weight_draw,
+    white_noise_draw,
+)
 
 STREAM_INPUTS = 0
 STREAM_WEIGHT = 1
 STREAM_NOISE = 2
 STREAM_PROBE = 3
 STREAM_BOOTSTRAP = 4
-STREAM_TRIAL_BASE = 1000
+
+
+def unit_rows(X):
+    """Each row of X (..., dim) scaled to norm one; a row of norm below
+    1e-12 becomes the first basis vector."""
+    # np.vecdot takes each row's dot product as np.dot does, so a row's
+    # norm is bit for bit np.linalg.norm of that row
+    norm = np.sqrt(np.vecdot(X, X))[..., None]
+    zero = norm[..., 0] < 1e-12
+    X[zero], norm[zero] = np.eye(X.shape[-1])[0], 1.0
+    return X / norm
+
+
+def input_draw(dim, count, kind="gaussian", scale=1.0):
+    """(k, values): `count` input rows of the named kind take k uniforms, and
+    `values` maps a (rows, k) block of them to (rows, count, dim) inputs.
+    Gaussian rows are one Box-Muller draw each, in order; "unit" normalizes
+    them, and "basis_then_gaussian" first sweeps the standard basis, so
+    that the accumulated Gram matrix hits any excitation level
+    delta <= scale^2 after exactly dim steps."""
+    basis = min(dim, count) if kind == "basis_then_gaussian" else 0
+    width = dim + dim % 2
+
+    def values(U):
+        X = box_muller(U.reshape(-1, width), dim).reshape(len(U), count - basis, dim)
+        if kind == "unit":
+            X = unit_rows(X)
+        X = scale * X
+        if basis:
+            prefix = np.broadcast_to(scale * np.eye(dim)[:basis], (len(U), basis, dim))
+            X = np.concatenate([prefix, X], axis=1)
+        return X
+
+    return (count - basis) * width, values
 
 
 def gaussian_inputs(dim, count, rng, unit=False, scale=1.0):
     """A (count, dim) array of i.i.d. standard normal rows, optionally
     normalized; row r is the r-th of `count` successive `rng.normal(dim)`."""
-    X = rng.normal_rows(count, dim)
-    if unit:
-        # np.vecdot takes each row's dot product as np.dot does, so a row's
-        # norm is bit for bit np.linalg.norm of that row
-        norm = np.sqrt(np.vecdot(X, X))[:, None]
-        zero = norm[:, 0] < 1e-12
-        X[zero], norm[zero] = np.eye(dim)[0], 1.0
-        X = X / norm
-    return scale * X
+    return one_draw(input_draw(dim, count, "unit" if unit else "gaussian", scale), rng)
 
 
 def basis_then_gaussian(dim, count, rng, scale=1.0):
-    """A deterministic sweep of the standard basis, then Gaussian inputs.
-
-    The prefix makes the accumulated Gram matrix hit any excitation level
-    delta <= scale^2 after exactly dim steps.
-    """
-    prefix = scale * np.eye(dim)[: min(dim, count)]
-    return np.concatenate([prefix, gaussian_inputs(dim, count - len(prefix), rng, scale=scale)])
+    """A deterministic sweep of the standard basis, then Gaussian inputs."""
+    return one_draw(input_draw(dim, count, "basis_then_gaussian", scale), rng)
 
 
 def make_inputs(cfg, count=None):
-    rng = RngStream(cfg.seed, STREAM_INPUTS)
-    count = cfg.T if count is None else count
-    kind = cfg.inputs["kind"]
-    scale = cfg.inputs["scale"]
-    if kind == "gaussian":
-        return gaussian_inputs(cfg.dim, count, rng, scale=scale)
-    if kind == "unit":
-        return gaussian_inputs(cfg.dim, count, rng, unit=True, scale=scale)
-    return basis_then_gaussian(cfg.dim, count, rng, scale=scale)
+    draw = input_draw(cfg.dim, cfg.T if count is None else count, cfg.inputs["kind"], cfg.inputs["scale"])
+    return one_draw(draw, RngStream(cfg.seed, STREAM_INPUTS))
 
 
-def planted_weight(cfg, potential, rng):
-    """A fixed ground-truth weight compatible with the potential's domain."""
+def planted_draw(cfg, potential):
+    """(k, values): a fixed ground-truth weight compatible with the
+    potential's domain takes k uniforms, and `values` maps a (rows, k)
+    block of them to (rows, dim) weights, one normal draw per row."""
     kind = cfg.planted["kind"]
     if kind == "auto":
         if isinstance(potential, NegEntropy):
@@ -69,16 +106,27 @@ def planted_weight(cfg, potential, rng):
             kind = "sparse"
         else:
             kind = "gaussian"
-    z = np.asarray(rng.normal(cfg.dim))
-    if kind == "gaussian":
-        return z
-    if kind == "positive":
-        return np.abs(z) + 0.5
-    support = min(cfg.planted["support"], cfg.dim)
-    w = np.zeros(cfg.dim)
-    idx = np.argsort(-np.abs(z))[:support]
-    w[idx] = np.sign(z[idx]) * (1.0 + np.abs(z[idx]))
-    return w
+    dim = cfg.dim
+    support = min(cfg.planted["support"], dim)
+
+    def values(U):
+        z = box_muller(U, dim)
+        if kind == "gaussian":
+            return z
+        if kind == "positive":
+            return np.abs(z) + 0.5
+        idx = np.argsort(-np.abs(z), axis=-1)[:, :support]
+        top = np.take_along_axis(z, idx, axis=-1)
+        w = np.zeros_like(z)
+        np.put_along_axis(w, idx, np.sign(top) * (1.0 + np.abs(top)), axis=-1)
+        return w
+
+    return dim + dim % 2, values
+
+
+def planted_weight(cfg, potential, rng):
+    """A fixed ground-truth weight compatible with the potential's domain."""
+    return one_draw(planted_draw(cfg, potential), rng)
 
 
 @dataclass
@@ -93,7 +141,7 @@ class Problem:
 
 
 def _reseeded(cfg, trial):
-    """A distinct but reproducible seed for one trial or case."""
+    """A distinct but reproducible seed for one case."""
     return replace(cfg, seed=(cfg.seed + 0x9E3779B9 * (trial + 1)) % 2**63)
 
 
@@ -102,33 +150,42 @@ def prior_scale(cfg):
     return cfg.build_schedule().rate(1)
 
 
-def generate_problem(cfg):
-    """Draw (w_true, noises) per the configured generative model and
-    assemble y_i = f(x_i, w_true) + v_i."""
+def _problem_draws(cfg):
+    """The (k, values) draws of a problem's inputs, weight and noises: the
+    weight from the exponential-family prior and the noises from the loss
+    under the "model" noise kind, else a planted weight and white noise."""
     p = cfg.build_potential()
-    l = cfg.build_loss()
-    m = cfg.build_model()
-    X = make_inputs(cfg)
-    rng_w = RngStream(cfg.seed, STREAM_WEIGHT)
-    rng_v = RngStream(cfg.seed, STREAM_NOISE)
+    inputs = input_draw(cfg.dim, cfg.T, cfg.inputs["kind"], cfg.inputs["scale"])
     kind = cfg.noise["kind"]
     if kind == "model":
         prior = ExpFamilySpec(p, cfg.w0_vector(), prior_scale(cfg), grid=cfg.grid_spec())
-        w_true = sample_weight(prior, rng_w)
-        noises = np.asarray(sample_noise(l, rng_v, size=cfg.T))
+        return inputs, weight_draw(prior), noise_draw(cfg.build_loss(), cfg.T)
+    if kind == "none":
+        noise = 0, lambda U: np.zeros((len(U), cfg.T))
     else:
-        w_true = planted_weight(cfg, p, rng_w)
-        if kind == "none":
-            noises = np.zeros(cfg.T)
-        else:
-            spec = NoiseSpec(variance=cfg.noise["sigma2"], kind=kind)
-            noises = np.asarray(sample_white_noise(spec, rng_v, size=cfg.T))
-    # per-row dot products, each exactly np.dot(x, w_true), as in gaussian_inputs
-    Y = m.g(np.vecdot(X, w_true)) + noises
+        noise = white_noise_draw(NoiseSpec(variance=cfg.noise["sigma2"], kind=kind), cfg.T)
+    return inputs, planted_draw(cfg, p), noise
+
+
+def _assemble(cfg, X, w_true, noises):
+    """The problem y_i = f(x_i, w_true) + v_i, one or a batch."""
+    # per-row dot products, each exactly np.dot(x, w_true), as in unit_rows
+    Y = cfg.build_model().g(np.vecdot(X, w_true[..., None, :])) + noises
     return Problem(w_true=w_true, X=X, Y=Y, noises=noises)
 
 
+def generate_problem(cfg):
+    """Draw inputs, weight and noises from streams 0, 1 and 2 per the
+    configured generative model and assemble y_i = f(x_i, w_true) + v_i."""
+    streams = (STREAM_INPUTS, STREAM_WEIGHT, STREAM_NOISE)
+    return _assemble(cfg, *(one_draw(draw, RngStream(cfg.seed, s))
+                            for s, draw in zip(streams, _problem_draws(cfg))))
+
+
 def generate_problems(cfg, n):
-    """`generate_problem(_reseeded(cfg, t))` for t < n, stacked on a leading axis."""
-    problems = [vars(generate_problem(_reseeded(cfg, t))).values() for t in range(n)]
-    return Problem(*(np.stack(a) for a in zip(*problems)))
+    """The problems of trials 0 .. n-1 on a leading axis. Trial t's inputs,
+    weight and noises, in that order, are row t of `trial_uniforms`."""
+    draws = _problem_draws(cfg)
+    U = trial_uniforms(cfg.seed, n, sum(k for k, _ in draws))
+    cuts = np.cumsum([k for k, _ in draws])[:-1]
+    return _assemble(cfg, *(values(u) for (_, values), u in zip(draws, np.split(U, cuts, axis=1))))

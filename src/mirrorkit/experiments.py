@@ -1,8 +1,9 @@
 """Desk-scale experiments: risk-sensitive comparison, implicit regularization
 against independent oracles, and mean-square convergence under vanishing steps.
 
-Monte Carlo trials draw from per-trial random streams, so results are
-independent of execution order.
+Monte Carlo trial t draws from row t of one counter-based block of
+uniforms, so results are independent of execution order and of the trial
+count.
 """
 
 import logging
@@ -12,11 +13,11 @@ from itertools import chain, repeat
 
 import numpy as np
 
+from .config import estimator_name
 from .datagen import (
     STREAM_BOOTSTRAP,
     STREAM_INPUTS,
     STREAM_PROBE,
-    STREAM_TRIAL_BASE,
     STREAM_WEIGHT,
     basis_then_gaussian,
     make_inputs,
@@ -33,13 +34,15 @@ from .descent import (
 from .errors import ConfigError, ConvergenceError, RankError, StepCapError
 from .potentials import SquaredL2
 from .samplers import (
+    BLOCK_VALUES,
     ExpFamilySpec,
     NoiseSpec,
     RngStream,
     noise_draw,
     sample_weight,
-    sample_white_noise,
+    trial_uniforms,
     weight_draw,
+    white_noise_draw,
 )
 
 log = logging.getLogger("mirrorkit")
@@ -93,13 +96,6 @@ def risk_cost(predictions, w, X, Y, l, mode=SMDCost()):
 
 # ---------------------------------------------------------------------------
 # causal estimators (batched across trials)
-
-
-def estimator_name(spec):
-    """The report name of a config-level estimator; scaled_smd with gamma 1 is smd."""
-    if spec["kind"] == "scaled_smd" and spec.get("gamma", 1.0) != 1.0:
-        return f"scaled_smd({spec['gamma']:g})"
-    return "smd" if spec["kind"] == "scaled_smd" else spec["kind"]
 
 
 def estimator_predictions(spec, p, l, eta, prior, X, Y, w0):
@@ -211,11 +207,10 @@ def bootstrap_basic_ci(values, rng, n_resamples=BOOTSTRAP_RESAMPLES, level=0.95)
 
 def _draw_trials(prior, l, T, n_trials, seed):
     """Every trial's weight (n_trials, dim) and noises (n_trials, T). Trial t
-    takes both, weight first, from one uniform draw of stream 1000 + t."""
+    takes both, weight first, from row t of `trial_uniforms`."""
     kw, weights = weight_draw(prior)
     kv, noises = noise_draw(l, T)
-    rows = (RngStream(seed, STREAM_TRIAL_BASE + t).uniform(kw + kv) for t in range(n_trials))
-    U = np.fromiter(rows, np.dtype((float, kw + kv)), count=n_trials)
+    U = trial_uniforms(seed, n_trials, kw + kv)
     return weights(U[:, :kw]), noises(U[:, kw:])
 
 
@@ -502,8 +497,13 @@ def _msq_runs(p, l, X, y_clean, V, schedule, w0):
     Y = (y + v for y, v in zip(y_clean, V.T))
     etas = (schedule.rate(i) for i in range(1, T + 1))
     steps = mirror_steps(p, W0, X, Y, etas, lambda i, x, y, W: l.deriv(y - W @ x))
-    marks = sorted({c for c in (100, 1000, 10_000) if c <= T} | {T})
+    marks = _checkpoints(T)
     return marks, {t: W for t, W in enumerate(steps, 1) if t in marks}
+
+
+def _checkpoints(T):
+    """The horizons at which the mean-square error is reported."""
+    return sorted({c for c in (100, 1000, 10_000) if c <= T} | {T})
 
 
 def msq_convergence(cfg, control_eta=None):
@@ -521,6 +521,10 @@ def msq_convergence(cfg, control_eta=None):
     if cfg.noise["kind"] not in ("gaussian", "uniform", "rademacher"):
         raise ConfigError("mean-square convergence uses white noise (gaussian/uniform/rademacher)")
     T, n_runs = cfg.T, cfg.n_trials
+    if len(_checkpoints(T)) < 2:
+        # a decay from one checkpoint would compare the error with itself
+        raise ConfigError(f"mean-square convergence needs at least two checkpoints, "
+                          f"so T > 100; got T={T}")
     X = basis_then_gaussian(cfg.dim, T, RngStream(cfg.seed, STREAM_INPUTS), scale=cfg.inputs["scale"])
     ok, t_found = persistent_excitation(X, cfg.delta_pe)
     if not ok:
@@ -528,10 +532,13 @@ def msq_convergence(cfg, control_eta=None):
     log.info("persistent excitation reached at T=%d", t_found)
     w_true = planted_weight(cfg, p, RngStream(cfg.seed, STREAM_WEIGHT))
     y_clean = X @ w_true
-    spec = NoiseSpec(variance=cfg.noise["sigma2"], kind=cfg.noise["kind"])
+    # run r's noises are row r of the trial uniforms, transformed a few runs
+    # at a time so that the uniforms of all runs never exist at once
+    k, noises = white_noise_draw(NoiseSpec(variance=cfg.noise["sigma2"], kind=cfg.noise["kind"]), T)
     V = np.empty((n_runs, T))
-    for r in range(n_runs):
-        V[r] = sample_white_noise(spec, RngStream(cfg.seed, STREAM_TRIAL_BASE + r), size=T)
+    rows = max(1, BLOCK_VALUES // max(k, 1))
+    for r in range(0, n_runs, rows):
+        V[r : r + rows] = noises(trial_uniforms(cfg.seed, min(rows, n_runs - r), k, first=r))
     w0 = cfg.w0_vector()
 
     marks, snaps = _msq_runs(p, l, X, y_clean, V, schedule, w0)

@@ -24,6 +24,8 @@ log = logging.getLogger("mirrorkit")
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+STREAM_TRIAL_BASE = 1000  # trial t draws from stream 1000 + t
+BLOCK_VALUES = 1 << 14  # trial uniforms made in one pass
 
 BOUNDARY_DENSITY = 1e-16
 TAIL_MASS_LIMIT = 1e-8
@@ -31,7 +33,8 @@ _MAX_DOUBLINGS = 40
 
 
 def _splitmix64(z):
-    """Finalizer of the splitmix64 generator (Steele, Lea & Flood)."""
+    """Finalizer of the splitmix64 generator (Steele, Lea & Flood), on a
+    Python int or elementwise on a uint64 array."""
     z &= _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -41,6 +44,33 @@ def _splitmix64(z):
 def derive_seed(seed, stream_index):
     """Counter-based child seed: splitmix64(seed + (index+1) * golden ratio)."""
     return _splitmix64((int(seed) + (int(stream_index) + 1) * _GOLDEN) & _MASK64)
+
+
+def trial_uniforms(seed, n, k, first=0):
+    """An (n, k) block of U[0, 1) variates for trials first .. first+n-1:
+    the row of trial t holds the first k outputs of the splitmix64 generator
+    started at `derive_seed(seed, STREAM_TRIAL_BASE + t)`, each mapped to
+    (x >> 11) * 2^-53. A row depends only on (seed, t), and its first columns
+    do not depend on k (counter-based streams; Salmon et al., SC 2011). The
+    uint64 arithmetic wraps modulo 2^64 on arrays, silently; rows are mixed
+    BLOCK_VALUES values at a time to bound the temporaries."""
+    golden = np.uint64(_GOLDEN)
+    trials = np.arange(first, first + n, dtype=np.uint64) + np.uint64(STREAM_TRIAL_BASE + 1)
+    starts = _splitmix64(np.uint64(int(seed) & _MASK64) + trials * golden)
+    steps = np.arange(1, k + 1, dtype=np.uint64) * golden
+    out = np.empty((n, k))
+    rows = max(1, BLOCK_VALUES // max(k, 1))
+    for r in range(0, n, rows):
+        x = _splitmix64(starts[r : r + rows, None] + steps)
+        out[r : r + rows] = (x >> np.uint64(11)) * 2.0**-53
+    return out
+
+
+def one_draw(draw, rng):
+    """The draw of a (k, values) pair on one row of k uniforms from the
+    stream `rng`; a batch maps a (rows, k) block with `values` itself."""
+    k, values = draw
+    return values(rng.uniform((1, k)))[0]
 
 
 def box_muller(u, n):
@@ -74,15 +104,11 @@ class RngStream:
         return self._gen.random(size)
 
     def normal(self, size):
-        """Standard normals of shape `size`, the one row of `normal_rows(1, n)`
-        for n = prod(size). All radii come before all angles (`box_muller`),
-        so a shorter draw is not a prefix of a longer one."""
-        return self.normal_rows(1, int(np.prod(size)))[0].reshape(size)
-
-    def normal_rows(self, count, dim):
-        """A (count, dim) array of standard normals whose rows are, bit for
-        bit, `count` successive `normal(dim)` draws."""
-        return box_muller(self._gen.random((count, dim + dim % 2)), dim)
+        """Standard normals of shape `size`, one Box-Muller draw of all
+        n = prod(size) values. All radii come before all angles
+        (`box_muller`), so a shorter draw is not a prefix of a longer one."""
+        n = int(np.prod(size))
+        return box_muller(self._gen.random((1, n + n % 2)), n)[0].reshape(size)
 
     def integers(self, low, high, size=None):
         return self._gen.integers(low, high, size=size)
@@ -271,8 +297,7 @@ def sample_weight(spec, rng, size=None, force_tabulated=False):
     """Weight vectors from the exponential-family prior, shape (dim,) for
     size=None, else (size, dim). A single tabulated draw is the first row of
     a batch from an identically constructed stream; a squared-L2 one is not."""
-    k, values = weight_draw(spec, size, force_tabulated)
-    return values(rng.uniform((1, k)))[0]
+    return one_draw(weight_draw(spec, size, force_tabulated), rng)
 
 
 _NOISE_TABLES = {}
@@ -300,8 +325,7 @@ def noise_draw(l, size, force_tabulated=False):
 
 
 def sample_noise(l, rng, size, force_tabulated=False):
-    k, values = noise_draw(l, size, force_tabulated)
-    return values(rng.uniform((1, k)))[0]
+    return one_draw(noise_draw(l, size, force_tabulated), rng)
 
 
 @dataclass
@@ -341,15 +365,22 @@ class NoiseSpec:
             raise ValueError(f"unknown noise kind {self.kind!r}")
 
 
-def sample_white_noise(spec, rng, size):
-    """`size` zero-mean noises with variance spec.variance from the named family."""
+def white_noise_draw(spec, size):
+    """(k, values): `size` zero-mean noises with variance spec.variance from
+    the named family take k uniforms, and `values` maps a (rows, k) block of
+    them to (rows, size) noises."""
     n = int(size)
     sd = np.sqrt(spec.variance)
     if spec.kind == "gaussian":
-        return sd * np.asarray(rng.normal(n))
+        return n + n % 2, lambda U: sd * box_muller(U, n)
     if spec.kind == "uniform":
-        return (rng.uniform(n) - 0.5) * np.sqrt(12.0) * sd
-    return np.where(rng.uniform(n) < 0.5, -sd, sd)
+        return n, lambda U: (U - 0.5) * np.sqrt(12.0) * sd
+    return n, lambda U: np.where(U < 0.5, -sd, sd)
+
+
+def sample_white_noise(spec, rng, size):
+    """`size` zero-mean noises with variance spec.variance from the named family."""
+    return one_draw(white_noise_draw(spec, size), rng)
 
 
 def kolmogorov_sf(lam):

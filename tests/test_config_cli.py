@@ -365,6 +365,38 @@ def test_risk_scaled_smd_with_gamma_one_is_smd(tmp_path):
     assert [row.split(",")[0] for row in rows[1:]] == ["smd", "constant"]
 
 
+@pytest.mark.parametrize("specs, name", [
+    ([{"kind": "smd"}, {"kind": "constant"}, {"kind": "constant"}], "constant"),
+    ([{"kind": "smd"}, {"kind": "scaled_smd", "gamma": 1.0}, {"kind": "constant"}], "smd"),
+], ids=["repeated_kind", "scaled_smd_gamma_one"])
+def test_risk_rejects_estimators_that_share_a_report_name(specs, name, tmp_path, caplog):
+    # each would run twice and write two rows of one name, of which the
+    # verdict reads only the first
+    path = _write(tmp_path, dict(RISK_SMALL, estimators=specs, output_dir=str(tmp_path / "o")))
+    with caplog.at_level(logging.ERROR, logger="mirrorkit"):
+        assert main(["risk", "--config", str(path)]) == EXIT_ERROR
+    assert any(r.message.startswith("ValidationError") and f"repeats the estimator {name!r}" in r.message
+               for r in caplog.records)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("T", [50, 100])
+def test_converge_needs_two_checkpoints(T, tmp_path, caplog):
+    # up to T 100 the only checkpoint is T itself, and a decay check would
+    # compare the error with itself
+    mapping = json.loads((ROOT / "configs" / "converge.json").read_text(encoding="utf-8"))
+    mapping.update(T=T, n_trials=10, output_dir=str(tmp_path / "o"))
+    path = _write(tmp_path, mapping)
+    with caplog.at_level(logging.ERROR, logger="mirrorkit"):
+        assert main(["converge", "--config", str(path)]) == EXIT_ERROR
+    assert any(r.message.startswith("ConfigError") and "at least two checkpoints" in r.message
+               for r in caplog.records)
+    assert not (tmp_path / "o").exists()
+    path = _write(tmp_path, dict(mapping, T=101))
+    assert main(["converge", "--config", str(path)]) != EXIT_ERROR
+    assert len((tmp_path / "o" / "converge.csv").read_text().splitlines()) == 3
+
+
 def test_converge_fails_closed_when_the_control_diverges(tmp_path, caplog):
     # eta 5 makes the constant-rate control overflow to NaN; a NaN plateau
     # must not let the vanishing-rate run pass untested

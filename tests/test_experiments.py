@@ -23,7 +23,6 @@ from mirrorkit import (
     run_interpolating_descent,
 )
 from mirrorkit.config import make_config
-from mirrorkit.datagen import STREAM_TRIAL_BASE
 from mirrorkit.experiments import (
     BOOTSTRAP_RESAMPLES,
     _draw_trials,
@@ -33,6 +32,8 @@ from mirrorkit.experiments import (
 )
 from mirrorkit.losses import LogCosh, Quartic
 from mirrorkit.samplers import ExpFamilySpec, RngStream, sample_noise, sample_weight
+
+from conftest import CounterStream
 
 
 def test_risk_cost_clairvoyant_is_one(rng):
@@ -213,8 +214,10 @@ def test_batched_trial_draws_equal_per_trial_draws(kind, loss, dim, T):
     prior = ExpFamilySpec(p, np.linspace(0.5, 1.5, dim), 0.1)
     W, V = _draw_trials(prior, loss, T, 30, seed=17)
     assert W.shape == (30, dim) and V.shape == (30, T)
+    # trial t is the weight and then the noises drawn from its own counter
+    # stream, the same draws a single-stream sampler makes from it
     for t in range(30):
-        rng = RngStream(17, STREAM_TRIAL_BASE + t)
+        rng = CounterStream(17, t)
         assert np.array_equal(W[t], sample_weight(prior, rng))
         assert np.array_equal(V[t], sample_noise(loss, rng, size=T))
     # a trial depends only on (seed, t), not on how many trials are drawn

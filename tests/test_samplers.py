@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, kstest
 
 from mirrorkit import (
     ExpFamilySpec,
@@ -19,7 +21,9 @@ from mirrorkit import (
     sample_weight,
     sample_white_noise,
 )
-from mirrorkit.samplers import NoiseSpec, derive_seed
+from mirrorkit.samplers import NoiseSpec, derive_seed, trial_uniforms
+
+from conftest import CounterStream
 
 N = 100_000
 
@@ -36,6 +40,37 @@ def test_distinct_stream_indices_differ():
     b = RngStream(123, 1).uniform(50)
     assert not np.array_equal(a, b)
     assert derive_seed(123, 0) != derive_seed(123, 1)
+
+
+@pytest.mark.parametrize("seed", [0, 17, 401, 2**64 - 1])
+def test_trial_uniforms_are_the_splitmix64_counter_streams(seed):
+    """Row t is the splitmix64 sequence started at derive_seed(seed, 1000 + t),
+    computed here one Python integer at a time."""
+    U = trial_uniforms(seed, 6, 11)
+    assert U.shape == (6, 11) and U.dtype == np.float64
+    for t in range(6):
+        assert np.array_equal(U[t], CounterStream(seed, t).uniform(11))
+    assert trial_uniforms(seed, 0, 5).shape == (0, 5)
+    assert trial_uniforms(seed, 3, 0).shape == (3, 0)
+
+
+def test_trial_uniforms_rows_depend_only_on_seed_and_trial():
+    U = trial_uniforms(5, 40, 30)
+    # row t does not depend on n, and the first k' columns not on k
+    assert np.array_equal(trial_uniforms(5, 7, 30), U[:7])
+    assert np.array_equal(trial_uniforms(5, 40, 12), U[:, :12])
+    assert not np.array_equal(trial_uniforms(6, 40, 30), U)
+    assert len(np.unique(U)) == U.size
+
+
+def test_trial_uniforms_are_uniform_and_warning_free():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the uint64 arithmetic wraps on purpose
+        U = trial_uniforms(2024, 1000, 100)
+    assert np.all((U >= 0.0) & (U < 1.0))
+    # the 53-bit mapping puts every value on the 2^-53 lattice
+    assert np.array_equal(U * 2.0**53, np.floor(U * 2.0**53))
+    assert kstest(U.ravel(), "uniform").pvalue > 0.01
 
 
 def test_box_muller_moments():
