@@ -60,7 +60,6 @@ from .experiments import (
     implicit_reg_oracle,
     msq_convergence,
     risk_compare,
-    risk_cost,
     run_interpolating_descent,
 )
 from .losses import LogCosh, LossFn, Quadratic, Quartic, make_loss

@@ -38,6 +38,8 @@ EXIT_ASSERTION = 2
 
 
 def _fmt(value):
+    if type(value) is float:
+        return format(value, ".17g")
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -53,7 +55,7 @@ def write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(_fmt, row)) + "\n")
     log.info("wrote %s (%d rows)", path, len(rows))
 
 
@@ -86,7 +88,8 @@ def _cmd_audit(cfg):
     terms, global_residual = audit_mod.audit_trajectory(traj, problem.w_true, noises=problem.noises)
     # the columns are the record's fields: step, d_psi_prev, d_psi_next,
     # d_loss_bregman, e_term, loss_noise, local_residual
-    write_csv(_out(cfg, "audit.csv"), list(vars(terms)), list(zip(*vars(terms).values())))
+    columns = [c.tolist() for c in vars(terms).values()]
+    write_csv(_out(cfg, "audit.csv"), list(vars(terms)), list(zip(*columns)))
     tol = cfg.tolerances["identity_rtol"]
     worst = terms.local_residual.max()
     log.info("audit: worst local residual %.3e, global residual %.3e", worst, global_residual)
@@ -109,7 +112,8 @@ def _cmd_minimax(cfg):
     certified = report.premise_certified
     write_csv(_out(cfg, "minimax.csv"),
               ["trial", "numerator", "denominator", "ratio", "premise_certified"],
-              list(zip(range(cfg.n_trials), report.numerator, report.denominator, report.ratio, certified)))
+              list(zip(range(cfg.n_trials), report.numerator.tolist(), report.denominator.tolist(),
+                       report.ratio.tolist(), certified.tolist())))
     log.info("minimax: %d/%d trials premise-certified", certified.sum(), cfg.n_trials)
     if not certified.any():
         log.error("minimax: no trial is premise-certified, so the bound was not tested")

@@ -151,9 +151,11 @@ class Trajectory:
 def mirror_update(p, U, x, coef, eta):
     """The SMD kernel: grad psi(w) += eta * coef * x, then pull back through p.
 
-    `U` is the mirror state of a batch, shape (n, dim) with one `coef` per
-    row, or (dim,) with a scalar `coef`; the input `x` is shared (dim,) or
-    one row per trial (n, dim). Returns the new state and weights.
+    `U` is the mirror state of one start, shape (dim,) with a scalar `coef`,
+    or of a batch of any leading shape, (..., dim) with `coef` of shape (...);
+    the input `x` is shared (dim,) or one row per trial (..., dim), and `eta`
+    broadcasts against `coef`, e.g. one rate per block as (blocks, 1) for a
+    state (blocks, n, dim). Returns the new state and weights.
     """
     U = U + np.asarray(eta * coef)[..., None] * x
     return U, p.grad_inv(U)
@@ -198,9 +200,10 @@ def genrec_step(p, l, w_prev, x, y, z, eta):
 def mirror_steps(mirror, W, X, Y, etas, coef):
     """Yield w_1 .. w_T of the mirror recursion started at W = w_0.
 
-    `W` is one start of shape (dim,) or a batch of shape (n, dim). Step i
-    reads the input `X[i]` (shared, or one row per trial), the output `Y[i]`
-    (a scalar, or one per trial), the rate `etas[i]`, and the shift
+    `W` is one start of shape (dim,) or a batch of any leading shape
+    (..., dim). Step i reads the input `X[i]` (shared, or one row per trial),
+    the output `Y[i]` (a scalar, or one per trial), the rate `etas[i]` (a
+    scalar, or one per block broadcast as in `mirror_update`), and the shift
     `coef(i, x, y, W)` at the previous iterate; all may be any iterables.
     The state U = grad psi(W) is carried and never recomputed from W.
     """

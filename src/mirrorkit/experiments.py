@@ -82,18 +82,6 @@ def _mode_increment(mode, l, y, xw_true, z):
     return mode.alpha * np.square(xw_true - z)
 
 
-def risk_cost(predictions, w, X, Y, l, mode=SMDCost()):
-    """Single-realization exponential cost of a prediction sequence on the
-    inputs X (T, dim) and outputs Y (T,)."""
-    if len(predictions) != len(Y):
-        raise ValueError("predictions and Y must have equal length")
-    w = np.asarray(w, dtype=float)
-    s = 0.0
-    for z, x, y in zip(predictions, X, Y):
-        s += float(_mode_increment(mode, l, float(y), float(x @ w), float(z)))
-    return float(np.exp(s))
-
-
 # ---------------------------------------------------------------------------
 # causal estimators (batched across trials)
 
@@ -256,9 +244,10 @@ def _risk_trials(cfg, T, warn_only, what):
 
 def _costs_at(marks, mode, l, XW, Y, predictions):
     """{t: every trial's exponential cost after t steps} for t in `marks`; the
-    exponent is accumulated step by step as the predictions arrive."""
+    exponent is accumulated step by step as the predictions arrive, from
+    cost 1 after no step."""
     S = np.zeros(len(Y))
-    costs = {}
+    costs = {0: np.exp(S)} if 0 in marks else {}
     with np.errstate(over="ignore"):
         for t, z in enumerate(predictions, 1):
             S += _mode_increment(mode, l, Y[:, t - 1], XW[:, t - 1], z)
@@ -490,13 +479,14 @@ class MsqReport:
     control: list | None = None
 
 
-def _msq_runs(p, l, X, y_clean, V, schedule, w0):
-    """Vectorized multi-run recursion; returns iterate snapshots at checkpoints."""
-    n_runs, T = V.shape
-    W0 = np.tile(np.asarray(w0, dtype=float), (n_runs, 1))
-    Y = (y + v for y, v in zip(y_clean, V.T))
-    etas = (schedule.rate(i) for i in range(1, T + 1))
-    steps = mirror_steps(p, W0, X, Y, etas, lambda i, x, y, W: l.deriv(y - W @ x))
+def _msq_runs(p, l, X, Y, schedules, w0):
+    """Every run under each schedule in one recursion: block b of the state
+    (len(schedules), n_runs, dim) follows schedules[b] on the step-major
+    outputs Y (T, n_runs). Returns the checkpoints and the state at each."""
+    T, n_runs = Y.shape
+    W0 = np.tile(np.asarray(w0, dtype=float), (len(schedules), n_runs, 1))
+    etas = np.stack([np.fromiter(map(s.rate, range(1, T + 1)), float, T) for s in schedules], axis=-1)
+    steps = mirror_steps(p, W0, X, Y, etas[..., None], lambda i, x, y, W: l.deriv(y - W @ x))
     marks = _checkpoints(T)
     return marks, {t: W for t, W in enumerate(steps, 1) if t in marks}
 
@@ -533,22 +523,17 @@ def msq_convergence(cfg, control_eta=None):
     w_true = planted_weight(cfg, p, RngStream(cfg.seed, STREAM_WEIGHT))
     y_clean = X @ w_true
     # run r's noises are row r of the trial uniforms, transformed a few runs
-    # at a time so that the uniforms of all runs never exist at once
+    # at a time so that the uniforms of all runs never exist at once; the
+    # outputs are stored step-major, one row of runs per step
     k, noises = white_noise_draw(NoiseSpec(variance=cfg.noise["sigma2"], kind=cfg.noise["kind"]), T)
-    V = np.empty((n_runs, T))
+    Y = np.empty((T, n_runs))
     rows = max(1, BLOCK_VALUES // max(k, 1))
     for r in range(0, n_runs, rows):
-        V[r : r + rows] = noises(trial_uniforms(cfg.seed, min(rows, n_runs - r), k, first=r))
-    w0 = cfg.w0_vector()
+        Y[:, r : r + rows] = noises(trial_uniforms(cfg.seed, min(rows, n_runs - r), k, first=r)).T
+    Y += y_clean[:, None]
+    schedules = [schedule] if control_eta is None else [schedule, Constant(control_eta)]
 
-    marks, snaps = _msq_runs(p, l, X, y_clean, V, schedule, w0)
-    checkpoints = [
-        (t, float(np.mean(np.sum((snaps[t] - w_true) ** 2, axis=1)))) for t in marks
-    ]
-    control = None
-    if control_eta is not None:
-        _, csnaps = _msq_runs(p, l, X, y_clean, V, Constant(control_eta), w0)
-        control = [
-            (t, float(np.mean(np.sum((csnaps[t] - w_true) ** 2, axis=1)))) for t in marks
-        ]
-    return MsqReport(checkpoints=checkpoints, control=control)
+    marks, snaps = _msq_runs(p, l, X, Y, schedules, cfg.w0_vector())
+    mse = [[(t, float(np.mean(np.sum((snaps[t][b] - w_true) ** 2, axis=1)))) for t in marks]
+           for b in range(len(schedules))]
+    return MsqReport(checkpoints=mse[0], control=mse[1] if control_eta is not None else None)

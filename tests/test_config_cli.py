@@ -96,6 +96,15 @@ def test_csv_rendering(tmp_path):
     assert "0.33333333333333331" in text
     assert "true" in text and "false" in text
     assert "\r" not in text
+    # numpy scalars render exactly as the Python scalars they hold
+    rows = [[7, 1.0 / 3.0, True, float("inf"), -float("inf"), -0.0, 1e-300],
+            [-3, 2.5e17, False, 0.1, float("nan"), 5.0, 123456789.0]]
+    write_csv(path, list("abcdefg"), rows)
+    python_bytes = path.read_bytes()
+    write_csv(path, list("abcdefg"),
+              [[np.int64(r[0]), np.float64(r[1]), np.bool_(r[2])] + [np.float64(v) for v in r[3:]] for r in rows])
+    assert path.read_bytes() == python_bytes
+    assert python_bytes.splitlines()[1] == b"7,0.33333333333333331,true,inf,-inf,-0,1e-300"
 
 
 BASE = {

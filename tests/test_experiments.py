@@ -19,12 +19,12 @@ from mirrorkit import (
     iterate,
     msq_convergence,
     risk_compare,
-    risk_cost,
     run_interpolating_descent,
 )
 from mirrorkit.config import make_config
 from mirrorkit.experiments import (
     BOOTSTRAP_RESAMPLES,
+    _costs_at,
     _draw_trials,
     _linear_quantile,
     bootstrap_basic_ci,
@@ -34,6 +34,15 @@ from mirrorkit.losses import LogCosh, Quartic
 from mirrorkit.samplers import ExpFamilySpec, RngStream, sample_noise, sample_weight
 
 from conftest import CounterStream
+
+
+def risk_cost(predictions, w, X, Y, l, mode=SMDCost()):
+    """One trial's exponential cost of a prediction sequence on the inputs
+    X (T, dim) and outputs Y (T,), through the risk comparison's accumulator."""
+    T = len(Y)
+    xw, Y = (np.asarray(X, dtype=float) @ w)[None, :], np.asarray(Y, dtype=float)[None, :]
+    costs = _costs_at({T}, mode, l, xw, Y, (np.array([z]) for z in predictions))
+    return float(costs[T][0])
 
 
 def test_risk_cost_clairvoyant_is_one(rng):
@@ -324,9 +333,9 @@ def test_msq_vectorized_matches_engine():
     w_true = np.array([0.9, 1.4, 0.6])
     v = np.asarray(rng.normal(120))
     schedule = RobbinsMonro(0.5)
-    marks, snaps = _msq_runs(p, l, X, X @ w_true, v[None, :], schedule, np.ones(3))
+    marks, snaps = _msq_runs(p, l, X, (X @ w_true + v)[:, None], [schedule], np.ones(3))
     traj = iterate(p, l, Linear(), X, X @ w_true + v, schedule, np.ones(3), check_margin=False)
-    np.testing.assert_allclose(snaps[120][0], traj.iterates[-1], rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(snaps[120][0, 0], traj.iterates[-1], rtol=1e-12, atol=1e-14)
 
 
 def test_engines_share_one_mirror_update_bitwise():
@@ -350,14 +359,41 @@ def test_engines_share_one_mirror_update_bitwise():
     for p in all_potentials(3):
         for l in all_losses():
             traj = iterate(p, l, Linear(), X, Y, Constant(0.02), w0, check_margin=False)
-            marks, snaps = _msq_runs(p, l, X, Y, np.zeros((1, 120)), Constant(0.02), w0)
+            marks, snaps = _msq_runs(p, l, X, Y[:, None], [Constant(0.02)], w0)
             for t in marks:
-                assert np.array_equal(snaps[t][0], traj.iterates[t - 1])
+                assert np.array_equal(snaps[t][0, 0], traj.iterates[t - 1])
             coef = lambda i, x, y, W: l.deriv(y - W @ x)
             steps = mirror_steps(p, w0[None, :], X, Y[:, None], repeat(0.02), coef)
             for i, W in enumerate(steps):
                 assert np.array_equal(W[0], traj.iterates[i])
             assert i == len(Y) - 1
+
+
+def test_msq_blocks_match_one_schedule_runs_bitwise():
+    """Each block of a two-schedule run is the one-schedule run of its
+    schedule, bit for bit: the blocks share the outputs and never mix. Some
+    SeparableQ(1.5) runs diverge under the quartic loss; their NaNs must
+    match too."""
+    from mirrorkit import Constant
+    from mirrorkit.descent import RobbinsMonro
+    from mirrorkit.experiments import _msq_runs
+
+    from conftest import all_losses, all_potentials
+
+    rng = RngStream(22, 0)
+    X = np.stack([np.asarray(rng.normal(3)) for _ in range(150)])
+    Y = (X @ np.array([0.9, 1.4, 0.6]))[:, None] + 0.3 * np.asarray(rng.normal((150, 5)))
+    w0 = np.ones(3)
+    schedules = [RobbinsMonro(0.5), Constant(0.02)]
+    for p in all_potentials(3):
+        for l in all_losses():
+            with np.errstate(over="ignore", invalid="ignore"):
+                marks, snaps = _msq_runs(p, l, X, Y, schedules, w0)
+                alones = [_msq_runs(p, l, X, Y, [s], w0)[1] for s in schedules]
+            for b, alone in enumerate(alones):
+                for t in marks:
+                    assert snaps[t].shape == (2, 5, 3)
+                    assert np.array_equal(snaps[t][b], alone[t][0], equal_nan=True)
 
 
 def test_shuffled_epochs_reach_same_limit():
