@@ -29,8 +29,6 @@ from .descent import (
     persistent_excitation,
     run_general_recursion,
     run_trajectory,
-    smd_step,
-    ssmd_step,
 )
 from .errors import (
     ConfigError,

@@ -211,7 +211,6 @@ _ESTIMATOR = _variant({
     "ssmd": {},
     "constant": {},
     "scaled_smd": {"gamma": (REQUIRED, POSITIVE)},
-    "risk_neutral": {},
 })
 
 SCHEMA = {

@@ -14,13 +14,14 @@ laid out per subcommand as
     risk, blow-up probe   [weight | noises]
     converge (run t)      [noises]
     minimax               [inputs | weight | noises]
+    implicit (case t)     [inputs | planted]
 
 `sample-check` alone reads PCG64 streams 1000-1003, for four draws that are
 not trials. Each transform below is a (k, values) pair, as in the samplers:
 k uniforms per draw, and `values` maps a (rows, k) block to one draw per row.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,11 +139,6 @@ class Problem:
     X: np.ndarray
     Y: np.ndarray
     noises: np.ndarray
-
-
-def _reseeded(cfg, trial):
-    """A distinct but reproducible seed for one case."""
-    return replace(cfg, seed=(cfg.seed + 0x9E3779B9 * (trial + 1)) % 2**63)
 
 
 def prior_scale(cfg):

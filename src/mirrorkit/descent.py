@@ -143,10 +143,6 @@ class Trajectory:
     def final(self):
         return self.path[..., -1, :]
 
-    def iterate_before(self, i):
-        """w_{i-1} for a 1-based step index i."""
-        return self.path[..., i - 1, :]
-
 
 def mirror_update(p, U, x, coef, eta):
     """The SMD kernel: grad psi(w) += eta * coef * x, then pull back through p.
@@ -169,32 +165,6 @@ def _smd_coef(l, m, x, y, w):
 
 def _ssmd_coef(l, x, y, w):
     return l.deriv(y) - l.deriv(np.vecdot(x, w))
-
-
-def _step(p, w_prev, x, coef, eta):
-    if eta <= 0.0:
-        raise ValueError("eta must be > 0")
-    w_prev = p.check_domain(np.asarray(w_prev, dtype=float))
-    x = np.asarray(x, dtype=float)
-    if not np.any(eta * coef * x):
-        return w_prev.copy()
-    return mirror_update(p, p.grad(w_prev), x, coef, eta)[1]
-
-
-def smd_step(p, l, m, w_prev, x, y, eta):
-    """One mirror step on the observation (x, y): shift grad psi(w) by
-    eta * J_f * l'(residual)."""
-    return _step(p, w_prev, x, _smd_coef(l, m, x, y, w_prev), eta)
-
-
-def ssmd_step(p, l, w_prev, x, y, eta):
-    """Symmetric mirror step for linear models: eta * x * (l'(y) - l'(x^T w))."""
-    return _step(p, w_prev, x, _ssmd_coef(l, x, y, w_prev), eta)
-
-
-def genrec_step(p, l, w_prev, x, y, z, eta):
-    """Prediction-driven mirror step: eta * x * l'(y - z) for an arbitrary z."""
-    return _step(p, w_prev, x, l.deriv(y - z), eta)
 
 
 def mirror_steps(mirror, W, X, Y, etas, coef):

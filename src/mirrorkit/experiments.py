@@ -20,6 +20,7 @@ from .datagen import (
     STREAM_PROBE,
     STREAM_WEIGHT,
     basis_then_gaussian,
+    generate_problems,
     make_inputs,
     planted_weight,
 )
@@ -86,7 +87,7 @@ def _mode_increment(mode, l, y, xw_true, z):
 # causal estimators (batched across trials)
 
 
-def estimator_predictions(spec, p, l, eta, prior, X, Y, w0):
+def estimator_predictions(spec, p, l, eta, X, Y, w0):
     """(name, predictions) of one config-level estimator on a batch of trials.
 
     `Y` holds each trial's outputs, shape (n_trials, T), for the shared inputs
@@ -98,10 +99,6 @@ def estimator_predictions(spec, p, l, eta, prior, X, Y, w0):
     if kind == "constant":
         # the no-update baseline z_i = x_i^T w_0
         return name, (np.full(len(Y), float(w0 @ x)) for x in X)
-    if kind == "risk_neutral":
-        if prior.potential.dim != 1:
-            raise ConfigError("risk_neutral estimator supports dim=1 only")
-        return name, _posterior_mean_predictions(prior, l, X, Y)
     if kind == "ssmd":
         coef = lambda i, x, y, W: l.deriv(y) - l.deriv(W @ x)
     elif kind in ("smd", "scaled_smd"):
@@ -113,21 +110,6 @@ def estimator_predictions(spec, p, l, eta, prior, X, Y, w0):
     W0 = np.tile(np.asarray(w0, dtype=float), (len(Y), 1))
     steps = mirror_steps(p, W0, X, Y.T, repeat(eta), coef)
     return name, (W @ x for x, W in zip(X, chain([W0], steps)))
-
-
-def _posterior_mean_predictions(prior, l, X, Y):
-    """Posterior-mean predictions by grid quadrature (scalar weights only).
-
-    This is the conditional-mean baseline; it is reported descriptively and
-    never enters dominance assertions.
-    """
-    table = prior.tables()[0]
-    grid = table.xs
-    logw = np.tile(np.log(np.maximum(table.pdf, 1e-300)), (len(Y), 1))
-    for x, y in zip(X, Y.T):
-        w = np.exp(logw - logw.max(axis=1, keepdims=True))
-        yield float(x[0]) * ((w @ grid) / w.sum(axis=1))
-        logw -= l.value(y[:, None] - float(x[0]) * grid[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +205,8 @@ def certify_margin(cfg, p, l, eta, X, prior, warn_only=False):
 
 def _risk_trials(cfg, T, warn_only, what):
     """The shared setup of the risk comparison and the blow-up probe: the
-    constant rate, T inputs, the certified prior, and every trial's clean
-    outputs XW and noisy outputs Y, both (n_trials, T)."""
+    constant rate, T inputs certified under the prior, and every trial's
+    clean outputs XW and noisy outputs Y, both (n_trials, T)."""
     if T < 1:
         raise ConfigError(f"{what} needs at least one step, got T={T}")
     p = cfg.build_potential()
@@ -239,7 +221,7 @@ def _risk_trials(cfg, T, warn_only, what):
     certify_margin(cfg, p, l, eta, X, prior, warn_only=warn_only)
     W_true, V = _draw_trials(prior, l, T, cfg.n_trials, cfg.seed)
     XW = W_true @ X.T
-    return p, l, eta, prior, X, w0, XW, XW + V
+    return p, l, eta, X, w0, XW, XW + V
 
 
 def _costs_at(marks, mode, l, XW, Y, predictions):
@@ -267,10 +249,10 @@ def risk_compare(cfg, warn_only=False):
         raise ConfigError("risk comparison is defined for the linear model")
     if cfg.n_trials < 2:
         raise ConfigError(f"risk comparison needs at least 2 trials, got n_trials={cfg.n_trials}")
-    p, l, eta, prior, X, w0, XW, Y = _risk_trials(cfg, cfg.T, warn_only, "risk comparison")
+    p, l, eta, X, w0, XW, Y = _risk_trials(cfg, cfg.T, warn_only, "risk comparison")
     runs = []
     for spec in cfg.estimators:
-        name, predictions = estimator_predictions(spec, p, l, eta, prior, X, Y, w0)
+        name, predictions = estimator_predictions(spec, p, l, eta, X, Y, w0)
         mode = SSMDCost() if spec["kind"] == "ssmd" else SMDCost()
         runs.append((name, mode, _costs_at({cfg.T}, mode, l, XW, Y, predictions)[cfg.T]))
     cis = bootstrap_basic_ci(np.stack([c for *_, c in runs]), RngStream(cfg.seed, STREAM_BOOTSTRAP))
@@ -288,10 +270,8 @@ def exponent_blowup_probe(cfg, alpha=1.0, checkpoints=(10, 20, 30, 40, 50), warn
     confirmed by finite Monte Carlo, so the output is the blow-up curve of
     the worst observed trial cost at each horizon.
     """
-    p, l, eta, prior, X, w0, XW, Y = _risk_trials(
-        cfg, max(checkpoints), warn_only, "the blow-up probe"
-    )
-    _, predictions = estimator_predictions({"kind": "smd"}, p, l, eta, prior, X, Y, w0)
+    p, l, eta, X, w0, XW, Y = _risk_trials(cfg, max(checkpoints), warn_only, "the blow-up probe")
+    _, predictions = estimator_predictions({"kind": "smd"}, p, l, eta, X, Y, w0)
     costs = _costs_at(set(checkpoints), ScaledQuadratic(alpha), l, XW, Y, predictions)
     return [(t, float(c.max()), float(c.mean())) for t, c in sorted(costs.items())]
 
@@ -379,23 +359,18 @@ def implicit_reg_oracle(X, y, p, w0, max_iter=200, tol=1e-11):
     return OracleSolution(w, kkt_residual, constraint_residual)
 
 
-def run_interpolating_descent(
-    p, l, X, y, w0, eta, feas_tol=FEASIBILITY_TOL, step_cap=STEP_CAP, shuffle_rng=None
-):
-    """Cycle the rows of (X, y) with mirror steps until X w = y within feas_tol.
-
-    Rows are visited in fixed order by default; passing a shuffle stream
-    reshuffles the visiting order each epoch (the limit point does not
-    depend on the order, only the path does). Returns (w, steps,
-    feasibility, progress log); progress is sampled at geometrically spaced
-    steps so even a capped run stays diagnosable.
+def run_interpolating_descent(p, l, X, y, w0, eta, feas_tol=FEASIBILITY_TOL, step_cap=STEP_CAP):
+    """Cycle the rows of (X, y) in order with mirror steps until X w = y
+    within feas_tol (the limit point does not depend on the order, only the
+    path does). Returns (w, steps, feasibility, progress log); progress is
+    sampled at geometrically spaced steps so even a capped run stays
+    diagnosable.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     n = X.shape[0]
     w = p.check_domain(np.asarray(w0, dtype=float)).copy()
     u = p.grad(w)
-    order = np.arange(n)
     progress = []
     next_log = 1
     steps = 0
@@ -413,9 +388,7 @@ def run_interpolating_descent(
                 f"interpolating descent diverged (feasibility {feas:.3e} at step {steps}); "
                 "eta exceeds the stability range for these inputs"
             )
-        if steps % n == 0 and shuffle_rng is not None:
-            order = np.argsort(shuffle_rng.uniform(n))
-        i = order[steps % n]
+        i = steps % n
         u, w = mirror_update(p, u, X[i], l.deriv(y[i] - float(X[i] @ w)), eta)
         steps += 1
         if steps == next_log or steps % n == 0:
@@ -437,12 +410,15 @@ class ImplicitRegReport:
 
 
 def implicit_reg_experiment(cfg):
-    """Run interpolating mirror descent on a noiseless underdetermined system
-    and compare its limit against the constrained-divergence oracle."""
+    """Run interpolating mirror descent on noiseless underdetermined systems
+    and compare each limit against the constrained-divergence oracle. Case t
+    is trial t of `generate_problems`; returns one report per case."""
     p = cfg.build_potential()
     l = cfg.build_loss()
     if cfg.noise["kind"] != "none":
         raise ConfigError("implicit regularization requires noiseless data (noise kind 'none')")
+    if cfg.model["kind"] != "linear":
+        raise ConfigError("implicit regularization is defined for the linear model")
     schedule = cfg.build_schedule()
     if schedule.kind != "constant":
         raise ConfigError("implicit regularization uses a constant learning rate")
@@ -451,22 +427,23 @@ def implicit_reg_experiment(cfg):
         raise ConfigError(f"implicit regularization needs at least one step, got T={n}")
     if not n < m:
         raise ConfigError(f"need an underdetermined system (T={n} rows < dim={m})")
-    X = make_inputs(cfg)
-    w_true = planted_weight(cfg, p, RngStream(cfg.seed, STREAM_WEIGHT))
-    y = X @ w_true
+    problems = generate_problems(cfg, cfg.n_trials)
     w0 = cfg.w0_vector()
     feas_tol = cfg.tolerances["feasibility"]
     step_cap = cfg.tolerances["step_cap"]
-    oracle = implicit_reg_oracle(X, y, p, w0)
-    w_smd, steps, feas, _ = run_interpolating_descent(
-        p, l, X, y, w0, schedule.eta, feas_tol=feas_tol, step_cap=step_cap
-    )
-    gap = float(np.max(np.abs(w_smd - oracle.w_star)))
-    log.info(
-        "implicit reg: gap=%.3e feasibility=%.3e kkt=%.3e steps=%d",
-        gap, feas, oracle.kkt_residual, steps,
-    )
-    return ImplicitRegReport(w_smd, oracle.w_star, gap, feas, oracle.kkt_residual, steps)
+    reports = []
+    for k, (X, y) in enumerate(zip(problems.X, problems.Y)):
+        oracle = implicit_reg_oracle(X, y, p, w0)
+        w_smd, steps, feas, _ = run_interpolating_descent(
+            p, l, X, y, w0, schedule.eta, feas_tol=feas_tol, step_cap=step_cap
+        )
+        gap = float(np.max(np.abs(w_smd - oracle.w_star)))
+        log.info(
+            "implicit reg case %d: gap=%.3e feasibility=%.3e kkt=%.3e steps=%d",
+            k, gap, feas, oracle.kkt_residual, steps,
+        )
+        reports.append(ImplicitRegReport(w_smd, oracle.w_star, gap, feas, oracle.kkt_residual, steps))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ def test_criterion_1_identity_suite():
                 traj = iterate(p, l, m, X, Y, Constant(eta), _in_domain(p, rng), check_margin=False)
                 for i, (x, y) in enumerate(zip(X, Y), 1):
                     rec = local_identity(
-                        p, l, m, w_ref, traj.iterate_before(i), traj.iterates[i - 1], x, y, eta, step=i
+                        p, l, m, w_ref, traj.path[i - 1], traj.iterates[i - 1], x, y, eta, step=i
                     )
                     worst["local"] = max(worst["local"], rec.local_residual)
                 worst["global"] = max(worst["global"], global_identity(traj, w_ref, noises))
@@ -109,7 +109,7 @@ def test_criterion_1_identity_suite():
                         worst["step_exponent"] = max(
                             worst["step_exponent"],
                             step_exponent_residual(
-                                p, l, gen.iterates[i - 1], gen.iterate_before(i),
+                                p, l, gen.iterates[i - 1], gen.path[i - 1],
                                 X[i - 1], Y[i - 1], z[i - 1], eta,
                             ),
                         )
@@ -197,40 +197,34 @@ def test_criterion_2_minimax_optimality():
 
 def test_criterion_3_implicit_regularization():
     t0 = time.perf_counter()
-    gaps_l2 = []
-    for seed in range(20):
-        cfg = make_config(
-            potential="squared_l2", loss="quadratic", dim=20, T=5, n_trials=1,
-            schedule={"kind": "constant", "eta": 0.5}, noise={"kind": "none"},
-            inputs={"kind": "unit"}, seed=100 + seed,
-        )
-        rep = implicit_reg_experiment(cfg)
+    cfg = make_config(
+        potential="squared_l2", loss="quadratic", dim=20, T=5, n_trials=20,
+        schedule={"kind": "constant", "eta": 0.5}, noise={"kind": "none"},
+        inputs={"kind": "unit"}, seed=100,
+    )
+    reps = implicit_reg_experiment(cfg)
+    assert len(reps) == 20
+    for rep in reps:
         assert rep.feasibility <= 1e-9 and rep.kkt_residual <= 1e-10
-        gaps_l2.append(rep.gap)
+    gaps_l2 = [rep.gap for rep in reps]
     assert max(gaps_l2) <= 1e-6
 
-    gaps_ne = []
-    for seed in range(5):
-        cfg = make_config(
-            potential="neg_entropy", loss="quadratic", dim=20, T=5, n_trials=1,
-            schedule={"kind": "constant", "eta": 0.2}, noise={"kind": "none"},
-            inputs={"kind": "unit"}, seed=200 + seed,
-        )
-        rep = implicit_reg_experiment(cfg)
-        gaps_ne.append(rep.gap)
-    assert max(gaps_ne) <= 1e-5
+    cfg = make_config(
+        potential="neg_entropy", loss="quadratic", dim=20, T=5, n_trials=5,
+        schedule={"kind": "constant", "eta": 0.2}, noise={"kind": "none"},
+        inputs={"kind": "unit"}, seed=200,
+    )
+    gaps_ne = [rep.gap for rep in implicit_reg_experiment(cfg)]
+    assert len(gaps_ne) == 5 and max(gaps_ne) <= 1e-5
 
-    gaps_q = []
-    for seed in range(3):
-        cfg = make_config(
-            potential={"kind": "separable_q", "q": 1.5}, loss="quadratic",
-            dim=40, T=10, n_trials=1, planted={"kind": "sparse", "support": 3},
-            schedule={"kind": "constant", "eta": 0.1}, noise={"kind": "none"},
-            inputs={"kind": "unit"}, seed=300 + seed,
-        )
-        rep = implicit_reg_experiment(cfg)
-        gaps_q.append(rep.gap)
-    assert max(gaps_q) <= 1e-5
+    cfg = make_config(
+        potential={"kind": "separable_q", "q": 1.5}, loss="quadratic",
+        dim=40, T=10, n_trials=3, planted={"kind": "sparse", "support": 3},
+        schedule={"kind": "constant", "eta": 0.1}, noise={"kind": "none"},
+        inputs={"kind": "unit"}, seed=300,
+    )
+    gaps_q = [rep.gap for rep in implicit_reg_experiment(cfg)]
+    assert len(gaps_q) == 3 and max(gaps_q) <= 1e-5
     _report(
         3,
         f"gaps: squared_l2 max {max(gaps_l2):.2e} (20 systems), "

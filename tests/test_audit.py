@@ -57,7 +57,7 @@ def test_local_identity_residuals(model_kind, rng):
             traj = iterate(p, l, m, X, Y, Constant(eta), random_in_domain(p, rng), check_margin=False)
             for i, (x, y) in enumerate(zip(X, Y), 1):
                 rec = local_identity(
-                    p, l, m, w_ref, traj.iterate_before(i), traj.iterates[i - 1], x, y, eta, step=i
+                    p, l, m, w_ref, traj.path[i - 1], traj.iterates[i - 1], x, y, eta, step=i
                 )
                 assert rec.local_residual <= 1e-9
 
@@ -77,7 +77,7 @@ def test_quadratic_loss_bregman_is_squared_prediction_error(rng):
     w_ref, _, X, Y = _make_problem(p, m, rng, T=10)
     traj = iterate(p, l, m, X, Y, Constant(ETA), np.zeros(3), check_margin=False)
     for i, (x, y) in enumerate(zip(X, Y), 1):
-        w_prev = traj.iterate_before(i)
+        w_prev = traj.path[i - 1]
         expected = 0.5 * float(x @ (w_ref - w_prev)) ** 2
         assert loss_map_bregman(l, m, x, y, w_ref, w_prev) == pytest.approx(expected, abs=1e-12)
 
@@ -128,7 +128,7 @@ def test_audit_rows_equal_local_identity(model_kind, rng):
             terms, _ = audit_trajectory(traj, w_ref, noises)
             for i, (x, y) in enumerate(zip(X, Y), 1):
                 rec = local_identity(
-                    p, l, m, w_ref, traj.iterate_before(i), traj.iterates[i - 1], x, y, eta, step=i
+                    p, l, m, w_ref, traj.path[i - 1], traj.iterates[i - 1], x, y, eta, step=i
                 )
                 for name, value in vars(rec).items():
                     assert getattr(terms, name)[i - 1] == value, (p.kind, l.kind, i, name)
@@ -199,7 +199,7 @@ def test_minimax_quadratic_matches_filter_energy_form(rng):
     rep = energy_gain(traj, w_true, noises)
     num = 0.5 * np.sum((w_true - traj.final) ** 2)
     num += 0.4 * sum(
-        0.5 * float(x @ (w_true - traj.iterate_before(i))) ** 2
+        0.5 * float(x @ (w_true - traj.path[i - 1])) ** 2
         for i, x in enumerate(X, 1)
     )
     den = 0.5 * np.sum(w_true**2) + 0.4 * np.sum(0.5 * noises**2)
@@ -275,7 +275,7 @@ def test_exponent_identity_random_z(rng):
             assert exponent_identity_residual(p, l, w_ref, traj, z) <= 1e-8
             for i in (1, 10, 20):
                 r = step_exponent_residual(
-                    p, l, traj.iterates[i - 1], traj.iterate_before(i), X[i - 1], Y[i - 1], z[i - 1], eta
+                    p, l, traj.iterates[i - 1], traj.path[i - 1], X[i - 1], Y[i - 1], z[i - 1], eta
                 )
                 assert r <= 1e-9
 
@@ -284,7 +284,7 @@ def test_recursion_with_own_predictions_is_mirror_descent(rng):
     p, l, m = NegEntropy(3), Quadratic(), Linear()
     w_ref, _, X, Y = _make_problem(p, m, rng, T=15)
     smd = iterate(p, l, m, X, Y, Constant(ETA), np.ones(3), check_margin=False)
-    z = [float(x @ smd.iterate_before(i)) for i, x in enumerate(X, 1)]
+    z = [float(x @ smd.path[i - 1]) for i, x in enumerate(X, 1)]
     gen = run_general_recursion(p, l, X, Y, z, ETA, np.ones(3))
     for a, b in zip(smd.iterates, gen.iterates):
         assert np.array_equal(a, b)
@@ -295,9 +295,7 @@ def test_step_exponent_self_prediction_drops_term(rng):
     w_prev = rng.standard_normal(2)
     x, y = rng.standard_normal(2), float(rng.standard_normal())
     z = float(x @ w_prev)
-    from mirrorkit.descent import genrec_step
-
-    w_i = genrec_step(p, l, w_prev, x, y, z, ETA)
+    w_i = run_general_recursion(p, l, x[None], np.array([y]), [z], ETA, w_prev).final
     assert float(l.bregman(y - float(x @ w_prev), y - z)) == 0.0
     assert step_exponent_residual(p, l, w_i, w_prev, x, y, z, ETA) <= 1e-12
 
@@ -306,11 +304,9 @@ def test_step_exponent_fixed_point(rng):
     p, l = NegEntropy(2), Quadratic()
     w_prev = np.abs(rng.standard_normal(2)) + 0.5
     x, y = rng.standard_normal(2), 1.3
-    z = y  # l'(y - z) = 0 freezes the iterate
-    from mirrorkit.descent import genrec_step
-
-    w_i = genrec_step(p, l, w_prev, x, y, z, ETA)
-    assert np.array_equal(w_i, w_prev)
+    z = y  # l'(y - z) = 0 shifts the mirror state by exactly zero
+    w_i = run_general_recursion(p, l, x[None], np.array([y]), [z], ETA, w_prev).final
+    assert np.array_equal(w_i, p.grad_inv(p.grad(w_prev)))
     assert step_exponent_residual(p, l, w_i, w_prev, x, y, z, ETA) <= 1e-12
 
 
@@ -349,6 +345,6 @@ def test_local_identity_softplus_link(rng):
     traj = iterate(p, l, m, X, Y, Constant(0.05), rng.standard_normal(3), check_margin=False)
     for i, (x, y) in enumerate(zip(X, Y), 1):
         rec = local_identity(
-            p, l, m, w_ref, traj.iterate_before(i), traj.iterates[i - 1], x, y, 0.05, step=i
+            p, l, m, w_ref, traj.path[i - 1], traj.iterates[i - 1], x, y, 0.05, step=i
         )
         assert rec.local_residual <= 1e-9

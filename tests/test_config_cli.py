@@ -244,6 +244,21 @@ def test_minimax_fails_closed_when_no_trial_is_certified(tmp_path, caplog):
     assert any(r.levelno == logging.ERROR for r in caplog.records)
 
 
+def test_minimax_fails_on_a_nan_ratio(tmp_path, caplog):
+    # noise of variance 1e308 overflows the energies: a NaN ratio on a
+    # certified trial must fail the bound, not compare false and pass
+    cfg = make_config(
+        potential="squared_l2", loss="quadratic", dim=2, T=10, n_trials=20, w0=0.0,
+        schedule={"kind": "constant", "eta": 0.5}, inputs={"kind": "unit"},
+        noise={"kind": "gaussian", "sigma2": 1e308}, output_dir=str(tmp_path),
+    )
+    with caplog.at_level(logging.INFO, logger="mirrorkit"):
+        assert dispatch(cfg, "minimax") == EXIT_ASSERTION
+    rows = (tmp_path / "minimax.csv").read_text().splitlines()[1:]
+    assert any(row.endswith(",nan,true") for row in rows)
+    assert any("certified trials have a non-finite ratio" in r.message for r in caplog.records)
+
+
 @pytest.mark.parametrize("field", ["mc_cost", "ci_low"])
 def test_risk_verdict_fails_on_nan(field, tmp_path, monkeypatch):
     from mirrorkit import experiments
@@ -353,7 +368,7 @@ RISK_SMALL = dict(potential="squared_l2", loss="quadratic", dim=2, T=5, n_trials
 @pytest.mark.parametrize("estimators, missing", [
     (["constant", "ssmd"], "needs an smd estimator"),
     (["smd", "ssmd"], "needs a baseline"),
-    (["scaled_smd", "ssmd", "risk_neutral"], "needs a baseline"),
+    (["scaled_smd", "ssmd"], "needs a baseline"),
     (["ssmd"], "needs an smd estimator"),
 ], ids=["no_smd", "no_baseline", "descriptive_only", "ssmd_only"])
 def test_risk_verdict_needs_smd_and_a_baseline(estimators, missing, tmp_path, caplog):

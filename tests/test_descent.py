@@ -18,8 +18,6 @@ from mirrorkit import (
     convexity_margin,
     iterate,
     persistent_excitation,
-    smd_step,
-    ssmd_step,
 )
 from mirrorkit.config import make_config
 from mirrorkit.descent import mirror_update, premise_holds, run_trajectory
@@ -29,44 +27,49 @@ from mirrorkit.samplers import RngStream
 from conftest import all_losses, all_potentials, random_in_domain
 
 
+def _one_step(p, l, w, x, y, eta, algorithm="smd"):
+    """w_1 of `iterate` run for one step (T = 1) from w on the observation (x, y)."""
+    traj = iterate(p, l, Linear(), np.asarray(x)[None], np.array([y]), Constant(eta), w,
+                   algorithm=algorithm, check_margin=False)
+    return traj.final
+
+
 def test_smd_step_is_lms_for_quadratic_l2():
-    w = smd_step(
-        SquaredL2(2), Quadratic(), Linear(),
-        np.zeros(2), np.array([1.0, 1.0]), 1.0, 0.1,
-    )
-    np.testing.assert_allclose(w, [0.1, 0.1])
+    w, x, y, eta = np.zeros(2), np.array([1.0, 1.0]), 1.0, 0.1
+    out = _one_step(SquaredL2(2), Quadratic(), w, x, y, eta)
+    np.testing.assert_allclose(out, w + eta * x * (y - x @ w), rtol=1e-15)
+    np.testing.assert_allclose(out, [0.1, 0.1])
 
 
 def test_smd_step_exponentiated_gradient():
-    w = smd_step(
-        NegEntropy(2), Quadratic(), Linear(),
-        np.array([1.0, 1.0]), np.array([1.0, 0.0]), 2.0, 0.5,
-    )
-    np.testing.assert_allclose(w, [np.exp(0.5), 1.0], rtol=1e-12)
+    w, x, y, eta = np.array([1.0, 1.0]), np.array([1.0, 0.0]), 2.0, 0.5
+    out = _one_step(NegEntropy(2), Quadratic(), w, x, y, eta)
+    np.testing.assert_allclose(out, w * np.exp(eta * x * (y - x @ w)), rtol=1e-12)
+    np.testing.assert_allclose(out, [np.exp(0.5), 1.0], rtol=1e-12)
 
 
 def test_smd_fixed_point_is_exact(rng):
+    # a zero residual shifts the mirror state by exactly zero, so the step
+    # is the round trip through the mirror map
     for p in all_potentials(3):
         for l in all_losses():
             w = random_in_domain(p, rng)
             x = np.asarray(rng.normal(size=3))
-            out = smd_step(p, l, Linear(), w, x, float(x @ w), 0.3)
-            assert np.array_equal(out, w)
+            out = _one_step(p, l, w, x, float(x @ w), 0.3)
+            assert np.array_equal(out, p.grad_inv(p.grad(w)))
 
 
 def test_ssmd_examples():
-    np.testing.assert_allclose(
-        ssmd_step(SquaredL2(1), Quadratic(), np.zeros(1), np.array([1.0]), 1.0, 0.1),
-        [0.1],
-    )
-    np.testing.assert_allclose(
-        ssmd_step(SquaredL2(1), Quartic(), np.ones(1), np.array([1.0]), 1.0, 0.1),
-        [1.0],
-    )
-    np.testing.assert_allclose(
-        ssmd_step(SquaredL2(1), Quartic(), np.zeros(1), np.array([1.0]), 2.0, 0.1),
-        [0.8],
-    )
+    # squared-L2 symmetric step: w + eta * x * (l'(y) - l'(x^T w))
+    for l, w, y, expected in [
+        (Quadratic(), np.zeros(1), 1.0, [0.1]),
+        (Quartic(), np.ones(1), 1.0, [1.0]),
+        (Quartic(), np.zeros(1), 2.0, [0.8]),
+    ]:
+        x, eta = np.array([1.0]), 0.1
+        out = _one_step(SquaredL2(1), l, w, x, y, eta, algorithm="ssmd")
+        np.testing.assert_allclose(out, w + eta * x * (l.deriv(y) - l.deriv(x @ w)), rtol=1e-15)
+        np.testing.assert_allclose(out, expected)
 
 
 def test_ssmd_equals_smd_for_quadratic(rng):
@@ -75,8 +78,8 @@ def test_ssmd_equals_smd_for_quadratic(rng):
             w = random_in_domain(p, rng)
             x = np.asarray(rng.normal(size=3))
             y = float(rng.normal())
-            a = smd_step(p, Quadratic(), Linear(), w, x, y, 0.2)
-            b = ssmd_step(p, Quadratic(), w, x, y, 0.2)
+            a = _one_step(p, Quadratic(), w, x, y, 0.2)
+            b = _one_step(p, Quadratic(), w, x, y, 0.2, algorithm="ssmd")
             assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -89,7 +92,7 @@ def test_mirror_domain_additivity(rng):
         Y = X @ w_true + 0.1 * rng.normal(size=25)
         traj = iterate(p, l, Linear(), X, Y, Constant(0.05), random_in_domain(p, rng), check_margin=False)
         for i, (x, y) in enumerate(zip(X, Y), 1):
-            w_prev = traj.iterate_before(i)
+            w_prev = traj.path[i - 1]
             w_next = traj.iterates[i - 1]
             lhs = p.grad(w_next) - p.grad(w_prev)
             rhs = 0.05 * x * l.deriv(y - float(x @ w_prev))

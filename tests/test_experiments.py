@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from mirrorkit import (
     SeparableQ,
     SquaredL2,
     StepCapError,
+    ValidationError,
     exponent_blowup_probe,
     implicit_reg_experiment,
     implicit_reg_oracle,
@@ -22,6 +25,7 @@ from mirrorkit import (
     run_interpolating_descent,
 )
 from mirrorkit.config import make_config
+from mirrorkit.datagen import generate_problems
 from mirrorkit.experiments import (
     BOOTSTRAP_RESAMPLES,
     _costs_at,
@@ -85,7 +89,7 @@ def test_estimator_causality_black_box():
     Y2[0, 1] = 5.0  # future observation differs at step 2
     zs = []
     for Y in (Y1, Y2):
-        _, predictions = estimator_predictions({"kind": "smd"}, p, l, 0.3, None, X, Y, np.zeros(2))
+        _, predictions = estimator_predictions({"kind": "smd"}, p, l, 0.3, X, Y, np.zeros(2))
         zs.append([float(z[0]) for z in predictions])
     assert zs[0][0] == zs[1][0]
     assert zs[0][1] == zs[1][1]
@@ -132,22 +136,10 @@ def test_risk_compare_is_deterministic():
         assert (ea.ci_low, ea.ci_high) == (eb.ci_low, eb.ci_high)
 
 
-def test_risk_neutral_estimator_beats_nothing_fancy():
-    """Scalar posterior-mean baseline runs and produces finite costs."""
-    cfg = _gaussian_cfg(
-        dim=1, n_trials=200, T=10,
-        estimators=[{"kind": "smd"}, {"kind": "risk_neutral"}],
-    )
-    rep = risk_compare(cfg)
-    rn = rep.entry("risk_neutral")
-    assert np.isfinite(rn.mc_cost) and rn.mc_cost >= 0.9
-
-
 def test_risk_neutral_requires_scalar():
-    prior = ExpFamilySpec(SquaredL2(2), np.zeros(2), 0.1)
-    with pytest.raises(ConfigError):
-        estimator_predictions({"kind": "risk_neutral"}, SquaredL2(2), Quadratic(), 0.1, prior,
-                              np.eye(2), np.zeros((3, 2)), np.zeros(2))
+    # the posterior-mean estimator is no longer a config-level kind
+    with pytest.raises(ValidationError, match="risk_neutral"):
+        _gaussian_cfg(estimators=[{"kind": "smd"}, {"kind": "risk_neutral"}])
 
 
 @pytest.mark.parametrize("spec, name", [
@@ -159,7 +151,7 @@ def test_risk_neutral_requires_scalar():
 ])
 def test_estimator_names(spec, name):
     X, Y = np.eye(2), np.zeros((3, 2))
-    assert estimator_predictions(spec, SquaredL2(2), Quadratic(), 0.1, None, X, Y, np.zeros(2))[0] == name
+    assert estimator_predictions(spec, SquaredL2(2), Quadratic(), 0.1, X, Y, np.zeros(2))[0] == name
 
 
 def test_linear_quantile_equals_numpy_quantile():
@@ -291,10 +283,31 @@ def test_implicit_reg_experiment_squared_l2():
         schedule={"kind": "constant", "eta": 0.5}, noise={"kind": "none"},
         inputs={"kind": "unit"}, seed=3,
     )
-    rep = implicit_reg_experiment(cfg)
+    [rep] = implicit_reg_experiment(cfg)
     assert rep.gap <= 1e-6
     assert rep.feasibility <= 1e-9
     assert rep.kkt_residual <= 1e-10
+
+
+def test_implicit_cases_are_trials():
+    """Case t is trial t of `generate_problems`, whatever the case count."""
+    cfg = make_config(
+        potential="neg_entropy", loss="quadratic", dim=8, T=3, n_trials=5,
+        schedule={"kind": "constant", "eta": 0.2}, noise={"kind": "none"},
+        inputs={"kind": "unit"}, seed=17,
+    )
+    five = implicit_reg_experiment(cfg)
+    two = implicit_reg_experiment(replace(cfg, n_trials=2))
+    problems = generate_problems(cfg, 5)
+    assert len(five) == 5 and len(two) == 2
+    p, w0 = cfg.build_potential(), cfg.w0_vector()
+    for t, (a, b) in enumerate(zip(five, two)):
+        assert np.array_equal(a.w_smd, b.w_smd) and np.array_equal(a.w_oracle, b.w_oracle)
+        assert (a.gap, a.feasibility, a.kkt_residual, a.steps) == (b.gap, b.feasibility, b.kkt_residual, b.steps)
+        # the noiseless system of trial t
+        X, y = problems.X[t], problems.Y[t]
+        np.testing.assert_allclose(y, X @ problems.w_true[t], rtol=1e-14, atol=1e-15)
+        assert np.array_equal(a.w_oracle, implicit_reg_oracle(X, y, p, w0).w_star)
 
 
 def test_implicit_reg_needs_underdetermined():
@@ -405,9 +418,8 @@ def test_shuffled_epochs_reach_same_limit():
     y = X @ w_plant
     p, l = SquaredL2(12), Quadratic()
     w_fixed, *_ = run_interpolating_descent(p, l, X, y, np.zeros(12), 0.5)
-    w_shuf, *_ = run_interpolating_descent(
-        p, l, X, y, np.zeros(12), 0.5, shuffle_rng=RngStream(8, 0)
-    )
+    order = rng.permutation(len(X))
+    w_shuf, *_ = run_interpolating_descent(p, l, X[order], y[order], np.zeros(12), 0.5)
     assert np.max(np.abs(w_fixed - w_shuf)) < 1e-7
 
 
@@ -460,7 +472,7 @@ def test_risk_pipeline_against_quadrature_oracle():
     Y = XW + np.stack([V1, V2], axis=1)
     for kind, target in [("smd", quad_smd), ("constant", quad_const)]:
         _, predictions = estimator_predictions(
-            {"kind": kind}, SquaredL2(1), l, eta, prior, X, Y, np.array([w0])
+            {"kind": kind}, SquaredL2(1), l, eta, X, Y, np.array([w0])
         )
         S = np.zeros(n)
         for i, z in enumerate(predictions):

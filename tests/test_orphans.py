@@ -1,0 +1,68 @@
+"""No leftovers in the package: every module-level import is used and every
+module-level private function is called from somewhere in `src/`.
+
+A name counts as used when the package refers to it outside its own binding:
+as a name or an attribute anywhere in `src/`, or, for an import, when another
+module imports it from this one. `__init__.py` imports are the public API
+and are exempt. The test reads the sources with `ast` and imports nothing.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mirrorkit"
+MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _references(tree, skip=None):
+    """Names and attribute names that `tree` refers to, outside the node `skip`."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _imported_from(module):
+    """Names that other modules of the package import from `module`."""
+    names = set()
+    for other, tree in MODULES.items():
+        for node in tree.body:
+            if other != module and isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module:
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for module, tree in MODULES.items():
+        if module == "__init__":
+            continue
+        used = _references(tree) | _imported_from(module)
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{module}: {bound}")
+    assert not unused, f"imported but never used: {unused}"
+
+
+def test_every_private_function_is_referenced():
+    orphans = []
+    for module, tree in MODULES.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__"):
+                # references inside the function itself (recursion) do not count
+                seen = _references(tree, skip=node)
+                seen |= {name for other, t in MODULES.items() if other != module for name in _references(t)}
+                if node.name not in seen:
+                    orphans.append(f"{module}.{node.name}")
+    assert not orphans, f"private functions nothing in src/ refers to: {orphans}"

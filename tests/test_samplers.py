@@ -198,9 +198,11 @@ def test_weight_draw_shapes():
 
 
 def test_prior_tables_are_built_once_across_trials(monkeypatch):
+    from dataclasses import replace
+
     from mirrorkit import samplers
     from mirrorkit.config import make_config
-    from mirrorkit.datagen import _reseeded, generate_problem
+    from mirrorkit.datagen import generate_problem
 
     cfgs = [
         make_config(potential="neg_entropy", loss="quadratic", dim=3, T=5, w0=[0.5, 1.0, 1.0],
@@ -208,7 +210,7 @@ def test_prior_tables_are_built_once_across_trials(monkeypatch):
         make_config(potential={"kind": "separable_q", "q": 3.0}, loss="logcosh", dim=2, T=5,
                     w0=1.0, schedule={"kind": "constant", "eta": 0.1}),
     ]
-    trials = [_reseeded(cfg, t) for cfg in cfgs for t in range(50)]
+    trials = [replace(cfg, seed=cfg.seed + 1 + t) for cfg in cfgs for t in range(50)]
     fresh = []
     for cfg in trials:  # every trial with its own tables, as without the memo
         monkeypatch.setattr(samplers, "_PRIOR_TABLES", {})
