@@ -1,9 +1,9 @@
 """mirrorkit: stochastic mirror descent with numerically certified identities.
 
 The package provides the algebraic substrate (potentials, losses, Bregman
-divergences), the iteration engines (SMD, its symmetric variant, SGD),
-exponential-family samplers, a step-level identity auditor, and desk-scale
-experiments for the optimality properties these algorithms carry.
+divergences), the iteration engines (SMD, with SGD as its squared-L2 case, and
+symmetric SMD), exponential-family samplers, a step-level identity auditor, and
+desk-scale experiments for the optimality properties these algorithms carry.
 """
 
 from .audit import (
@@ -28,7 +28,6 @@ from .descent import (
     iterate,
     persistent_excitation,
     run_general_recursion,
-    run_trajectory,
 )
 from .errors import (
     ConfigError,

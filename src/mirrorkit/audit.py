@@ -145,9 +145,13 @@ def energy_gain(traj, w, noises=None):
     X, Y = traj.X, traj.Y
     v = _noises_for(traj, w, noises)
     prev = traj.path[..., :-1, :]
-    d_loss = loss_map_bregman(l, m, X, Y, w[..., None, :], prev)
-    numerator = bregman(p, w, traj.final) + eta * np.sum(d_loss, axis=-1)
-    denominator = bregman(p, w, traj.w0) + eta * np.sum(l.value(v), axis=-1)
+    # huge noises overflow the energies to inf and the ratio to NaN; the
+    # caller reports a non-finite ratio, so numpy's warnings would only repeat it
+    with np.errstate(all="ignore"):
+        d_loss = loss_map_bregman(l, m, X, Y, w[..., None, :], prev)
+        numerator = bregman(p, w, traj.final) + eta * np.sum(d_loss, axis=-1)
+        denominator = bregman(p, w, traj.w0) + eta * np.sum(l.value(v), axis=-1)
+        ratio = numerator / denominator
     if np.any(denominator < DENOMINATOR_FLOOR):
         raise DegenerateError(
             "denominator vanishes: reference equals the start and all noises are zero"
@@ -155,7 +159,7 @@ def energy_gain(traj, w, noises=None):
     probes = np.concatenate([prev, traj.iterates], axis=-2)
     XX, YY = np.concatenate([X, X], axis=-2), np.concatenate([Y, Y], axis=-1)
     certified = premise_holds(p, l, m, eta, probes, XX, YY).all(axis=-1) & (len(traj) > 0)
-    return MinimaxReport(numerator, denominator, numerator / denominator, certified)
+    return MinimaxReport(numerator, denominator, ratio, certified)
 
 
 def minimax_ratio(traj, w, noises=None):

@@ -9,7 +9,6 @@ import argparse
 import logging
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +16,8 @@ import numpy as np
 from . import audit as audit_mod
 from . import experiments as exp_mod
 from .config import estimator_name, parse_config
-from .datagen import generate_problems, prior_scale
-from .descent import iterate, run_trajectory
+from .datagen import generate_problem, generate_problems, prior_scale
+from .descent import iterate
 from .errors import ConfigError, MirrorkitError, StabilityWarning
 from .samplers import (
     STREAM_TRIAL_BASE,
@@ -63,8 +62,14 @@ def _out(cfg, name):
     return Path(cfg.output_dir) / name
 
 
+def _iterate(cfg, problem, check_margin=True):
+    """The configured algorithm on `problem`'s data: one run, or a batch."""
+    return iterate(cfg.build_potential(), cfg.build_loss(), cfg.build_model(), problem.X, problem.Y,
+                   cfg.build_schedule(), cfg.w0_vector(), algorithm=cfg.algorithm, check_margin=check_margin)
+
+
 def _cmd_run(cfg):
-    traj = run_trajectory(cfg)
+    traj = _iterate(cfg, generate_problem(cfg))
     header = ["step"] + [f"w{j}" for j in range(cfg.dim)]
     rows = [[i] + list(w) for i, w in enumerate(traj.path)]
     write_csv(_out(cfg, "trajectory.csv"), header, rows)
@@ -75,7 +80,7 @@ def _require_gradient_form(cfg, what):
     # the per-step balance is an identity of the gradient-form update; the
     # symmetric rule follows a different recursion and would flag falsely
     if cfg.algorithm == "ssmd":
-        raise ConfigError(f"{what} applies to the smd/sgd recursions, not ssmd")
+        raise ConfigError(f"{what} applies to the smd recursion, not ssmd")
 
 
 def _cmd_audit(cfg):
@@ -83,8 +88,8 @@ def _cmd_audit(cfg):
     if cfg.T < 1:
         # with no step audited the residual check would pass vacuously
         raise ConfigError(f"the conservation-law audit needs at least one step, got T={cfg.T}")
-    traj = run_trajectory(cfg)
-    problem = traj.problem
+    problem = generate_problem(cfg)
+    traj = _iterate(cfg, problem)
     terms, global_residual = audit_mod.audit_trajectory(traj, problem.w_true, noises=problem.noises)
     # the columns are the record's fields: step, d_psi_prev, d_psi_next,
     # d_loss_bregman, e_term, loss_noise, local_residual
@@ -106,8 +111,7 @@ def _cmd_minimax(cfg):
         # with no step the certificate and the bound would hold vacuously
         raise ConfigError(f"the energy-gain ratio needs at least one step, got T={cfg.T}")
     problems = generate_problems(cfg, cfg.n_trials)
-    traj = iterate(cfg.build_potential(), cfg.build_loss(), cfg.build_model(), problems.X, problems.Y,
-                   cfg.build_schedule(), cfg.w0_vector(), algorithm=cfg.algorithm, check_margin=False)
+    traj = _iterate(cfg, problems, check_margin=False)
     report = audit_mod.energy_gain(traj, problems.w_true, problems.noises)
     certified = report.premise_certified
     write_csv(_out(cfg, "minimax.csv"),
@@ -159,8 +163,7 @@ def _cmd_implicit(cfg):
         else cfg.tolerances["gap_general"]
     )
     kkt_tol = cfg.tolerances["kkt_tol"]
-    noiseless = replace(cfg, noise={"kind": "none", "sigma2": cfg.noise["sigma2"]})
-    reports = exp_mod.implicit_reg_experiment(noiseless)
+    reports = exp_mod.implicit_reg_experiment(cfg)
     rows = [[f"case{k}", r.gap, r.feasibility, r.kkt_residual] for k, r in enumerate(reports)]
     # written so that a NaN gap or residual fails the verdict
     failed = any(not (r.gap <= gap_tol and r.kkt_residual <= kkt_tol) for r in reports)

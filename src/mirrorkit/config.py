@@ -214,7 +214,7 @@ _ESTIMATOR = _variant({
 })
 
 SCHEMA = {
-    "algorithm": ("smd", _choice("smd", "ssmd", "sgd")),
+    "algorithm": ("smd", _choice("smd", "ssmd")),
     "potential": ("squared_l2", _variant({
         "squared_l2": {},
         "neg_entropy": {},
@@ -294,8 +294,6 @@ def config_from_mapping(raw):
     if not isinstance(raw, dict):
         raise ParseError("top-level config must be a JSON object")
     cfg = ExperimentConfig(**_resolve(SCHEMA, raw, ""))
-    if cfg.algorithm == "sgd" and cfg.potential["kind"] != "squared_l2":
-        raise ValidationError("algorithm sgd requires potential squared_l2")
     if cfg.algorithm == "ssmd" and cfg.model["kind"] != "linear":
         raise ValidationError("algorithm ssmd requires the linear model")
     if isinstance(cfg.w0, list) and len(cfg.w0) != cfg.dim:

@@ -1,12 +1,11 @@
-"""Iteration engines: mirror steps, symmetric mirror steps, and plain SGD.
+"""Iteration engines: stochastic mirror descent (SMD) and symmetric SMD.
 
-Every engine runs one kernel, `mirror_update`: the mirror-domain state
-u = grad psi(w) is shifted by eta * coef * x and pulled back through the
-inverse mirror map. The multi-step engines iterate one generator of it,
-`mirror_steps`, over one start or a batch of trials; the state is carried in
-the mirror domain and never recomputed from w. SGD is the kernel with the
-identity mirror map, so with the squared-L2 potential SMD and SGD agree bit
-for bit.
+The mirror update exists once, in `mirror_steps`: the mirror-domain state
+u = grad psi(w) is shifted by eta * shift(x, y, w) * x and pulled back
+through the inverse mirror map, over one start or a batch of trials; the
+state is carried in the mirror domain and never recomputed from w. Each
+algorithm is one shift rule, `smd_shift` or `ssmd_shift`. SGD is SMD with
+the squared-L2 potential, whose mirror map is the identity.
 """
 
 import warnings
@@ -14,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import generate_problem
 from .errors import ConfigError, DomainError, StabilityWarning
 from .losses import LossFn
-from .potentials import Potential, SeparableQ, SquaredL2
+from .potentials import Potential, SeparableQ
 
 HESSIAN_PROBE_EXCLUSION = 1e-8
 
@@ -115,8 +113,7 @@ class RobbinsMonro:
 class Trajectory:
     """One run as a (T+1, dim) path (w_0 first), its data as arrays (inputs
     X (T, dim), outputs Y (T,)), and everything needed to audit it; a batch
-    of n runs from one start adds a leading trial axis to each array.
-    `problem` is the generated problem when the run made its own data."""
+    of n runs from one start adds a leading trial axis to each array."""
 
     path: np.ndarray
     X: np.ndarray
@@ -125,7 +122,6 @@ class Trajectory:
     potential: Potential
     loss: LossFn
     model: object
-    problem: object = None
 
     def __len__(self):
         return self.path.shape[-2] - 1
@@ -144,49 +140,51 @@ class Trajectory:
         return self.path[..., -1, :]
 
 
-def mirror_update(p, U, x, coef, eta):
-    """The SMD kernel: grad psi(w) += eta * coef * x, then pull back through p.
+def _dot(x, W):
+    # a shared input (dim,) takes one gemv, per-trial rows np.vecdot; on one start both are np.dot
+    return W @ x if x.ndim == 1 else np.vecdot(x, W)
 
-    `U` is the mirror state of one start, shape (dim,) with a scalar `coef`,
-    or of a batch of any leading shape, (..., dim) with `coef` of shape (...);
-    the input `x` is shared (dim,) or one row per trial (..., dim), and `eta`
-    broadcasts against `coef`, e.g. one rate per block as (blocks, 1) for a
-    state (blocks, n, dim). Returns the new state and weights.
+
+def smd_shift(l, m):
+    """The SMD shift as shift(x, y, W): J_f(w) = g'(x^T w) x, so the step
+    moves grad psi(w) by eta * l'(y - g(x^T w)) g'(x^T w) * x."""
+    if isinstance(m, Linear):  # g(u) = u and g'(u) = 1, without their per-step calls
+        return lambda x, y, W: l.deriv(y - _dot(x, W))
+    def shift(x, y, W):
+        u = _dot(x, W)
+        return l.deriv(y - m.g(u)) * m.g_prime(u)
+    return shift
+
+
+def ssmd_shift(l):
+    """The symmetric SMD shift l'(y) - l'(x^T w) as shift(x, y, W); linear model only."""
+    return lambda x, y, W: l.deriv(y) - l.deriv(_dot(x, W))
+
+
+def mirror_steps(p, W, X, Y, etas, shift):
+    """Yield w_1 .. w_T of the mirror recursion
+    grad psi(w_i) = grad psi(w_{i-1}) + eta_i * shift(x_i, y_i, w_{i-1}) * x_i
+    started at W = w_0.
+
+    `W` is one start (dim,) or a batch of any leading shape (..., dim). Step
+    i reads the input `X[i]` (shared (dim,), or one row per trial), the
+    output `Y[i]` (a scalar, or one per trial) and the rate `etas[i]` (a
+    scalar, or one per block broadcast against the shift, e.g. (blocks, 1)
+    for a state (blocks, n, dim)); all may be any iterables. The state
+    U = grad psi(W) is carried and never recomputed from W.
     """
-    U = U + np.asarray(eta * coef)[..., None] * x
-    return U, p.grad_inv(U)
-
-
-def _smd_coef(l, m, x, y, w):
-    # J_f(w) = g'(x^T w) x, so the shift is eta * l'(y - g(x^T w)) g'(x^T w) * x
-    u = np.vecdot(x, w)
-    return l.deriv(y - m.g(u)) * m.g_prime(u)
-
-
-def _ssmd_coef(l, x, y, w):
-    return l.deriv(y) - l.deriv(np.vecdot(x, w))
-
-
-def mirror_steps(mirror, W, X, Y, etas, coef):
-    """Yield w_1 .. w_T of the mirror recursion started at W = w_0.
-
-    `W` is one start of shape (dim,) or a batch of any leading shape
-    (..., dim). Step i reads the input `X[i]` (shared, or one row per trial),
-    the output `Y[i]` (a scalar, or one per trial), the rate `etas[i]` (a
-    scalar, or one per block broadcast as in `mirror_update`), and the shift
-    `coef(i, x, y, W)` at the previous iterate; all may be any iterables.
-    The state U = grad psi(W) is carried and never recomputed from W.
-    """
-    U = mirror.grad(W)
-    for i, (x, y, eta) in enumerate(zip(X, Y, etas)):
-        U, W = mirror_update(mirror, U, x, coef(i, x, y, W), eta)
+    U = p.grad(W)
+    for x, y, eta in zip(X, Y, etas):
+        U = U + np.asarray(eta * shift(x, y, W))[..., None] * x
+        W = p.grad_inv(U)
         yield W
 
 
-def _recursion(p, mirror, X, Y, w0, rate, coef):
+def _recursion(p, X, Y, w0, rate, shift, S=None):
     """`mirror_steps` over the observations (X, Y) from w0 at the rates
     rate(1) .. rate(T), recorded; returns (path, X, Y, etas). X (n, T, dim)
-    and Y (n, T) run n trials, recorded as an (n, T+1, dim) path. Mis-shaped
+    and Y (n, T) run n trials, recorded as an (n, T+1, dim) path. `S`, when
+    given, is fed to `shift` in place of Y, one entry per step. Mis-shaped
     or non-finite observations raise ValueError. The domain is checked on
     entry and once over the whole path, naming the first step that left it."""
     w0 = p.check_domain(np.asarray(w0, dtype=float))
@@ -198,7 +196,7 @@ def _recursion(p, mirror, X, Y, w0, rate, coef):
     etas = np.array([rate(i) for i in range(1, Y.shape[-1] + 1)])
     path = np.empty(Y.shape[:-1] + (len(etas) + 1, w0.size))
     path[..., 0, :] = w0
-    steps = mirror_steps(mirror, w0, np.moveaxis(X, -2, 0), np.moveaxis(Y, -1, 0), etas, coef)
+    steps = mirror_steps(p, w0, np.moveaxis(X, -2, 0), np.moveaxis(Y if S is None else S, -1, 0), etas, shift)
     for i, w in enumerate(steps, 1):
         path[..., i, :] = w
     try:
@@ -217,21 +215,17 @@ def iterate(p, l, m, X, Y, schedule, w0, algorithm="smd", check_margin=True):
     """Run a full trajectory over the inputs X (T, dim) and outputs Y (T,),
     or n trials from w0 over X (n, T, dim) and Y (n, T), recording every iterate.
 
-    `algorithm` is one of "smd", "ssmd" (linear model only), or "sgd"
-    (plain gradient update, meaningful with the squared-L2 potential).
+    `algorithm` is "smd" or "ssmd" (linear model only); SGD is "smd" with
+    the squared-L2 potential.
     A negative convexity margin at an iterate only warns: the convexity
     premise is sufficient, not necessary, and exploring past it is useful.
     """
-    if algorithm not in ("smd", "ssmd", "sgd"):
+    if algorithm not in ("smd", "ssmd"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if algorithm == "ssmd" and not isinstance(m, Linear):
         raise ConfigError("ssmd is defined for linear models only")
-    mirror = SquaredL2(p.dim) if algorithm == "sgd" else p
-    if algorithm == "ssmd":
-        coef = lambda i, x, y, w: _ssmd_coef(l, x, y, w)
-    else:
-        coef = lambda i, x, y, w: _smd_coef(l, m, x, y, w)
-    path, X, Y, etas = _recursion(p, mirror, X, Y, w0, schedule.rate, coef)
+    shift = ssmd_shift(l) if algorithm == "ssmd" else smd_shift(l, m)
+    path, X, Y, etas = _recursion(p, X, Y, w0, schedule.rate, shift)
     if check_margin and len(etas):
         holds = premise_holds(p, l, m, etas, path[..., 1:, :], X, Y).reshape(-1, len(etas)).all(axis=0)
         if not holds.all():
@@ -245,31 +239,14 @@ def iterate(p, l, m, X, Y, schedule, w0, algorithm="smd", check_margin=True):
 
 
 def run_general_recursion(p, l, X, Y, z, eta, w0):
-    """Trajectory of the prediction-driven recursion for a given z sequence."""
+    """Trajectory of the prediction-driven recursion for a given z sequence.
+    Its shifts l'(y_i - z_i) do not depend on the iterate, so they are data."""
     if len(z) != len(Y):
         raise ValueError("z and Y must have equal length")
-    coef = lambda i, x, y, w: l.deriv(y - z[i])
     schedule = Constant(eta)
-    path, X, Y, _ = _recursion(p, p, X, Y, w0, schedule.rate, coef)
+    S = l.deriv(np.asarray(Y, dtype=float) - np.asarray(z, dtype=float))
+    path, X, Y, _ = _recursion(p, X, Y, w0, schedule.rate, lambda x, s, W: s, S)
     return Trajectory(path, X, Y, schedule, p, l, Linear())
-
-
-def run_trajectory(cfg):
-    """Generate the configured problem and run the configured algorithm on
-    its data; the problem stays on the returned trajectory."""
-    problem = generate_problem(cfg)
-    traj = iterate(
-        cfg.build_potential(),
-        cfg.build_loss(),
-        cfg.build_model(),
-        problem.X,
-        problem.Y,
-        cfg.build_schedule(),
-        cfg.w0_vector(),
-        algorithm=cfg.algorithm,
-    )
-    traj.problem = problem
-    return traj
 
 
 def _loss_curvature(l, m, u, y):

@@ -9,7 +9,7 @@ count.
 import logging
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, cycle, repeat
 
 import numpy as np
 
@@ -28,9 +28,10 @@ from .descent import (
     Constant,
     Linear,
     mirror_steps,
-    mirror_update,
     persistent_excitation,
     premise_holds,
+    smd_shift,
+    ssmd_shift,
 )
 from .errors import ConfigError, ConvergenceError, RankError, StepCapError
 from .potentials import SquaredL2
@@ -100,15 +101,15 @@ def estimator_predictions(spec, p, l, eta, X, Y, w0):
         # the no-update baseline z_i = x_i^T w_0
         return name, (np.full(len(Y), float(w0 @ x)) for x in X)
     if kind == "ssmd":
-        coef = lambda i, x, y, W: l.deriv(y) - l.deriv(W @ x)
+        shift = ssmd_shift(l)
     elif kind in ("smd", "scaled_smd"):
         eta = eta * spec.get("gamma", 1.0)
-        coef = lambda i, x, y, W: l.deriv(y - W @ x)
+        shift = smd_shift(l, Linear())
     else:
         raise ConfigError(f"unknown estimator kind {kind!r}")
     # mirror-descent predictions z_i = x_i^T w_{i-1}
     W0 = np.tile(np.asarray(w0, dtype=float), (len(Y), 1))
-    steps = mirror_steps(p, W0, X, Y.T, repeat(eta), coef)
+    steps = mirror_steps(p, W0, X, Y.T, repeat(eta), shift)
     return name, (W @ x for x, W in zip(X, chain([W0], steps)))
 
 
@@ -368,9 +369,8 @@ def run_interpolating_descent(p, l, X, y, w0, eta, feas_tol=FEASIBILITY_TOL, ste
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    n = X.shape[0]
     w = p.check_domain(np.asarray(w0, dtype=float)).copy()
-    u = p.grad(w)
+    ws = mirror_steps(p, w, cycle(X), cycle(y), repeat(eta), smd_shift(l, Linear()))
     progress = []
     next_log = 1
     steps = 0
@@ -388,10 +388,9 @@ def run_interpolating_descent(p, l, X, y, w0, eta, feas_tol=FEASIBILITY_TOL, ste
                 f"interpolating descent diverged (feasibility {feas:.3e} at step {steps}); "
                 "eta exceeds the stability range for these inputs"
             )
-        i = steps % n
-        u, w = mirror_update(p, u, X[i], l.deriv(y[i] - float(X[i] @ w)), eta)
+        w = next(ws)
         steps += 1
-        if steps == next_log or steps % n == 0:
+        if steps == next_log or steps % len(X) == 0:
             feas = float(np.max(np.abs(X @ w - y)))
             if steps == next_log:
                 progress.append((steps, feas))
@@ -415,6 +414,9 @@ def implicit_reg_experiment(cfg):
     is trial t of `generate_problems`; returns one report per case."""
     p = cfg.build_potential()
     l = cfg.build_loss()
+    n, m = cfg.T, cfg.dim
+    if n < 1:
+        raise ConfigError(f"implicit regularization needs at least one step, got T={n}")
     if cfg.noise["kind"] != "none":
         raise ConfigError("implicit regularization requires noiseless data (noise kind 'none')")
     if cfg.model["kind"] != "linear":
@@ -422,9 +424,6 @@ def implicit_reg_experiment(cfg):
     schedule = cfg.build_schedule()
     if schedule.kind != "constant":
         raise ConfigError("implicit regularization uses a constant learning rate")
-    n, m = cfg.T, cfg.dim
-    if n < 1:
-        raise ConfigError(f"implicit regularization needs at least one step, got T={n}")
     if not n < m:
         raise ConfigError(f"need an underdetermined system (T={n} rows < dim={m})")
     problems = generate_problems(cfg, cfg.n_trials)
@@ -463,7 +462,7 @@ def _msq_runs(p, l, X, Y, schedules, w0):
     T, n_runs = Y.shape
     W0 = np.tile(np.asarray(w0, dtype=float), (len(schedules), n_runs, 1))
     etas = np.stack([np.fromiter(map(s.rate, range(1, T + 1)), float, T) for s in schedules], axis=-1)
-    steps = mirror_steps(p, W0, X, Y, etas[..., None], lambda i, x, y, W: l.deriv(y - W @ x))
+    steps = mirror_steps(p, W0, X, Y, etas[..., None], smd_shift(l, Linear()))
     marks = _checkpoints(T)
     return marks, {t: W for t, W in enumerate(steps, 1) if t in marks}
 

@@ -218,7 +218,8 @@ def test_minimax_degenerate_denominator(rng):
 BATCH_PAIRINGS = MINIMAX_CONFIGS + [
     dict(potential="squared_l2", loss="quadratic", dim=3, T=12, model={"kind": "glm", "link": "tanh"},
          schedule={"kind": "constant", "eta": 0.3}, inputs={"kind": "unit"}, w0=0.0),
-    dict(potential="squared_l2", loss="logcosh", algorithm="sgd", dim=2, T=10,
+    # SGD: SMD with the squared-L2 potential
+    dict(potential="squared_l2", loss="logcosh", dim=2, T=10,
          schedule={"kind": "constant", "eta": 0.1}, w0=0.0),
 ]
 

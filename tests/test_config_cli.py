@@ -1,6 +1,7 @@
 import json
 import logging
 import re
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -70,7 +71,7 @@ def test_variant_validation():
     with pytest.raises(ValidationError):
         make_config(loss="hinge")
     with pytest.raises(ValidationError):
-        make_config(algorithm="sgd", potential="neg_entropy")
+        make_config(algorithm="sgd")  # SGD is smd with squared_l2, not an algorithm of its own
     with pytest.raises(ValidationError):
         make_config(algorithm="ssmd", model={"kind": "glm", "link": "tanh"})
     with pytest.raises(ValidationError):
@@ -259,6 +260,19 @@ def test_minimax_fails_on_a_nan_ratio(tmp_path, caplog):
     assert any("certified trials have a non-finite ratio" in r.message for r in caplog.records)
 
 
+def test_nan_ratio_raises_no_runtime_warning(tmp_path):
+    # the log line above names the non-finite ratio; numpy's overflow and
+    # invalid-value warnings from the energies would only repeat it
+    cfg = make_config(
+        potential="squared_l2", loss="quadratic", dim=2, T=10, n_trials=20, w0=0.0,
+        schedule={"kind": "constant", "eta": 0.5}, inputs={"kind": "unit"},
+        noise={"kind": "gaussian", "sigma2": 1e308}, output_dir=str(tmp_path),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert dispatch(cfg, "minimax") == EXIT_ASSERTION
+
+
 @pytest.mark.parametrize("field", ["mc_cost", "ci_low"])
 def test_risk_verdict_fails_on_nan(field, tmp_path, monkeypatch):
     from mirrorkit import experiments
@@ -444,6 +458,19 @@ def test_verdicts_need_at_least_one_step(sub, tmp_path, caplog):
     # a path of w_0 alone asserts nothing, so `run` still writes it
     assert main(["run", "--config", str(path)]) == EXIT_PASS
     assert len((tmp_path / "o" / "trajectory.csv").read_text().splitlines()) == 2
+
+
+def test_implicit_rejects_noisy_data(tmp_path, caplog):
+    # the noise is the config's to choose; implicit refuses noisy data
+    # rather than quietly running on noiseless outputs
+    mapping = json.loads((ROOT / "configs" / "implicit_l2.json").read_text(encoding="utf-8"))
+    mapping.update(noise={"kind": "gaussian", "sigma2": 1.0}, output_dir=str(tmp_path / "o"))
+    path = _write(tmp_path, mapping)
+    with caplog.at_level(logging.ERROR, logger="mirrorkit"):
+        assert main(["implicit", "--config", str(path)]) == EXIT_ERROR
+    assert any(r.message.startswith("ConfigError") and "requires noiseless data" in r.message
+               for r in caplog.records)
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv, code", [

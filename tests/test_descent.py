@@ -19,9 +19,10 @@ from mirrorkit import (
     iterate,
     persistent_excitation,
 )
+from mirrorkit.cli import _iterate
 from mirrorkit.config import make_config
-from mirrorkit.descent import mirror_update, premise_holds, run_trajectory
-from mirrorkit.datagen import gaussian_inputs
+from mirrorkit.descent import mirror_steps, premise_holds
+from mirrorkit.datagen import gaussian_inputs, generate_problem, generate_problems
 from mirrorkit.samplers import RngStream
 
 from conftest import all_losses, all_potentials, random_in_domain
@@ -100,16 +101,19 @@ def test_mirror_domain_additivity(rng):
 
 
 def test_sgd_equivalence_bitwise(rng):
+    """SGD is SMD with the squared-L2 potential: iterate on SquaredL2 gives
+    the plain gradient steps w += eta * l'(y - x^T w) * x bit for bit."""
     stream = RngStream(11, 0)
     X = gaussian_inputs(4, 100, stream)
     w_true = np.asarray(rng.normal(size=4))
     Y = X @ w_true + 0.2 * rng.normal(size=100)
-    p, l = SquaredL2(4), Quadratic()
     w0 = np.asarray(rng.normal(size=4))
-    smd = iterate(p, l, Linear(), X, Y, Constant(0.05), w0, algorithm="smd", check_margin=False)
-    sgd = iterate(p, l, Linear(), X, Y, Constant(0.05), w0, algorithm="sgd", check_margin=False)
-    for a, b in zip(smd.iterates, sgd.iterates):
-        assert np.array_equal(a, b)
+    for l in (Quadratic(), LogCosh()):  # the quartic diverges on these inputs
+        smd = iterate(SquaredL2(4), l, Linear(), X, Y, Constant(0.05), w0, check_margin=False)
+        w = w0
+        for x, y, w_smd in zip(X, Y, smd.iterates):
+            w = w + 0.05 * l.deriv(y - x @ w) * x
+            assert np.array_equal(w, w_smd)
 
 
 def test_positive_orthant_preserved(rng):
@@ -125,22 +129,26 @@ def test_positive_orthant_preserved(rng):
 
 def test_empty_stream_echoes_start():
     cfg = make_config(T=0, dim=2, seed=1)
-    traj = run_trajectory(cfg)
+    traj = _iterate(cfg, generate_problem(cfg))
     assert len(traj.iterates) == 0
     np.testing.assert_allclose(traj.final, cfg.w0_vector())
 
 
-def test_run_trajectory_keeps_its_problem():
+def test_configured_run_is_iterate_on_its_problem():
+    """The CLI's configured run is `iterate` on the problem's own data, one
+    run or a batch; a batch's row t is trial t run alone."""
     cfg = make_config(potential="neg_entropy", loss="quadratic", dim=3, T=20, w0=1.0, seed=4,
                       schedule={"kind": "constant", "eta": 0.05})
-    from mirrorkit.datagen import generate_problem
-
-    traj = run_trajectory(cfg)
     problem = generate_problem(cfg)
-    np.testing.assert_array_equal(traj.problem.w_true, problem.w_true)
-    np.testing.assert_array_equal(traj.problem.noises, problem.noises)
+    traj = _iterate(cfg, problem)
     np.testing.assert_array_equal(traj.X, problem.X)
     np.testing.assert_array_equal(traj.Y, problem.Y)
+    expected = iterate(NegEntropy(3), Quadratic(), Linear(), problem.X, problem.Y, Constant(0.05), np.ones(3))
+    np.testing.assert_array_equal(traj.path, expected.path)
+    problems = generate_problems(cfg, 3)
+    batch = _iterate(cfg, problems, check_margin=False)
+    assert batch.path.shape == (3, 21, 3)
+    np.testing.assert_array_equal(batch.Y, problems.Y)
 
 
 def test_noiseless_consistent_data_interpolates():
@@ -149,10 +157,8 @@ def test_noiseless_consistent_data_interpolates():
         schedule={"kind": "constant", "eta": 0.2}, noise={"kind": "none"},
         inputs={"kind": "unit"}, seed=2,
     )
-    traj = run_trajectory(cfg)
-    from mirrorkit.datagen import generate_problem
-
     problem = generate_problem(cfg)
+    traj = _iterate(cfg, problem)
     residuals = np.abs(problem.Y - problem.X @ traj.final)
     assert max(residuals) < 1e-6
 
@@ -190,15 +196,17 @@ def test_iterate_rejects_bad_observations(X, Y):
         iterate(SquaredL2(2), Quadratic(), Linear(), X, Y, Constant(0.1), np.zeros(2), check_margin=False)
 
 
-def test_mirror_update_per_trial_rows_equal_row_loop(rng):
+def test_mirror_steps_per_trial_rows_equal_row_loop(rng):
+    shift = lambda x, y, W: y  # the shift as data, as in the prediction-driven recursion
     for p in all_potentials(3):
         W = np.array([random_in_domain(p, rng) for _ in range(6)])
-        U, X, coef = p.grad(W), rng.standard_normal((6, 3)), rng.standard_normal(6)
-        for x in (X, X[0]):  # one input row per trial, or one shared input
-            U1, W1 = mirror_update(p, U, x, coef, 0.05)
+        X, S = rng.standard_normal((4, 6, 3)), rng.standard_normal((4, 6))
+        for x in (X, X[:, 0]):  # one input row per trial, or one shared input
+            batch = list(mirror_steps(p, W, x, S, [0.05] * 4, shift))
             for t in range(6):
-                u, w = mirror_update(p, U[t], x if x.ndim == 1 else x[t], coef[t], 0.05)
-                assert np.array_equal(U1[t], u) and np.array_equal(W1[t], w)
+                alone = mirror_steps(p, W[t], x if x.ndim == 2 else x[:, t], S[:, t], [0.05] * 4, shift)
+                for W1, w in zip(batch, alone):
+                    assert np.array_equal(W1[t], w)
 
 
 def test_stability_warning_emitted():

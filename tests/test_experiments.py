@@ -352,34 +352,40 @@ def test_msq_vectorized_matches_engine():
 
 
 def test_engines_share_one_mirror_update_bitwise():
-    """iterate, the batched convergence runner and a batch of one through
-    mirror_steps run the same mirror update, so one trajectory fed to each
-    comes out bit for bit identical. (Batches of two or more trials take
-    W @ x through BLAS, which can differ from the one-row dot product in the
-    last bit.)"""
-    from itertools import repeat
-
-    from mirrorkit import Constant
-    from mirrorkit.descent import mirror_steps
+    """Every engine steps `mirror_steps` with the one SMD shift, so on one
+    trajectory each gives the same iterates bit for bit: iterate, the batched
+    convergence runner, the smd estimator (through its predictions), the
+    prediction-driven recursion fed those predictions, and interpolating
+    descent, whose trajectory is its rows cycled. (Batches of two or more
+    trials take W @ x through BLAS, which can differ from the one-row dot
+    product in the last bit.)"""
+    from mirrorkit import Constant, run_general_recursion
     from mirrorkit.experiments import _msq_runs
 
     from conftest import all_losses, all_potentials
 
     rng = RngStream(21, 0)
-    X = np.stack([np.asarray(rng.normal(3)) for _ in range(120)])
-    Y = X @ np.array([0.9, 1.4, 0.6]) + 0.3 * np.asarray(rng.normal(120))
-    w0 = np.ones(3)
+    rows = np.stack([np.asarray(rng.normal(3)) for _ in range(2)])
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    y = rows @ np.array([0.9, 1.4, 0.6])
+    w0, eta = np.ones(3), 0.3
     for p in all_potentials(3):
         for l in all_losses():
-            traj = iterate(p, l, Linear(), X, Y, Constant(0.02), w0, check_margin=False)
-            marks, snaps = _msq_runs(p, l, X, Y[:, None], [Constant(0.02)], w0)
+            # the quartic's cubic shift crawls near feasibility, so it stops sooner
+            tol = 5e-2 if isinstance(l, Quartic) else 1e-9
+            w, steps, *_ = run_interpolating_descent(p, l, rows, y, w0, eta, feas_tol=tol)
+            assert steps > 2 * len(rows)
+            X, Y = rows[np.arange(steps) % len(rows)], y[np.arange(steps) % len(rows)]
+            traj = iterate(p, l, Linear(), X, Y, Constant(eta), w0, check_margin=False)
+            assert np.array_equal(traj.final, w)
+            marks, snaps = _msq_runs(p, l, X, Y[:, None], [Constant(eta)], w0)
             for t in marks:
                 assert np.array_equal(snaps[t][0, 0], traj.iterates[t - 1])
-            coef = lambda i, x, y, W: l.deriv(y - W @ x)
-            steps = mirror_steps(p, w0[None, :], X, Y[:, None], repeat(0.02), coef)
-            for i, W in enumerate(steps):
-                assert np.array_equal(W[0], traj.iterates[i])
-            assert i == len(Y) - 1
+            _, predictions = estimator_predictions({"kind": "smd"}, p, l, eta, X, Y[None, :], w0)
+            z = np.concatenate(list(predictions))
+            assert np.array_equal(z, [x @ w for x, w in zip(X, traj.path)])
+            gen = run_general_recursion(p, l, X, Y, z, eta, w0)
+            assert np.array_equal(gen.path, traj.path)
 
 
 def test_msq_blocks_match_one_schedule_runs_bitwise():
