@@ -239,9 +239,11 @@ def iterate(p, l, m, X, Y, schedule, w0, algorithm="smd", check_margin=True):
 
 
 def run_general_recursion(p, l, X, Y, z, eta, w0):
-    """Trajectory of the prediction-driven recursion for a given z sequence.
-    Its shifts l'(y_i - z_i) do not depend on the iterate, so they are data."""
-    if len(z) != len(Y):
+    """Trajectory of the prediction-driven recursion for a given z sequence,
+    one prediction per step (shared by every trial of a batch Y (n, T), or
+    one row per trial). Its shifts l'(y_i - z_i) do not depend on the
+    iterate, so they are data."""
+    if np.shape(z)[-1:] != np.shape(Y)[-1:]:
         raise ValueError("z and Y must have equal length")
     schedule = Constant(eta)
     S = l.deriv(np.asarray(Y, dtype=float) - np.asarray(z, dtype=float))

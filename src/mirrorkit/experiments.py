@@ -154,8 +154,11 @@ def _linear_quantile(s, q):
 def bootstrap_basic_ci(values, rng, n_resamples=BOOTSTRAP_RESAMPLES, level=0.95):
     """Basic (reverse-percentile) bootstrap interval for the mean of `values`
     (n,), or one per row of a stack (E, n) of paired samples. All rows share
-    the resampling indices and are gathered, not counted: with a count matrix
-    one overflowed value would make every resample mean NaN (0 * inf)."""
+    the resampling indices. A resample is its count vector c, and its mean
+    is c @ row / n, one product per row, so a row's interval depends on that
+    row alone. Non-finite values are left out of the product (0 * inf is
+    NaN) and added as drawn, so a resample mean is what the mean of the
+    gathered values would be: inf when it drew an overflowed value."""
     values = np.asarray(values, dtype=float)
     rows = np.atleast_2d(values)
     n = rows.shape[1]
@@ -163,11 +166,19 @@ def bootstrap_basic_ci(values, rng, n_resamples=BOOTSTRAP_RESAMPLES, level=0.95)
         raise ValueError(f"a bootstrap interval needs at least 2 values, got {n}")
     means = np.empty((len(rows), n_resamples))
     chunk = max(1, min(n_resamples, int(2e6) // n))
+    counts = np.empty((chunk, n))
+    finite = np.isfinite(rows)
     with np.errstate(over="ignore", invalid="ignore"):
         for done in range(0, n_resamples, chunk):
-            idx = rng.integers(0, n, (min(chunk, n_resamples - done), n))
-            for row, row_means in zip(rows, means):
-                row_means[done : done + len(idx)] = row[idx].mean(axis=1)
+            C = counts[: min(chunk, n_resamples - done)]
+            for c, i in zip(C, rng.integers(0, n, C.shape)):
+                c[:] = np.bincount(i, minlength=n)
+            del i  # a row view keeps its whole index chunk alive
+            for row, ok, row_means in zip(rows, finite, means):
+                total = C @ np.where(ok, row, 0.0)
+                if not ok.all():
+                    total += np.where(C[:, ~ok] > 0, row[~ok], 0.0).sum(axis=1)
+                row_means[done : done + len(C)] = total / n
         alpha = (1.0 - level) / 2.0
         means.sort(axis=1)
         m = [float(row.mean()) for row in rows]

@@ -7,6 +7,7 @@ from mirrorkit import (
     DegenerateError,
     GeneralizedLinear,
     Linear,
+    LogCosh,
     NegEntropy,
     Quadratic,
     RobbinsMonro,
@@ -289,6 +290,18 @@ def test_recursion_with_own_predictions_is_mirror_descent(rng):
     gen = run_general_recursion(p, l, X, Y, z, ETA, np.ones(3))
     for a, b in zip(smd.iterates, gen.iterates):
         assert np.array_equal(a, b)
+
+
+def test_recursion_runs_a_batch_of_trials_on_one_z(rng):
+    """z is checked against the step count: each trial of a (2, 5) batch
+    equals its own single-trial run bit for bit."""
+    p, l = NegEntropy(3), LogCosh()
+    X, Y, z = rng.standard_normal((2, 5, 3)), rng.standard_normal((2, 5)), rng.standard_normal(5)
+    batch = run_general_recursion(p, l, X, Y, z, ETA, np.ones(3))
+    for t in range(2):
+        assert np.array_equal(batch.path[t], run_general_recursion(p, l, X[t], Y[t], z, ETA, np.ones(3)).path)
+    with pytest.raises(ValueError, match="z and Y must have equal length"):
+        run_general_recursion(p, l, X, Y, z[:4], ETA, np.ones(3))
 
 
 def test_step_exponent_self_prediction_drops_term(rng):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -192,12 +193,72 @@ def test_stacked_bootstrap_shares_indices_row_by_row():
     # paired: resampled on the same trials, a shifted row's interval shifts
     # by exactly the offset, up to roundoff
     np.testing.assert_allclose(cis[1], np.add(cis[0], 0.25), rtol=0, atol=1e-12)
-    # a gathered resample mean sees only its own row, and is NaN-free: a
-    # resample-count product would give 0 * inf = NaN for every mean of row 1
+    # a resample mean sees only its own row, and adds an overflowed value
+    # only where it was drawn: an inf in the count product itself would
+    # make every mean of row 1 NaN (0 * inf)
     b[7] = np.inf
     overflowed = bootstrap_basic_ci(np.stack([a, b]), RngStream(8, 4))
     assert overflowed[0] == cis[0]
     assert overflowed[1][1] == np.inf
+
+
+def gathered_bootstrap_ci(values, rng):
+    """The reference 95% bootstrap: each resample gathers its drawn values
+    and averages them, from the same index draws in the same chunks."""
+    rows = np.atleast_2d(np.asarray(values, dtype=float))
+    n, k = rows.shape[1], BOOTSTRAP_RESAMPLES
+    means = np.empty((len(rows), k))
+    chunk = max(1, min(k, int(2e6) // n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for done in range(0, k, chunk):
+            idx = rng.integers(0, n, (min(chunk, k - done), n))
+            for row, row_means in zip(rows, means):
+                row_means[done : done + len(idx)] = row[idx].mean(axis=1)
+        cis = [(2.0 * row.mean() - np.quantile(m, 0.975), 2.0 * row.mean() - np.quantile(m, 0.025))
+               for row, m in zip(rows, means)]
+    return cis if np.ndim(values) == 2 else cis[0]
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: rng.standard_normal(3001),
+    lambda rng: rng.lognormal(0.0, 3.0, 3001),
+    lambda rng: 1.0 + rng.pareto(0.7, 3001),
+    lambda rng: rng.standard_normal(3),
+], ids=["normal", "lognormal", "pareto", "three"])
+def test_count_bootstrap_equals_gathered_on_finite_rows(draw):
+    """3001 values leave the last chunk partial. The count products sum in
+    another order than the gathered means, so the intervals agree to
+    roundoff; an endpoint near 0 keeps only an absolute agreement, on the
+    scale of the values."""
+    x = draw(np.random.default_rng(0))
+    got = bootstrap_basic_ci(x, RngStream(8, 4))
+    want = gathered_bootstrap_ci(x, RngStream(8, 4))
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(x).mean())
+
+
+@pytest.mark.parametrize("bad", [[np.inf], [-np.inf], [np.nan], [np.inf, -np.inf]],
+                         ids=["inf", "-inf", "nan", "both infs"])
+def test_count_bootstrap_equals_gathered_on_non_finite_rows(bad):
+    x = np.random.default_rng(0).standard_normal(3001)
+    y = x.copy()
+    y[[7, 2000][: len(bad)]] = bad
+    got = bootstrap_basic_ci(np.stack([x, y]), RngStream(8, 4))
+    want = gathered_bootstrap_ci(np.stack([x, y]), RngStream(8, 4))
+    np.testing.assert_allclose(got[0], want[0], rtol=1e-13, atol=1e-13)
+    assert np.array_equal(got[1], want[1], equal_nan=True)
+
+
+def test_bootstrap_peak_memory_is_two_index_blocks():
+    """The index chunk and the count buffer each hold 2e6 values; nothing
+    else of that size may stay alive while the next chunk is drawn."""
+    costs = np.exp(np.random.default_rng(1).standard_normal((5, 10**4)))
+    tracemalloc.start()
+    try:
+        bootstrap_basic_ci(costs, RngStream(1, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 @pytest.mark.parametrize("values", [[1.0], np.ones((3, 1)), []])
