@@ -52,6 +52,12 @@ log = logging.getLogger("mirrorkit")
 FEASIBILITY_TOL = 1e-9
 STEP_CAP = 1_000_000
 BOOTSTRAP_RESAMPLES = 2000
+# The bootstrap makes and uses its count vectors in blocks of at most 2**18
+# values (2 MiB of float64), so each estimator's product reads a block that
+# is still in cache. Rows per block above 8 are a multiple of 8: OpenBLAS's
+# dgemv sums rows in groups, and whole groups keep every row in the same
+# kind of group as in any larger block, so the intervals do not move.
+BOOTSTRAP_BLOCK_VALUES = 2**18
 
 
 # ---------------------------------------------------------------------------
@@ -160,24 +166,35 @@ def bootstrap_basic_ci(values, rng, n_resamples=BOOTSTRAP_RESAMPLES, level=0.95)
     NaN) and added as drawn, so a resample mean is what the mean of the
     gathered values would be: inf when it drew an overflowed value."""
     values = np.asarray(values, dtype=float)
+    if values.ndim > 2:
+        raise ValueError(f"values must be (n,) or (E, n), got shape {values.shape}")
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {level}")
+    if n_resamples < 1:
+        raise ValueError(f"n_resamples must be at least 1, got {n_resamples}")
     rows = np.atleast_2d(values)
     n = rows.shape[1]
     if n < 2:
         raise ValueError(f"a bootstrap interval needs at least 2 values, got {n}")
     means = np.empty((len(rows), n_resamples))
-    chunk = max(1, min(n_resamples, int(2e6) // n))
-    counts = np.empty((chunk, n))
-    finite = np.isfinite(rows)
+    block = max(1, min(n_resamples, BOOTSTRAP_BLOCK_VALUES // n))
+    if block > 8:
+        block -= block % 8
+    counts = np.empty((block, n))
+    # per estimator: its finite costs with 0 elsewhere, and where its
+    # non-finite costs are and what they are
+    split = [(np.where(ok, row, 0.0), np.flatnonzero(~ok), row[~ok])
+             for row, ok in zip(rows, np.isfinite(rows))]
     with np.errstate(over="ignore", invalid="ignore"):
-        for done in range(0, n_resamples, chunk):
-            C = counts[: min(chunk, n_resamples - done)]
+        for done in range(0, n_resamples, block):
+            C = counts[: min(block, n_resamples - done)]
             for c, i in zip(C, rng.integers(0, n, C.shape)):
                 c[:] = np.bincount(i, minlength=n)
-            del i  # a row view keeps its whole index chunk alive
-            for row, ok, row_means in zip(rows, finite, means):
-                total = C @ np.where(ok, row, 0.0)
-                if not ok.all():
-                    total += np.where(C[:, ~ok] > 0, row[~ok], 0.0).sum(axis=1)
+            del i  # a row view keeps its whole index block alive
+            for (finite, bad, bad_values), row_means in zip(split, means):
+                total = C @ finite
+                if bad.size:
+                    total += np.where(C[:, bad] > 0, bad_values, 0.0).sum(axis=1)
                 row_means[done : done + len(C)] = total / n
         alpha = (1.0 - level) / 2.0
         means.sort(axis=1)

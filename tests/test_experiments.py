@@ -184,7 +184,7 @@ def test_bootstrap_ci_brackets_mean():
 
 def test_stacked_bootstrap_shares_indices_row_by_row():
     rng = np.random.default_rng(3)
-    a = np.exp(rng.standard_normal(3000))  # 3000 values: three full chunks and a partial one
+    a = np.exp(rng.standard_normal(3000))  # 3000 values: 25 blocks of 80 resamples
     b = a + 0.25
     cis = bootstrap_basic_ci(np.stack([a, b, a]), RngStream(8, 4))
     assert len(cis) == 3
@@ -202,11 +202,12 @@ def test_stacked_bootstrap_shares_indices_row_by_row():
     assert overflowed[1][1] == np.inf
 
 
-def gathered_bootstrap_ci(values, rng):
+def gathered_bootstrap_ci(values, rng, n_resamples=BOOTSTRAP_RESAMPLES):
     """The reference 95% bootstrap: each resample gathers its drawn values
-    and averages them, from the same index draws in the same chunks."""
+    and averages them, from the same index draws split into chunks of
+    2e6 values, not into the bootstrap's own blocks."""
     rows = np.atleast_2d(np.asarray(values, dtype=float))
-    n, k = rows.shape[1], BOOTSTRAP_RESAMPLES
+    n, k = rows.shape[1], n_resamples
     means = np.empty((len(rows), k))
     chunk = max(1, min(k, int(2e6) // n))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -219,20 +220,25 @@ def gathered_bootstrap_ci(values, rng):
     return cis if np.ndim(values) == 2 else cis[0]
 
 
-@pytest.mark.parametrize("draw", [
-    lambda rng: rng.standard_normal(3001),
-    lambda rng: rng.lognormal(0.0, 3.0, 3001),
-    lambda rng: 1.0 + rng.pareto(0.7, 3001),
-    lambda rng: rng.standard_normal(3),
-], ids=["normal", "lognormal", "pareto", "three"])
-def test_count_bootstrap_equals_gathered_on_finite_rows(draw):
-    """3001 values leave the last chunk partial. The count products sum in
-    another order than the gathered means, so the intervals agree to
-    roundoff; an endpoint near 0 keeps only an absolute agreement, on the
-    scale of the values."""
+@pytest.mark.parametrize("draw, n_resamples", [
+    (lambda rng: rng.standard_normal(3001), BOOTSTRAP_RESAMPLES),
+    (lambda rng: rng.lognormal(0.0, 3.0, 3001), BOOTSTRAP_RESAMPLES),
+    (lambda rng: 1.0 + rng.pareto(0.7, 3001), BOOTSTRAP_RESAMPLES),
+    (lambda rng: rng.standard_normal(3), BOOTSTRAP_RESAMPLES),
+    (lambda rng: rng.lognormal(0.0, 1.0, 5000), BOOTSTRAP_RESAMPLES),
+    (lambda rng: rng.standard_normal(40_000), 200),
+], ids=["normal", "lognormal", "pareto", "three", "5000 values", "40000 values"])
+def test_count_bootstrap_equals_gathered_on_finite_rows(draw, n_resamples):
+    """3001 values give 25 blocks of 80 resamples; 5000 values give blocks
+    of 48 and a last one of 32; 40 000 values give blocks of 6, too few to
+    round. The reference splits the same draws into chunks of its own, so
+    this also checks that the split does not change the draws. The count
+    products sum in another order than the gathered means, so the intervals
+    agree to roundoff; an endpoint near 0 keeps only an absolute agreement,
+    on the scale of the values."""
     x = draw(np.random.default_rng(0))
-    got = bootstrap_basic_ci(x, RngStream(8, 4))
-    want = gathered_bootstrap_ci(x, RngStream(8, 4))
+    got = bootstrap_basic_ci(x, RngStream(8, 4), n_resamples)
+    want = gathered_bootstrap_ci(x, RngStream(8, 4), n_resamples)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(x).mean())
 
 
@@ -249,8 +255,10 @@ def test_count_bootstrap_equals_gathered_on_non_finite_rows(bad):
 
 
 def test_bootstrap_peak_memory_is_two_index_blocks():
-    """The index chunk and the count buffer each hold 2e6 values; nothing
-    else of that size may stay alive while the next chunk is drawn."""
+    """The index block and the count buffer each hold at most 2**18 values
+    (2 MiB); with the means and the per-estimator copies of the costs a
+    (5, 10**4) bootstrap stays under 6 MiB, where blocks of 2e6 values
+    took 30.7 MiB."""
     costs = np.exp(np.random.default_rng(1).standard_normal((5, 10**4)))
     tracemalloc.start()
     try:
@@ -258,13 +266,27 @@ def test_bootstrap_peak_memory_is_two_index_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * 2**20
+    assert peak <= 6 * 2**20
 
 
 @pytest.mark.parametrize("values", [[1.0], np.ones((3, 1)), []])
 def test_bootstrap_needs_two_values(values):
     with pytest.raises(ValueError, match="at least 2 values"):
         bootstrap_basic_ci(values, RngStream(8, 4))
+
+
+@pytest.mark.parametrize("values, kwargs, name", [
+    ([1.0, 2.0, 3.0, 4.0], {"level": -0.5}, "level"),
+    ([1.0, 2.0, 3.0, 4.0], {"level": 1.5}, "level"),
+    ([1.0, 2.0, 3.0, 4.0], {"level": 0.0}, "level"),
+    ([1.0, 2.0, 3.0, 4.0], {"level": 1.0}, "level"),
+    ([1.0, 2.0, 3.0, 4.0], {"level": float("nan")}, "level"),
+    ([1.0, 2.0, 3.0, 4.0], {"n_resamples": 0}, "n_resamples"),
+    (np.ones((2, 2, 4)), {}, "values"),
+], ids=["level -0.5", "level 1.5", "level 0", "level 1", "level nan", "no resamples", "3-D values"])
+def test_bootstrap_rejects_arguments_that_make_no_interval(values, kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        bootstrap_basic_ci(values, RngStream(8, 4), **kwargs)
 
 
 @pytest.mark.parametrize("kind", ["squared_l2", "neg_entropy", "separable_q"])
