@@ -143,7 +143,7 @@ class Problem:
 
 def prior_scale(cfg):
     """Scale of the weight prior: the (initial) learning rate."""
-    return cfg.build_schedule().rate(1)
+    return float(cfg.build_schedule().rates(1)[0])
 
 
 def _problem_draws(cfg):

@@ -90,13 +90,14 @@ class Constant:
         if not self.eta > 0.0:
             raise ValueError("eta must be > 0")
 
-    def rate(self, i):
-        return self.eta
+    def rates(self, T):
+        """eta_1 .. eta_T as a float array."""
+        return np.full(T, float(self.eta))
 
 
 @dataclass(frozen=True)
 class RobbinsMonro:
-    """rate(i) = c / i: divergent sum, summable squares."""
+    """eta_i = c / i: divergent sum, summable squares."""
 
     c: float
     kind = "robbins_monro"
@@ -105,8 +106,10 @@ class RobbinsMonro:
         if not self.c > 0.0:
             raise ValueError("c must be > 0")
 
-    def rate(self, i):
-        return self.c / i
+    def rates(self, T):
+        """eta_1 .. eta_T as a float array; each c / i is the correctly
+        rounded quotient, as in Python."""
+        return self.c / np.arange(1, T + 1)
 
 
 @dataclass
@@ -180,9 +183,9 @@ def mirror_steps(p, W, X, Y, etas, shift):
         yield W
 
 
-def _recursion(p, X, Y, w0, rate, shift, S=None):
+def _recursion(p, X, Y, w0, schedule, shift, S=None):
     """`mirror_steps` over the observations (X, Y) from w0 at the rates
-    rate(1) .. rate(T), recorded; returns (path, X, Y, etas). X (n, T, dim)
+    schedule.rates(T), recorded; returns (path, X, Y, etas). X (n, T, dim)
     and Y (n, T) run n trials, recorded as an (n, T+1, dim) path. `S`, when
     given, is fed to `shift` in place of Y, one entry per step. Mis-shaped
     or non-finite observations raise ValueError. The domain is checked on
@@ -193,7 +196,7 @@ def _recursion(p, X, Y, w0, rate, shift, S=None):
         raise ValueError(f"X must be ([n,] T, {w0.size}) and Y ([n,] T), got {X.shape} and {Y.shape}")
     if not (np.isfinite(X).all() and np.isfinite(Y).all()):
         raise ValueError("observations have non-finite entries")
-    etas = np.array([rate(i) for i in range(1, Y.shape[-1] + 1)])
+    etas = schedule.rates(Y.shape[-1])
     path = np.empty(Y.shape[:-1] + (len(etas) + 1, w0.size))
     path[..., 0, :] = w0
     steps = mirror_steps(p, w0, np.moveaxis(X, -2, 0), np.moveaxis(Y if S is None else S, -1, 0), etas, shift)
@@ -225,7 +228,7 @@ def iterate(p, l, m, X, Y, schedule, w0, algorithm="smd", check_margin=True):
     if algorithm == "ssmd" and not isinstance(m, Linear):
         raise ConfigError("ssmd is defined for linear models only")
     shift = ssmd_shift(l) if algorithm == "ssmd" else smd_shift(l, m)
-    path, X, Y, etas = _recursion(p, X, Y, w0, schedule.rate, shift)
+    path, X, Y, etas = _recursion(p, X, Y, w0, schedule, shift)
     if check_margin and len(etas):
         holds = premise_holds(p, l, m, etas, path[..., 1:, :], X, Y).reshape(-1, len(etas)).all(axis=0)
         if not holds.all():
@@ -247,7 +250,7 @@ def run_general_recursion(p, l, X, Y, z, eta, w0):
         raise ValueError("z and Y must have equal length")
     schedule = Constant(eta)
     S = l.deriv(np.asarray(Y, dtype=float) - np.asarray(z, dtype=float))
-    path, X, Y, _ = _recursion(p, X, Y, w0, schedule.rate, lambda x, s, W: s, S)
+    path, X, Y, _ = _recursion(p, X, Y, w0, schedule, lambda x, s, W: s, S)
     return Trajectory(path, X, Y, schedule, p, l, Linear())
 
 

@@ -34,6 +34,7 @@ from .descent import (
     ssmd_shift,
 )
 from .errors import ConfigError, ConvergenceError, RankError, StepCapError
+from .losses import Quadratic
 from .potentials import SquaredL2
 from .samplers import (
     BLOCK_VALUES,
@@ -58,6 +59,9 @@ BOOTSTRAP_RESAMPLES = 2000
 # dgemv sums rows in groups, and whole groups keep every row in the same
 # kind of group as in any larger block, so the intervals do not move.
 BOOTSTRAP_BLOCK_VALUES = 2**18
+# The linear-quadratic convergence runs jump this many steps per block map;
+# it divides 100, so every fixed checkpoint (100, 1000, 10 000) ends a block.
+MAP_STEPS = 10
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +490,53 @@ class MsqReport:
 def _msq_runs(p, l, X, Y, schedules, w0):
     """Every run under each schedule in one recursion: block b of the state
     (len(schedules), n_runs, dim) follows schedules[b] on the step-major
-    outputs Y (T, n_runs). Returns the checkpoints and the state at each."""
+    outputs Y (T, n_runs). Returns the checkpoints and the state at each.
+    The squared-L2 potential with the quadratic loss takes `_lms_blocks`."""
     T, n_runs = Y.shape
     W0 = np.tile(np.asarray(w0, dtype=float), (len(schedules), n_runs, 1))
-    etas = np.stack([np.fromiter(map(s.rate, range(1, T + 1)), float, T) for s in schedules], axis=-1)
-    steps = mirror_steps(p, W0, X, Y, etas[..., None], smd_shift(l, Linear()))
+    etas = np.stack([s.rates(T) for s in schedules])
     marks = _checkpoints(T)
+    shift = smd_shift(l, Linear())
+    if isinstance(p, SquaredL2) and isinstance(l, Quadratic):
+        return marks, _lms_blocks(p, X, Y, etas, W0, shift, marks)
+    steps = mirror_steps(p, W0, X, Y, etas.T[..., None], shift)
     return marks, {t: W for t, W in enumerate(steps, 1) if t in marks}
+
+
+def _lms_blocks(p, X, Y, etas, W0, shift, marks):
+    """The states at `marks` of `_msq_runs` for SMD with the squared-L2
+    potential and the quadratic loss, the LMS recursion
+    w_i = w_{i-1} (I - eta_i x_i x_i^T) + eta_i y_i x_i^T, MAP_STEPS steps
+    at a time. A block of steps maps the state S (one row per run) to
+    S @ Phi + Y_block^T @ G. Each block's map comes from `mirror_steps` on
+    MAP_STEPS + dim trials: the impulse trials start at 0 and read y = 1 at
+    their own step and 0 elsewhere, giving the rows of G, and the basis
+    trials start at e_k and read 0, giving the rows of Phi. The last block
+    is padded with x = 0, eta = 0 steps, each an exact identity. Maps are
+    made for a group of blocks at once, at most BLOCK_VALUES state values."""
+    K, (T, dim), B = MAP_STEPS, X.shape, len(etas)
+    n_blocks = -(-T // K)
+    pad = n_blocks * K - T
+    Xb = np.pad(X, ((0, pad), (0, 0))).reshape(n_blocks, K, dim)
+    Eb = np.pad(etas, ((0, 0), (0, pad))).reshape(B, n_blocks, K)
+    starts, outputs = np.eye(K + dim, dim, -K), np.eye(K, K + dim)
+    ends = {-(-t // K): t for t in marks}
+    group = max(1, BLOCK_VALUES // (B * (K + dim) * dim))
+    S, snaps = W0, {}
+    for first in range(0, n_blocks, group):
+        blocks = slice(first, first + group)
+        x = np.moveaxis(Xb[blocks], 1, 0)[:, :, None, :]
+        eta = np.moveaxis(Eb[:, blocks], -1, 0)[..., None]
+        M = np.broadcast_to(starts, (B, x.shape[1]) + starts.shape)
+        for M in mirror_steps(p, M, x, outputs, eta, shift):
+            pass
+        G, Phi = M[..., :K, :], M[..., K:, :]
+        for j in range(first, min(first + group, n_blocks)):
+            y = Y[j * K : (j + 1) * K]  # the outputs are not padded
+            S = S @ Phi[:, j - first] + y.T @ G[:, j - first, : len(y)]
+            if j + 1 in ends:
+                snaps[ends[j + 1]] = S
+    return snaps
 
 
 def _checkpoints(T):

@@ -441,7 +441,10 @@ def test_engines_share_one_mirror_update_bitwise():
     prediction-driven recursion fed those predictions, and interpolating
     descent, whose trajectory is its rows cycled. (Batches of two or more
     trials take W @ x through BLAS, which can differ from the one-row dot
-    product in the last bit.)"""
+    product in the last bit.) The one exception is the convergence runner
+    on the squared-L2 potential with the quadratic loss: it chains block
+    maps of the LMS recursion, which sums the same terms in another order,
+    so there it matches to rtol 1e-12, not bitwise."""
     from mirrorkit import Constant, run_general_recursion
     from mirrorkit.experiments import _msq_runs
 
@@ -463,7 +466,10 @@ def test_engines_share_one_mirror_update_bitwise():
             assert np.array_equal(traj.final, w)
             marks, snaps = _msq_runs(p, l, X, Y[:, None], [Constant(eta)], w0)
             for t in marks:
-                assert np.array_equal(snaps[t][0, 0], traj.iterates[t - 1])
+                if isinstance(p, SquaredL2) and isinstance(l, Quadratic):
+                    np.testing.assert_allclose(snaps[t][0, 0], traj.iterates[t - 1], rtol=1e-12, atol=0)
+                else:
+                    assert np.array_equal(snaps[t][0, 0], traj.iterates[t - 1])
             _, predictions = estimator_predictions({"kind": "smd"}, p, l, eta, X, Y[None, :], w0)
             z = np.concatenate(list(predictions))
             assert np.array_equal(z, [x @ w for x, w in zip(X, traj.path)])
@@ -472,10 +478,14 @@ def test_engines_share_one_mirror_update_bitwise():
 
 
 def test_msq_blocks_match_one_schedule_runs_bitwise():
-    """Each block of a two-schedule run is the one-schedule run of its
-    schedule, bit for bit: the blocks share the outputs and never mix. Some
-    SeparableQ(1.5) runs diverge under the quartic loss; their NaNs must
-    match too."""
+    """Each block of a three-schedule run is the one-schedule run of its
+    schedule, bit for bit, on the sequential path and on the block maps of
+    the squared-L2 potential with the quadratic loss: the blocks share the
+    outputs and never mix. The Constant(5.0) control overflows on four
+    pairs (and on the block maps grows past 1e90 in these 150 steps), and
+    some SeparableQ(1.5) runs diverge under the quartic loss; their NaNs
+    must match too, and the control's overflow must leave the vanishing-rate
+    block finite wherever its own run is."""
     from mirrorkit import Constant
     from mirrorkit.descent import RobbinsMonro
     from mirrorkit.experiments import _msq_runs
@@ -486,7 +496,8 @@ def test_msq_blocks_match_one_schedule_runs_bitwise():
     X = np.stack([np.asarray(rng.normal(3)) for _ in range(150)])
     Y = (X @ np.array([0.9, 1.4, 0.6]))[:, None] + 0.3 * np.asarray(rng.normal((150, 5)))
     w0 = np.ones(3)
-    schedules = [RobbinsMonro(0.5), Constant(0.02)]
+    schedules = [RobbinsMonro(0.5), Constant(0.02), Constant(5.0)]
+    overflows = 0
     for p in all_potentials(3):
         for l in all_losses():
             with np.errstate(over="ignore", invalid="ignore"):
@@ -494,8 +505,43 @@ def test_msq_blocks_match_one_schedule_runs_bitwise():
                 alones = [_msq_runs(p, l, X, Y, [s], w0)[1] for s in schedules]
             for b, alone in enumerate(alones):
                 for t in marks:
-                    assert snaps[t].shape == (2, 5, 3)
+                    assert snaps[t].shape == (3, 5, 3)
                     assert np.array_equal(snaps[t][b], alone[t][0], equal_nan=True)
+            vanishing, control = snaps[150][0], snaps[150][2]
+            if not np.isfinite(control).all():
+                overflows += 1
+                assert np.isfinite(vanishing).all() or not np.isfinite(alones[0][150]).all()
+            if isinstance(p, SquaredL2) and isinstance(l, Quadratic):
+                assert np.abs(control).max() > 1e90 and np.isfinite(vanishing).all()
+    assert overflows == 4
+
+
+@pytest.mark.parametrize("T", [1, 9, 10, 11, 101, 1007])
+@pytest.mark.parametrize("n_runs", [1, 4])
+@pytest.mark.parametrize("n_schedules", [1, 2])
+def test_msq_block_maps_match_the_sequential_recursion(T, n_schedules, n_runs):
+    """On the squared-L2 potential with the quadratic loss, `_msq_runs`
+    chains block maps of the LMS recursion. At every checkpoint each
+    schedule's block must match a batch `iterate` run (one input row per
+    trial) on the same outputs from a non-zero start: for T shorter than a
+    block, on a block end, and with a padded last block."""
+    from mirrorkit.descent import Constant, RobbinsMonro
+    from mirrorkit.experiments import _msq_runs
+
+    rng = RngStream(23, T)
+    X = np.asarray(rng.normal((T, 3)))
+    Y = (X @ np.array([0.9, 1.4, 0.6]))[:, None] + 0.3 * np.asarray(rng.normal((T, n_runs)))
+    w0 = np.array([0.5, -1.0, 2.0])
+    schedules = [RobbinsMonro(0.5), Constant(0.05)][:n_schedules]
+    p, l = SquaredL2(3), Quadratic()
+    marks, snaps = _msq_runs(p, l, X, Y, schedules, w0)
+    assert marks == sorted({c for c in (100, 1000) if c <= T} | {T})
+    rows = np.broadcast_to(X, (n_runs, T, 3))
+    for b, schedule in enumerate(schedules):
+        traj = iterate(p, l, Linear(), rows, Y.T, schedule, w0, check_margin=False)
+        for t in marks:
+            assert snaps[t].shape == (n_schedules, n_runs, 3)
+            np.testing.assert_allclose(snaps[t][b], traj.path[:, t], rtol=1e-12, atol=0)
 
 
 def test_shuffled_epochs_reach_same_limit():
