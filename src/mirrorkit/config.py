@@ -9,6 +9,9 @@ silently fell back to a default would invalidate a scientific run. Every
 default that does get applied is echoed to the log, except the sampler's
 tabulation grid, whose defaults are `GridSpec`'s. The resolved config
 re-parses to itself: `config_from_mapping(asdict(cfg)) == cfg`.
+
+`PREMISES` has one row per premise of the paper's claims, and `require`
+refuses a config outside a claim's premises before anything is computed.
 """
 
 import json
@@ -20,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .descent import Constant, GeneralizedLinear, Linear, RobbinsMonro
-from .errors import ParseError, ValidationError
+from .errors import ConfigError, ParseError, ValidationError
 from .losses import make_loss
 from .potentials import NegEntropy, SeparableQ, SquaredL2
 from .samplers import GridSpec
@@ -266,6 +269,46 @@ SCHEMA = {
     "control_eta": (None, POSITIVE),
     "output_dir": ("out", _text),
 }
+
+
+# One row per premise of the paper's claims: (the claims it binds, holds(cfg),
+# the reason a config outside it is refused, formatted with the config's
+# fields). A claim is a subcommand, or the blow-up probe.
+PREMISES = (
+    # these claims are about the gradient-form update: the audit would flag
+    # the symmetric rule falsely, and implicit and converge run smd anyway
+    (("audit", "minimax", "implicit", "converge"), lambda c: c.algorithm == "smd",
+     "applies to the smd recursion, not {algorithm}"),
+    (("risk", "implicit", "converge", "blowup-probe"), lambda c: c.model["kind"] == "linear",
+     "is defined for the linear model, not {model[kind]}"),
+    (("risk",), lambda c: "smd" in map(estimator_name, c.estimators),
+     "needs an smd estimator (smd, or scaled_smd with gamma 1)"),
+    # the symmetric rule is scored under its own cost, so it is no baseline
+    (("risk",), lambda c: bool(set(map(estimator_name, c.estimators)) - {"smd", "ssmd"}),
+     "needs a baseline under the smd cost (constant, or scaled_smd with gamma != 1); ssmd is descriptive"),
+    # one trial collapses every bootstrap interval to its point
+    (("risk",), lambda c: c.n_trials >= 2, "needs at least 2 trials, got n_trials={n_trials}"),
+    # with no step the residuals, the certificate and the bounds hold vacuously
+    (("audit", "minimax", "risk", "implicit"), lambda c: c.T >= 1,
+     "needs at least one step, got T={T}"),
+    (("audit", "minimax", "risk", "implicit", "blowup-probe"), lambda c: c.schedule["kind"] == "constant",
+     "requires a constant learning rate, got schedule kind {schedule[kind]!r}"),
+    (("implicit",), lambda c: c.noise["kind"] == "none", "requires noiseless data (noise kind 'none')"),
+    (("implicit",), lambda c: c.T < c.dim, "needs an underdetermined system (T={T} rows < dim={dim})"),
+    (("converge",), lambda c: c.schedule["kind"] != "constant", "requires a vanishing-step schedule"),
+    (("converge",), lambda c: c.noise["kind"] in ("gaussian", "uniform", "rademacher"),
+     "uses white noise (gaussian/uniform/rademacher)"),
+    # the checkpoints are 100, 1000, 10 000 and T; a decay from one
+    # checkpoint would compare the error with itself
+    (("converge",), lambda c: c.T > 100, "needs at least two checkpoints, so T > 100; got T={T}"),
+)
+
+
+def require(cfg, claim):
+    """Refuse `cfg` for `claim` with the reason of the first premise it fails."""
+    for claims, holds, reason in PREMISES:
+        if claim in claims and not holds(cfg):
+            raise ConfigError(f"{claim} {reason.format(**vars(cfg))}")
 
 
 def _resolve(rows, mapping, path, echo=True):

@@ -13,7 +13,7 @@ from itertools import chain, cycle, repeat
 
 import numpy as np
 
-from .config import estimator_name
+from .config import estimator_name, require
 from .datagen import (
     STREAM_BOOTSTRAP,
     STREAM_INPUTS,
@@ -143,10 +143,7 @@ class RiskReport:
     entries: list
 
     def entry(self, name):
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
+        return {e.name: e for e in self.entries}[name]
 
 
 def _linear_quantile(s, q):
@@ -236,18 +233,13 @@ def certify_margin(cfg, p, l, eta, X, prior, warn_only=False):
             raise ConfigError(msg + " (pass warn_only=True to continue)")
 
 
-def _risk_trials(cfg, T, warn_only, what):
+def _risk_trials(cfg, T, warn_only):
     """The shared setup of the risk comparison and the blow-up probe: the
     constant rate, T inputs certified under the prior, and every trial's
     clean outputs XW and noisy outputs Y, both (n_trials, T)."""
-    if T < 1:
-        raise ConfigError(f"{what} needs at least one step, got T={T}")
     p = cfg.build_potential()
     l = cfg.build_loss()
-    schedule = cfg.build_schedule()
-    if schedule.kind != "constant":
-        raise ConfigError(f"{what} requires a constant learning rate")
-    eta = schedule.eta
+    eta = cfg.schedule["eta"]
     X = make_inputs(cfg, count=T)
     w0 = cfg.w0_vector()
     prior = ExpFamilySpec(p, w0, eta, grid=cfg.grid_spec())
@@ -278,11 +270,8 @@ def risk_compare(cfg, warn_only=False):
     symmetric-update estimator is scored under its own cost exponent and is
     reported descriptively alongside the rest.
     """
-    if cfg.model["kind"] != "linear":
-        raise ConfigError("risk comparison is defined for the linear model")
-    if cfg.n_trials < 2:
-        raise ConfigError(f"risk comparison needs at least 2 trials, got n_trials={cfg.n_trials}")
-    p, l, eta, X, w0, XW, Y = _risk_trials(cfg, cfg.T, warn_only, "risk comparison")
+    require(cfg, "risk")
+    p, l, eta, X, w0, XW, Y = _risk_trials(cfg, cfg.T, warn_only)
     runs = []
     for spec in cfg.estimators:
         name, predictions = estimator_predictions(spec, p, l, eta, X, Y, w0)
@@ -303,7 +292,11 @@ def exponent_blowup_probe(cfg, alpha=1.0, checkpoints=(10, 20, 30, 40, 50), warn
     confirmed by finite Monte Carlo, so the output is the blow-up curve of
     the worst observed trial cost at each horizon.
     """
-    p, l, eta, X, w0, XW, Y = _risk_trials(cfg, max(checkpoints), warn_only, "the blow-up probe")
+    require(cfg, "blowup-probe")
+    T = max(checkpoints)
+    if T < 1:
+        raise ConfigError(f"the blow-up probe needs at least one step, got T={T}")
+    p, l, eta, X, w0, XW, Y = _risk_trials(cfg, T, warn_only)
     _, predictions = estimator_predictions({"kind": "smd"}, p, l, eta, X, Y, w0)
     costs = _costs_at(set(checkpoints), ScaledQuadratic(alpha), l, XW, Y, predictions)
     return [(t, float(c.max()), float(c.mean())) for t, c in sorted(costs.items())]
@@ -444,20 +437,9 @@ def implicit_reg_experiment(cfg):
     """Run interpolating mirror descent on noiseless underdetermined systems
     and compare each limit against the constrained-divergence oracle. Case t
     is trial t of `generate_problems`; returns one report per case."""
+    require(cfg, "implicit")
     p = cfg.build_potential()
     l = cfg.build_loss()
-    n, m = cfg.T, cfg.dim
-    if n < 1:
-        raise ConfigError(f"implicit regularization needs at least one step, got T={n}")
-    if cfg.noise["kind"] != "none":
-        raise ConfigError("implicit regularization requires noiseless data (noise kind 'none')")
-    if cfg.model["kind"] != "linear":
-        raise ConfigError("implicit regularization is defined for the linear model")
-    schedule = cfg.build_schedule()
-    if schedule.kind != "constant":
-        raise ConfigError("implicit regularization uses a constant learning rate")
-    if not n < m:
-        raise ConfigError(f"need an underdetermined system (T={n} rows < dim={m})")
     problems = generate_problems(cfg, cfg.n_trials)
     w0 = cfg.w0_vector()
     feas_tol = cfg.tolerances["feasibility"]
@@ -466,7 +448,7 @@ def implicit_reg_experiment(cfg):
     for k, (X, y) in enumerate(zip(problems.X, problems.Y)):
         oracle = implicit_reg_oracle(X, y, p, w0)
         w_smd, steps, feas, _ = run_interpolating_descent(
-            p, l, X, y, w0, schedule.eta, feas_tol=feas_tol, step_cap=step_cap
+            p, l, X, y, w0, cfg.schedule["eta"], feas_tol=feas_tol, step_cap=step_cap
         )
         gap = float(np.max(np.abs(w_smd - oracle.w_star)))
         log.info(
@@ -551,18 +533,11 @@ def msq_convergence(cfg, control_eta=None):
     optionally runs a fixed-rate control on the same noise draws so the
     vanishing-rate run can be compared against the plateau it avoids.
     """
+    require(cfg, "converge")
     schedule = cfg.build_schedule()
-    if schedule.kind == "constant":
-        raise ConfigError("mean-square convergence requires a vanishing-step schedule")
     p = cfg.build_potential()
     l = cfg.build_loss()
-    if cfg.noise["kind"] not in ("gaussian", "uniform", "rademacher"):
-        raise ConfigError("mean-square convergence uses white noise (gaussian/uniform/rademacher)")
     T, n_runs = cfg.T, cfg.n_trials
-    if len(_checkpoints(T)) < 2:
-        # a decay from one checkpoint would compare the error with itself
-        raise ConfigError(f"mean-square convergence needs at least two checkpoints, "
-                          f"so T > 100; got T={T}")
     X = basis_then_gaussian(cfg.dim, T, RngStream(cfg.seed, STREAM_INPUTS), scale=cfg.inputs["scale"])
     ok, t_found = persistent_excitation(X, cfg.delta_pe)
     if not ok:

@@ -385,8 +385,8 @@ def test_criterion_8_bit_exact_reproducibility(tmp_path):
     t0 = time.perf_counter()
     for sub, artifact in REPRO_ARTIFACTS.items():
         out1, out2 = tmp_path / f"{sub}-1", tmp_path / f"{sub}-2"
-        assert dispatch(_repro_cfg(sub, out1), sub) == EXIT_PASS, sub
-        assert dispatch(_repro_cfg(sub, out2), sub) == EXIT_PASS, sub
+        assert dispatch(_repro_cfg(sub, out1), sub).code == EXIT_PASS, sub
+        assert dispatch(_repro_cfg(sub, out2), sub).code == EXIT_PASS, sub
         b1 = (out1 / artifact).read_bytes()
         b2 = (out2 / artifact).read_bytes()
         assert b1 == b2, f"{sub} artifact differs between identical runs"

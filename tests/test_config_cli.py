@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mirrorkit import ConfigError, ParseError, ValidationError, exponent_blowup_probe, parse_config
+from mirrorkit.audit import audit_trajectory as _audit_trajectory
 from mirrorkit.cli import EXIT_ASSERTION, EXIT_ERROR, EXIT_PASS, dispatch, main, write_csv
 from mirrorkit.config import SCHEMA, config_from_mapping, make_config
 
@@ -158,8 +159,8 @@ ARTIFACTS = {
 @pytest.mark.parametrize("sub", sorted(ARTIFACTS))
 def test_subcommand_passes_and_reproduces(sub, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert dispatch(_cfg_for(sub, out1), sub) == EXIT_PASS
-    assert dispatch(_cfg_for(sub, out2), sub) == EXIT_PASS
+    assert dispatch(_cfg_for(sub, out1), sub).code == EXIT_PASS
+    assert dispatch(_cfg_for(sub, out2), sub).code == EXIT_PASS
     f1 = (out1 / ARTIFACTS[sub]).read_bytes()
     f2 = (out2 / ARTIFACTS[sub]).read_bytes()
     assert f1 == f2
@@ -176,7 +177,7 @@ def test_different_seed_changes_artifact(tmp_path):
 def test_audit_exit_code_on_forced_failure(tmp_path):
     cfg = _cfg_for("audit", tmp_path)
     cfg.tolerances["identity_rtol"] = 1e-30  # below roundoff: must fail
-    assert dispatch(cfg, "audit") == EXIT_ASSERTION
+    assert dispatch(cfg, "audit").code == EXIT_ASSERTION
 
 
 def test_dispatch_unknown_subcommand(tmp_path):
@@ -209,14 +210,60 @@ def test_main_strict_turns_warning_into_error(tmp_path):
     assert main(["run", "--config", str(path), "--strict"]) == 1
 
 
-def test_audit_rejects_symmetric_rule(tmp_path):
-    cfg = make_config(**dict(BASE, algorithm="ssmd", output_dir=str(tmp_path)))
-    from mirrorkit import ConfigError
+def _assert_refused(sub, mapping, reason, tmp_path, caplog):
+    """`sub` on `mapping` exits 1 with `reason` and makes no output directory."""
+    path = _write(tmp_path, dict(mapping, output_dir=str(tmp_path / "o")))
+    with caplog.at_level(logging.ERROR, logger="mirrorkit"):
+        assert main([sub, "--config", str(path)]) == EXIT_ERROR
+    assert any(r.message.startswith("ConfigError") and reason in r.message for r in caplog.records)
+    assert not (tmp_path / "o").exists()
 
-    with pytest.raises(ConfigError):
-        dispatch(cfg, "audit")
-    with pytest.raises(ConfigError):
-        dispatch(cfg, "minimax")
+
+def test_audit_rejects_symmetric_rule(tmp_path, caplog):
+    for sub in ("audit", "minimax"):
+        _assert_refused(sub, dict(BASE, algorithm="ssmd"), f"{sub} applies to the smd recursion, not ssmd",
+                        tmp_path, caplog)
+
+
+def _shipped(name, **overrides):
+    mapping = json.loads((ROOT / "configs" / f"{name}.json").read_text(encoding="utf-8"))
+    return dict(mapping, **overrides)
+
+
+@pytest.mark.parametrize("sub, mapping, reason", [
+    ("converge", _shipped("converge", T=1000, n_trials=20, algorithm="ssmd"),
+     "converge applies to the smd recursion, not ssmd"),
+    ("converge", _shipped("converge", T=1000, n_trials=20, model={"kind": "glm"}),
+     "converge is defined for the linear model, not glm"),
+    ("implicit", _shipped("implicit_l2", algorithm="ssmd"), "implicit applies to the smd recursion, not ssmd"),
+    ("audit", _shipped("converge"), "audit requires a constant learning rate, got schedule kind 'robbins_monro'"),
+    ("minimax", _shipped("converge"), "minimax requires a constant learning rate, got schedule kind 'robbins_monro'"),
+], ids=["converge_ssmd", "converge_glm", "implicit_ssmd", "audit_vanishing_rate", "minimax_vanishing_rate"])
+def test_claims_refuse_configs_outside_their_premises(sub, mapping, reason, tmp_path, caplog):
+    # each of these would otherwise certify a run other than the one asked for,
+    # or fail only after computing it
+    _assert_refused(sub, mapping, reason, tmp_path, caplog)
+
+
+@pytest.mark.parametrize("sub", ["audit", "minimax"])
+def test_constant_rate_claims_fail_before_iterating(sub, tmp_path, caplog, monkeypatch):
+    from mirrorkit import cli
+
+    def iterate(*args, **kwargs):
+        raise AssertionError("iterated a config outside the claim's premises")
+
+    monkeypatch.setattr(cli, "iterate", iterate)
+    _assert_refused(sub, _shipped("converge"), "requires a constant learning rate", tmp_path, caplog)
+
+
+@pytest.mark.parametrize("overrides, reason", [
+    ({"model": {"kind": "glm"}}, "blowup-probe is defined for the linear model, not glm"),
+    ({"schedule": {"kind": "robbins_monro", "c": 1.0}},
+     "blowup-probe requires a constant learning rate, got schedule kind 'robbins_monro'"),
+], ids=["glm", "vanishing_rate"])
+def test_blowup_probe_refuses_configs_outside_its_premises(overrides, reason):
+    with pytest.raises(ConfigError, match=re.escape(reason)):
+        exponent_blowup_probe(make_config(n_trials=10, **overrides), checkpoints=(10,))
 
 
 def test_grid_override_reaches_sampler(tmp_path):
@@ -240,7 +287,7 @@ def test_minimax_fails_closed_when_no_trial_is_certified(tmp_path, caplog):
         output_dir=str(tmp_path),
     )
     with caplog.at_level(logging.INFO, logger="mirrorkit"):
-        assert dispatch(cfg, "minimax") == EXIT_ASSERTION
+        assert dispatch(cfg, "minimax").code == EXIT_ASSERTION
     assert any("0/50 trials premise-certified" in r.message for r in caplog.records)
     assert any(r.levelno == logging.ERROR for r in caplog.records)
 
@@ -254,7 +301,7 @@ def test_minimax_fails_on_a_nan_ratio(tmp_path, caplog):
         noise={"kind": "gaussian", "sigma2": 1e308}, output_dir=str(tmp_path),
     )
     with caplog.at_level(logging.INFO, logger="mirrorkit"):
-        assert dispatch(cfg, "minimax") == EXIT_ASSERTION
+        assert dispatch(cfg, "minimax").code == EXIT_ASSERTION
     rows = (tmp_path / "minimax.csv").read_text().splitlines()[1:]
     assert any(row.endswith(",nan,true") for row in rows)
     assert any("certified trials have a non-finite ratio" in r.message for r in caplog.records)
@@ -270,7 +317,63 @@ def test_nan_ratio_raises_no_runtime_warning(tmp_path):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert dispatch(cfg, "minimax") == EXIT_ASSERTION
+        assert dispatch(cfg, "minimax").code == EXIT_ASSERTION
+
+
+def _with_nan_local_residual(traj, w, noises=None):
+    terms, global_residual = _audit_trajectory(traj, w, noises)
+    terms.local_residual[-1] = np.nan
+    return terms, global_residual
+
+
+def _with_nan_global_residual(traj, w, noises=None):
+    return _audit_trajectory(traj, w, noises)[0], float("nan")
+
+
+def _implicit_reports(gap, kkt_residual):
+    from mirrorkit.experiments import ImplicitRegReport
+
+    return lambda cfg: [ImplicitRegReport(np.zeros(2), np.zeros(2), gap, 0.0, kkt_residual, 1)]
+
+
+def _risk_report(smd_ci_high=1.1, second_baseline_cost=3.0):
+    from mirrorkit.experiments import EstimatorCost, RiskReport
+
+    report = RiskReport(entries=[EstimatorCost("smd", 1.0, 0.9, smd_ci_high, 10),
+                                 EstimatorCost("constant", 2.0, 1.8, 2.2, 10),
+                                 EstimatorCost("scaled_smd(2)", second_baseline_cost, 2.8, 3.2, 10)])
+    return lambda cfg, warn_only=False: report
+
+
+def _msq_report(cfg, control_eta=None):
+    from mirrorkit.experiments import MsqReport
+
+    return MsqReport(checkpoints=[(100, 1.0), (1000, float("nan"))])
+
+
+@pytest.mark.parametrize("sub, target, name, fake, reason", [
+    ("audit", "audit", "audit_trajectory", _with_nan_local_residual, "conservation-law residuals exceed"),
+    ("audit", "audit", "audit_trajectory", _with_nan_global_residual, "conservation-law residuals exceed"),
+    ("implicit", "experiments", "implicit_reg_experiment", _implicit_reports(float("nan"), 0.0),
+     "a gap to the oracle exceeds"),
+    ("implicit", "experiments", "implicit_reg_experiment", _implicit_reports(0.0, float("nan")),
+     "an oracle KKT residual exceeds"),
+    ("risk", "experiments", "risk_compare", _risk_report(smd_ci_high=float("nan")),
+     "smd interval overlaps the worst baseline's"),
+    ("risk", "experiments", "risk_compare", _risk_report(second_baseline_cost=float("nan")),
+     "smd cost is not minimal among the baselines"),
+    ("converge", "experiments", "msq_convergence", _msq_report, "mean-square error did not decay by 10x"),
+], ids=["audit_local_residual", "audit_global_residual", "implicit_gap", "implicit_kkt_residual",
+        "risk_smd_ci_high", "risk_later_baseline_cost", "converge_last_checkpoint"])
+def test_a_nan_fails_every_verdict(sub, target, name, fake, reason, tmp_path, monkeypatch, caplog):
+    from mirrorkit import audit, experiments
+
+    monkeypatch.setattr({"audit": audit, "experiments": experiments}[target], name, fake)
+    with caplog.at_level(logging.ERROR, logger="mirrorkit"):
+        verdict = dispatch(_cfg_for(sub, tmp_path), sub)
+    assert verdict.code == EXIT_ASSERTION
+    assert reason in verdict.reason
+    assert [r.message for r in caplog.records] == [f"{sub}: {verdict.reason}"]
 
 
 @pytest.mark.parametrize("field", ["mc_cost", "ci_low"])
@@ -284,7 +387,7 @@ def test_risk_verdict_fails_on_nan(field, tmp_path, monkeypatch):
         entries=[EstimatorCost("smd", 1.0, 0.9, 1.1, 10), EstimatorCost(**baseline)],
     )
     monkeypatch.setattr(experiments, "risk_compare", lambda cfg, warn_only=False: report)
-    assert dispatch(_cfg_for("risk", tmp_path), "risk") == EXIT_ASSERTION
+    assert dispatch(_cfg_for("risk", tmp_path), "risk").code == EXIT_ASSERTION
 
 
 BAD_CONFIGS = {
