@@ -63,9 +63,7 @@ from .losses import LogCosh, LossFn, Quadratic, Quartic, make_loss
 from .potentials import NegEntropy, Potential, SeparableQ, SquaredL2
 from .samplers import (
     ExpFamilySpec,
-    GridSpec,
     MirrorMeanReport,
-    NoiseSpec,
     RngStream,
     ks_two_sample,
     mirror_mean_check,

@@ -184,7 +184,7 @@ def _cmd_sample_check(cfg):
     p = cfg.build_potential()
     l = cfg.build_loss()
     n = max(cfg.n_trials, 10_000)
-    spec = ExpFamilySpec(p, cfg.w0_vector(), prior_scale(cfg), grid=cfg.grid_spec())
+    spec = ExpFamilySpec(p, cfg.w0_vector(), prior_scale(cfg))
     report = mirror_mean_check(spec, n, RngStream(cfg.seed, STREAM_TRIAL_BASE))
     rows = [["mirror_mean", p.kind, l.kind, j, est, target, sigma, abs(est - target) <= sigma]
             for j, (est, target, sigma) in enumerate(zip(report.mc_estimate, report.target,

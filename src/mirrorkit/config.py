@@ -3,12 +3,12 @@ echoed defaults.
 
 `SCHEMA` has one row per key a config may set: its default and the one check
 its value must pass. A variant block ("potential", "schedule", ...) lists
-each kind's parameters as rows too, and a nested record ("tolerances",
-"grid") has one row per key. Unknown keys are rejected outright; a typo that
-silently fell back to a default would invalidate a scientific run. Every
-default that does get applied is echoed to the log, except the sampler's
-tabulation grid, whose defaults are `GridSpec`'s. The resolved config
-re-parses to itself: `config_from_mapping(asdict(cfg)) == cfg`.
+each kind's parameters as rows too, only for the kinds that read them, and
+the nested record "tolerances" has one row per key. Unknown keys are
+rejected outright; a typo that silently fell back to a default would
+invalidate a scientific run. Every default that does get applied is echoed
+to the log. The resolved config re-parses to itself:
+`config_from_mapping(asdict(cfg)) == cfg`.
 
 `PREMISES` has one row per premise of the paper's claims, and `require`
 refuses a config outside a claim's premises before anything is computed.
@@ -26,7 +26,6 @@ from .descent import Constant, GeneralizedLinear, Linear, RobbinsMonro
 from .errors import ConfigError, ParseError, ValidationError
 from .losses import make_loss
 from .potentials import NegEntropy, SeparableQ, SquaredL2
-from .samplers import GridSpec
 
 log = logging.getLogger("mirrorkit")
 
@@ -51,7 +50,6 @@ class ExperimentConfig:
     planted: dict
     estimators: list
     tolerances: dict
-    grid: dict
     control_eta: float | None
     output_dir: str
 
@@ -75,9 +73,6 @@ class ExperimentConfig:
         if self.schedule["kind"] == "constant":
             return Constant(self.schedule["eta"])
         return RobbinsMonro(self.schedule["c"])
-
-    def grid_spec(self):
-        return GridSpec(**self.grid)
 
     def w0_vector(self):
         """Explicit start, or the potential's minimizer when unspecified."""
@@ -129,12 +124,6 @@ def _integer(low, high=None):
     return check
 
 
-def _boolean(value, path):
-    if not isinstance(value, bool):
-        raise ValidationError(f"{path} must be true or false, got {value!r}")
-    return value
-
-
 def _text(value, path):
     if not isinstance(value, str):
         raise ValidationError(f"{path} must be a string, got {value!r}")
@@ -166,13 +155,13 @@ def _variant(kinds):
     return check
 
 
-def _record(rows, echo=True):
+def _record(rows):
     """An object with one row per key."""
 
     def check(value, path):
         if not isinstance(value, dict):
             raise ValidationError(f"{path} must be an object, got {value!r}")
-        return _resolve(rows, value, path, echo)
+        return _resolve(rows, value, path)
 
     return check
 
@@ -241,12 +230,19 @@ SCHEMA = {
     "inputs": ({"kind": "gaussian"}, _variant(dict.fromkeys(
         ("gaussian", "unit", "basis_then_gaussian"), {"scale": (1.0, POSITIVE)},
     ))),
-    "noise": ({"kind": "model"}, _variant(dict.fromkeys(
-        ("model", "gaussian", "uniform", "rademacher", "none"), {"sigma2": (1.0, POSITIVE)},
-    ))),
-    "planted": ({"kind": "auto"}, _variant(dict.fromkeys(
-        ("auto", "gaussian", "positive", "sparse"), {"support": (3, _integer(1))},
-    ))),
+    # "model" noise has the loss's density exp(-l(v)), with no variance
+    "noise": ({"kind": "model"}, _variant({
+        "model": {},
+        **dict.fromkeys(("gaussian", "uniform", "rademacher"), {"sigma2": (1.0, POSITIVE)}),
+        "none": {},
+    })),
+    # "auto" is sparse for separable_q with q < 2
+    "planted": ({"kind": "auto"}, _variant({
+        "auto": {"support": (3, _integer(1))},
+        "gaussian": {},
+        "positive": {},
+        "sparse": {"support": (3, _integer(1))},
+    })),
     "estimators": (
         ({"kind": "smd"}, {"kind": "constant"}, {"kind": "scaled_smd", "gamma": 0.5},
          {"kind": "scaled_smd", "gamma": 2.0}, {"kind": "ssmd"}),
@@ -261,11 +257,6 @@ SCHEMA = {
         "kkt_tol": (1e-10, POSITIVE),
         "step_cap": (1_000_000, _integer(1)),
     })),
-    "grid": ({}, _record({
-        "half_width": (GridSpec.half_width, POSITIVE),
-        "points": (GridSpec.points, _integer(16)),
-        "auto_expand": (GridSpec.auto_expand, _boolean),
-    }, echo=False)),
     "control_eta": (None, POSITIVE),
     "output_dir": ("out", _text),
 }
@@ -298,6 +289,8 @@ PREMISES = (
     (("converge",), lambda c: c.schedule["kind"] != "constant", "requires a vanishing-step schedule"),
     (("converge",), lambda c: c.noise["kind"] in ("gaussian", "uniform", "rademacher"),
      "uses white noise (gaussian/uniform/rademacher)"),
+    (("converge",), lambda c: c.inputs["kind"] != "unit",
+     "sweeps the basis and then draws Gaussian rows at inputs.scale, so unit inputs would be ignored"),
     # the checkpoints are 100, 1000, 10 000 and T; a decay from one
     # checkpoint would compare the error with itself
     (("converge",), lambda c: c.T > 100, "needs at least two checkpoints, so T > 100; got T={T}"),
@@ -311,7 +304,7 @@ def require(cfg, claim):
             raise ConfigError(f"{claim} {reason.format(**vars(cfg))}")
 
 
-def _resolve(rows, mapping, path, echo=True):
+def _resolve(rows, mapping, path):
     """Check `mapping` against `rows`. An absent or null key takes its row's
     default: None stays None, and an empty record defaults (and echoes)
     each of its own rows."""
@@ -325,7 +318,7 @@ def _resolve(rows, mapping, path, echo=True):
         if value is None:
             if default is REQUIRED:
                 raise ValidationError(f"{name} is required")
-            if echo and default not in (None, {}):
+            if default not in (None, {}):
                 log.info("applied default %s = %r", name, default)
             value = default
         resolved[key] = None if value is None else check(value, name)

@@ -28,7 +28,6 @@ import numpy as np
 from .potentials import NegEntropy
 from .samplers import (
     ExpFamilySpec,
-    NoiseSpec,
     RngStream,
     box_muller,
     noise_draw,
@@ -98,7 +97,8 @@ def make_inputs(cfg, count=None):
 def planted_draw(cfg, potential):
     """(k, values): a fixed ground-truth weight compatible with the
     potential's domain takes k uniforms, and `values` maps a (rows, k)
-    block of them to (rows, dim) weights, one normal draw per row."""
+    block of them to (rows, dim) weights, one normal draw per row. A sparse
+    weight is nonzero only at the `support` normals largest in magnitude."""
     kind = cfg.planted["kind"]
     if kind == "auto":
         if isinstance(potential, NegEntropy):
@@ -108,7 +108,6 @@ def planted_draw(cfg, potential):
         else:
             kind = "gaussian"
     dim = cfg.dim
-    support = min(cfg.planted["support"], dim)
 
     def values(U):
         z = box_muller(U, dim)
@@ -116,7 +115,7 @@ def planted_draw(cfg, potential):
             return z
         if kind == "positive":
             return np.abs(z) + 0.5
-        idx = np.argsort(-np.abs(z), axis=-1)[:, :support]
+        idx = np.argsort(-np.abs(z), axis=-1)[:, : cfg.planted["support"]]
         top = np.take_along_axis(z, idx, axis=-1)
         w = np.zeros_like(z)
         np.put_along_axis(w, idx, np.sign(top) * (1.0 + np.abs(top)), axis=-1)
@@ -154,12 +153,12 @@ def _problem_draws(cfg):
     inputs = input_draw(cfg.dim, cfg.T, cfg.inputs["kind"], cfg.inputs["scale"])
     kind = cfg.noise["kind"]
     if kind == "model":
-        prior = ExpFamilySpec(p, cfg.w0_vector(), prior_scale(cfg), grid=cfg.grid_spec())
+        prior = ExpFamilySpec(p, cfg.w0_vector(), prior_scale(cfg))
         return inputs, weight_draw(prior), noise_draw(cfg.build_loss(), cfg.T)
     if kind == "none":
         noise = 0, lambda U: np.zeros((len(U), cfg.T))
     else:
-        noise = white_noise_draw(NoiseSpec(variance=cfg.noise["sigma2"], kind=kind), cfg.T)
+        noise = white_noise_draw(kind, cfg.noise["sigma2"], cfg.T)
     return inputs, planted_draw(cfg, p), noise
 
 

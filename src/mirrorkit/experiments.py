@@ -39,7 +39,6 @@ from .potentials import SquaredL2
 from .samplers import (
     BLOCK_VALUES,
     ExpFamilySpec,
-    NoiseSpec,
     RngStream,
     noise_draw,
     sample_weight,
@@ -50,8 +49,6 @@ from .samplers import (
 
 log = logging.getLogger("mirrorkit")
 
-FEASIBILITY_TOL = 1e-9
-STEP_CAP = 1_000_000
 BOOTSTRAP_RESAMPLES = 2000
 # The bootstrap makes and uses its count vectors in blocks of at most 2**18
 # values (2 MiB of float64), so each estimator's product reads a block that
@@ -214,9 +211,9 @@ def _draw_trials(prior, l, T, n_trials, seed):
     return weights(U[:, :kw]), noises(U[:, kw:])
 
 
-def certify_margin(cfg, p, l, eta, X, prior, warn_only=False):
-    """Certify the convexity premise at the prior center and a few draws,
-    at every input row of `X`."""
+def certify_margin(cfg, p, l, eta, X, prior):
+    """Check the convexity premise at the prior center and a few draws, at
+    every input row of `X`; returns why it fails, or "" when it holds."""
     rng = RngStream(cfg.seed, STREAM_PROBE)
     probe_ws = np.stack([cfg.w0_vector()] + [sample_weight(prior, rng) for _ in range(4)])
     W = p.check_domain(np.repeat(probe_ws, len(X), axis=0))
@@ -225,28 +222,24 @@ def certify_margin(cfg, p, l, eta, X, prior, warn_only=False):
     # quadratic and log-cosh losses, making the probe conservative there
     holds = premise_holds(p, l, Linear(), eta, W, Xp, np.sum(Xp * W, axis=-1))
     failing = int(np.count_nonzero(~holds))
-    if failing:
-        msg = f"convexity premise fails at {failing} of {holds.size} probes for eta={eta}"
-        if warn_only:
-            warnings.warn(msg)
-        else:
-            raise ConfigError(msg + " (pass warn_only=True to continue)")
+    return f"convexity premise fails at {failing} of {holds.size} probes for eta={eta}" if failing else ""
 
 
-def _risk_trials(cfg, T, warn_only):
+def _risk_trials(cfg, T):
     """The shared setup of the risk comparison and the blow-up probe: the
-    constant rate, T inputs certified under the prior, and every trial's
-    clean outputs XW and noisy outputs Y, both (n_trials, T)."""
+    constant rate, T inputs, why the convexity premise fails at them under
+    the prior ("" when it holds), and every trial's clean outputs XW and
+    noisy outputs Y, both (n_trials, T)."""
     p = cfg.build_potential()
     l = cfg.build_loss()
     eta = cfg.schedule["eta"]
     X = make_inputs(cfg, count=T)
     w0 = cfg.w0_vector()
-    prior = ExpFamilySpec(p, w0, eta, grid=cfg.grid_spec())
-    certify_margin(cfg, p, l, eta, X, prior, warn_only=warn_only)
+    prior = ExpFamilySpec(p, w0, eta)
+    margin = certify_margin(cfg, p, l, eta, X, prior)
     W_true, V = _draw_trials(prior, l, T, cfg.n_trials, cfg.seed)
     XW = W_true @ X.T
-    return p, l, eta, X, w0, XW, XW + V
+    return p, l, eta, X, margin, w0, XW, XW + V
 
 
 def _costs_at(marks, mode, l, XW, Y, predictions):
@@ -263,7 +256,7 @@ def _costs_at(marks, mode, l, XW, Y, predictions):
     return costs
 
 
-def risk_compare(cfg, warn_only=False):
+def risk_compare(cfg):
     """Monte Carlo exponential costs of the configured causal estimators.
 
     Weights and noises follow the exponential-family generative model; the
@@ -271,7 +264,9 @@ def risk_compare(cfg, warn_only=False):
     reported descriptively alongside the rest.
     """
     require(cfg, "risk")
-    p, l, eta, X, w0, XW, Y = _risk_trials(cfg, cfg.T, warn_only)
+    p, l, eta, X, margin, w0, XW, Y = _risk_trials(cfg, cfg.T)
+    if margin:
+        raise ConfigError(margin)
     runs = []
     for spec in cfg.estimators:
         name, predictions = estimator_predictions(spec, p, l, eta, X, Y, w0)
@@ -285,18 +280,21 @@ def risk_compare(cfg, warn_only=False):
     return RiskReport(entries=entries)
 
 
-def exponent_blowup_probe(cfg, alpha=1.0, checkpoints=(10, 20, 30, 40, 50), warn_only=True):
+def exponent_blowup_probe(cfg, alpha=1.0, checkpoints=(10, 20, 30, 40, 50)):
     """Running-max trial cost of the scaled-quadratic exponent as T grows.
 
     A diagnostic, not a sharp test: an infinite expectation cannot be
     confirmed by finite Monte Carlo, so the output is the blow-up curve of
-    the worst observed trial cost at each horizon.
+    the worst observed trial cost at each horizon, and a failing convexity
+    premise is only warned about.
     """
     require(cfg, "blowup-probe")
     T = max(checkpoints)
     if T < 1:
         raise ConfigError(f"the blow-up probe needs at least one step, got T={T}")
-    p, l, eta, X, w0, XW, Y = _risk_trials(cfg, T, warn_only)
+    p, l, eta, X, margin, w0, XW, Y = _risk_trials(cfg, T)
+    if margin:
+        warnings.warn(margin)
     _, predictions = estimator_predictions({"kind": "smd"}, p, l, eta, X, Y, w0)
     costs = _costs_at(set(checkpoints), ScaledQuadratic(alpha), l, XW, Y, predictions)
     return [(t, float(c.max()), float(c.mean())) for t, c in sorted(costs.items())]
@@ -385,7 +383,7 @@ def implicit_reg_oracle(X, y, p, w0, max_iter=200, tol=1e-11):
     return OracleSolution(w, kkt_residual, constraint_residual)
 
 
-def run_interpolating_descent(p, l, X, y, w0, eta, feas_tol=FEASIBILITY_TOL, step_cap=STEP_CAP):
+def run_interpolating_descent(p, l, X, y, w0, eta, feas_tol, step_cap):
     """Cycle the rows of (X, y) in order with mirror steps until X w = y
     within feas_tol (the limit point does not depend on the order, only the
     path does). Returns (w, steps, feasibility, progress log); progress is
@@ -548,7 +546,7 @@ def msq_convergence(cfg, control_eta=None):
     # run r's noises are row r of the trial uniforms, transformed a few runs
     # at a time so that the uniforms of all runs never exist at once; the
     # outputs are stored step-major, one row of runs per step
-    k, noises = white_noise_draw(NoiseSpec(variance=cfg.noise["sigma2"], kind=cfg.noise["kind"]), T)
+    k, noises = white_noise_draw(cfg.noise["kind"], cfg.noise["sigma2"], T)
     Y = np.empty((T, n_runs))
     rows = max(1, BLOCK_VALUES // max(k, 1))
     for r in range(0, n_runs, rows):

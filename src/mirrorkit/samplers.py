@@ -27,6 +27,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 STREAM_TRIAL_BASE = 1000  # trial t draws from stream 1000 + t
 BLOCK_VALUES = 1 << 14  # trial uniforms made in one pass
 
+GRID_HALF_WIDTH = 12.0  # scale units on each side of the peak, before doubling
+GRID_POINTS = 4096
 BOUNDARY_DENSITY = 1e-16
 TAIL_MASS_LIMIT = 1e-8
 _MAX_DOUBLINGS = 40
@@ -117,21 +119,6 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_index={self.stream_index})"
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Tabulation grid in scale units around the density peak."""
-
-    half_width: float = 12.0
-    points: int = 4096
-    auto_expand: bool = True
-
-    def __post_init__(self):
-        if self.half_width <= 0.0:
-            raise ValueError("half_width must be > 0")
-        if self.points < 16:
-            raise ValueError("points must be >= 16")
-
-
 def _cumulative_trapezoid(y, x):
     """Running trapezoid-rule integral of y over the grid x, starting at 0."""
     return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
@@ -141,16 +128,16 @@ class TabulatedDensity:
     """Inverse-CDF table for a 1-D density exp(-d(x) / eta).
 
     `d` is a convex function minimized (with value 0) at `center`; `dprime`
-    is its derivative. The grid spans `half_width` scale units on each side
-    of the center, doubling as needed until the boundary density falls below
+    is its derivative. The grid spans GRID_HALF_WIDTH scale units on each
+    side of the center, doubling until the boundary density falls below
     1e-16 of the peak (unless the boundary is the domain edge `lower`).
     Log-concavity gives a rigorous truncated-tail bound, which must stay
     below 1e-8 of the total mass.
     """
 
-    def __init__(self, d, dprime, center, eta, scale, grid, lower=None):
+    def __init__(self, d, dprime, center, eta, scale, lower=None):
         self.center = float(center)
-        half = grid.half_width * scale
+        half = GRID_HALF_WIDTH * scale
         for _ in range(_MAX_DOUBLINGS):
             lo = self.center - half
             hi = self.center + half
@@ -159,10 +146,10 @@ class TabulatedDensity:
                 lo, clipped_lo = lower, True
             ok_lo = clipped_lo or np.exp(-d(lo) / eta) < BOUNDARY_DENSITY
             ok_hi = np.exp(-d(hi) / eta) < BOUNDARY_DENSITY
-            if (ok_lo and ok_hi) or not grid.auto_expand:
+            if ok_lo and ok_hi:
                 break
             half *= 2.0
-        xs = np.linspace(lo, hi, grid.points)
+        xs = np.linspace(lo, hi, GRID_POINTS)
         dens = np.exp(-d(xs) / eta)
         cdf = _cumulative_trapezoid(dens, xs)
         total = cdf[-1]
@@ -187,7 +174,7 @@ class TabulatedDensity:
         self._open_lower = lower if clipped_lo else None
         log.debug(
             "tabulated density on [%g, %g] (%d points): normalization %.12g, tail bound %.2e",
-            lo, hi, grid.points, self.normalization, self.tail_bound,
+            lo, hi, GRID_POINTS, self.normalization, self.tail_bound,
         )
 
     def ppf(self, u):
@@ -237,13 +224,12 @@ def _coordinate_bregman(p1, c):
 class ExpFamilySpec:
     """Weight prior exp(-D_psi(w, center) / scale) over a separable potential."""
 
-    def __init__(self, potential, center, scale, grid=GridSpec()):
+    def __init__(self, potential, center, scale):
         if not scale > 0.0:
             raise ValueError("scale must be > 0")
         self.potential = potential
         self.center = potential.check_domain(np.asarray(center, dtype=float)).copy()
         self.scale = float(scale)
-        self.grid = grid
 
     def _one_dim(self):
         p = self.potential
@@ -254,21 +240,21 @@ class ExpFamilySpec:
     def tables(self):
         """Per-coordinate inverse-CDF tables, each built once per process."""
         p1 = self._one_dim()
-        return [_prior_table(p1, float(c), self.scale, self.grid) for c in self.center]
+        return [_prior_table(p1, float(c), self.scale) for c in self.center]
 
 
 _PRIOR_TABLES = {}
 
 
-def _prior_table(p1, c, scale, grid):
+def _prior_table(p1, c, scale):
     """Table of exp(-D_psi(x, c) / scale) for the 1-D potential p1, memoized
     like `_noise_table`: specs that share a prior coordinate share its table."""
-    key = (p1.kind, getattr(p1, "q", None), c, scale, grid)
+    key = (p1.kind, getattr(p1, "q", None), c, scale)
     if key not in _PRIOR_TABLES:
         d, dp = _coordinate_bregman(p1, c)
         s = _laplace_scale(p1, c, scale)
         lower = 0.0 if isinstance(p1, NegEntropy) else None
-        _PRIOR_TABLES[key] = TabulatedDensity(d, dp, c, scale, s, grid, lower=lower)
+        _PRIOR_TABLES[key] = TabulatedDensity(d, dp, c, scale, s, lower=lower)
     return _PRIOR_TABLES[key]
 
 
@@ -303,15 +289,12 @@ def sample_weight(spec, rng, size=None, force_tabulated=False):
 _NOISE_TABLES = {}
 
 
-def _noise_table(l, grid=GridSpec()):
-    key = (l.kind, grid)
-    if key not in _NOISE_TABLES:
+def _noise_table(l):
+    if l.kind not in _NOISE_TABLES:
         curvature = float(l.second_deriv(0.0))
         scale = 1.0 / np.sqrt(curvature) if curvature > 1e-12 else float(4.0**0.25)
-        _NOISE_TABLES[key] = TabulatedDensity(
-            l.value, l.deriv, 0.0, 1.0, scale, grid
-        )
-    return _NOISE_TABLES[key]
+        _NOISE_TABLES[l.kind] = TabulatedDensity(l.value, l.deriv, 0.0, 1.0, scale)
+    return _NOISE_TABLES[l.kind]
 
 
 def noise_draw(l, size, force_tabulated=False):
@@ -351,36 +334,24 @@ def mirror_mean_check(spec, n_samples, rng):
     return MirrorMeanReport(est, target, bound, bool(np.all(np.abs(est - target) <= bound)))
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """White-noise description for the stochastic-convergence setting."""
-
-    variance: float = 1.0
-    kind: str = "gaussian"
-
-    def __post_init__(self):
-        if not self.variance > 0.0:
-            raise ValueError("variance must be > 0")
-        if self.kind not in ("gaussian", "uniform", "rademacher"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-
-
-def white_noise_draw(spec, size):
-    """(k, values): `size` zero-mean noises with variance spec.variance from
-    the named family take k uniforms, and `values` maps a (rows, k) block of
-    them to (rows, size) noises."""
+def white_noise_draw(kind, variance, size):
+    """(k, values): `size` zero-mean noises of the given variance from the
+    named family (gaussian, uniform or rademacher) take k uniforms, and
+    `values` maps a (rows, k) block of them to (rows, size) noises."""
     n = int(size)
-    sd = np.sqrt(spec.variance)
-    if spec.kind == "gaussian":
+    sd = np.sqrt(variance)
+    if kind == "gaussian":
         return n + n % 2, lambda U: sd * box_muller(U, n)
-    if spec.kind == "uniform":
+    if kind == "uniform":
         return n, lambda U: (U - 0.5) * np.sqrt(12.0) * sd
-    return n, lambda U: np.where(U < 0.5, -sd, sd)
+    if kind == "rademacher":
+        return n, lambda U: np.where(U < 0.5, -sd, sd)
+    raise ValueError(f"unknown white-noise kind {kind!r}")
 
 
-def sample_white_noise(spec, rng, size):
-    """`size` zero-mean noises with variance spec.variance from the named family."""
-    return one_draw(white_noise_draw(spec, size), rng)
+def sample_white_noise(kind, variance, rng, size):
+    """`size` zero-mean noises of the given variance from the named family."""
+    return one_draw(white_noise_draw(kind, variance, size), rng)
 
 
 def kolmogorov_sf(lam):

@@ -235,10 +235,12 @@ def _shipped(name, **overrides):
      "converge applies to the smd recursion, not ssmd"),
     ("converge", _shipped("converge", T=1000, n_trials=20, model={"kind": "glm"}),
      "converge is defined for the linear model, not glm"),
+    ("converge", _shipped("converge", T=1000, n_trials=20, inputs={"kind": "unit"}),
+     "converge sweeps the basis and then draws Gaussian rows at inputs.scale, so unit inputs would be ignored"),
     ("implicit", _shipped("implicit_l2", algorithm="ssmd"), "implicit applies to the smd recursion, not ssmd"),
     ("audit", _shipped("converge"), "audit requires a constant learning rate, got schedule kind 'robbins_monro'"),
     ("minimax", _shipped("converge"), "minimax requires a constant learning rate, got schedule kind 'robbins_monro'"),
-], ids=["converge_ssmd", "converge_glm", "implicit_ssmd", "audit_vanishing_rate", "minimax_vanishing_rate"])
+], ids=["converge_ssmd", "converge_glm", "converge_unit_inputs", "implicit_ssmd", "audit_vanishing_rate", "minimax_vanishing_rate"])
 def test_claims_refuse_configs_outside_their_premises(sub, mapping, reason, tmp_path, caplog):
     # each of these would otherwise certify a run other than the one asked for,
     # or fail only after computing it
@@ -264,19 +266,6 @@ def test_constant_rate_claims_fail_before_iterating(sub, tmp_path, caplog, monke
 def test_blowup_probe_refuses_configs_outside_its_premises(overrides, reason):
     with pytest.raises(ConfigError, match=re.escape(reason)):
         exponent_blowup_probe(make_config(n_trials=10, **overrides), checkpoints=(10,))
-
-
-def test_grid_override_reaches_sampler(tmp_path):
-    from mirrorkit import GridError, risk_compare
-
-    cfg = make_config(
-        potential={"kind": "separable_q", "q": 3.0}, loss="logcosh", dim=2, T=5,
-        n_trials=50, w0=1.0, inputs={"kind": "unit"},
-        schedule={"kind": "constant", "eta": 0.1},
-        grid={"half_width": 1.0, "points": 64, "auto_expand": False},
-    )
-    with pytest.raises(GridError):
-        risk_compare(cfg)
 
 
 def test_minimax_fails_closed_when_no_trial_is_certified(tmp_path, caplog):
@@ -342,7 +331,7 @@ def _risk_report(smd_ci_high=1.1, second_baseline_cost=3.0):
     report = RiskReport(entries=[EstimatorCost("smd", 1.0, 0.9, smd_ci_high, 10),
                                  EstimatorCost("constant", 2.0, 1.8, 2.2, 10),
                                  EstimatorCost("scaled_smd(2)", second_baseline_cost, 2.8, 3.2, 10)])
-    return lambda cfg, warn_only=False: report
+    return lambda cfg: report
 
 
 def _msq_report(cfg, control_eta=None):
@@ -386,7 +375,7 @@ def test_risk_verdict_fails_on_nan(field, tmp_path, monkeypatch):
     report = RiskReport(
         entries=[EstimatorCost("smd", 1.0, 0.9, 1.1, 10), EstimatorCost(**baseline)],
     )
-    monkeypatch.setattr(experiments, "risk_compare", lambda cfg, warn_only=False: report)
+    monkeypatch.setattr(experiments, "risk_compare", lambda cfg: report)
     assert dispatch(_cfg_for("risk", tmp_path), "risk").code == EXIT_ASSERTION
 
 
@@ -394,15 +383,15 @@ BAD_CONFIGS = {
     "T_string": ({"T": "abc"}, ValidationError),
     "seed_string": ({"seed": "x"}, ValidationError),
     "tolerances_number": ({"tolerances": 5}, ValidationError),
-    "grid_number": ({"grid": 3}, ValidationError),
+    "grid_number": ({"grid": 3}, ParseError),
     "w0_strings": ({"w0": ["a", "b"]}, ValidationError),
     "w0_wrong_length": ({"dim": 3, "w0": [1.0, 2.0]}, ValidationError),
     "dim_fraction": ({"dim": 2.7}, ValidationError),
     "T_fraction": ({"T": 2.5}, ValidationError),
     "dim_bool": ({"dim": True}, ValidationError),
     "delta_pe_past_double_range": ({"delta_pe": 10**400}, ValidationError),
-    "auto_expand_string": ({"grid": {"auto_expand": "false"}}, ValidationError),
-    "grid_points_below_spec": ({"grid": {"points": 8}}, ValidationError),
+    "model_noise_sigma2": ({"noise": {"kind": "model", "sigma2": 1.0}}, ParseError),
+    "gaussian_planted_support": ({"planted": {"kind": "gaussian", "support": 3}}, ParseError),
     "check_margin_removed": ({"check_margin": False}, ParseError),
     "cosines_rtol_removed": ({"tolerances": {"cosines_rtol": 1e-9}}, ParseError),
 }

@@ -12,7 +12,6 @@ from mirrorkit.datagen import (
 )
 from mirrorkit.samplers import (
     ExpFamilySpec,
-    NoiseSpec,
     RngStream,
     box_muller,
     sample_noise,
@@ -74,7 +73,8 @@ def test_single_stream_entry_points_keep_their_draws(dim, count):
         sparse = np.zeros(dim)
         sparse[idx] = np.sign(z[idx]) * (1.0 + np.abs(z[idx]))
         for kind, expected in [("gaussian", z), ("positive", np.abs(z) + 0.5), ("sparse", sparse)]:
-            cfg = make_config(dim=dim, planted={"kind": kind, "support": 2})
+            planted = {"kind": kind, "support": 2} if kind == "sparse" else {"kind": kind}
+            cfg = make_config(dim=dim, planted=planted)
             got = planted_weight(cfg, cfg.build_potential(), RngStream(seed, 1))
             assert np.array_equal(got, expected), kind
 
@@ -86,7 +86,7 @@ def test_single_stream_entry_points_keep_their_draws(dim, count):
             "rademacher": np.where(u < 0.5, -sd, sd),
         }
         for kind, values in expected.items():
-            got = sample_white_noise(NoiseSpec(variance=2.5, kind=kind), RngStream(seed, 2), count)
+            got = sample_white_noise(kind, 2.5, RngStream(seed, 2), count)
             assert np.array_equal(got, values), kind
 
 
@@ -119,15 +119,14 @@ def _trial_problem(cfg, t):
         X = gaussian_inputs(cfg.dim, cfg.T, rng, unit=kind == "unit", scale=scale)
     p, l = cfg.build_potential(), cfg.build_loss()
     if cfg.noise["kind"] == "model":
-        prior = ExpFamilySpec(p, cfg.w0_vector(), prior_scale(cfg), grid=cfg.grid_spec())
+        prior = ExpFamilySpec(p, cfg.w0_vector(), prior_scale(cfg))
         w = sample_weight(prior, rng)
         v = sample_noise(l, rng, size=cfg.T)
     else:
         w = planted_weight(cfg, p, rng)
         v = np.zeros(cfg.T)
         if cfg.noise["kind"] != "none":
-            spec = NoiseSpec(variance=cfg.noise["sigma2"], kind=cfg.noise["kind"])
-            v = sample_white_noise(spec, rng, cfg.T)
+            v = sample_white_noise(cfg.noise["kind"], cfg.noise["sigma2"], rng, cfg.T)
     y = np.array([cfg.build_model().g(np.dot(x, w)) for x in X]) + v
     return {"w_true": w, "X": X, "Y": y, "noises": v}
 

@@ -23,7 +23,6 @@ import mirrorkit
 from mirrorkit import NegEntropy, SeparableQ, SquaredL2, ks_two_sample
 from mirrorkit.descent import _logistic as logistic
 from mirrorkit.samplers import (
-    GridSpec,
     _coordinate_bregman,
     _cumulative_trapezoid,
     _prior_table,
@@ -83,7 +82,7 @@ def test_logistic_matches_expit_without_warnings():
 
 @pytest.mark.parametrize("p1", [NegEntropy(1), SeparableQ(3.0, 1), SquaredL2(1)], ids=repr)
 def test_trapezoid_cdf_equals_cumulative_trapezoid(p1):
-    table = _prior_table(p1, 0.7, 0.2, GridSpec())
+    table = _prior_table(p1, 0.7, 0.2)
     dens = table.pdf * table.normalization
     expected = np.concatenate([[0.0], cumulative_trapezoid(dens, table.xs)])
     assert np.array_equal(_cumulative_trapezoid(dens, table.xs), expected)
