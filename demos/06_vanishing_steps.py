@@ -10,15 +10,18 @@ direct.
 from mirrorkit import msq_convergence
 from mirrorkit.config import make_config
 
-for title, potential, planted in [
-    ("squared_l2 geometry", "squared_l2", "gaussian"),
-    ("entropy geometry (positive truth)", "neg_entropy", "positive"),
+# The entropy runs sweep the basis first: on Gaussian rows the first rates
+# (1, 1/2) move grad psi so far that the exponential mirror map overflows
+# at step 3 in 10 of the 100 runs.
+for title, potential, planted, inputs in [
+    ("squared_l2 geometry", "squared_l2", "gaussian", "gaussian"),
+    ("entropy geometry (positive truth)", "neg_entropy", "positive", "basis_then_gaussian"),
 ]:
     cfg = make_config(
         potential=potential, loss="quadratic", dim=4, T=10_000, n_trials=100,
         schedule={"kind": "robbins_monro", "c": 1.0},
         noise={"kind": "gaussian", "sigma2": 1.0},
-        planted={"kind": planted}, seed=7,
+        planted={"kind": planted}, inputs={"kind": inputs}, seed=7,
     )
     rep = msq_convergence(cfg, control_eta=0.01)
     print(f"=== {title} ===")

@@ -289,8 +289,6 @@ PREMISES = (
     (("converge",), lambda c: c.schedule["kind"] != "constant", "requires a vanishing-step schedule"),
     (("converge",), lambda c: c.noise["kind"] in ("gaussian", "uniform", "rademacher"),
      "uses white noise (gaussian/uniform/rademacher)"),
-    (("converge",), lambda c: c.inputs["kind"] != "unit",
-     "sweeps the basis and then draws Gaussian rows at inputs.scale, so unit inputs would be ignored"),
     # the checkpoints are 100, 1000, 10 000 and T; a decay from one
     # checkpoint would compare the error with itself
     (("converge",), lambda c: c.T > 100, "needs at least two checkpoints, so T > 100; got T={T}"),

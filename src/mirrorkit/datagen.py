@@ -12,10 +12,12 @@ are row t of the counter-based block `samplers.trial_uniforms(seed, n, k)`,
 laid out per subcommand as
 
     risk, blow-up probe   [weight | noises]
-    converge (run t)      [noises]
+    converge (run t)      [noises], read by step windows
     minimax               [inputs | weight | noises]
     implicit (case t)     [inputs | planted]
 
+`converge` reads each chunk of steps from its own columns of the rows
+(`samplers.white_noise_window`); the layout is that of the whole row.
 `sample-check` alone reads PCG64 streams 1000-1003, for four draws that are
 not trials. Each transform below is a (k, values) pair, as in the samplers:
 k uniforms per draw, and `values` maps a (rows, k) block to one draw per row.
@@ -82,11 +84,6 @@ def gaussian_inputs(dim, count, rng, unit=False, scale=1.0):
     """A (count, dim) array of i.i.d. standard normal rows, optionally
     normalized; row r is the r-th of `count` successive `rng.normal(dim)`."""
     return one_draw(input_draw(dim, count, "unit" if unit else "gaussian", scale), rng)
-
-
-def basis_then_gaussian(dim, count, rng, scale=1.0):
-    """A deterministic sweep of the standard basis, then Gaussian inputs."""
-    return one_draw(input_draw(dim, count, "basis_then_gaussian", scale), rng)
 
 
 def make_inputs(cfg, count=None):

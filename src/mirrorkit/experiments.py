@@ -16,10 +16,8 @@ import numpy as np
 from .config import estimator_name, require
 from .datagen import (
     STREAM_BOOTSTRAP,
-    STREAM_INPUTS,
     STREAM_PROBE,
     STREAM_WEIGHT,
-    basis_then_gaussian,
     generate_problems,
     make_inputs,
     planted_weight,
@@ -44,7 +42,7 @@ from .samplers import (
     sample_weight,
     trial_uniforms,
     weight_draw,
-    white_noise_draw,
+    white_noise_window,
 )
 
 log = logging.getLogger("mirrorkit")
@@ -467,42 +465,42 @@ class MsqReport:
     control: list | None = None
 
 
-def _msq_runs(p, l, X, Y, schedules, w0):
+def _msq_runs(p, l, X, chunks, schedules, w0):
     """Every run under each schedule in one recursion: block b of the state
-    (len(schedules), n_runs, dim) follows schedules[b] on the step-major
-    outputs Y (T, n_runs). Returns the checkpoints and the state at each.
-    The squared-L2 potential with the quadratic loss takes `_lms_blocks`."""
-    T, n_runs = Y.shape
-    W0 = np.tile(np.asarray(w0, dtype=float), (len(schedules), n_runs, 1))
+    (len(schedules), n_runs, dim) follows schedules[b] on the outputs, which
+    arrive as step-major chunks (steps, n_runs) in step order, each a
+    multiple of MAP_STEPS steps long except the last. Returns the
+    checkpoints and the state at each. The squared-L2 potential with the
+    quadratic loss takes `_lms_blocks`."""
+    chunks = iter(chunks)
+    first = next(chunks)
+    chunks = chain([first], chunks)
+    T = len(X)
+    W0 = np.tile(np.asarray(w0, dtype=float), (len(schedules), first.shape[1], 1))
     etas = np.stack([s.rates(T) for s in schedules])
     marks = _checkpoints(T)
     shift = smd_shift(l, Linear())
     if isinstance(p, SquaredL2) and isinstance(l, Quadratic):
-        return marks, _lms_blocks(p, X, Y, etas, W0, shift, marks)
-    steps = mirror_steps(p, W0, X, Y, etas.T[..., None], shift)
+        return marks, _lms_blocks(p, X, chunks, etas, W0, shift, marks)
+    steps = mirror_steps(p, W0, X, chain.from_iterable(chunks), etas.T[..., None], shift)
     return marks, {t: W for t, W in enumerate(steps, 1) if t in marks}
 
 
-def _lms_blocks(p, X, Y, etas, W0, shift, marks):
-    """The states at `marks` of `_msq_runs` for SMD with the squared-L2
-    potential and the quadratic loss, the LMS recursion
-    w_i = w_{i-1} (I - eta_i x_i x_i^T) + eta_i y_i x_i^T, MAP_STEPS steps
-    at a time. A block of steps maps the state S (one row per run) to
-    S @ Phi + Y_block^T @ G. Each block's map comes from `mirror_steps` on
-    MAP_STEPS + dim trials: the impulse trials start at 0 and read y = 1 at
-    their own step and 0 elsewhere, giving the rows of G, and the basis
-    trials start at e_k and read 0, giving the rows of Phi. The last block
-    is padded with x = 0, eta = 0 steps, each an exact identity. Maps are
-    made for a group of blocks at once, at most BLOCK_VALUES state values."""
+def _lms_maps(p, X, etas, shift):
+    """Each block's map (Phi, G) of the LMS recursion in step order, for
+    `_lms_blocks`. They come from `mirror_steps` on MAP_STEPS + dim trials:
+    the impulse trials start at 0 and read y = 1 at their own step and 0
+    elsewhere, giving the rows of G, and the basis trials start at e_k and
+    read 0, giving the rows of Phi. The last block is padded with x = 0,
+    eta = 0 steps, each an exact identity. Maps are made for a group of
+    blocks at once, at most BLOCK_VALUES state values."""
     K, (T, dim), B = MAP_STEPS, X.shape, len(etas)
     n_blocks = -(-T // K)
     pad = n_blocks * K - T
     Xb = np.pad(X, ((0, pad), (0, 0))).reshape(n_blocks, K, dim)
     Eb = np.pad(etas, ((0, 0), (0, pad))).reshape(B, n_blocks, K)
     starts, outputs = np.eye(K + dim, dim, -K), np.eye(K, K + dim)
-    ends = {-(-t // K): t for t in marks}
     group = max(1, BLOCK_VALUES // (B * (K + dim) * dim))
-    S, snaps = W0, {}
     for first in range(0, n_blocks, group):
         blocks = slice(first, first + group)
         x = np.moveaxis(Xb[blocks], 1, 0)[:, :, None, :]
@@ -510,12 +508,27 @@ def _lms_blocks(p, X, Y, etas, W0, shift, marks):
         M = np.broadcast_to(starts, (B, x.shape[1]) + starts.shape)
         for M in mirror_steps(p, M, x, outputs, eta, shift):
             pass
-        G, Phi = M[..., :K, :], M[..., K:, :]
-        for j in range(first, min(first + group, n_blocks)):
-            y = Y[j * K : (j + 1) * K]  # the outputs are not padded
-            S = S @ Phi[:, j - first] + y.T @ G[:, j - first, : len(y)]
-            if j + 1 in ends:
-                snaps[ends[j + 1]] = S
+        for j in range(x.shape[1]):
+            yield M[:, j, K:], M[:, j, :K]
+
+
+def _lms_blocks(p, X, chunks, etas, W0, shift, marks):
+    """The states at `marks` of `_msq_runs` for SMD with the squared-L2
+    potential and the quadratic loss, the LMS recursion
+    w_i = w_{i-1} (I - eta_i x_i x_i^T) + eta_i y_i x_i^T, MAP_STEPS steps
+    at a time: a block of steps maps the state S (one row per run) to
+    S @ Phi + Y_block^T @ G, with the maps of `_lms_maps` and each block's
+    outputs sliced from its chunk, never padded or copied."""
+    maps = _lms_maps(p, X, etas, shift)
+    S, snaps, t = W0, {}, 0
+    for Y in chunks:
+        for i in range(0, len(Y), MAP_STEPS):
+            y = Y[i : i + MAP_STEPS]
+            Phi, G = next(maps)
+            S = S @ Phi + y.T @ G[:, : len(y)]
+            t += len(y)
+            if t in marks:
+                snaps[t] = S
     return snaps
 
 
@@ -536,25 +549,24 @@ def msq_convergence(cfg, control_eta=None):
     p = cfg.build_potential()
     l = cfg.build_loss()
     T, n_runs = cfg.T, cfg.n_trials
-    X = basis_then_gaussian(cfg.dim, T, RngStream(cfg.seed, STREAM_INPUTS), scale=cfg.inputs["scale"])
+    X = make_inputs(cfg)
     ok, t_found = persistent_excitation(X, cfg.delta_pe)
     if not ok:
         raise ConfigError(f"inputs are not persistently exciting at delta={cfg.delta_pe}")
     log.info("persistent excitation reached at T=%d", t_found)
     w_true = planted_weight(cfg, p, RngStream(cfg.seed, STREAM_WEIGHT))
     y_clean = X @ w_true
-    # run r's noises are row r of the trial uniforms, transformed a few runs
-    # at a time so that the uniforms of all runs never exist at once; the
-    # outputs are stored step-major, one row of runs per step
-    k, noises = white_noise_draw(cfg.noise["kind"], cfg.noise["sigma2"], T)
-    Y = np.empty((T, n_runs))
-    rows = max(1, BLOCK_VALUES // max(k, 1))
-    for r in range(0, n_runs, rows):
-        Y[:, r : r + rows] = noises(trial_uniforms(cfg.seed, min(rows, n_runs - r), k, first=r)).T
-    Y += y_clean[:, None]
+    # run r's noises are row r of the trial uniforms; the outputs of a chunk
+    # of steps (at most BLOCK_VALUES values, whole blocks of MAP_STEPS steps)
+    # are made from their own columns just before the recursion reads them,
+    # step-major, one row of runs per step
+    steps = max(1, BLOCK_VALUES // (MAP_STEPS * n_runs)) * MAP_STEPS
+    kind, sigma2 = cfg.noise["kind"], cfg.noise["sigma2"]
+    chunks = (white_noise_window(kind, sigma2, T, cfg.seed, n_runs, a, min(a + steps, T)).T
+              + y_clean[a : a + steps, None] for a in range(0, T, steps))
     schedules = [schedule] if control_eta is None else [schedule, Constant(control_eta)]
 
-    marks, snaps = _msq_runs(p, l, X, Y, schedules, cfg.w0_vector())
+    marks, snaps = _msq_runs(p, l, X, chunks, schedules, cfg.w0_vector())
     mse = [[(t, float(np.mean(np.sum((snaps[t][b] - w_true) ** 2, axis=1)))) for t in marks]
            for b in range(len(schedules))]
     return MsqReport(checkpoints=mse[0], control=mse[1] if control_eta is not None else None)

@@ -48,18 +48,20 @@ def derive_seed(seed, stream_index):
     return _splitmix64((int(seed) + (int(stream_index) + 1) * _GOLDEN) & _MASK64)
 
 
-def trial_uniforms(seed, n, k, first=0):
-    """An (n, k) block of U[0, 1) variates for trials first .. first+n-1:
-    the row of trial t holds the first k outputs of the splitmix64 generator
-    started at `derive_seed(seed, STREAM_TRIAL_BASE + t)`, each mapped to
-    (x >> 11) * 2^-53. A row depends only on (seed, t), and its first columns
-    do not depend on k (counter-based streams; Salmon et al., SC 2011). The
-    uint64 arithmetic wraps modulo 2^64 on arrays, silently; rows are mixed
-    BLOCK_VALUES values at a time to bound the temporaries."""
+def trial_uniforms(seed, n, k, column=0):
+    """An (n, k) block of U[0, 1) variates for trials 0 .. n-1:
+    the row of trial t holds outputs column .. column+k-1 of the splitmix64
+    generator started at `derive_seed(seed, STREAM_TRIAL_BASE + t)`, each
+    mapped to (x >> 11) * 2^-53. A row depends only on (seed, t), and each
+    of its columns is computed directly from its counter, so a window of
+    columns equals those columns of any longer row bit for bit
+    (counter-based streams; Salmon et al., SC 2011). The uint64 arithmetic
+    wraps modulo 2^64 on arrays, silently; rows are mixed BLOCK_VALUES
+    values at a time to bound the temporaries."""
     golden = np.uint64(_GOLDEN)
-    trials = np.arange(first, first + n, dtype=np.uint64) + np.uint64(STREAM_TRIAL_BASE + 1)
+    trials = np.arange(n, dtype=np.uint64) + np.uint64(STREAM_TRIAL_BASE + 1)
     starts = _splitmix64(np.uint64(int(seed) & _MASK64) + trials * golden)
-    steps = np.arange(1, k + 1, dtype=np.uint64) * golden
+    steps = np.arange(column + 1, column + k + 1, dtype=np.uint64) * golden
     out = np.empty((n, k))
     rows = max(1, BLOCK_VALUES // max(k, 1))
     for r in range(0, n, rows):
@@ -347,6 +349,23 @@ def white_noise_draw(kind, variance, size):
     if kind == "rademacher":
         return n, lambda U: np.where(U < 0.5, -sd, sd)
     raise ValueError(f"unknown white-noise kind {kind!r}")
+
+
+def white_noise_window(kind, variance, T, seed, n, a, b):
+    """Steps a .. b-1 of runs 0 .. n-1 of the T-step white noise
+    `white_noise_draw(kind, variance, T)` on the rows of `trial_uniforms`,
+    shape (n, b - a), equal bit for bit to those columns of the full draw
+    and reading only the uniforms they take. Uniform and Rademacher noise
+    read columns a .. b-1; Gaussian step i is half of the Box-Muller pair
+    i // 2, whose radius is column i // 2 and whose angle is column
+    P + i // 2, P = (T + 1) // 2, so the window transforms the pairs it
+    touches and drops a leading sine or trailing cosine outside it."""
+    if kind != "gaussian":
+        return white_noise_draw(kind, variance, b - a)[1](trial_uniforms(seed, n, b - a, column=a))
+    lo, pairs = a // 2, (b + 1) // 2 - a // 2
+    U = np.concatenate([trial_uniforms(seed, n, pairs, column=lo),
+                        trial_uniforms(seed, n, pairs, column=(T + 1) // 2 + lo)], axis=1)
+    return white_noise_draw(kind, variance, 2 * pairs)[1](U)[:, a - 2 * lo : b - 2 * lo]
 
 
 def sample_white_noise(kind, variance, rng, size):

@@ -235,16 +235,27 @@ def _shipped(name, **overrides):
      "converge applies to the smd recursion, not ssmd"),
     ("converge", _shipped("converge", T=1000, n_trials=20, model={"kind": "glm"}),
      "converge is defined for the linear model, not glm"),
-    ("converge", _shipped("converge", T=1000, n_trials=20, inputs={"kind": "unit"}),
-     "converge sweeps the basis and then draws Gaussian rows at inputs.scale, so unit inputs would be ignored"),
     ("implicit", _shipped("implicit_l2", algorithm="ssmd"), "implicit applies to the smd recursion, not ssmd"),
     ("audit", _shipped("converge"), "audit requires a constant learning rate, got schedule kind 'robbins_monro'"),
     ("minimax", _shipped("converge"), "minimax requires a constant learning rate, got schedule kind 'robbins_monro'"),
-], ids=["converge_ssmd", "converge_glm", "converge_unit_inputs", "implicit_ssmd", "audit_vanishing_rate", "minimax_vanishing_rate"])
+], ids=["converge_ssmd", "converge_glm", "implicit_ssmd", "audit_vanishing_rate", "minimax_vanishing_rate"])
 def test_claims_refuse_configs_outside_their_premises(sub, mapping, reason, tmp_path, caplog):
     # each of these would otherwise certify a run other than the one asked for,
     # or fail only after computing it
     _assert_refused(sub, mapping, reason, tmp_path, caplog)
+
+
+def test_converge_input_kind_reaches_the_checkpoints():
+    # converge draws its inputs with make_inputs, so each kind gives its own
+    # error curve; the shipped config names the basis sweep it certifies
+    from mirrorkit.experiments import msq_convergence
+
+    curves = {kind: msq_convergence(config_from_mapping(_shipped("converge", T=1000, n_trials=20,
+                                                                 inputs={"kind": kind}))).checkpoints
+              for kind in ("gaussian", "unit", "basis_then_gaussian")}
+    assert len({tuple(c) for c in curves.values()}) == 3
+    assert curves["basis_then_gaussian"] == msq_convergence(
+        config_from_mapping(_shipped("converge", T=1000, n_trials=20))).checkpoints
 
 
 @pytest.mark.parametrize("sub", ["audit", "minimax"])

@@ -3,9 +3,9 @@ import pytest
 
 from mirrorkit.config import make_config
 from mirrorkit.datagen import (
-    basis_then_gaussian,
     gaussian_inputs,
     generate_problems,
+    input_draw,
     planted_weight,
     prior_scale,
     unit_rows,
@@ -14,6 +14,7 @@ from mirrorkit.samplers import (
     ExpFamilySpec,
     RngStream,
     box_muller,
+    one_draw,
     sample_noise,
     sample_weight,
     sample_white_noise,
@@ -40,7 +41,7 @@ def test_inputs_match_per_row_draws_bit_for_bit(dim, count):
             got = gaussian_inputs(dim, count, RngStream(seed, 0), unit=unit, scale=1.5)
             ref = _per_row(dim, count, RngStream(seed, 0), unit=unit, scale=1.5)
             assert got.shape == (count, dim) and np.array_equal(got, ref)
-        got = basis_then_gaussian(dim, count, RngStream(seed, 0), scale=1.5)
+        got = one_draw(input_draw(dim, count, "basis_then_gaussian", 1.5), RngStream(seed, 0))
         ref = _per_row(dim, count, RngStream(seed, 0), scale=1.5, basis=min(dim, count))
         assert got.shape == (count, dim) and np.array_equal(got, ref)
 
@@ -114,7 +115,7 @@ def _trial_problem(cfg, t):
     rng = CounterStream(cfg.seed, t)
     kind, scale = cfg.inputs["kind"], cfg.inputs["scale"]
     if kind == "basis_then_gaussian":
-        X = basis_then_gaussian(cfg.dim, cfg.T, rng, scale=scale)
+        X = one_draw(input_draw(cfg.dim, cfg.T, kind, scale), rng)
     else:
         X = gaussian_inputs(cfg.dim, cfg.T, rng, unit=kind == "unit", scale=scale)
     p, l = cfg.build_potential(), cfg.build_loss()

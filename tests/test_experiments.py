@@ -270,6 +270,25 @@ def test_bootstrap_peak_memory_is_two_index_blocks():
     assert peak <= 6 * 2**20
 
 
+def test_converge_peak_memory_is_a_few_chunks():
+    """converge makes each chunk of outputs (at most BLOCK_VALUES values)
+    just before the recursion reads it, so at T 10**4 with 100 runs and a
+    control its traced peak stays under 3 MiB, where the whole (T, n_runs)
+    output matrix took 9.3 MiB."""
+    cfg = make_config(
+        potential="squared_l2", loss="quadratic", dim=4, T=10_000, n_trials=100,
+        schedule={"kind": "robbins_monro", "c": 1.0}, noise={"kind": "gaussian", "sigma2": 1.0},
+        inputs={"kind": "basis_then_gaussian"}, seed=7,
+    )
+    tracemalloc.start()
+    try:
+        msq_convergence(cfg, control_eta=0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
+
+
 @pytest.mark.parametrize("values", [[1.0], np.ones((3, 1)), []])
 def test_bootstrap_needs_two_values(values):
     with pytest.raises(ValueError, match="at least 2 values"):
@@ -418,6 +437,29 @@ def test_msq_decreases_and_beats_control():
     assert rep.control[-1][1] > errs[-1]
 
 
+@pytest.mark.parametrize("potential", ["squared_l2", "neg_entropy"])
+@pytest.mark.parametrize("noise", ["gaussian", "uniform", "rademacher"])
+def test_msq_checkpoints_do_not_depend_on_the_chunk_size(potential, noise, monkeypatch):
+    """The outputs reach the recursion in chunks of at most BLOCK_VALUES
+    values; one chunk of all 1007 steps, chunks of 40 steps and chunks of
+    one 10-step block give the same checkpoints bit for bit, on the block
+    maps and on the sequential path."""
+    from mirrorkit import experiments
+
+    cfg = make_config(
+        potential=potential, loss="quadratic", dim=3, T=1007, n_trials=7,
+        schedule={"kind": "robbins_monro", "c": 1.0}, noise={"kind": noise, "sigma2": 0.5},
+        inputs={"kind": "basis_then_gaussian"}, seed=13,
+    )
+    reports = []
+    for block_values in (experiments.BLOCK_VALUES, 300, 1):
+        monkeypatch.setattr(experiments, "BLOCK_VALUES", block_values)
+        rep = msq_convergence(cfg, control_eta=0.02)
+        reports.append((rep.checkpoints, rep.control))
+    assert [t for t, _ in reports[0][0]] == [100, 1000, 1007]
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_msq_vectorized_matches_engine():
     """One noise realization pushed through the batched runner and the
     per-step engine must give the same trajectory."""
@@ -430,7 +472,7 @@ def test_msq_vectorized_matches_engine():
     w_true = np.array([0.9, 1.4, 0.6])
     v = np.asarray(rng.normal(120))
     schedule = RobbinsMonro(0.5)
-    marks, snaps = _msq_runs(p, l, X, (X @ w_true + v)[:, None], [schedule], np.ones(3))
+    marks, snaps = _msq_runs(p, l, X, [(X @ w_true + v)[:, None]], [schedule], np.ones(3))
     traj = iterate(p, l, Linear(), X, X @ w_true + v, schedule, np.ones(3), check_margin=False)
     np.testing.assert_allclose(snaps[120][0, 0], traj.iterates[-1], rtol=1e-12, atol=1e-14)
 
@@ -465,7 +507,7 @@ def test_engines_share_one_mirror_update_bitwise():
             X, Y = rows[np.arange(steps) % len(rows)], y[np.arange(steps) % len(rows)]
             traj = iterate(p, l, Linear(), X, Y, Constant(eta), w0, check_margin=False)
             assert np.array_equal(traj.final, w)
-            marks, snaps = _msq_runs(p, l, X, Y[:, None], [Constant(eta)], w0)
+            marks, snaps = _msq_runs(p, l, X, [Y[:, None]], [Constant(eta)], w0)
             for t in marks:
                 if isinstance(p, SquaredL2) and isinstance(l, Quadratic):
                     np.testing.assert_allclose(snaps[t][0, 0], traj.iterates[t - 1], rtol=1e-12, atol=0)
@@ -502,8 +544,8 @@ def test_msq_blocks_match_one_schedule_runs_bitwise():
     for p in all_potentials(3):
         for l in all_losses():
             with np.errstate(over="ignore", invalid="ignore"):
-                marks, snaps = _msq_runs(p, l, X, Y, schedules, w0)
-                alones = [_msq_runs(p, l, X, Y, [s], w0)[1] for s in schedules]
+                marks, snaps = _msq_runs(p, l, X, [Y], schedules, w0)
+                alones = [_msq_runs(p, l, X, [Y], [s], w0)[1] for s in schedules]
             for b, alone in enumerate(alones):
                 for t in marks:
                     assert snaps[t].shape == (3, 5, 3)
@@ -535,7 +577,7 @@ def test_msq_block_maps_match_the_sequential_recursion(T, n_schedules, n_runs):
     w0 = np.array([0.5, -1.0, 2.0])
     schedules = [RobbinsMonro(0.5), Constant(0.05)][:n_schedules]
     p, l = SquaredL2(3), Quadratic()
-    marks, snaps = _msq_runs(p, l, X, Y, schedules, w0)
+    marks, snaps = _msq_runs(p, l, X, [Y], schedules, w0)
     assert marks == sorted({c for c in (100, 1000) if c <= T} | {T})
     rows = np.broadcast_to(X, (n_runs, T, 3))
     for b, schedule in enumerate(schedules):

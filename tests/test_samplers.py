@@ -20,7 +20,13 @@ from mirrorkit import (
     sample_weight,
     sample_white_noise,
 )
-from mirrorkit.samplers import TabulatedDensity, derive_seed, trial_uniforms, white_noise_draw
+from mirrorkit.samplers import (
+    TabulatedDensity,
+    derive_seed,
+    trial_uniforms,
+    white_noise_draw,
+    white_noise_window,
+)
 
 from conftest import CounterStream
 
@@ -60,6 +66,24 @@ def test_trial_uniforms_rows_depend_only_on_seed_and_trial():
     assert np.array_equal(trial_uniforms(5, 40, 12), U[:, :12])
     assert not np.array_equal(trial_uniforms(6, 40, 30), U)
     assert len(np.unique(U)) == U.size
+    # and a window of columns is those columns of the full rows
+    for column in (1, 17, 29):
+        assert np.array_equal(trial_uniforms(5, 40, 30 - column, column=column), U[:, column:])
+        assert np.array_equal(trial_uniforms(5, 7, 1, column=column), U[:7, column : column + 1])
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "uniform", "rademacher"])
+@pytest.mark.parametrize("T", [11, 12, 1001])
+def test_white_noise_windows_equal_the_full_draw_bitwise(kind, T):
+    """Steps a .. b-1 of the windowed draw are those columns of the full
+    T-step draw on the same trial rows, bit for bit: from step 0, mid-row,
+    from an odd step, to the end, and of one step."""
+    k, values = white_noise_draw(kind, 2.0, T)
+    full = values(trial_uniforms(41, 6, k))
+    windows = [(0, T), (0, 4), (0, 5), (4, 8), (3, 8), (3, 6), (5, T), (6, T), (T - 1, T), (7, 8),
+               (T // 3, 2 * T // 3 + 1)]
+    for a, b in windows:
+        assert np.array_equal(white_noise_window(kind, 2.0, T, 41, 6, a, b), full[:, a:b]), (a, b)
 
 
 def test_trial_uniforms_are_uniform_and_warning_free():
