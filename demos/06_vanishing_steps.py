@@ -21,9 +21,9 @@ for title, potential, planted, inputs in [
         potential=potential, loss="quadratic", dim=4, T=10_000, n_trials=100,
         schedule={"kind": "robbins_monro", "c": 1.0},
         noise={"kind": "gaussian", "sigma2": 1.0},
-        planted={"kind": planted}, inputs={"kind": inputs}, seed=7,
+        planted={"kind": planted}, inputs={"kind": inputs}, seed=7, control_eta=0.01,
     )
-    rep = msq_convergence(cfg, control_eta=0.01)
+    rep = msq_convergence(cfg)
     print(f"=== {title} ===")
     print(f"{'steps':>8} {'1/i schedule':>14} {'constant 0.01':>14}")
     for (t, mse), (_, cmse) in zip(rep.checkpoints, rep.control):

@@ -163,8 +163,9 @@ def _cmd_implicit(cfg):
 
 
 def _cmd_converge(cfg):
-    report = exp_mod.msq_convergence(cfg, control_eta=cfg.control_eta)
+    report = exp_mod.msq_convergence(cfg)
     errors = [mse for _, mse in report.checkpoints]
+    nonfinite = [t for t, mse in report.checkpoints if not np.isfinite(mse)]
     log.info("converge: checkpoints %s", report.checkpoints)
     plateau = np.inf
     if report.control is not None:
@@ -172,6 +173,7 @@ def _cmd_converge(cfg):
         plateau = report.control[-1][1]
     return _verdict(
         {"converge.csv": (["checkpoint_T", "mean_sq_error"], report.checkpoints)},
+        (not nonfinite, f"mean-square error is not finite at checkpoints {nonfinite}"),
         (_within(errors[1:], errors[:-1], strict=True) and _within(errors[-1], 0.1 * errors[0]),
          "mean-square error did not decay by 10x"),
         (report.control is None or np.isfinite(plateau),

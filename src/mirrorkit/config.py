@@ -284,6 +284,9 @@ PREMISES = (
      "needs at least one step, got T={T}"),
     (("audit", "minimax", "risk", "implicit", "blowup-probe"), lambda c: c.schedule["kind"] == "constant",
      "requires a constant learning rate, got schedule kind {schedule[kind]!r}"),
+    # any other kind would draw a planted weight or white noise, outside the theorem
+    (("risk", "blowup-probe"), lambda c: c.noise["kind"] == "model",
+     "needs the exponential-family model's noise (noise kind 'model'), not {noise[kind]!r}"),
     (("implicit",), lambda c: c.noise["kind"] == "none", "requires noiseless data (noise kind 'none')"),
     (("implicit",), lambda c: c.T < c.dim, "needs an underdetermined system (T={T} rows < dim={dim})"),
     (("converge",), lambda c: c.schedule["kind"] != "constant", "requires a vanishing-step schedule"),

@@ -3,17 +3,20 @@
 Stream indices are fixed so that every subcommand and experiment derives
 the same data from the same seed:
 
-    0  inputs            3  margin probes
-    1  planted weight    4  bootstrap resampling
-    2  noise stream      1000+t  trial t: row t of `trial_uniforms`
+    0  inputs shared by the trials of risk, the blow-up probe and converge
+    1  converge's planted weight
+    4  bootstrap resampling
+    1000+t  trial t: row t of `trial_uniforms`
 
-Streams 0-4 are PCG64 `RngStream`s. Trial t seeds no generator: its draws
-are row t of the counter-based block `samplers.trial_uniforms(seed, n, k)`,
-laid out per subcommand as
+Streams 0, 1 and 4 are PCG64 `RngStream`s; streams 2 and 3 are retired.
+Trial t seeds no generator: its draws are row t of the counter-based block
+`samplers.trial_uniforms(seed, n, k)`, split across draws by `trial_draws`
+and laid out per subcommand as
 
     risk, blow-up probe   [weight | noises]
     converge (run t)      [noises], read by step windows
     minimax               [inputs | weight | noises]
+    run, audit            trial 0 of minimax
     implicit (case t)     [inputs | planted]
 
 `converge` reads each chunk of steps from its own columns of the rows
@@ -41,8 +44,6 @@ from .samplers import (
 
 STREAM_INPUTS = 0
 STREAM_WEIGHT = 1
-STREAM_NOISE = 2
-STREAM_PROBE = 3
 STREAM_BOOTSTRAP = 4
 
 
@@ -142,21 +143,28 @@ def prior_scale(cfg):
     return float(cfg.build_schedule().rates(1)[0])
 
 
-def _problem_draws(cfg):
-    """The (k, values) draws of a problem's inputs, weight and noises: the
-    weight from the exponential-family prior and the noises from the loss
-    under the "model" noise kind, else a planted weight and white noise."""
+def trial_draws(seed, n, draws):
+    """The values of each (k, values) draw for trials 0 .. n-1: row t of
+    `trial_uniforms` holds trial t's uniforms of every draw, in order."""
+    U = trial_uniforms(seed, n, sum(k for k, _ in draws))
+    cuts = np.cumsum([k for k, _ in draws])[:-1]
+    return [values(u) for (_, values), u in zip(draws, np.split(U, cuts, axis=1))]
+
+
+def problem_draws(cfg):
+    """The (k, values) draws of a problem's weight and noises: the weight
+    from the exponential-family prior and the noises from the loss under
+    the "model" noise kind, else a planted weight and white noise."""
     p = cfg.build_potential()
-    inputs = input_draw(cfg.dim, cfg.T, cfg.inputs["kind"], cfg.inputs["scale"])
     kind = cfg.noise["kind"]
     if kind == "model":
         prior = ExpFamilySpec(p, cfg.w0_vector(), prior_scale(cfg))
-        return inputs, weight_draw(prior), noise_draw(cfg.build_loss(), cfg.T)
+        return weight_draw(prior), noise_draw(cfg.build_loss(), cfg.T)
     if kind == "none":
         noise = 0, lambda U: np.zeros((len(U), cfg.T))
     else:
         noise = white_noise_draw(kind, cfg.noise["sigma2"], cfg.T)
-    return inputs, planted_draw(cfg, p), noise
+    return planted_draw(cfg, p), noise
 
 
 def _assemble(cfg, X, w_true, noises):
@@ -167,17 +175,12 @@ def _assemble(cfg, X, w_true, noises):
 
 
 def generate_problem(cfg):
-    """Draw inputs, weight and noises from streams 0, 1 and 2 per the
-    configured generative model and assemble y_i = f(x_i, w_true) + v_i."""
-    streams = (STREAM_INPUTS, STREAM_WEIGHT, STREAM_NOISE)
-    return _assemble(cfg, *(one_draw(draw, RngStream(cfg.seed, s))
-                            for s, draw in zip(streams, _problem_draws(cfg))))
+    """Trial 0 of `generate_problems`, without the trial axis."""
+    return Problem(**{name: a[0] for name, a in vars(generate_problems(cfg, 1)).items()})
 
 
 def generate_problems(cfg, n):
-    """The problems of trials 0 .. n-1 on a leading axis. Trial t's inputs,
-    weight and noises, in that order, are row t of `trial_uniforms`."""
-    draws = _problem_draws(cfg)
-    U = trial_uniforms(cfg.seed, n, sum(k for k, _ in draws))
-    cuts = np.cumsum([k for k, _ in draws])[:-1]
-    return _assemble(cfg, *(values(u) for (_, values), u in zip(draws, np.split(U, cuts, axis=1))))
+    """The problems of trials 0 .. n-1 on a leading axis: trial t's inputs,
+    weight and noises, in that order, from row t of `trial_uniforms`."""
+    inputs = input_draw(cfg.dim, cfg.T, cfg.inputs["kind"], cfg.inputs["scale"])
+    return _assemble(cfg, *trial_draws(cfg.seed, n, [inputs, *problem_draws(cfg)]))

@@ -8,7 +8,7 @@ count.
 
 import logging
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, cycle, repeat
 
 import numpy as np
@@ -16,11 +16,12 @@ import numpy as np
 from .config import estimator_name, require
 from .datagen import (
     STREAM_BOOTSTRAP,
-    STREAM_PROBE,
     STREAM_WEIGHT,
     generate_problems,
     make_inputs,
     planted_weight,
+    problem_draws,
+    trial_draws,
 )
 from .descent import (
     Constant,
@@ -34,16 +35,7 @@ from .descent import (
 from .errors import ConfigError, ConvergenceError, RankError, StepCapError
 from .losses import Quadratic
 from .potentials import SquaredL2
-from .samplers import (
-    BLOCK_VALUES,
-    ExpFamilySpec,
-    RngStream,
-    noise_draw,
-    sample_weight,
-    trial_uniforms,
-    weight_draw,
-    white_noise_window,
-)
+from .samplers import BLOCK_VALUES, RngStream, white_noise_window
 
 log = logging.getLogger("mirrorkit")
 
@@ -200,20 +192,9 @@ def bootstrap_basic_ci(values, rng, n_resamples=BOOTSTRAP_RESAMPLES, level=0.95)
     return cis if values.ndim == 2 else cis[0]
 
 
-def _draw_trials(prior, l, T, n_trials, seed):
-    """Every trial's weight (n_trials, dim) and noises (n_trials, T). Trial t
-    takes both, weight first, from row t of `trial_uniforms`."""
-    kw, weights = weight_draw(prior)
-    kv, noises = noise_draw(l, T)
-    U = trial_uniforms(seed, n_trials, kw + kv)
-    return weights(U[:, :kw]), noises(U[:, kw:])
-
-
-def certify_margin(cfg, p, l, eta, X, prior):
-    """Check the convexity premise at the prior center and a few draws, at
-    every input row of `X`; returns why it fails, or "" when it holds."""
-    rng = RngStream(cfg.seed, STREAM_PROBE)
-    probe_ws = np.stack([cfg.w0_vector()] + [sample_weight(prior, rng) for _ in range(4)])
+def certify_margin(p, l, eta, X, probe_ws):
+    """Check the convexity premise at each weight of `probe_ws`, at every
+    input row of `X`; returns why it fails, or "" when it holds."""
     W = p.check_domain(np.repeat(probe_ws, len(X), axis=0))
     Xp = np.tile(X, (len(probe_ws), 1))
     # zero-residual observations maximize the loss curvature for the
@@ -225,17 +206,17 @@ def certify_margin(cfg, p, l, eta, X, prior):
 
 def _risk_trials(cfg, T):
     """The shared setup of the risk comparison and the blow-up probe: the
-    constant rate, T inputs, why the convexity premise fails at them under
-    the prior ("" when it holds), and every trial's clean outputs XW and
-    noisy outputs Y, both (n_trials, T)."""
+    constant rate, T inputs, why the convexity premise fails at them ("" when
+    it holds), and every trial's clean outputs XW and noisy outputs Y, both
+    (n_trials, T). Trial t's weight and noises are those of `problem_draws`;
+    the premise is probed at the prior center and the first trials' weights."""
     p = cfg.build_potential()
     l = cfg.build_loss()
     eta = cfg.schedule["eta"]
     X = make_inputs(cfg, count=T)
     w0 = cfg.w0_vector()
-    prior = ExpFamilySpec(p, w0, eta)
-    margin = certify_margin(cfg, p, l, eta, X, prior)
-    W_true, V = _draw_trials(prior, l, T, cfg.n_trials, cfg.seed)
+    W_true, V = trial_draws(cfg.seed, cfg.n_trials, problem_draws(replace(cfg, T=T)))
+    margin = certify_margin(p, l, eta, X, np.vstack([w0, W_true[:4]]))
     XW = W_true @ X.T
     return p, l, eta, X, margin, w0, XW, XW + V
 
@@ -537,12 +518,14 @@ def _checkpoints(T):
     return sorted({c for c in (100, 1000, 10_000) if c <= T} | {T})
 
 
-def msq_convergence(cfg, control_eta=None):
+def msq_convergence(cfg):
     """Mean-square error to the planted weight at geometric checkpoints.
 
     Requires a vanishing-step schedule and persistently exciting inputs;
-    optionally runs a fixed-rate control on the same noise draws so the
-    vanishing-rate run can be compared against the plateau it avoids.
+    with `control_eta` set, also runs a fixed-rate control on the same noise
+    draws so the vanishing-rate run can be compared against the plateau it
+    avoids. A run whose mirror map overflows leaves non-finite errors, which
+    the verdict names, and no RuntimeWarning.
     """
     require(cfg, "converge")
     schedule = cfg.build_schedule()
@@ -564,9 +547,10 @@ def msq_convergence(cfg, control_eta=None):
     kind, sigma2 = cfg.noise["kind"], cfg.noise["sigma2"]
     chunks = (white_noise_window(kind, sigma2, T, cfg.seed, n_runs, a, min(a + steps, T)).T
               + y_clean[a : a + steps, None] for a in range(0, T, steps))
-    schedules = [schedule] if control_eta is None else [schedule, Constant(control_eta)]
+    schedules = [schedule] if cfg.control_eta is None else [schedule, Constant(cfg.control_eta)]
 
-    marks, snaps = _msq_runs(p, l, X, chunks, schedules, cfg.w0_vector())
-    mse = [[(t, float(np.mean(np.sum((snaps[t][b] - w_true) ** 2, axis=1)))) for t in marks]
-           for b in range(len(schedules))]
-    return MsqReport(checkpoints=mse[0], control=mse[1] if control_eta is not None else None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        marks, snaps = _msq_runs(p, l, X, chunks, schedules, cfg.w0_vector())
+        mse = [[(t, float(np.mean(np.sum((snaps[t][b] - w_true) ** 2, axis=1)))) for t in marks]
+               for b in range(len(schedules))]
+    return MsqReport(checkpoints=mse[0], control=mse[1] if len(mse) > 1 else None)

@@ -289,9 +289,9 @@ def test_criterion_6_mean_square_convergence():
     cfg = make_config(
         potential="squared_l2", loss="quadratic", dim=4, T=10_000, n_trials=100,
         schedule={"kind": "robbins_monro", "c": 1.0},
-        noise={"kind": "gaussian", "sigma2": 1.0}, seed=7,
+        noise={"kind": "gaussian", "sigma2": 1.0}, seed=7, control_eta=0.01,
     )
-    rep = msq_convergence(cfg, control_eta=0.01)
+    rep = msq_convergence(cfg)
     errors = dict(rep.checkpoints)
     control = dict(rep.control)
     assert errors[10_000] <= 0.1 * errors[100]

@@ -238,7 +238,11 @@ def _shipped(name, **overrides):
     ("implicit", _shipped("implicit_l2", algorithm="ssmd"), "implicit applies to the smd recursion, not ssmd"),
     ("audit", _shipped("converge"), "audit requires a constant learning rate, got schedule kind 'robbins_monro'"),
     ("minimax", _shipped("converge"), "minimax requires a constant learning rate, got schedule kind 'robbins_monro'"),
-], ids=["converge_ssmd", "converge_glm", "implicit_ssmd", "audit_vanishing_rate", "minimax_vanishing_rate"])
+    ("risk", _shipped("implicit_l2"), "risk needs the exponential-family model's noise (noise kind 'model'), not 'none'"),
+    ("risk", _shipped("risk_gaussian", noise={"kind": "gaussian", "sigma2": 1.0}),
+     "risk needs the exponential-family model's noise (noise kind 'model'), not 'gaussian'"),
+], ids=["converge_ssmd", "converge_glm", "implicit_ssmd", "audit_vanishing_rate", "minimax_vanishing_rate",
+        "risk_noiseless", "risk_gaussian_noise"])
 def test_claims_refuse_configs_outside_their_premises(sub, mapping, reason, tmp_path, caplog):
     # each of these would otherwise certify a run other than the one asked for,
     # or fail only after computing it
@@ -273,7 +277,11 @@ def test_constant_rate_claims_fail_before_iterating(sub, tmp_path, caplog, monke
     ({"model": {"kind": "glm"}}, "blowup-probe is defined for the linear model, not glm"),
     ({"schedule": {"kind": "robbins_monro", "c": 1.0}},
      "blowup-probe requires a constant learning rate, got schedule kind 'robbins_monro'"),
-], ids=["glm", "vanishing_rate"])
+    ({"noise": {"kind": "none"}},
+     "blowup-probe needs the exponential-family model's noise (noise kind 'model'), not 'none'"),
+    ({"noise": {"kind": "uniform"}},
+     "blowup-probe needs the exponential-family model's noise (noise kind 'model'), not 'uniform'"),
+], ids=["glm", "vanishing_rate", "noiseless", "uniform_noise"])
 def test_blowup_probe_refuses_configs_outside_its_premises(overrides, reason):
     with pytest.raises(ConfigError, match=re.escape(reason)):
         exponent_blowup_probe(make_config(n_trials=10, **overrides), checkpoints=(10,))
@@ -345,7 +353,7 @@ def _risk_report(smd_ci_high=1.1, second_baseline_cost=3.0):
     return lambda cfg: report
 
 
-def _msq_report(cfg, control_eta=None):
+def _msq_report(cfg):
     from mirrorkit.experiments import MsqReport
 
     return MsqReport(checkpoints=[(100, 1.0), (1000, float("nan"))])
@@ -362,7 +370,8 @@ def _msq_report(cfg, control_eta=None):
      "smd interval overlaps the worst baseline's"),
     ("risk", "experiments", "risk_compare", _risk_report(second_baseline_cost=float("nan")),
      "smd cost is not minimal among the baselines"),
-    ("converge", "experiments", "msq_convergence", _msq_report, "mean-square error did not decay by 10x"),
+    ("converge", "experiments", "msq_convergence", _msq_report,
+     "mean-square error is not finite at checkpoints [1000]"),
 ], ids=["audit_local_residual", "audit_global_residual", "implicit_gap", "implicit_kkt_residual",
         "risk_smd_ci_high", "risk_later_baseline_cost", "converge_last_checkpoint"])
 def test_a_nan_fails_every_verdict(sub, target, name, fake, reason, tmp_path, monkeypatch, caplog):
@@ -548,6 +557,21 @@ def test_converge_fails_closed_when_the_control_diverges(tmp_path, caplog):
         assert main(["converge", "--config", str(path)]) == EXIT_ASSERTION
     assert any(r.levelno == logging.ERROR and "plateau comparison was not tested" in r.message
                for r in caplog.records)
+
+
+def test_converge_names_its_non_finite_checkpoints(tmp_path):
+    # on plain Gaussian rows the 1/i rates overflow the exponential mirror
+    # map; the verdict says so, and numpy's overflow warnings stay inside
+    cfg = make_config(
+        potential="neg_entropy", loss="quadratic", dim=4, T=300, n_trials=100, seed=7,
+        planted={"kind": "positive"}, schedule={"kind": "robbins_monro", "c": 1.0},
+        noise={"kind": "gaussian", "sigma2": 1.0}, output_dir=str(tmp_path),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        verdict = dispatch(cfg, "converge")
+    assert verdict.code == EXIT_ASSERTION
+    assert verdict.reason == "mean-square error is not finite at checkpoints [100, 300]"
 
 
 @pytest.mark.parametrize("sub", ["audit", "implicit", "minimax"])

@@ -4,6 +4,7 @@ import pytest
 from mirrorkit.config import make_config
 from mirrorkit.datagen import (
     gaussian_inputs,
+    generate_problem,
     generate_problems,
     input_draw,
     planted_weight,
@@ -147,3 +148,16 @@ def test_generated_trials_depend_only_on_seed_and_index(overrides):
     assert not np.array_equal(batch.X[0], batch.X[1])
     assert not np.array_equal(batch.w_true[0], batch.w_true[1])
     assert cfg.noise["kind"] == "none" or not np.array_equal(batch.noises[0], batch.noises[1])
+
+
+@pytest.mark.parametrize("inputs", ["gaussian", "unit", "basis_then_gaussian"])
+@pytest.mark.parametrize("noise", ["model", "none", "gaussian", "uniform", "rademacher"])
+def test_the_single_problem_is_trial_zero(noise, inputs):
+    # run and audit check exactly the problem that minimax calls trial 0
+    cfg = make_config(potential="neg_entropy", w0=1.0, dim=3, T=7, seed=41,
+                      schedule={"kind": "constant", "eta": 0.05},
+                      inputs={"kind": inputs}, noise={"kind": noise})
+    one, batch = generate_problem(cfg), generate_problems(cfg, 3)
+    for name, value in vars(one).items():
+        assert value.shape == getattr(batch, name).shape[1:], name
+        assert np.array_equal(value, getattr(batch, name)[0]), name

@@ -26,17 +26,23 @@ from mirrorkit import (
     run_interpolating_descent,
 )
 from mirrorkit.config import make_config
-from mirrorkit.datagen import generate_problems
+from mirrorkit.datagen import generate_problems, problem_draws, trial_draws
 from mirrorkit.experiments import (
     BOOTSTRAP_RESAMPLES,
     _costs_at,
-    _draw_trials,
     _linear_quantile,
     bootstrap_basic_ci,
     estimator_predictions,
 )
 from mirrorkit.losses import LogCosh, Quartic
-from mirrorkit.samplers import ExpFamilySpec, RngStream, sample_noise, sample_weight
+from mirrorkit.samplers import (
+    ExpFamilySpec,
+    RngStream,
+    sample_noise,
+    sample_weight,
+    trial_uniforms,
+    weight_draw,
+)
 
 from conftest import CounterStream
 
@@ -128,6 +134,31 @@ def test_risk_compare_margin_gate():
     # the blow-up probe is a diagnostic: it only warns
     with pytest.warns(UserWarning, match="convexity premise fails"):
         exponent_blowup_probe(bad, checkpoints=(10,))
+
+
+@pytest.mark.parametrize("over", [
+    {},
+    dict(potential={"kind": "separable_q", "q": 3.0}, loss="logcosh", w0=1.0,
+         schedule={"kind": "constant", "eta": 0.2}),
+], ids=["squared_l2", "separable_q3_logcosh"])
+def test_risk_probes_the_premise_at_the_prior_center_and_the_first_trials(over, monkeypatch):
+    from mirrorkit import descent, experiments
+
+    seen = []
+
+    def recording(p, l, model, eta, W, X, z):
+        seen.append(W.copy())
+        return descent.premise_holds(p, l, model, eta, W, X, z)
+
+    monkeypatch.setattr(experiments, "premise_holds", recording)
+    cfg = _gaussian_cfg(n_trials=50, **over)
+    risk_compare(cfg)
+    # trials 0-3 draw their weights first, from the leading columns of their rows
+    w0 = cfg.w0_vector()
+    k, weights = weight_draw(ExpFamilySpec(cfg.build_potential(), w0, cfg.schedule["eta"]))
+    probes = np.vstack([w0, weights(trial_uniforms(cfg.seed, 4, k))])
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], np.repeat(probes, cfg.T, axis=0))
 
 
 def test_risk_compare_is_deterministic():
@@ -278,11 +309,11 @@ def test_converge_peak_memory_is_a_few_chunks():
     cfg = make_config(
         potential="squared_l2", loss="quadratic", dim=4, T=10_000, n_trials=100,
         schedule={"kind": "robbins_monro", "c": 1.0}, noise={"kind": "gaussian", "sigma2": 1.0},
-        inputs={"kind": "basis_then_gaussian"}, seed=7,
+        inputs={"kind": "basis_then_gaussian"}, seed=7, control_eta=0.01,
     )
     tracemalloc.start()
     try:
-        msq_convergence(cfg, control_eta=0.01)
+        msq_convergence(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -313,10 +344,13 @@ def test_bootstrap_rejects_arguments_that_make_no_interval(values, kwargs, name)
 @pytest.mark.parametrize("loss", [Quadratic(), Quartic(), LogCosh()], ids=lambda l: l.kind)
 @pytest.mark.parametrize("dim, T", [(1, 7), (2, 4), (3, 20), (4, 5)])
 def test_batched_trial_draws_equal_per_trial_draws(kind, loss, dim, T):
-    p = {"squared_l2": SquaredL2(dim), "neg_entropy": NegEntropy(dim),
-         "separable_q": SeparableQ(3.0, dim)}[kind]
-    prior = ExpFamilySpec(p, np.linspace(0.5, 1.5, dim), 0.1)
-    W, V = _draw_trials(prior, loss, T, 30, seed=17)
+    potential = {"kind": "separable_q", "q": 3.0} if kind == "separable_q" else kind
+    # a distinct prior centre per coordinate, so each coordinate has its own table
+    cfg = make_config(potential=potential, loss=loss.kind, dim=dim, T=T,
+                      w0=np.linspace(0.5, 1.5, dim).tolist(),
+                      schedule={"kind": "constant", "eta": 0.1})
+    prior = ExpFamilySpec(cfg.build_potential(), np.linspace(0.5, 1.5, dim), 0.1)
+    W, V = trial_draws(17, 30, problem_draws(cfg))
     assert W.shape == (30, dim) and V.shape == (30, T)
     # trial t is the weight and then the noises drawn from its own counter
     # stream, the same draws a single-stream sampler makes from it
@@ -325,7 +359,7 @@ def test_batched_trial_draws_equal_per_trial_draws(kind, loss, dim, T):
         assert np.array_equal(W[t], sample_weight(prior, rng))
         assert np.array_equal(V[t], sample_noise(loss, rng, size=T))
     # a trial depends only on (seed, t), not on how many trials are drawn
-    W5, V5 = _draw_trials(prior, loss, T, 5, seed=17)
+    W5, V5 = trial_draws(17, 5, problem_draws(cfg))
     assert np.array_equal(W5, W[:5]) and np.array_equal(V5, V[:5])
 
 
@@ -429,9 +463,9 @@ def test_msq_decreases_and_beats_control():
     cfg = make_config(
         potential="squared_l2", loss="quadratic", dim=3, T=2000, n_trials=40,
         schedule={"kind": "robbins_monro", "c": 1.0}, noise={"kind": "gaussian"},
-        seed=7,
+        seed=7, control_eta=0.02,
     )
-    rep = msq_convergence(cfg, control_eta=0.02)
+    rep = msq_convergence(cfg)
     errs = [e for _, e in rep.checkpoints]
     assert errs[-1] < errs[0]
     assert rep.control[-1][1] > errs[-1]
@@ -449,12 +483,12 @@ def test_msq_checkpoints_do_not_depend_on_the_chunk_size(potential, noise, monke
     cfg = make_config(
         potential=potential, loss="quadratic", dim=3, T=1007, n_trials=7,
         schedule={"kind": "robbins_monro", "c": 1.0}, noise={"kind": noise, "sigma2": 0.5},
-        inputs={"kind": "basis_then_gaussian"}, seed=13,
+        inputs={"kind": "basis_then_gaussian"}, seed=13, control_eta=0.02,
     )
     reports = []
     for block_values in (experiments.BLOCK_VALUES, 300, 1):
         monkeypatch.setattr(experiments, "BLOCK_VALUES", block_values)
-        rep = msq_convergence(cfg, control_eta=0.02)
+        rep = msq_convergence(cfg)
         reports.append((rep.checkpoints, rep.control))
     assert [t for t, _ in reports[0][0]] == [100, 1000, 1007]
     assert reports[0] == reports[1] == reports[2]
