@@ -30,6 +30,7 @@ from .descent import (
     run_general_recursion,
 )
 from .errors import (
+    ArtifactError,
     ConfigError,
     ConvergenceError,
     DegenerateError,

@@ -7,10 +7,12 @@ order, 17-significant-digit floats, LF endings.
 """
 
 import argparse
+import functools
 import logging
 import sys
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from . import experiments as exp_mod
 from .config import parse_config, require
 from .datagen import generate_problem, generate_problems, prior_scale
 from .descent import iterate
-from .errors import MirrorkitError
+from .errors import ArtifactError, MirrorkitError
 from .samplers import (
     STREAM_TRIAL_BASE,
     ExpFamilySpec,
@@ -37,6 +39,11 @@ EXIT_PASS = 0
 EXIT_ERROR = 1
 EXIT_ASSERTION = 2
 
+# rows formatted in one pass of `_format_rows`: enough to amortize building
+# the format string, few enough that a long file is never held as one string
+CSV_CHUNK_ROWS = 1024
+_BOOL_TEXT = {True: "true", False: "false"}
+
 
 def _fmt(value):
     if type(value) is float:
@@ -50,13 +57,39 @@ def _fmt(value):
     return str(value)
 
 
+def _format_rows(rows):
+    """The CSV lines of a nonempty list of rows, each value rendered as
+    `_fmt` renders it. When every row has the same length and each column
+    one type, one %-format string built from those types renders all rows
+    at once; otherwise `_fmt` renders value by value."""
+    width = len(rows[0])
+    values = list(chain.from_iterable(rows))
+    types = [set(map(type, values[j::width])) for j in range(width)]
+    if set(map(len, rows)) != {width} or any(len(t) != 1 for t in types):
+        return "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+    conversions = []
+    for j, (kind,) in enumerate(types):
+        if kind is bool or kind is np.bool_:
+            values[j::width] = map(_BOOL_TEXT.__getitem__, values[j::width])
+            conversions.append("%s")
+        elif issubclass(kind, (int, np.integer)):
+            conversions.append("%d")
+        elif issubclass(kind, (float, np.floating)):
+            conversions.append("%.17g")
+        else:
+            conversions.append("%s")
+    return (",".join(conversions) + "\n") * len(rows) % tuple(values)
+
+
 def write_csv(path, header, rows):
+    """Write `header` and the list `rows` to `path` as CSV, CSV_CHUNK_ROWS
+    rows at a time."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(_fmt, row)) + "\n")
+        for start in range(0, len(rows), CSV_CHUNK_ROWS):
+            fh.write(_format_rows(rows[start : start + CSV_CHUNK_ROWS]))
     log.info("wrote %s (%d rows)", path, len(rows))
 
 
@@ -234,13 +267,20 @@ def dispatch(cfg, subcommand, strict=False):
             warnings.simplefilter("error", UserWarning)
         verdict = _HANDLERS[subcommand](cfg)
     for name, (header, rows) in verdict.artifacts.items():
-        write_csv(Path(cfg.output_dir) / name, header, rows)
+        path = Path(cfg.output_dir) / name
+        try:
+            write_csv(path, header, rows)
+        except OSError as e:
+            raise ArtifactError(f"cannot write {path}: {e.strerror or e}") from e
     if verdict.code != EXIT_PASS:
         log.error("%s: %s", subcommand, verdict.reason)
     return verdict
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The command-line parser, built on first use and shared by every
+    `main` call in the process; parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="mirrorkit",
         description="Mirror-descent experiments with step-level identity auditing.",
@@ -251,8 +291,12 @@ def main(argv=None):
     parser.add_argument("--out", default=None, help="override the config output directory")
     parser.add_argument("--strict", action="store_true", help="treat warnings as errors")
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
+    return parser
+
+
+def main(argv=None):
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on a usage error, the code reserved for a failed
         # assertion; --help exits 0

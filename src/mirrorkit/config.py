@@ -6,8 +6,8 @@ its value must pass. A variant block ("potential", "schedule", ...) lists
 each kind's parameters as rows too, only for the kinds that read them, and
 the nested record "tolerances" has one row per key. Unknown keys are
 rejected outright; a typo that silently fell back to a default would
-invalidate a scientific run. Every default that does get applied is echoed
-to the log. The resolved config re-parses to itself:
+invalidate a scientific run. The defaults that do get applied are echoed to
+the log in one record. The resolved config re-parses to itself:
 `config_from_mapping(asdict(cfg)) == cfg`.
 
 `PREMISES` has one row per premise of the paper's claims, and `require`
@@ -83,17 +83,18 @@ class ExperimentConfig:
     def with_overrides(self, seed=None, output_dir=None):
         """A copy with the command-line overrides, checked like the file."""
         given = {"seed": seed, "output_dir": output_dir}
-        return replace(self, **{k: SCHEMA[k][1](v, k) for k, v in given.items() if v is not None})
+        return replace(self, **{k: SCHEMA[k][1](v, k, []) for k, v in given.items() if v is not None})
 
 
-# One check per value type: each takes (value, path) and returns the
-# normalized value, or raises ValidationError naming the path.
+# One check per value type: each takes (value, path, applied) and returns the
+# normalized value, or raises ValidationError naming the path. A check that
+# resolves nested rows appends the defaults it applies to the list `applied`.
 
 
 def _number(above=None):
     """A finite number, > `above` when given."""
 
-    def check(value, path):
+    def check(value, path, applied):
         try:
             finite = not isinstance(value, bool) and math.isfinite(value)
         except (TypeError, OverflowError):  # not a number, or an integer past the double range
@@ -110,7 +111,7 @@ def _number(above=None):
 def _integer(low, high=None):
     """An integer in [low, high); an integral float such as JSON 1e4 counts."""
 
-    def check(value, path):
+    def check(value, path, applied):
         if isinstance(value, float) and value.is_integer():
             value = int(value)
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -124,14 +125,14 @@ def _integer(low, high=None):
     return check
 
 
-def _text(value, path):
+def _text(value, path, applied):
     if not isinstance(value, str):
         raise ValidationError(f"{path} must be a string, got {value!r}")
     return value
 
 
 def _choice(*options):
-    def check(value, path):
+    def check(value, path, applied):
         if not isinstance(value, str) or value not in options:
             raise ValidationError(f"{path} must be one of {list(options)}, got {value!r}")
         return value
@@ -143,14 +144,14 @@ def _variant(kinds):
     """A kind name, or an object with a "kind" and that kind's parameters;
     `kinds` maps each kind to the rows of its parameters."""
 
-    def check(value, path):
+    def check(value, path, applied):
         if isinstance(value, str):
             value = {"kind": value}
         if not isinstance(value, dict) or "kind" not in value:
             raise ValidationError(f"{path} must be a name or an object with a 'kind'")
-        kind = _choice(*kinds)(value["kind"], f"{path}.kind")
+        kind = _choice(*kinds)(value["kind"], f"{path}.kind", applied)
         params = {k: v for k, v in value.items() if k != "kind"}
-        return {"kind": kind, **_resolve(kinds[kind], params, f"{path}.{kind}")}
+        return {"kind": kind, **_resolve(kinds[kind], params, f"{path}.{kind}", applied)}
 
     return check
 
@@ -158,19 +159,19 @@ def _variant(kinds):
 def _record(rows):
     """An object with one row per key."""
 
-    def check(value, path):
+    def check(value, path, applied):
         if not isinstance(value, dict):
             raise ValidationError(f"{path} must be an object, got {value!r}")
-        return _resolve(rows, value, path)
+        return _resolve(rows, value, path, applied)
 
     return check
 
 
-def _start(value, path):
+def _start(value, path, applied):
     """One number for every coordinate, or a list of numbers."""
     if isinstance(value, list):
-        return [FINITE(v, f"{path}[{i}]") for i, v in enumerate(value)]
-    return FINITE(value, path)
+        return [FINITE(v, f"{path}[{i}]", applied) for i, v in enumerate(value)]
+    return FINITE(value, path, applied)
 
 
 def estimator_name(spec):
@@ -180,10 +181,10 @@ def estimator_name(spec):
     return "smd" if spec["kind"] == "scaled_smd" else spec["kind"]
 
 
-def _estimators(value, path):
+def _estimators(value, path, applied):
     if not isinstance(value, (list, tuple)) or not value:
         raise ValidationError(f"{path} must be a nonempty list")
-    specs = [_ESTIMATOR(e, f"{path}[{i}]") for i, e in enumerate(value)]
+    specs = [_ESTIMATOR(e, f"{path}[{i}]", applied) for i, e in enumerate(value)]
     seen = {}
     for i, spec in enumerate(specs):
         name = estimator_name(spec)
@@ -305,10 +306,11 @@ def require(cfg, claim):
             raise ConfigError(f"{claim} {reason.format(**vars(cfg))}")
 
 
-def _resolve(rows, mapping, path):
+def _resolve(rows, mapping, path, applied):
     """Check `mapping` against `rows`. An absent or null key takes its row's
-    default: None stays None, and an empty record defaults (and echoes)
-    each of its own rows."""
+    default: None stays None, and an empty record defaults each of its own
+    rows. Each default applied other than None or {} is appended to
+    `applied` as "name = default"."""
     for key in mapping:
         if key not in rows:
             raise ParseError(f"unknown key {key!r} in {path or 'config'}")
@@ -320,17 +322,21 @@ def _resolve(rows, mapping, path):
             if default is REQUIRED:
                 raise ValidationError(f"{name} is required")
             if default not in (None, {}):
-                log.info("applied default %s = %r", name, default)
+                applied.append(f"{name} = {default!r}")
             value = default
-        resolved[key] = None if value is None else check(value, name)
+        resolved[key] = None if value is None else check(value, name, applied)
     return resolved
 
 
 def config_from_mapping(raw):
-    """Build a validated ExperimentConfig from a parsed JSON mapping."""
+    """Build a validated ExperimentConfig from a parsed JSON mapping; log
+    the defaults it applied in one record."""
     if not isinstance(raw, dict):
         raise ParseError("top-level config must be a JSON object")
-    cfg = ExperimentConfig(**_resolve(SCHEMA, raw, ""))
+    applied = []
+    cfg = ExperimentConfig(**_resolve(SCHEMA, raw, "", applied))
+    if applied:
+        log.info("applied defaults: %s", "; ".join(applied))
     if cfg.algorithm == "ssmd" and cfg.model["kind"] != "linear":
         raise ValidationError("algorithm ssmd requires the linear model")
     if isinstance(cfg.w0, list) and len(cfg.w0) != cfg.dim:

@@ -50,5 +50,9 @@ class ValidationError(MirrorkitError):
     """A configuration field has an invalid value."""
 
 
+class ArtifactError(MirrorkitError):
+    """An output file could not be written."""
+
+
 class StabilityWarning(UserWarning):
     """The convexity margin went negative along a trajectory."""

@@ -36,7 +36,12 @@ _MAX_DOUBLINGS = 40
 
 def _splitmix64(z):
     """Finalizer of the splitmix64 generator (Steele, Lea & Flood), on a
-    Python int or elementwise on a uint64 array."""
+    Python int, masked to 64 bits, or elementwise on a uint64 array, whose
+    arithmetic wraps modulo 2^64 without a mask; the array is not written."""
+    if not isinstance(z, int):
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+        return z ^ (z >> 31)
     z &= _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64

@@ -22,6 +22,7 @@ from mirrorkit import (
 )
 from mirrorkit.samplers import (
     TabulatedDensity,
+    _splitmix64,
     derive_seed,
     trial_uniforms,
     white_noise_draw,
@@ -57,6 +58,16 @@ def test_trial_uniforms_are_the_splitmix64_counter_streams(seed):
         assert np.array_equal(U[t], CounterStream(seed, t).uniform(11))
     assert trial_uniforms(seed, 0, 5).shape == (0, 5)
     assert trial_uniforms(seed, 3, 0).shape == (3, 0)
+
+
+def test_splitmix64_on_a_read_only_uint64_array_equals_it_on_python_ints():
+    values = [0, 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15, 123456789]
+    z = np.array(values, dtype=np.uint64)
+    z.flags.writeable = False
+    out = _splitmix64(z)
+    assert out.dtype == np.uint64
+    assert out.tolist() == [_splitmix64(v) for v in values]
+    assert z.tolist() == values
 
 
 def test_trial_uniforms_rows_depend_only_on_seed_and_trial():
