@@ -30,7 +30,7 @@ w_true = np.array([0.8, 1.4, 0.5])
 noises = 0.2 * np.asarray(rng.normal(T))
 Y = X @ w_true + noises
 
-traj = iterate(p, l, m, X, Y, Constant(eta), np.ones(dim), check_margin=False)
+traj = iterate(p, l, m, X, Y, Constant(eta), np.ones(dim))
 terms, global_residual = audit_trajectory(traj, w_true, noises)
 
 print(f"{'step':>4} {'D(w,w_prev)':>12} {'D(w,w_next)':>12} {'loss-Bregman':>13} "

@@ -24,7 +24,7 @@ for trial in range(400):
     X = gaussian_inputs(dim, T, rng, unit=True)
     w = np.asarray(rng.normal(dim))
     noises = 0.4 * np.asarray(rng.normal(T))
-    traj = iterate(p, l, m, X, X @ w + noises, Constant(0.4), np.zeros(dim), check_margin=False)
+    traj = iterate(p, l, m, X, X @ w + noises, Constant(0.4), np.zeros(dim))
     rep = energy_gain(traj, w, noises)
     assert rep.premise_certified
     worst = max(worst, rep.ratio)
@@ -36,7 +36,7 @@ rng = RngStream(seed=11, stream_index=0)
 X = gaussian_inputs(dim, 30, rng, unit=True)
 w = np.array([0.8, -0.5, 0.3])
 for eta in (0.5, 0.1, 0.02, 0.005, 0.001):
-    traj = iterate(p, l, m, X, X @ w, Constant(eta), np.zeros(dim), check_margin=False)
+    traj = iterate(p, l, m, X, X @ w, Constant(eta), np.zeros(dim))
     rep = energy_gain(traj, w, np.zeros(30))
     print(f"eta = {eta:<6g} ratio = {rep.ratio:.6f}")
 print("the optimal (worst-case) value of the ratio game is exactly 1")

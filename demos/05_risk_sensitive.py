@@ -35,7 +35,7 @@ cfg = make_config(
     schedule={"kind": "constant", "eta": 0.05}, w0=0.0, inputs={"kind": "unit"}, seed=123,
 )
 print(f"{'horizon':>8} {'running max cost':>18} {'mean cost':>12}")
-for T, mx, mean in exponent_blowup_probe(cfg, alpha=1.0, checkpoints=(10, 20, 30, 40, 50)):
+for T, mx, mean in exponent_blowup_probe(cfg, checkpoints=(10, 20, 30, 40, 50)):
     print(f"{T:>8} {mx:>18.1f} {mean:>12.2f}")
 print("finite Monte Carlo cannot certify a divergent expectation, but the")
 print("worst observed trial cost grows without any sign of saturating")

@@ -40,7 +40,6 @@ from .errors import (
     ParseError,
     RankError,
     ScheduleError,
-    StabilityWarning,
     StepCapError,
     ValidationError,
 )

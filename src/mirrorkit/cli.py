@@ -10,7 +10,6 @@ import argparse
 import functools
 import logging
 import sys
-import warnings
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -111,17 +110,20 @@ def _verdict(artifacts, *checks):
     return Verdict(EXIT_PASS, "", artifacts)
 
 
-def _within(values, bounds, strict=False):
-    """Every value at most its bound (below it when `strict`); a NaN on
-    either side fails."""
-    values, bounds = np.asarray(values), np.asarray(bounds)
-    return bool(np.all(values < bounds if strict else values <= bounds))
+def _within(values, bounds):
+    """Every value at most its bound; a NaN on either side fails."""
+    return bool(np.all(np.asarray(values) <= np.asarray(bounds)))
 
 
-def _iterate(cfg, problem, check_margin=True):
+def _below(values, bounds):
+    """Every value below its bound; a NaN on either side fails."""
+    return bool(np.all(np.asarray(values) < np.asarray(bounds)))
+
+
+def _iterate(cfg, problem):
     """The configured algorithm on `problem`'s data: one run, or a batch."""
     return iterate(cfg.build_potential(), cfg.build_loss(), cfg.build_model(), problem.X, problem.Y,
-                   cfg.build_schedule(), cfg.w0_vector(), algorithm=cfg.algorithm, check_margin=check_margin)
+                   cfg.build_schedule(), cfg.w0_vector(), algorithm=cfg.algorithm)
 
 
 def _cmd_run(cfg):
@@ -149,7 +151,7 @@ def _cmd_audit(cfg):
 def _cmd_minimax(cfg):
     require(cfg, "minimax")
     problems = generate_problems(cfg, cfg.n_trials)
-    traj = _iterate(cfg, problems, check_margin=False)
+    traj = _iterate(cfg, problems)
     report = audit_mod.energy_gain(traj, problems.w_true, problems.noises)
     certified = report.premise_certified
     ratios = report.ratio[certified]
@@ -179,7 +181,7 @@ def _cmd_risk(cfg):
     return _verdict(
         {"risk.csv": (["estimator", "mc_cost", "ci_low", "ci_high", "n_trials"], rows)},
         (_within(smd.mc_cost, costs), "smd cost is not minimal among the baselines"),
-        (_within(smd.ci_high, worst.ci_low, strict=True), "smd interval overlaps the worst baseline's"),
+        (_below(smd.ci_high, worst.ci_low), "smd interval overlaps the worst baseline's"),
     )
 
 
@@ -207,11 +209,11 @@ def _cmd_converge(cfg):
     return _verdict(
         {"converge.csv": (["checkpoint_T", "mean_sq_error"], report.checkpoints)},
         (not nonfinite, f"mean-square error is not finite at checkpoints {nonfinite}"),
-        (_within(errors[1:], errors[:-1], strict=True) and _within(errors[-1], 0.1 * errors[0]),
+        (_below(errors[1:], errors[:-1]) and _within(errors[-1], 0.1 * errors[0]),
          "mean-square error did not decay by 10x"),
         (report.control is None or np.isfinite(plateau),
          "the constant-rate control is not finite, so the plateau comparison was not tested"),
-        (_within(errors[-1], plateau, strict=True), "the vanishing-rate error is not below the plateau"),
+        (_below(errors[-1], plateau), "the vanishing-rate error is not below the plateau"),
     )
 
 
@@ -256,16 +258,12 @@ _HANDLERS = {
 SUBCOMMANDS = tuple(_HANDLERS)
 
 
-def dispatch(cfg, subcommand, strict=False):
+def dispatch(cfg, subcommand):
     """Run one subcommand, write its CSVs and log why it failed, if it did;
     returns its Verdict."""
     if subcommand not in _HANDLERS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
-    with warnings.catch_warnings():
-        if strict:
-            # StabilityWarning is a UserWarning
-            warnings.simplefilter("error", UserWarning)
-        verdict = _HANDLERS[subcommand](cfg)
+    verdict = _HANDLERS[subcommand](cfg)
     for name, (header, rows) in verdict.artifacts.items():
         path = Path(cfg.output_dir) / name
         try:
@@ -289,7 +287,6 @@ def _parser():
     parser.add_argument("--config", required=True, help="path to a JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="override the config output directory")
-    parser.add_argument("--strict", action="store_true", help="treat warnings as errors")
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     return parser
 
@@ -308,12 +305,9 @@ def main(argv=None):
     )
     try:
         cfg = parse_config(args.config).with_overrides(seed=args.seed, output_dir=args.out)
-        return dispatch(cfg, args.subcommand, strict=args.strict).code
+        return dispatch(cfg, args.subcommand).code
     except MirrorkitError as e:
         log.error("%s: %s", type(e).__name__, e)
-        return EXIT_ERROR
-    except Warning as e:
-        log.error("strict mode: %s", e)
         return EXIT_ERROR
 
 

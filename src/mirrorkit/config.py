@@ -4,11 +4,11 @@ echoed defaults.
 `SCHEMA` has one row per key a config may set: its default and the one check
 its value must pass. A variant block ("potential", "schedule", ...) lists
 each kind's parameters as rows too, only for the kinds that read them, and
-the nested record "tolerances" has one row per key. Unknown keys are
-rejected outright; a typo that silently fell back to a default would
-invalidate a scientific run. The defaults that do get applied are echoed to
-the log in one record. The resolved config re-parses to itself:
-`config_from_mapping(asdict(cfg)) == cfg`.
+the nested record "tolerances" has one row per key. Unknown and repeated
+keys are rejected outright; a typo that silently fell back to a default or
+replaced a value would invalidate a scientific run. The defaults that do get
+applied are echoed to the log in one record. The resolved config re-parses
+to itself: `config_from_mapping(asdict(cfg)) == cfg`.
 
 `PREMISES` has one row per premise of the paper's claims, and `require`
 refuses a config outside a claim's premises before anything is computed.
@@ -349,6 +349,17 @@ def make_config(**kwargs):
     return config_from_mapping(kwargs)
 
 
+def _unique_keys(pairs):
+    """One JSON object as a dict; a repeated key, which `json.loads` would
+    resolve to its last value, raises ParseError."""
+    mapping = {}
+    for key, value in pairs:
+        if key in mapping:
+            raise ParseError(f"repeated key {key!r}")
+        mapping[key] = value
+    return mapping
+
+
 def parse_config(path):
     """Load, validate, and default-fill a JSON config file."""
     try:
@@ -357,7 +368,7 @@ def parse_config(path):
     except OSError as e:
         raise ParseError(f"cannot read config {path}: {e}")
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON in {path} at line {e.lineno}, column {e.colno}: {e.msg}")
     return config_from_mapping(raw)

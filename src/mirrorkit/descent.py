@@ -8,12 +8,11 @@ algorithm is one shift rule, `smd_shift` or `ssmd_shift`. SGD is SMD with
 the squared-L2 potential, whose mirror map is the identity.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, StabilityWarning
+from .errors import ConfigError, DomainError
 from .losses import LossFn
 from .potentials import Potential, SeparableQ
 
@@ -185,7 +184,7 @@ def mirror_steps(p, W, X, Y, etas, shift):
 
 def _recursion(p, X, Y, w0, schedule, shift, S=None):
     """`mirror_steps` over the observations (X, Y) from w0 at the rates
-    schedule.rates(T), recorded; returns (path, X, Y, etas). X (n, T, dim)
+    schedule.rates(T), recorded; returns (path, X, Y). X (n, T, dim)
     and Y (n, T) run n trials, recorded as an (n, T+1, dim) path. `S`, when
     given, is fed to `shift` in place of Y, one entry per step. Mis-shaped
     or non-finite observations raise ValueError. The domain is checked on
@@ -211,33 +210,23 @@ def _recursion(p, X, Y, w0, schedule, shift, S=None):
             except DomainError as e:
                 raise DomainError(f"step {i}: {e}") from e
         raise
-    return path, X, Y, etas
+    return path, X, Y
 
 
-def iterate(p, l, m, X, Y, schedule, w0, algorithm="smd", check_margin=True):
+def iterate(p, l, m, X, Y, schedule, w0, algorithm="smd"):
     """Run a full trajectory over the inputs X (T, dim) and outputs Y (T,),
     or n trials from w0 over X (n, T, dim) and Y (n, T), recording every iterate.
 
     `algorithm` is "smd" or "ssmd" (linear model only); SGD is "smd" with
-    the squared-L2 potential.
-    A negative convexity margin at an iterate only warns: the convexity
-    premise is sufficient, not necessary, and exploring past it is useful.
+    the squared-L2 potential. The run is recorded, not certified: each claim
+    certifies the convexity premise it rests on where it makes the claim.
     """
     if algorithm not in ("smd", "ssmd"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if algorithm == "ssmd" and not isinstance(m, Linear):
         raise ConfigError("ssmd is defined for linear models only")
     shift = ssmd_shift(l) if algorithm == "ssmd" else smd_shift(l, m)
-    path, X, Y, etas = _recursion(p, X, Y, w0, schedule, shift)
-    if check_margin and len(etas):
-        holds = premise_holds(p, l, m, etas, path[..., 1:, :], X, Y).reshape(-1, len(etas)).all(axis=0)
-        if not holds.all():
-            warnings.warn(
-                f"convexity margin negative at step {int(np.argmin(holds)) + 1}; "
-                "the minimax premise is not certified on this run",
-                StabilityWarning,
-                stacklevel=2,
-            )
+    path, X, Y = _recursion(p, X, Y, w0, schedule, shift)
     return Trajectory(path, X, Y, schedule, p, l, m)
 
 
@@ -250,7 +239,7 @@ def run_general_recursion(p, l, X, Y, z, eta, w0):
         raise ValueError("z and Y must have equal length")
     schedule = Constant(eta)
     S = l.deriv(np.asarray(Y, dtype=float) - np.asarray(z, dtype=float))
-    path, X, Y, _ = _recursion(p, X, Y, w0, schedule, lambda x, s, W: s, S)
+    path, X, Y = _recursion(p, X, Y, w0, schedule, lambda x, s, W: s, S)
     return Trajectory(path, X, Y, schedule, p, l, Linear())
 
 
@@ -271,7 +260,7 @@ def premise_holds(p, l, m, eta, W, X, Y):
     The loss Hessian is rank one, c * x x^T, so with D the diagonal of
     hess psi on the kept coordinates the premise holds exactly when
     eta * c * x^T D^{-1} x <= 1. A probe with no kept coordinate passes, as
-    in `convexity_margin`. `eta` is a scalar or one rate per probe.
+    in `convexity_margin`. `eta` is one scalar rate.
     """
     keep = _kept(p, W)
     D = p.hessian_diag(W)

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class MirrorkitError(Exception):
@@ -52,7 +52,3 @@ class ValidationError(MirrorkitError):
 
 class ArtifactError(MirrorkitError):
     """An output file could not be written."""
-
-
-class StabilityWarning(UserWarning):
-    """The convexity margin went negative along a trajectory."""

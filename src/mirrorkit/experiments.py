@@ -259,8 +259,9 @@ def risk_compare(cfg):
     return RiskReport(entries=entries)
 
 
-def exponent_blowup_probe(cfg, alpha=1.0, checkpoints=(10, 20, 30, 40, 50)):
-    """Running-max trial cost of the scaled-quadratic exponent as T grows.
+def exponent_blowup_probe(cfg, checkpoints=(10, 20, 30, 40, 50)):
+    """Running-max trial cost of the scaled-quadratic exponent at alpha = 1,
+    twice the 1/2 that matches Gaussian noise, as T grows.
 
     A diagnostic, not a sharp test: an infinite expectation cannot be
     confirmed by finite Monte Carlo, so the output is the blow-up curve of
@@ -275,7 +276,7 @@ def exponent_blowup_probe(cfg, alpha=1.0, checkpoints=(10, 20, 30, 40, 50)):
     if margin:
         warnings.warn(margin)
     _, predictions = estimator_predictions({"kind": "smd"}, p, l, eta, X, Y, w0)
-    costs = _costs_at(set(checkpoints), ScaledQuadratic(alpha), l, XW, Y, predictions)
+    costs = _costs_at(set(checkpoints), ScaledQuadratic(1.0), l, XW, Y, predictions)
     return [(t, float(c.max()), float(c.mean())) for t, c in sorted(costs.items())]
 
 
@@ -298,7 +299,11 @@ def _grad_inv_deriv(p, w):
     return np.where(np.isfinite(h) & (h > 0.0), 1.0 / h, 0.0)
 
 
-def implicit_reg_oracle(X, y, p, w0, max_iter=200, tol=1e-11):
+_ORACLE_TOL = 1e-11
+_ORACLE_MAX_ITER = 200
+
+
+def implicit_reg_oracle(X, y, p, w0):
     """Solve min_w D_psi(w, w0) subject to X w = y.
 
     The stationarity condition grad psi(w) = grad psi(w0) + X^T lam holds by
@@ -322,8 +327,8 @@ def implicit_reg_oracle(X, y, p, w0, max_iter=200, tol=1e-11):
     else:
         w = p.grad_inv(u0 + X.T @ lam)
         gn = float(np.max(np.abs(X @ w - y)))
-        for _ in range(max_iter):
-            if gn <= tol:
+        for _ in range(_ORACLE_MAX_ITER):
+            if gn <= _ORACLE_TOL:
                 break
             G = X @ w - y
             J = (X * _grad_inv_deriv(p, w)) @ X.T
@@ -353,7 +358,7 @@ def implicit_reg_oracle(X, y, p, w0, max_iter=200, tol=1e-11):
                         )
         else:
             raise ConvergenceError(
-                f"oracle Newton did not reach {tol} in {max_iter} iterations "
+                f"oracle Newton did not reach {_ORACLE_TOL} in {_ORACLE_MAX_ITER} iterations "
                 f"(residual {gn:.3e})"
             )
 

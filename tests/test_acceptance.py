@@ -92,7 +92,7 @@ def test_criterion_1_identity_suite():
                 w_ref = _in_domain(p, rng)
                 noises = 0.1 * rng.standard_normal(T)
                 Y = m.g(X @ w_ref) + noises
-                traj = iterate(p, l, m, X, Y, Constant(eta), _in_domain(p, rng), check_margin=False)
+                traj = iterate(p, l, m, X, Y, Constant(eta), _in_domain(p, rng))
                 for i, (x, y) in enumerate(zip(X, Y), 1):
                     rec = local_identity(
                         p, l, m, w_ref, traj.path[i - 1], traj.iterates[i - 1], x, y, eta, step=i
@@ -160,7 +160,7 @@ def _energy_gains(cfg, trials):
     """`energy_gain` of trials 0 .. trials-1 of `cfg`, run as one batch."""
     problems = generate_problems(cfg, trials)
     traj = iterate(cfg.build_potential(), cfg.build_loss(), cfg.build_model(), problems.X, problems.Y,
-                   cfg.build_schedule(), cfg.w0_vector(), check_margin=False)
+                   cfg.build_schedule(), cfg.w0_vector())
     return energy_gain(traj, problems.w_true, problems.noises)
 
 
@@ -273,7 +273,7 @@ def test_criterion_5_exponent_bound_probe():
         T=50, n_trials=10_000, inputs={"kind": "unit"}, seed=123,
         **RISK_CONFIGS["gaussian"],
     )
-    curve = exponent_blowup_probe(cfg, alpha=1.0, checkpoints=(10, 20, 30, 40, 50))
+    curve = exponent_blowup_probe(cfg, checkpoints=(10, 20, 30, 40, 50))
     print("  exponent-bound diagnostic curve (alpha=1.0, non-binding): "
           "running max trial cost by horizon")
     for T, running_max, mean in curve:

@@ -55,7 +55,7 @@ def test_local_identity_residuals(model_kind, rng):
         for l in all_losses():
             w_ref, _, X, Y = _make_problem(p, m, rng)
             eta = _eta_for(l)
-            traj = iterate(p, l, m, X, Y, Constant(eta), random_in_domain(p, rng), check_margin=False)
+            traj = iterate(p, l, m, X, Y, Constant(eta), random_in_domain(p, rng))
             for i, (x, y) in enumerate(zip(X, Y), 1):
                 rec = local_identity(
                     p, l, m, w_ref, traj.path[i - 1], traj.iterates[i - 1], x, y, eta, step=i
@@ -76,7 +76,7 @@ def test_local_identity_reference_at_start(rng):
 def test_quadratic_loss_bregman_is_squared_prediction_error(rng):
     p, l, m = SquaredL2(3), Quadratic(), Linear()
     w_ref, _, X, Y = _make_problem(p, m, rng, T=10)
-    traj = iterate(p, l, m, X, Y, Constant(ETA), np.zeros(3), check_margin=False)
+    traj = iterate(p, l, m, X, Y, Constant(ETA), np.zeros(3))
     for i, (x, y) in enumerate(zip(X, Y), 1):
         w_prev = traj.path[i - 1]
         expected = 0.5 * float(x @ (w_ref - w_prev)) ** 2
@@ -89,20 +89,20 @@ def test_global_identity_random_trajectories(rng):
             m = Linear()
             w_ref, noises, X, Y = _make_problem(p, m, rng, T=50, dim=4)
             eta = _eta_for(l)
-            traj = iterate(p, l, m, X, Y, Constant(eta), random_in_domain(p, rng), check_margin=False)
+            traj = iterate(p, l, m, X, Y, Constant(eta), random_in_domain(p, rng))
             assert global_identity(traj, w_ref, noises) <= 1e-8
 
 
 def test_global_identity_empty_trajectory(rng):
     p = SquaredL2(2)
-    traj = iterate(p, Quadratic(), Linear(), np.empty((0, 2)), [], Constant(ETA), np.zeros(2), check_margin=False)
+    traj = iterate(p, Quadratic(), Linear(), np.empty((0, 2)), [], Constant(ETA), np.zeros(2))
     assert global_identity(traj, np.array([1.0, 2.0]), []) == 0.0
 
 
 def test_global_equals_telescoped_locals(rng):
     p, l, m = NegEntropy(3), Quadratic(), Linear()
     w_ref, noises, X, Y = _make_problem(p, m, rng, T=30)
-    traj = iterate(p, l, m, X, Y, Constant(ETA), np.ones(3), check_margin=False)
+    traj = iterate(p, l, m, X, Y, Constant(ETA), np.ones(3))
     terms, global_residual = audit_trajectory(traj, w_ref, noises)
     assert global_residual <= 1e-8
     assert len(terms.step) == 30
@@ -125,7 +125,7 @@ def test_audit_rows_equal_local_identity(model_kind, rng):
         for l in all_losses():
             w_ref, noises, X, Y = _make_problem(p, m, rng, T=12)
             eta = _eta_for(l)
-            traj = iterate(p, l, m, X, Y, Constant(eta), random_in_domain(p, rng), check_margin=False)
+            traj = iterate(p, l, m, X, Y, Constant(eta), random_in_domain(p, rng))
             terms, _ = audit_trajectory(traj, w_ref, noises)
             for i, (x, y) in enumerate(zip(X, Y), 1):
                 rec = local_identity(
@@ -138,7 +138,7 @@ def test_audit_rows_equal_local_identity(model_kind, rng):
 def test_global_identity_requires_constant_schedule(rng):
     p, l, m = SquaredL2(2), Quadratic(), Linear()
     w_ref, noises, X, Y = _make_problem(p, m, rng, T=5)
-    traj = iterate(p, l, m, X, Y, RobbinsMonro(1.0), np.zeros(2), check_margin=False)
+    traj = iterate(p, l, m, X, Y, RobbinsMonro(1.0), np.zeros(2))
     with pytest.raises(ScheduleError):
         global_identity(traj, w_ref, noises)
 
@@ -148,7 +148,7 @@ def test_e_term_nonnegative_under_certified_margin(rng):
 
     p, l, m = SquaredL2(3), Quadratic(), Linear()
     w_ref, noises, X, Y = _make_problem(p, m, rng, T=40)
-    traj = iterate(p, l, m, X, Y, Constant(0.02), np.zeros(3), check_margin=False)
+    traj = iterate(p, l, m, X, Y, Constant(0.02), np.zeros(3))
     terms, _ = audit_trajectory(traj, w_ref, noises)
     for i, e_term in enumerate(terms.e_term, 1):
         margins = convexity_margin(
@@ -165,7 +165,7 @@ def test_minimax_ratio_bounded_on_certified_runs(rng):
         X = gaussian_inputs(3, 15, stream, unit=True)
         w_true = rng.standard_normal(3)
         noises = 0.3 * rng.standard_normal(15)
-        traj = iterate(p, l, m, X, X @ w_true + noises, Constant(0.5), np.zeros(3), check_margin=False)
+        traj = iterate(p, l, m, X, X @ w_true + noises, Constant(0.5), np.zeros(3))
         rep = energy_gain(traj, w_true, noises)
         assert rep.premise_certified
         assert rep.ratio <= 1.0 + 1e-9
@@ -181,7 +181,7 @@ def test_minimax_ratio_approaches_one_for_small_eta(rng):
     w_true = np.array([0.8, -0.5, 0.3])
     ratios = {}
     for eta in (0.5, 0.02, 0.002):
-        traj = iterate(p, l, m, X, X @ w_true, Constant(eta), np.zeros(3), check_margin=False)
+        traj = iterate(p, l, m, X, X @ w_true, Constant(eta), np.zeros(3))
         rep = energy_gain(traj, w_true, np.zeros(30))
         ratios[eta] = rep.ratio
         assert rep.ratio <= 1.0
@@ -196,7 +196,7 @@ def test_minimax_quadratic_matches_filter_energy_form(rng):
     X = gaussian_inputs(2, 12, stream, unit=True)
     w_true = np.array([0.6, -1.1])
     noises = 0.25 * rng.standard_normal(12)
-    traj = iterate(p, l, m, X, X @ w_true + noises, Constant(0.4), np.zeros(2), check_margin=False)
+    traj = iterate(p, l, m, X, X @ w_true + noises, Constant(0.4), np.zeros(2))
     rep = energy_gain(traj, w_true, noises)
     num = 0.5 * np.sum((w_true - traj.final) ** 2)
     num += 0.4 * sum(
@@ -211,7 +211,7 @@ def test_minimax_degenerate_denominator(rng):
     p, l, m = SquaredL2(2), Quadratic(), Linear()
     w0 = np.array([0.3, 0.4])
     X = gaussian_inputs(2, 5, RngStream(1, 0))
-    traj = iterate(p, l, m, X, X @ w0, Constant(0.1), w0, check_margin=False)
+    traj = iterate(p, l, m, X, X @ w0, Constant(0.1), w0)
     with pytest.raises(DegenerateError):
         energy_gain(traj, w0, np.zeros(5))
 
@@ -231,7 +231,7 @@ def test_batch_equals_per_trial_bit_for_bit(base):
     p, l, m, schedule = cfg.build_potential(), cfg.build_loss(), cfg.build_model(), cfg.build_schedule()
 
     def run(X, Y):
-        return iterate(p, l, m, X, Y, schedule, cfg.w0_vector(), algorithm=cfg.algorithm, check_margin=False)
+        return iterate(p, l, m, X, Y, schedule, cfg.w0_vector(), algorithm=cfg.algorithm)
 
     n, k = 40, 13
     batch = generate_problems(cfg, n)
@@ -285,7 +285,7 @@ def test_exponent_identity_random_z(rng):
 def test_recursion_with_own_predictions_is_mirror_descent(rng):
     p, l, m = NegEntropy(3), Quadratic(), Linear()
     w_ref, _, X, Y = _make_problem(p, m, rng, T=15)
-    smd = iterate(p, l, m, X, Y, Constant(ETA), np.ones(3), check_margin=False)
+    smd = iterate(p, l, m, X, Y, Constant(ETA), np.ones(3))
     z = [float(x @ smd.path[i - 1]) for i, x in enumerate(X, 1)]
     gen = run_general_recursion(p, l, X, Y, z, ETA, np.ones(3))
     for a, b in zip(smd.iterates, gen.iterates):
@@ -356,7 +356,7 @@ def test_local_identity_softplus_link(rng):
     m = GeneralizedLinear("softplus")
     p, l = SquaredL2(3), Quadratic()
     w_ref, _, X, Y = _make_problem(p, m, rng, T=15)
-    traj = iterate(p, l, m, X, Y, Constant(0.05), rng.standard_normal(3), check_margin=False)
+    traj = iterate(p, l, m, X, Y, Constant(0.05), rng.standard_normal(3))
     for i, (x, y) in enumerate(zip(X, Y), 1):
         rec = local_identity(
             p, l, m, w_ref, traj.path[i - 1], traj.iterates[i - 1], x, y, 0.05, step=i

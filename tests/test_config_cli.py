@@ -81,6 +81,22 @@ def test_nested_unknown_key_rejected(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"T": 5, "seed": 1, "T": 7}', "T"),
+    ('{"schedule": {"kind": "constant", "eta": 0.1, "eta": 5.0}}', "eta"),
+    ('{"tolerances": {"identity_rtol": 1e-8, "identity_rtol": 1.0}}', "identity_rtol"),
+])
+def test_repeated_key_exits_1_and_writes_nothing(text, key, tmp_path, caplog):
+    # json.loads alone keeps the last value, so the run would use the second
+    path = tmp_path / "cfg.json"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    with caplog.at_level(logging.ERROR, logger="mirrorkit"):
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_ERROR
+    assert [r.getMessage() for r in caplog.records] == [f"ParseError: repeated key {key!r}"]
+    assert not out.exists()
+
+
 def test_malformed_json_reports_line(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{\n  "dim": 2,\n  oops\n}', encoding="utf-8")
@@ -302,16 +318,23 @@ def test_main_error_exit(tmp_path):
     assert main(["run", "--config", str(path)]) == 1
 
 
-def test_main_strict_turns_warning_into_error(tmp_path):
-    from mirrorkit import StabilityWarning
-
-    # eta far beyond the stability bound trips the margin warning
-    payload = dict(BASE, schedule={"kind": "constant", "eta": 25.0},
-                   potential="squared_l2", output_dir=str(tmp_path / "o"))
+def test_a_failing_premise_is_certified_by_the_claim_not_the_run(tmp_path, capsys):
+    # eta far beyond the stability bound breaks the convexity premise at
+    # every step; run and audit record the recursion and warn nothing
+    payload = dict(BASE, schedule={"kind": "constant", "eta": 25.0}, potential="squared_l2")
     path = _write(tmp_path, payload)
-    with pytest.warns(StabilityWarning):
-        assert main(["run", "--config", str(path)]) == EXIT_PASS
-    assert main(["run", "--config", str(path), "--strict"]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == EXIT_PASS
+        # audit's verdict is its residuals'; no premise refuses it and no warning stops it
+        assert main(["audit", "--config", str(path), "--out", str(tmp_path / "audit")]) != EXIT_ERROR
+    assert len((tmp_path / "audit" / "audit.csv").read_text().splitlines()) == 1 + BASE["T"]
+    assert main(["run", "--config", str(path), "--strict"]) == EXIT_ERROR
+    assert "unrecognized arguments: --strict" in capsys.readouterr().err
+    # minimax certifies the premise per trial, and none holds it
+    assert main(["minimax", "--config", str(path), "--out", str(tmp_path / "minimax")]) == EXIT_ASSERTION
+    rows = (tmp_path / "minimax" / "minimax.csv").read_text().splitlines()[1:]
+    assert len(rows) == BASE["n_trials"] and all(row.endswith(",false") for row in rows)
 
 
 def _assert_refused(sub, mapping, reason, tmp_path, caplog):

@@ -14,7 +14,6 @@ from mirrorkit import (
     RobbinsMonro,
     SeparableQ,
     SquaredL2,
-    StabilityWarning,
     convexity_margin,
     iterate,
     persistent_excitation,
@@ -30,8 +29,7 @@ from conftest import all_losses, all_potentials, random_in_domain
 
 def _one_step(p, l, w, x, y, eta, algorithm="smd"):
     """w_1 of `iterate` run for one step (T = 1) from w on the observation (x, y)."""
-    traj = iterate(p, l, Linear(), np.asarray(x)[None], np.array([y]), Constant(eta), w,
-                   algorithm=algorithm, check_margin=False)
+    traj = iterate(p, l, Linear(), np.asarray(x)[None], np.array([y]), Constant(eta), w, algorithm=algorithm)
     return traj.final
 
 
@@ -91,7 +89,7 @@ def test_mirror_domain_additivity(rng):
         X = gaussian_inputs(3, 25, stream)
         w_true = random_in_domain(p, rng)
         Y = X @ w_true + 0.1 * rng.normal(size=25)
-        traj = iterate(p, l, Linear(), X, Y, Constant(0.05), random_in_domain(p, rng), check_margin=False)
+        traj = iterate(p, l, Linear(), X, Y, Constant(0.05), random_in_domain(p, rng))
         for i, (x, y) in enumerate(zip(X, Y), 1):
             w_prev = traj.path[i - 1]
             w_next = traj.iterates[i - 1]
@@ -109,7 +107,7 @@ def test_sgd_equivalence_bitwise(rng):
     Y = X @ w_true + 0.2 * rng.normal(size=100)
     w0 = np.asarray(rng.normal(size=4))
     for l in (Quadratic(), LogCosh()):  # the quartic diverges on these inputs
-        smd = iterate(SquaredL2(4), l, Linear(), X, Y, Constant(0.05), w0, check_margin=False)
+        smd = iterate(SquaredL2(4), l, Linear(), X, Y, Constant(0.05), w0)
         w = w0
         for x, y, w_smd in zip(X, Y, smd.iterates):
             w = w + 0.05 * l.deriv(y - x @ w) * x
@@ -122,7 +120,7 @@ def test_positive_orthant_preserved(rng):
     X = gaussian_inputs(3, 200, stream)
     w_true = np.abs(rng.normal(size=3)) + 0.3
     Y = X @ w_true + 0.3 * rng.normal(size=200)
-    traj = iterate(p, Quadratic(), Linear(), X, Y, Constant(0.05), np.ones(3), check_margin=False)
+    traj = iterate(p, Quadratic(), Linear(), X, Y, Constant(0.05), np.ones(3))
     for w in traj.iterates:
         assert np.all(w > 0)
 
@@ -146,7 +144,7 @@ def test_configured_run_is_iterate_on_its_problem():
     expected = iterate(NegEntropy(3), Quadratic(), Linear(), problem.X, problem.Y, Constant(0.05), np.ones(3))
     np.testing.assert_array_equal(traj.path, expected.path)
     problems = generate_problems(cfg, 3)
-    batch = _iterate(cfg, problems, check_margin=False)
+    batch = _iterate(cfg, problems)
     assert batch.path.shape == (3, 21, 3)
     np.testing.assert_array_equal(batch.Y, problems.Y)
 
@@ -167,14 +165,12 @@ def test_domain_error_reports_step_index():
     p = NegEntropy(1)
     # a huge negative mirror shift underflows exp to exactly 0, leaving the domain
     with pytest.raises(DomainError, match="step 1"):
-        iterate(p, Quadratic(), Linear(), [[1.0]], [-50.0], Constant(50.0), np.array([1e-3]),
-                check_margin=False)
+        iterate(p, Quadratic(), Linear(), [[1.0]], [-50.0], Constant(50.0), np.array([1e-3]))
     # a batch names the first step at which any trial left: trial 1 leaves
     # at step 3, trial 0 at step 2, and trial 2 stays inside
     X = np.array([[[0.0], [1.0], [0.0]], [[0.0], [0.0], [1.0]], [[0.0], [0.0], [0.0]]])
     with pytest.raises(DomainError, match="step 2"):
-        iterate(p, Quadratic(), Linear(), X, np.full((3, 3), -50.0), Constant(50.0), np.array([1e-3]),
-                check_margin=False)
+        iterate(p, Quadratic(), Linear(), X, np.full((3, 3), -50.0), Constant(50.0), np.array([1e-3]))
 
 
 @pytest.mark.parametrize("X, Y", [
@@ -193,7 +189,7 @@ def test_domain_error_reports_step_index():
 ])
 def test_iterate_rejects_bad_observations(X, Y):
     with pytest.raises(ValueError):
-        iterate(SquaredL2(2), Quadratic(), Linear(), X, Y, Constant(0.1), np.zeros(2), check_margin=False)
+        iterate(SquaredL2(2), Quadratic(), Linear(), X, Y, Constant(0.1), np.zeros(2))
 
 
 def test_mirror_steps_per_trial_rows_equal_row_loop(rng):
@@ -207,15 +203,6 @@ def test_mirror_steps_per_trial_rows_equal_row_loop(rng):
                 alone = mirror_steps(p, W[t], x if x.ndim == 2 else x[:, t], S[:, t], [0.05] * 4, shift)
                 for W1, w in zip(batch, alone):
                     assert np.array_equal(W1[t], w)
-
-
-def test_stability_warning_emitted():
-    with pytest.warns(StabilityWarning):
-        iterate(SquaredL2(1), Quadratic(), Linear(), [[2.0]], [1.0], Constant(1.0), np.zeros(1))
-    # a batch names the first step at which any trial's premise fails
-    with pytest.warns(StabilityWarning, match="step 2"):
-        iterate(SquaredL2(1), Quadratic(), Linear(), [[[0.5], [0.5]], [[0.5], [2.0]]], np.ones((2, 2)),
-                Constant(1.0), np.zeros(1))
 
 
 def test_ssmd_requires_linear():

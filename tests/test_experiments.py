@@ -365,7 +365,7 @@ def test_batched_trial_draws_equal_per_trial_draws(kind, loss, dim, T):
 
 def test_exponent_probe_grows():
     cfg = _gaussian_cfg(T=50, n_trials=2000)
-    curve = exponent_blowup_probe(cfg, alpha=1.0, checkpoints=(10, 30, 50))
+    curve = exponent_blowup_probe(cfg, checkpoints=(10, 30, 50))
     assert [t for t, _, _ in curve] == [10, 30, 50]
     assert curve[-1][1] > 10.0 * curve[0][1]
 
@@ -507,7 +507,7 @@ def test_msq_vectorized_matches_engine():
     v = np.asarray(rng.normal(120))
     schedule = RobbinsMonro(0.5)
     marks, snaps = _msq_runs(p, l, X, [(X @ w_true + v)[:, None]], [schedule], np.ones(3))
-    traj = iterate(p, l, Linear(), X, X @ w_true + v, schedule, np.ones(3), check_margin=False)
+    traj = iterate(p, l, Linear(), X, X @ w_true + v, schedule, np.ones(3))
     np.testing.assert_allclose(snaps[120][0, 0], traj.iterates[-1], rtol=1e-12, atol=1e-14)
 
 
@@ -539,7 +539,7 @@ def test_engines_share_one_mirror_update_bitwise():
             w, steps, *_ = run_interpolating_descent(p, l, rows, y, w0, eta, feas_tol=tol, step_cap=1_000_000)
             assert steps > 2 * len(rows)
             X, Y = rows[np.arange(steps) % len(rows)], y[np.arange(steps) % len(rows)]
-            traj = iterate(p, l, Linear(), X, Y, Constant(eta), w0, check_margin=False)
+            traj = iterate(p, l, Linear(), X, Y, Constant(eta), w0)
             assert np.array_equal(traj.final, w)
             marks, snaps = _msq_runs(p, l, X, [Y[:, None]], [Constant(eta)], w0)
             for t in marks:
@@ -615,7 +615,7 @@ def test_msq_block_maps_match_the_sequential_recursion(T, n_schedules, n_runs):
     assert marks == sorted({c for c in (100, 1000) if c <= T} | {T})
     rows = np.broadcast_to(X, (n_runs, T, 3))
     for b, schedule in enumerate(schedules):
-        traj = iterate(p, l, Linear(), rows, Y.T, schedule, w0, check_margin=False)
+        traj = iterate(p, l, Linear(), rows, Y.T, schedule, w0)
         for t in marks:
             assert snaps[t].shape == (n_schedules, n_runs, 3)
             np.testing.assert_allclose(snaps[t][b], traj.path[:, t], rtol=1e-12, atol=0)
