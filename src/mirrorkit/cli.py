@@ -1,14 +1,15 @@
 """Command-line driver: parse a config, run one pipeline, emit CSV artifacts.
 
-Each subcommand returns a `Verdict` whose code is the exit code: 0 when the
-assertions pass, 2 when a numeric assertion fails. A configuration or runtime
-error exits 1 and writes nothing. CSV output is byte-stable: fixed column
-order, 17-significant-digit floats, LF endings.
+Each subcommand returns a `Verdict`: its CSVs and the `Check`s its claim
+rests on. The exit code is 0 when every check holds and 2 when one fails; a
+configuration or runtime error exits 1 and writes nothing. CSV output is
+byte-stable: fixed column order, 17-significant-digit floats, LF endings.
 """
 
 import argparse
 import functools
 import logging
+import operator
 import sys
 from dataclasses import dataclass, field
 from itertools import chain
@@ -45,13 +46,11 @@ _BOOL_TEXT = {True: "true", False: "false"}
 
 
 def _fmt(value):
-    if type(value) is float:
-        return format(value, ".17g")
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, float) or isinstance(value, np.floating):
+    if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
     return str(value)
 
@@ -92,32 +91,47 @@ def write_csv(path, header, rows):
     log.info("wrote %s (%d rows)", path, len(rows))
 
 
+def _g(value):
+    """`value` with 17 significant digits; an array as a bracketed list."""
+    value = np.asarray(value, dtype=float)
+    text = ", ".join(format(v, ".17g") for v in value.ravel().tolist())
+    return text if value.ndim == 0 else f"[{text}]"
+
+
+@dataclass(frozen=True)
+class Check:
+    """One comparison a verdict rests on, `value relation bound`, elementwise
+    when either side is an array and decided once; a NaN on either side fails it."""
+
+    name: str
+    value: object
+    bound: object
+    relation: str
+
+    @functools.cached_property
+    def holds(self):
+        compare = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}[self.relation]
+        return bool(compare(np.asarray(self.value), np.asarray(self.bound)).all())
+
+    def __str__(self):
+        return f"{self.name}: {_g(self.value)} {self.relation} {_g(self.bound)}"
+
+
 @dataclass
 class Verdict:
-    """A subcommand's exit code, the reason it failed, and the CSVs it
-    writes, as {file name: (header, rows)}."""
+    """The CSVs a subcommand writes, as {file name: (header, rows)}, and the checks
+    its claim rests on; it exits 2, naming the first that fails, unless all hold."""
 
-    code: int
-    reason: str
     artifacts: dict = field(repr=False)
+    checks: list
 
+    @property
+    def code(self):
+        return EXIT_PASS if all(c.holds for c in self.checks) else EXIT_ASSERTION
 
-def _verdict(artifacts, *checks):
-    """Exit 2 with the reason of the first failing (holds, reason) check, or pass."""
-    for holds, reason in checks:
-        if not holds:
-            return Verdict(EXIT_ASSERTION, reason, artifacts)
-    return Verdict(EXIT_PASS, "", artifacts)
-
-
-def _within(values, bounds):
-    """Every value at most its bound; a NaN on either side fails."""
-    return bool(np.all(np.asarray(values) <= np.asarray(bounds)))
-
-
-def _below(values, bounds):
-    """Every value below its bound; a NaN on either side fails."""
-    return bool(np.all(np.asarray(values) < np.asarray(bounds)))
+    @property
+    def reason(self):
+        return next((f"{c} fails" for c in self.checks if not c.holds), "")
 
 
 def _iterate(cfg, problem):
@@ -130,7 +144,7 @@ def _cmd_run(cfg):
     traj = _iterate(cfg, generate_problem(cfg))
     header = ["step"] + [f"w{j}" for j in range(cfg.dim)]
     rows = [[i] + list(w) for i, w in enumerate(traj.path)]
-    return _verdict({"trajectory.csv": (header, rows)})
+    return Verdict({"trajectory.csv": (header, rows)}, [])
 
 
 def _cmd_audit(cfg):
@@ -142,10 +156,9 @@ def _cmd_audit(cfg):
     # d_loss_bregman, e_term, loss_noise, local_residual
     columns = [c.tolist() for c in vars(terms).values()]
     tol = cfg.tolerances["identity_rtol"]
-    worst = terms.local_residual.max()
-    log.info("audit: worst local residual %.3e, global residual %.3e", worst, global_residual)
-    return _verdict({"audit.csv": (list(vars(terms)), list(zip(*columns)))},
-                    (_within([worst, global_residual], tol), f"conservation-law residuals exceed {tol:.1e}"))
+    return Verdict({"audit.csv": (list(vars(terms)), list(zip(*columns)))},
+                   [Check("worst local residual", terms.local_residual.max(), tol, "<="),
+                    Check("global residual", global_residual, tol, "<=")])
 
 
 def _cmd_minimax(cfg):
@@ -155,66 +168,52 @@ def _cmd_minimax(cfg):
     report = audit_mod.energy_gain(traj, problems.w_true, problems.noises)
     certified = report.premise_certified
     ratios = report.ratio[certified]
-    nonfinite = np.count_nonzero(~np.isfinite(ratios))
-    slack = cfg.tolerances["minimax_slack"]
-    log.info("minimax: %d/%d trials premise-certified", certified.sum(), cfg.n_trials)
+    header = ["trial", "numerator", "denominator", "ratio", "premise_certified"]
     rows = list(zip(range(cfg.n_trials), report.numerator.tolist(), report.denominator.tolist(),
                     report.ratio.tolist(), certified.tolist()))
-    return _verdict(
-        {"minimax.csv": (["trial", "numerator", "denominator", "ratio", "premise_certified"], rows)},
-        (certified.any(), "no trial is premise-certified, so the bound was not tested"),
-        (nonfinite == 0, f"{nonfinite} certified trials have a non-finite ratio"),
-        (_within(ratios, 1.0 + slack), f"a certified ratio exceeds 1 + {slack:g}"),
-    )
+    bound = 1.0 + cfg.tolerances["minimax_slack"]
+    return Verdict({"minimax.csv": (header, rows)},
+                   [Check(f"certified trials of {cfg.n_trials}", np.count_nonzero(certified), 1, ">="),
+                    Check("non-finite certified ratios", np.count_nonzero(~np.isfinite(ratios)), 0, "<="),
+                    Check("largest certified ratio", np.max(ratios, initial=-np.inf), bound, "<=")])
 
 
 def _cmd_risk(cfg):
     report = exp_mod.risk_compare(cfg)
     rows = [[e.name, e.mc_cost, e.ci_low, e.ci_high, e.n_trials] for e in report.entries]
     smd = report.entry("smd")
-    # the symmetric rule (own cost exponent) is reported descriptively,
-    # never asserted against
+    # ssmd, scored under its own cost exponent, is reported, never compared against
     baselines = [e for e in report.entries if e.name not in ("smd", "ssmd")]
     costs = [e.mc_cost for e in baselines]
     # np.argmax takes the first NaN, where max() would depend on the order
     worst = baselines[int(np.argmax(costs))]
-    return _verdict(
-        {"risk.csv": (["estimator", "mc_cost", "ci_low", "ci_high", "n_trials"], rows)},
-        (_within(smd.mc_cost, costs), "smd cost is not minimal among the baselines"),
-        (_below(smd.ci_high, worst.ci_low), "smd interval overlaps the worst baseline's"),
-    )
+    return Verdict({"risk.csv": (["estimator", "mc_cost", "ci_low", "ci_high", "n_trials"], rows)},
+                   [Check("smd mc_cost against the least baseline mc_cost", smd.mc_cost, np.min(costs), "<="),
+                    Check(f"smd ci_high against the {worst.name} ci_low", smd.ci_high, worst.ci_low, "<")])
 
 
 def _cmd_implicit(cfg):
     reports = exp_mod.implicit_reg_experiment(cfg)
     gap_tol = cfg.tolerances["gap_squared_l2" if cfg.potential["kind"] == "squared_l2" else "gap_general"]
-    kkt_tol = cfg.tolerances["kkt_tol"]
     rows = [[f"case{k}", r.gap, r.feasibility, r.kkt_residual] for k, r in enumerate(reports)]
-    return _verdict(
-        {"implicit.csv": (["case", "gap", "feasibility", "kkt_residual"], rows)},
-        (_within([r.gap for r in reports], gap_tol), f"a gap to the oracle exceeds {gap_tol:g}"),
-        (_within([r.kkt_residual for r in reports], kkt_tol), f"an oracle KKT residual exceeds {kkt_tol:g}"),
-    )
+    return Verdict({"implicit.csv": (["case", "gap", "feasibility", "kkt_residual"], rows)},
+                   [Check("largest gap to the oracle", np.max([r.gap for r in reports]), gap_tol, "<="),
+                    Check("largest oracle KKT residual", np.max([r.kkt_residual for r in reports]),
+                          cfg.tolerances["kkt_tol"], "<=")])
 
 
 def _cmd_converge(cfg):
     report = exp_mod.msq_convergence(cfg)
     errors = [mse for _, mse in report.checkpoints]
     nonfinite = [t for t, mse in report.checkpoints if not np.isfinite(mse)]
-    log.info("converge: checkpoints %s", report.checkpoints)
-    plateau = np.inf
+    checks = [Check(f"non-finite checkpoints {nonfinite}", len(nonfinite), 0, "<="),
+              Check("mean-square error against the previous checkpoint's", errors[1:], errors[:-1], "<"),
+              Check("last mean-square error against a tenth of the first", errors[-1], 0.1 * errors[0], "<=")]
     if report.control is not None:
-        log.info("converge: constant-rate control %s", report.control)
         plateau = report.control[-1][1]
-    return _verdict(
-        {"converge.csv": (["checkpoint_T", "mean_sq_error"], report.checkpoints)},
-        (not nonfinite, f"mean-square error is not finite at checkpoints {nonfinite}"),
-        (_below(errors[1:], errors[:-1]) and _within(errors[-1], 0.1 * errors[0]),
-         "mean-square error did not decay by 10x"),
-        (report.control is None or np.isfinite(plateau),
-         "the constant-rate control is not finite, so the plateau comparison was not tested"),
-        (_below(errors[-1], plateau), "the vanishing-rate error is not below the plateau"),
-    )
+        checks += [Check("constant-rate plateau", plateau, np.inf, "<"),
+                   Check("last mean-square error against the plateau", errors[-1], plateau, "<")]
+    return Verdict({"converge.csv": (["checkpoint_T", "mean_sq_error"], report.checkpoints)}, checks)
 
 
 def _cmd_sample_check(cfg):
@@ -226,24 +225,22 @@ def _cmd_sample_check(cfg):
     rows = [["mirror_mean", p.kind, l.kind, j, est, target, sigma, abs(est - target) <= sigma]
             for j, (est, target, sigma) in enumerate(zip(report.mc_estimate, report.target,
                                                          report.sigma_bound))]
+    mirror_check = Check("mirror mean's distance from its target", np.abs(report.mc_estimate - report.target),
+                         report.sigma_bound, "<=")
     noise = np.asarray(sample_noise(l, RngStream(cfg.seed, STREAM_TRIAL_BASE + 1), size=n))
     mean = float(noise.mean())
     bound = 3.0 * float(noise.std(ddof=1)) / np.sqrt(n)
-    noise_ok = abs(mean) <= bound
-    rows.append(["noise_mean", p.kind, l.kind, 0, mean, 0.0, bound, noise_ok])
-
+    noise_check = Check("noise mean's distance from 0", abs(mean), bound, "<=")
+    rows.append(["noise_mean", p.kind, l.kind, 0, mean, 0.0, bound, noise_check.holds])
     tab = np.asarray(sample_weight(spec, RngStream(cfg.seed, STREAM_TRIAL_BASE + 2),
                                    size=n, force_tabulated=True))[:, 0]
     short = np.asarray(sample_weight(spec, RngStream(cfg.seed, STREAM_TRIAL_BASE + 3), size=n))[:, 0]
     ks_stat, ks_pvalue = ks_two_sample(tab, short)
-    ks_ok = bool(ks_pvalue > 0.01)
+    ks_check = Check("KS p-value of the tabulated against the direct sampler", ks_pvalue, 0.01, ">")
     rows.append(["ks_tabulated_vs_short_circuit", p.kind, l.kind, 0,
-                 ks_stat, 0.0, ks_pvalue, ks_ok])
+                 ks_stat, 0.0, ks_pvalue, ks_check.holds])
     header = ["check", "potential", "loss", "coordinate", "mc_estimate", "target", "sigma_bound", "pass"]
-    return _verdict({"sample_check.csv": (header, rows)},
-                    (report.passed, "the mirror mean misses its target by more than 3 sigma"),
-                    (noise_ok, "the noise mean misses 0 by more than 3 sigma"),
-                    (ks_ok, "the KS p-value of the tabulated against the direct sampler is at most 0.01"))
+    return Verdict({"sample_check.csv": (header, rows)}, [mirror_check, noise_check, ks_check])
 
 
 _HANDLERS = {
@@ -259,11 +256,13 @@ SUBCOMMANDS = tuple(_HANDLERS)
 
 
 def dispatch(cfg, subcommand):
-    """Run one subcommand, write its CSVs and log why it failed, if it did;
-    returns its Verdict."""
+    """Run one subcommand, log its checks, write its CSVs and log why it
+    failed, if it did; returns its Verdict."""
     if subcommand not in _HANDLERS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
     verdict = _HANDLERS[subcommand](cfg)
+    log.info("%s checks: %s", subcommand,
+             "; ".join(f"{c} {'holds' if c.holds else 'fails'}" for c in verdict.checks) or "none")
     for name, (header, rows) in verdict.artifacts.items():
         path = Path(cfg.output_dir) / name
         try:
@@ -299,10 +298,9 @@ def main(argv=None):
         # assertion; --help exits 0
         return EXIT_ERROR if e.code else EXIT_PASS
 
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # basicConfig is a no-op once the root logger has a handler: set the level on every call
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(logging.DEBUG if args.verbose else logging.INFO)
     try:
         cfg = parse_config(args.config).with_overrides(seed=args.seed, output_dir=args.out)
         return dispatch(cfg, args.subcommand).code

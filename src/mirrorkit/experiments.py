@@ -254,8 +254,6 @@ def risk_compare(cfg):
     cis = bootstrap_basic_ci(np.stack([c for *_, c in runs]), RngStream(cfg.seed, STREAM_BOOTSTRAP))
     entries = [EstimatorCost(name, float(costs.mean()), lo, hi, cfg.n_trials, mode, costs)
                for (name, mode, costs), (lo, hi) in zip(runs, cis)]
-    for e in entries:
-        log.info("estimator %-18s mc_cost=%.6f ci=[%.6f, %.6f]", e.name, e.mc_cost, e.ci_low, e.ci_high)
     return RiskReport(entries=entries)
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import sympy
@@ -362,3 +364,19 @@ def test_local_identity_softplus_link(rng):
             p, l, m, w_ref, traj.path[i - 1], traj.iterates[i - 1], x, y, 0.05, step=i
         )
         assert rec.local_residual <= 1e-9
+
+
+def test_audit_fails_a_nudged_iterate():
+    # a 1e-5 relative nudge of w_25 breaks the identity at steps 25 and 26
+    # and in the telescoped balance, each well above the tolerance
+    from mirrorkit.cli import _iterate, generate_problem
+    from mirrorkit.config import parse_config
+
+    cfg = parse_config(Path(__file__).resolve().parent.parent / "configs" / "audit.json")
+    problem = generate_problem(cfg)
+    traj = _iterate(cfg, problem)
+    traj.path[25] *= 1 + 1e-5
+    terms, global_residual = audit_trajectory(traj, problem.w_true, noises=problem.noises)
+    tol = cfg.tolerances["identity_rtol"]
+    assert terms.local_residual.max() > tol
+    assert global_residual > tol

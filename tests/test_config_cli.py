@@ -13,12 +13,14 @@ import pytest
 
 from mirrorkit import ConfigError, ParseError, ValidationError, exponent_blowup_probe, parse_config
 from mirrorkit.audit import audit_trajectory as _audit_trajectory
+from mirrorkit.audit import energy_gain as _energy_gain
 from mirrorkit.cli import (
     CSV_CHUNK_ROWS,
     EXIT_ASSERTION,
     EXIT_ERROR,
     EXIT_PASS,
     SUBCOMMANDS,
+    Check,
     _fmt,
     dispatch,
     main,
@@ -326,8 +328,10 @@ def test_a_failing_premise_is_certified_by_the_claim_not_the_run(tmp_path, capsy
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == EXIT_PASS
-        # audit's verdict is its residuals'; no premise refuses it and no warning stops it
-        assert main(["audit", "--config", str(path), "--out", str(tmp_path / "audit")]) != EXIT_ERROR
+        # audit's verdict is its residuals'; no premise refuses it and no warning stops it.
+        # The iterates reach 1.8e20 by T 15, and the right-hand terms of the global
+        # balance cancel far above 1 + |lhs|; scaled by their magnitudes, it holds
+        assert main(["audit", "--config", str(path), "--out", str(tmp_path / "audit")]) == EXIT_PASS
     assert len((tmp_path / "audit" / "audit.csv").read_text().splitlines()) == 1 + BASE["T"]
     assert main(["run", "--config", str(path), "--strict"]) == EXIT_ERROR
     assert "unrecognized arguments: --strict" in capsys.readouterr().err
@@ -423,7 +427,7 @@ def test_minimax_fails_closed_when_no_trial_is_certified(tmp_path, caplog):
     )
     with caplog.at_level(logging.INFO, logger="mirrorkit"):
         assert dispatch(cfg, "minimax").code == EXIT_ASSERTION
-    assert any("0/50 trials premise-certified" in r.message for r in caplog.records)
+    assert any("certified trials of 50: 0 >= 1 fails" in r.message for r in caplog.records)
     assert any(r.levelno == logging.ERROR for r in caplog.records)
 
 
@@ -439,7 +443,8 @@ def test_minimax_fails_on_a_nan_ratio(tmp_path, caplog):
         assert dispatch(cfg, "minimax").code == EXIT_ASSERTION
     rows = (tmp_path / "minimax.csv").read_text().splitlines()[1:]
     assert any(row.endswith(",nan,true") for row in rows)
-    assert any("certified trials have a non-finite ratio" in r.message for r in caplog.records)
+    assert any(r.levelno == logging.ERROR and "non-finite certified ratios: " in r.message
+               and r.message.endswith(" <= 0 fails") for r in caplog.records)
 
 
 def test_nan_ratio_raises_no_runtime_warning(tmp_path):
@@ -480,36 +485,94 @@ def _risk_report(smd_ci_high=1.1, second_baseline_cost=3.0):
     return lambda cfg: report
 
 
-def _msq_report(cfg):
+def _energy_gain_with(certified, last_ratio=None):
+    def fake(traj, w, noises=None):
+        report = _energy_gain(traj, w, noises)
+        report.premise_certified[:] = certified
+        if last_ratio is not None:
+            report.ratio[-1] = last_ratio
+        return report
+
+    return fake
+
+
+def _msq_report(errors, control=None):
+    """Errors 1.0 and then `errors` at checkpoints 100, 1000, ...; a control
+    that ends on `control`."""
     from mirrorkit.experiments import MsqReport
 
-    return MsqReport(checkpoints=[(100, 1.0), (1000, float("nan"))])
+    checkpoints = list(zip([100, 1000, 10_000], [1.0, *errors]))
+    return lambda cfg: MsqReport(checkpoints, None if control is None else [(100, 1.0), (1000, control)])
 
 
+def _mirror_mean_report(spec, n, rng):
+    from mirrorkit.samplers import MirrorMeanReport
+
+    return MirrorMeanReport(np.array([np.nan]), np.array([0.0]), np.array([0.1]), False)
+
+
+NAN = float("nan")
+
+
+# one case per check of every subcommand, each failing that check first; the
+# reason names the check, its value and its bound
 @pytest.mark.parametrize("sub, target, name, fake, reason", [
-    ("audit", "audit", "audit_trajectory", _with_nan_local_residual, "conservation-law residuals exceed"),
-    ("audit", "audit", "audit_trajectory", _with_nan_global_residual, "conservation-law residuals exceed"),
-    ("implicit", "experiments", "implicit_reg_experiment", _implicit_reports(float("nan"), 0.0),
-     "a gap to the oracle exceeds"),
-    ("implicit", "experiments", "implicit_reg_experiment", _implicit_reports(0.0, float("nan")),
-     "an oracle KKT residual exceeds"),
-    ("risk", "experiments", "risk_compare", _risk_report(smd_ci_high=float("nan")),
-     "smd interval overlaps the worst baseline's"),
-    ("risk", "experiments", "risk_compare", _risk_report(second_baseline_cost=float("nan")),
-     "smd cost is not minimal among the baselines"),
-    ("converge", "experiments", "msq_convergence", _msq_report,
-     "mean-square error is not finite at checkpoints [1000]"),
-], ids=["audit_local_residual", "audit_global_residual", "implicit_gap", "implicit_kkt_residual",
-        "risk_smd_ci_high", "risk_later_baseline_cost", "converge_last_checkpoint"])
+    ("audit", "audit", "audit_trajectory", _with_nan_local_residual,
+     "worst local residual: nan <= 1e-08 fails"),
+    ("audit", "audit", "audit_trajectory", _with_nan_global_residual,
+     "global residual: nan <= 1e-08 fails"),
+    ("minimax", "audit", "energy_gain", _energy_gain_with(False),
+     "certified trials of 20: 0 >= 1 fails"),
+    ("minimax", "audit", "energy_gain", _energy_gain_with(True, NAN),
+     "non-finite certified ratios: 1 <= 0 fails"),
+    ("minimax", "audit", "energy_gain", _energy_gain_with(True, 2.0),
+     "largest certified ratio: 2 <= 1.0000000010000001 fails"),
+    ("risk", "experiments", "risk_compare", _risk_report(second_baseline_cost=NAN),
+     "smd mc_cost against the least baseline mc_cost: 1 <= nan fails"),
+    ("risk", "experiments", "risk_compare", _risk_report(smd_ci_high=NAN),
+     "smd ci_high against the scaled_smd(2) ci_low: nan < 2.7999999999999998 fails"),
+    ("implicit", "experiments", "implicit_reg_experiment", _implicit_reports(NAN, 0.0),
+     "largest gap to the oracle: nan <= 9.9999999999999995e-07 fails"),
+    ("implicit", "experiments", "implicit_reg_experiment", _implicit_reports(0.0, NAN),
+     "largest oracle KKT residual: nan <= 1e-10 fails"),
+    ("converge", "experiments", "msq_convergence", _msq_report([NAN]),
+     "non-finite checkpoints [1000]: 1 <= 0 fails"),
+    ("converge", "experiments", "msq_convergence", _msq_report([2.0, 0.05]),
+     "mean-square error against the previous checkpoint's: [2, 0.050000000000000003] < [1, 2] fails"),
+    ("converge", "experiments", "msq_convergence", _msq_report([0.5]),
+     "last mean-square error against a tenth of the first: 0.5 <= 0.10000000000000001 fails"),
+    ("converge", "experiments", "msq_convergence", _msq_report([0.05], control=NAN),
+     "constant-rate plateau: nan < inf fails"),
+    ("converge", "experiments", "msq_convergence", _msq_report([0.05], control=0.01),
+     "last mean-square error against the plateau: 0.050000000000000003 < 0.01 fails"),
+    ("sample-check", "cli", "mirror_mean_check", _mirror_mean_report,
+     "mirror mean's distance from its target: [nan] <= [0.10000000000000001] fails"),
+    ("sample-check", "cli", "sample_noise", lambda l, rng, size: np.full(size, NAN),
+     "noise mean's distance from 0: nan <= nan fails"),
+    ("sample-check", "cli", "ks_two_sample", lambda a, b: (NAN, NAN),
+     "KS p-value of the tabulated against the direct sampler: nan > 0.01 fails"),
+], ids=["audit_local_residual", "audit_global_residual", "minimax_none_certified", "minimax_nan_ratio",
+        "minimax_ratio_bound", "risk_later_baseline_cost", "risk_smd_ci_high", "implicit_gap",
+        "implicit_kkt_residual", "converge_last_checkpoint", "converge_rise", "converge_decay",
+        "converge_control", "converge_plateau", "sample_check_mirror_mean", "sample_check_noise_mean",
+        "sample_check_ks"])
 def test_a_nan_fails_every_verdict(sub, target, name, fake, reason, tmp_path, monkeypatch, caplog):
-    from mirrorkit import audit, experiments
+    from mirrorkit import audit, cli, experiments
 
-    monkeypatch.setattr({"audit": audit, "experiments": experiments}[target], name, fake)
+    monkeypatch.setattr({"audit": audit, "experiments": experiments, "cli": cli}[target], name, fake)
     with caplog.at_level(logging.ERROR, logger="mirrorkit"):
         verdict = dispatch(_cfg_for(sub, tmp_path), sub)
     assert verdict.code == EXIT_ASSERTION
-    assert reason in verdict.reason
-    assert [r.message for r in caplog.records] == [f"{sub}: {verdict.reason}"]
+    assert verdict.reason == reason
+    assert [r.message for r in caplog.records] == [f"{sub}: {reason}"]
+
+
+@pytest.mark.parametrize("relation", ["<=", "<", ">=", ">"])
+def test_a_nan_on_either_side_fails_a_check(relation):
+    bound = 2.0 if relation.startswith("<") else 0.0
+    assert Check("c", [1.0, 1.0], bound, relation).holds
+    assert not Check("c", [1.0, NAN], bound, relation).holds
+    assert not Check("c", 1.0, NAN, relation).holds
 
 
 @pytest.mark.parametrize("field", ["mc_cost", "ci_low"])
@@ -682,8 +745,8 @@ def test_converge_fails_closed_when_the_control_diverges(tmp_path, caplog):
     path = _write(tmp_path, mapping)
     with caplog.at_level(logging.INFO, logger="mirrorkit"), np.errstate(all="ignore"):
         assert main(["converge", "--config", str(path)]) == EXIT_ASSERTION
-    assert any(r.levelno == logging.ERROR and "plateau comparison was not tested" in r.message
-               for r in caplog.records)
+    assert any(r.levelno == logging.ERROR and "constant-rate plateau: " in r.message
+               and r.message.endswith(" < inf fails") for r in caplog.records)
 
 
 def test_converge_names_its_non_finite_checkpoints(tmp_path):
@@ -698,7 +761,7 @@ def test_converge_names_its_non_finite_checkpoints(tmp_path):
         warnings.simplefilter("error", RuntimeWarning)
         verdict = dispatch(cfg, "converge")
     assert verdict.code == EXIT_ASSERTION
-    assert verdict.reason == "mean-square error is not finite at checkpoints [100, 300]"
+    assert verdict.reason == "non-finite checkpoints [100, 300]: 2 <= 0 fails"
 
 
 @pytest.mark.parametrize("sub", ["audit", "implicit", "minimax"])
@@ -735,3 +798,34 @@ def test_implicit_rejects_noisy_data(tmp_path, caplog):
 ])
 def test_usage_errors_exit_1_and_help_exits_0(argv, code, capsys):
     assert main(argv) == code
+
+
+def test_verbose_applies_to_every_call_in_a_process(tmp_path, monkeypatch, caplog):
+    # logging.basicConfig configures only the first call of a process, so
+    # `main` sets the level of the package's logger on every call; the
+    # sampler tables are rebuilt per call, each logging one DEBUG line
+    from mirrorkit import samplers
+
+    argv = ["sample-check", "--config", str(ROOT / "configs" / "risk_logcosh_q3.json"), "--out", str(tmp_path)]
+    debug_lines = []
+    for flags in ([], ["-v"], []):
+        monkeypatch.setattr(samplers, "_PRIOR_TABLES", {})
+        monkeypatch.setattr(samplers, "_NOISE_TABLES", {})
+        caplog.clear()
+        assert main(argv + flags) == EXIT_PASS
+        debug_lines.append(sum(r.levelno == logging.DEBUG for r in caplog.records))
+    assert debug_lines[0] == debug_lines[2] == 0 < debug_lines[1]
+
+
+def test_a_run_logs_its_checks_in_one_record(tmp_path, caplog):
+    # the applied defaults, every check with its value, bound and outcome,
+    # and the CSV written: three records
+    argv = ["audit", "--config", str(ROOT / "configs" / "audit.json"), "--out", str(tmp_path)]
+    with caplog.at_level(logging.INFO, logger="mirrorkit"):
+        assert main(argv) == EXIT_PASS
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 3
+    assert messages[0].startswith("applied defaults: ")
+    assert re.fullmatch(r"audit checks: worst local residual: \S+ <= 1e-08 holds; "
+                        r"global residual: \S+ <= 1e-08 holds", messages[1])
+    assert messages[2].startswith("wrote ")

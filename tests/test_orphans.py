@@ -8,26 +8,29 @@ and are exempt. The test reads the sources with `ast` and imports nothing.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mirrorkit"
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
 
 
-def _references(tree, skip=None):
-    """Names and attribute names that `tree` refers to, outside the node `skip`."""
+def _references(tree):
+    """Names and attribute names that `tree` refers to."""
     found = set()
     stack = [tree]
     while stack:
         node = stack.pop()
-        if node is skip:
-            continue
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
         stack.extend(ast.iter_child_nodes(node))
     return found
+
+
+# each module's top-level nodes, each with the names it refers to, walked once
+TOP_LEVEL = {module: [(node, _references(node)) for node in tree.body] for module, tree in MODULES.items()}
 
 
 def _imported_from(module):
@@ -45,7 +48,7 @@ def test_every_module_level_import_is_used():
     for module, tree in MODULES.items():
         if module == "__init__":
             continue
-        used = _references(tree) | _imported_from(module)
+        used = set().union(*(refs for _, refs in TOP_LEVEL[module])) | _imported_from(module)
         for node in tree.body:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 for alias in node.names:
@@ -56,13 +59,13 @@ def test_every_module_level_import_is_used():
 
 
 def test_every_private_function_is_referenced():
+    # the number of top-level nodes in the package that refer to each name
+    referring = Counter(name for nodes in TOP_LEVEL.values() for _, refs in nodes for name in refs)
     orphans = []
-    for module, tree in MODULES.items():
-        for node in tree.body:
+    for module, nodes in TOP_LEVEL.items():
+        for node, refs in nodes:
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__"):
                 # references inside the function itself (recursion) do not count
-                seen = _references(tree, skip=node)
-                seen |= {name for other, t in MODULES.items() if other != module for name in _references(t)}
-                if node.name not in seen:
+                if referring[node.name] == (node.name in refs):
                     orphans.append(f"{module}.{node.name}")
     assert not orphans, f"private functions nothing in src/ refers to: {orphans}"
