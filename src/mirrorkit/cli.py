@@ -180,14 +180,14 @@ def _cmd_minimax(cfg):
 
 def _cmd_risk(cfg):
     report = exp_mod.risk_compare(cfg)
-    rows = [[e.name, e.mc_cost, e.ci_low, e.ci_high, e.n_trials] for e in report.entries]
+    rows = [[e.name, e.mc_cost, e.ci_low, e.ci_high, e.n_trials, e.ess] for e in report.entries]
     smd = report.entry("smd")
     # ssmd, scored under its own cost exponent, is reported, never compared against
     baselines = [e for e in report.entries if e.name not in ("smd", "ssmd")]
     costs = [e.mc_cost for e in baselines]
     # np.argmax takes the first NaN, where max() would depend on the order
     worst = baselines[int(np.argmax(costs))]
-    return Verdict({"risk.csv": (["estimator", "mc_cost", "ci_low", "ci_high", "n_trials"], rows)},
+    return Verdict({"risk.csv": (["estimator", "mc_cost", "ci_low", "ci_high", "n_trials", "ess"], rows)},
                    [Check("smd mc_cost against the least baseline mc_cost", smd.mc_cost, np.min(costs), "<="),
                     Check(f"smd ci_high against the {worst.name} ci_low", smd.ci_high, worst.ci_low, "<")])
 
@@ -209,11 +209,14 @@ def _cmd_converge(cfg):
     checks = [Check(f"non-finite checkpoints {nonfinite}", len(nonfinite), 0, "<="),
               Check("mean-square error against the previous checkpoint's", errors[1:], errors[:-1], "<"),
               Check("last mean-square error against a tenth of the first", errors[-1], 0.1 * errors[0], "<=")]
+    header, rows = ["checkpoint_T", "mean_sq_error"], report.checkpoints
     if report.control is not None:
         plateau = report.control[-1][1]
         checks += [Check("constant-rate plateau", plateau, np.inf, "<"),
                    Check("last mean-square error against the plateau", errors[-1], plateau, "<")]
-    return Verdict({"converge.csv": (["checkpoint_T", "mean_sq_error"], report.checkpoints)}, checks)
+        header = header + ["control_mean_sq_error"]
+        rows = [(t, mse, control) for (t, mse), (_, control) in zip(rows, report.control)]
+    return Verdict({"converge.csv": (header, rows)}, checks)
 
 
 def _cmd_sample_check(cfg):

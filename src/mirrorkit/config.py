@@ -278,7 +278,7 @@ PREMISES = (
     # the symmetric rule is scored under its own cost, so it is no baseline
     (("risk",), lambda c: bool(set(map(estimator_name, c.estimators)) - {"smd", "ssmd"}),
      "needs a baseline under the smd cost (constant, or scaled_smd with gamma != 1); ssmd is descriptive"),
-    # one trial collapses every bootstrap interval to its point
+    # one trial has no spread: its interval would collapse to its point
     (("risk",), lambda c: c.n_trials >= 2, "needs at least 2 trials, got n_trials={n_trials}"),
     # with no step the residuals, the certificate and the bounds hold vacuously
     (("audit", "minimax", "risk", "implicit"), lambda c: c.T >= 1,

@@ -5,7 +5,8 @@ the same data from the same seed:
 
     0  inputs shared by the trials of risk, the blow-up probe and converge
     1  converge's planted weight
-    4  bootstrap resampling
+    4  resampling, read only by `experiments.bootstrap_basic_ci`, which
+       `risk` no longer calls (its intervals are in closed form)
     1000+t  trial t: row t of `trial_uniforms`
 
 Streams 0, 1 and 4 are PCG64 `RngStream`s; streams 2 and 3 are retired.

@@ -15,7 +15,6 @@ import numpy as np
 
 from .config import estimator_name, require
 from .datagen import (
-    STREAM_BOOTSTRAP,
     STREAM_WEIGHT,
     generate_problems,
     make_inputs,
@@ -46,6 +45,9 @@ BOOTSTRAP_RESAMPLES = 2000
 # dgemv sums rows in groups, and whole groups keep every row in the same
 # kind of group as in any larger block, so the intervals do not move.
 BOOTSTRAP_BLOCK_VALUES = 2**18
+# the standard normal's 0.975 quantile, NormalDist().inv_cdf(0.975), written
+# out so that no statistics import is paid for it
+Z_975 = 1.9599639845400536
 # The linear-quadratic convergence runs jump this many steps per block map;
 # it divides 100, so every fixed checkpoint (100, 1000, 10 000) ends a block.
 MAP_STEPS = 10
@@ -123,6 +125,7 @@ class EstimatorCost:
     n_trials: int
     mode: object = SMDCost()
     costs: np.ndarray = field(default=None, repr=False)
+    ess: float = float("nan")
 
 
 @dataclass
@@ -192,6 +195,52 @@ def bootstrap_basic_ci(values, rng, n_resamples=BOOTSTRAP_RESAMPLES, level=0.95)
     return cis if values.ndim == 2 else cis[0]
 
 
+def closed_form_basic_ci(values):
+    """The 95% basic bootstrap interval for the mean of `values` (n,), or one
+    per row of a stack (E, n), to second order and without resampling.
+
+    The bootstrap resamples the empirical distribution, whose mean m,
+    variance m2 and skewness gamma = m3 / m2^(3/2) have moments divided by n.
+    Its resample means have standard error se = sqrt(m2 / n), and the
+    Cornish-Fisher expansion puts their q-quantile at
+    m + se (z_q + gamma (z_q^2 - 1) / (6 sqrt(n))) (Hall, *The Bootstrap and
+    Edgeworth Expansion*, 1992). The reverse-percentile interval
+    [2m - q_0.975, 2m - q_0.025] is then [m - se (z + k), m + se (z - k)],
+    k = gamma (z^2 - 1) / (6 sqrt(n)). An empirical |gamma| is below
+    sqrt(n), so |k| < z and the interval always holds m. The moments are
+    taken of the deviations scaled by their largest, so they never overflow;
+    a row with a non-finite value gets a NaN interval, as the bootstrap's
+    2m - q is NaN there."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim > 2:
+        raise ValueError(f"values must be (n,) or (E, n), got shape {values.shape}")
+    rows = np.atleast_2d(values)
+    n = rows.shape[1]
+    if n < 2:
+        raise ValueError(f"values must hold at least 2 values per row, got {n}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = rows.mean(axis=1)
+        d = rows - m[:, None]
+        scale = np.abs(d).max(axis=1)
+        u = d / np.where(scale > 0.0, scale, 1.0)[:, None]
+        m2, m3 = np.mean(u * u, axis=1), np.mean(u * u * u, axis=1)
+        gamma = np.where(m2 > 0.0, m3 / m2**1.5, 0.0)
+        se = scale * np.sqrt(m2 / n)
+        k = gamma * (Z_975**2 - 1.0) / (6.0 * np.sqrt(n))
+        lo, hi = m - se * (Z_975 + k), m + se * (Z_975 - k)
+    finite = np.isfinite(rows).all(axis=1)
+    cis = [(float(a), float(b)) if ok else (np.nan, np.nan) for a, b, ok in zip(lo, hi, finite)]
+    return cis if values.ndim == 2 else cis[0]
+
+
+def effective_sample_size(S):
+    """Kong's effective sample size (sum e^S)^2 / sum e^(2S) of the weights
+    e^S, from e^(S - max S), which stays finite where e^S overflows."""
+    with np.errstate(invalid="ignore"):
+        w = np.exp(S - S.max())
+    return float(w.sum() ** 2 / np.dot(w, w))
+
+
 def certify_margin(p, l, eta, X, probe_ws):
     """Check the convexity premise at each weight of `probe_ws`, at every
     input row of `X`; returns why it fails, or "" when it holds."""
@@ -221,18 +270,18 @@ def _risk_trials(cfg, T):
     return p, l, eta, X, margin, w0, XW, XW + V
 
 
-def _costs_at(marks, mode, l, XW, Y, predictions):
-    """{t: every trial's exponential cost after t steps} for t in `marks`; the
-    exponent is accumulated step by step as the predictions arrive, from
-    cost 1 after no step."""
+def _exponents_at(marks, mode, l, XW, Y, predictions):
+    """{t: every trial's cost exponent after t steps} for t in `marks`; the
+    exponent is accumulated step by step as the predictions arrive, from 0
+    after no step."""
     S = np.zeros(len(Y))
-    costs = {0: np.exp(S)} if 0 in marks else {}
+    exponents = {0: S.copy()} if 0 in marks else {}
     with np.errstate(over="ignore"):
         for t, z in enumerate(predictions, 1):
             S += _mode_increment(mode, l, Y[:, t - 1], XW[:, t - 1], z)
             if t in marks:
-                costs[t] = np.exp(S)
-    return costs
+                exponents[t] = S.copy()
+    return exponents
 
 
 def risk_compare(cfg):
@@ -250,10 +299,13 @@ def risk_compare(cfg):
     for spec in cfg.estimators:
         name, predictions = estimator_predictions(spec, p, l, eta, X, Y, w0)
         mode = SSMDCost() if spec["kind"] == "ssmd" else SMDCost()
-        runs.append((name, mode, _costs_at({cfg.T}, mode, l, XW, Y, predictions)[cfg.T]))
-    cis = bootstrap_basic_ci(np.stack([c for *_, c in runs]), RngStream(cfg.seed, STREAM_BOOTSTRAP))
-    entries = [EstimatorCost(name, float(costs.mean()), lo, hi, cfg.n_trials, mode, costs)
-               for (name, mode, costs), (lo, hi) in zip(runs, cis)]
+        S = _exponents_at({cfg.T}, mode, l, XW, Y, predictions)[cfg.T]
+        with np.errstate(over="ignore"):
+            costs = np.exp(S)
+        runs.append((name, mode, costs, effective_sample_size(S)))
+    cis = closed_form_basic_ci(np.stack([c for _, _, c, _ in runs]))
+    entries = [EstimatorCost(name, float(costs.mean()), lo, hi, cfg.n_trials, mode, costs, ess)
+               for (name, mode, costs, ess), (lo, hi) in zip(runs, cis)]
     return RiskReport(entries=entries)
 
 
@@ -274,7 +326,9 @@ def exponent_blowup_probe(cfg, checkpoints=(10, 20, 30, 40, 50)):
     if margin:
         warnings.warn(margin)
     _, predictions = estimator_predictions({"kind": "smd"}, p, l, eta, X, Y, w0)
-    costs = _costs_at(set(checkpoints), ScaledQuadratic(1.0), l, XW, Y, predictions)
+    exponents = _exponents_at(set(checkpoints), ScaledQuadratic(1.0), l, XW, Y, predictions)
+    with np.errstate(over="ignore"):
+        costs = {t: np.exp(S) for t, S in exponents.items()}
     return [(t, float(c.max()), float(c.mean())) for t, c in sorted(costs.items())]
 
 

@@ -662,8 +662,8 @@ def test_risk_needs_at_least_one_step(tmp_path, caplog):
 
 
 def test_risk_needs_two_trials(tmp_path, caplog):
-    # one trial collapses every bootstrap interval to its point, so the
-    # interval separation would pass on a single draw
+    # one trial has no spread, so every interval would collapse to its point
+    # and the interval separation would pass on a single draw
     mapping = json.loads((ROOT / "configs" / "risk_gaussian.json").read_text(encoding="utf-8"))
     mapping["output_dir"] = str(tmp_path / "o")
     path = _write(tmp_path, dict(mapping, n_trials=1))
@@ -705,6 +705,14 @@ def test_risk_scaled_smd_with_gamma_one_is_smd(tmp_path):
     assert [row.split(",")[0] for row in rows[1:]] == ["smd", "constant"]
 
 
+def test_risk_reports_each_estimators_effective_sample_size(tmp_path):
+    path = _write(tmp_path, dict(RISK_SMALL, output_dir=str(tmp_path / "o")))
+    assert main(["risk", "--config", str(path)]) != EXIT_ERROR
+    header, *rows = [line.split(",") for line in (tmp_path / "o" / "risk.csv").read_text().splitlines()]
+    assert header == ["estimator", "mc_cost", "ci_low", "ci_high", "n_trials", "ess"]
+    assert all(1.0 <= float(row[5]) <= RISK_SMALL["n_trials"] for row in rows)
+
+
 @pytest.mark.parametrize("specs, name", [
     ([{"kind": "smd"}, {"kind": "constant"}, {"kind": "constant"}], "constant"),
     ([{"kind": "smd"}, {"kind": "scaled_smd", "gamma": 1.0}, {"kind": "constant"}], "smd"),
@@ -735,6 +743,23 @@ def test_converge_needs_two_checkpoints(T, tmp_path, caplog):
     path = _write(tmp_path, dict(mapping, T=101))
     assert main(["converge", "--config", str(path)]) != EXIT_ERROR
     assert len((tmp_path / "o" / "converge.csv").read_text().splitlines()) == 3
+
+
+def test_converge_writes_its_control_curve(tmp_path):
+    # with control_eta set, each checkpoint also carries the constant-rate
+    # control's error, which no check but the plateau reads
+    mapping = json.loads((ROOT / "configs" / "converge.json").read_text(encoding="utf-8"))
+    path = _write(tmp_path, dict(mapping, output_dir=str(tmp_path / "o")))
+    assert main(["converge", "--config", str(path)]) == EXIT_PASS
+    header, *rows = [line.split(",") for line in (tmp_path / "o" / "converge.csv").read_text().splitlines()]
+    assert header == ["checkpoint_T", "mean_sq_error", "control_mean_sq_error"]
+    assert [int(t) for t, *_ in rows] == [100, 1000, 10_000]
+    assert [round(float(c), 4) for *_, c in rows[:2]] == [0.4276, 0.0200]
+    del mapping["control_eta"]
+    path = _write(tmp_path, dict(mapping, output_dir=str(tmp_path / "p")))
+    assert main(["converge", "--config", str(path)]) == EXIT_PASS
+    without = [line.split(",") for line in (tmp_path / "p" / "converge.csv").read_text().splitlines()]
+    assert without == [header[:2]] + [row[:2] for row in rows]
 
 
 def test_converge_fails_closed_when_the_control_diverges(tmp_path, caplog):

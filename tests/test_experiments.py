@@ -1,5 +1,8 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
+from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,13 +28,16 @@ from mirrorkit import (
     risk_compare,
     run_interpolating_descent,
 )
-from mirrorkit.config import make_config
-from mirrorkit.datagen import generate_problems, problem_draws, trial_draws
+from mirrorkit.cli import EXIT_ASSERTION, dispatch
+from mirrorkit.config import make_config, parse_config
+from mirrorkit.datagen import STREAM_BOOTSTRAP, generate_problems, problem_draws, trial_draws
 from mirrorkit.experiments import (
     BOOTSTRAP_RESAMPLES,
-    _costs_at,
+    _exponents_at,
     _linear_quantile,
     bootstrap_basic_ci,
+    closed_form_basic_ci,
+    effective_sample_size,
     estimator_predictions,
 )
 from mirrorkit.losses import LogCosh, Quartic
@@ -44,7 +50,9 @@ from mirrorkit.samplers import (
     weight_draw,
 )
 
-from conftest import CounterStream
+from conftest import CounterStream, gaussian_log_costs
+
+RISK_GAUSSIAN = Path(__file__).resolve().parent.parent / "configs" / "risk_gaussian.json"
 
 
 def risk_cost(predictions, w, X, Y, l, mode=SMDCost()):
@@ -52,8 +60,8 @@ def risk_cost(predictions, w, X, Y, l, mode=SMDCost()):
     X (T, dim) and outputs Y (T,), through the risk comparison's accumulator."""
     T = len(Y)
     xw, Y = (np.asarray(X, dtype=float) @ w)[None, :], np.asarray(Y, dtype=float)[None, :]
-    costs = _costs_at({T}, mode, l, xw, Y, (np.array([z]) for z in predictions))
-    return float(costs[T][0])
+    exponents = _exponents_at({T}, mode, l, xw, Y, (np.array([z]) for z in predictions))
+    return float(np.exp(exponents[T][0]))
 
 
 def test_risk_cost_clairvoyant_is_one(rng):
@@ -338,6 +346,126 @@ def test_bootstrap_needs_two_values(values):
 def test_bootstrap_rejects_arguments_that_make_no_interval(values, kwargs, name):
     with pytest.raises(ValueError, match=name):
         bootstrap_basic_ci(values, RngStream(8, 4), **kwargs)
+
+
+def test_gaussian_oracle_reproduces_the_exact_costs():
+    """The exact E e^S of each estimator on risk_gaussian, to 5 digits."""
+    exact = {name: np.exp(v) for name, v in gaussian_log_costs(parse_config(RISK_GAUSSIAN)).items()}
+    assert {name: round(float(v), 5) for name, v in exact.items()} == {
+        "smd": 1.67018, "constant": 1.81715, "scaled_smd(0.5)": 1.70189, "scaled_smd(2)": 1.77234,
+        "ssmd": 1.67018}
+
+
+def test_closed_form_intervals_cover_the_exact_costs():
+    """On risk_gaussian at T 20 with 2000 trials, each estimator scored under
+    the SMD cost has its exact cost inside its 95% interval on at least 0.9
+    of 200 seeds (0.945-0.965 here; the bootstrap read 0.95-0.965). A seed
+    moves the inputs too, so the exact costs are taken per seed."""
+    base = replace(parse_config(RISK_GAUSSIAN), n_trials=2000)
+    covered = {}
+    for seed in range(200):
+        cfg = replace(base, seed=seed)
+        exact = gaussian_log_costs(cfg)
+        for e in risk_compare(cfg).entries:
+            if isinstance(e.mode, SMDCost):
+                covered.setdefault(e.name, []).append(e.ci_low <= np.exp(exact[e.name]) <= e.ci_high)
+    coverage = {name: np.mean(c) for name, c in covered.items()}
+    assert set(coverage) == {"smd", "constant", "scaled_smd(0.5)", "scaled_smd(2)"}
+    assert min(coverage.values()) >= 0.9, coverage
+
+
+def test_closed_form_ci_agrees_with_the_bootstrap():
+    """At 10^4 trials on risk_gaussian each closed-form endpoint lies within
+    a tenth of the bootstrap's half-width of the bootstrap's endpoint (at
+    most 0.045 here). The 2000 resamples alone move a 2.5% quantile by about
+    0.03 of the half-width, one standard error."""
+    cfg = parse_config(RISK_GAUSSIAN)
+    entries = risk_compare(cfg).entries
+    boot = bootstrap_basic_ci(np.stack([e.costs for e in entries]), RngStream(cfg.seed, STREAM_BOOTSTRAP))
+    for e, (lo, hi) in zip(entries, boot):
+        half = (hi - lo) / 2.0
+        assert abs(e.ci_low - lo) <= 0.1 * half and abs(e.ci_high - hi) <= 0.1 * half, (e.name, lo, hi)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: rng.standard_normal(3001),
+    lambda rng: rng.lognormal(0.0, 3.0, 3001),
+    lambda rng: 1.0 + rng.pareto(0.7, 3001),
+    lambda rng: np.exp(rng.standard_normal(200) * 300.0),
+    lambda rng: np.r_[np.zeros(199), 1.0],
+    lambda rng: -np.r_[np.zeros(199), 1.0],
+    lambda rng: np.r_[np.zeros(2), 1e300],
+    lambda rng: rng.standard_normal(2),
+    lambda rng: np.full(50, 2.5),
+], ids=["normal", "lognormal", "pareto", "overflowing_moments", "one_outlier", "one_negative_outlier",
+        "huge_outlier", "two", "constant"])
+def test_closed_form_ci_brackets_the_mean(draw):
+    """The skewness term is below z in size (the empirical skewness is below
+    sqrt(n)), so the interval holds the mean however skewed the values, and
+    its moments never overflow: one outlier among zeros is the most skewed
+    sample there is."""
+    x = draw(np.random.default_rng(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lo, hi = closed_form_basic_ci(x)
+    assert np.isfinite([lo, hi]).all()
+    assert lo <= float(x.mean()) <= hi
+    assert closed_form_basic_ci(np.stack([x, x]))[1] == (lo, hi)
+
+
+@pytest.mark.parametrize("values", [np.ones((2, 2, 4)), [1.0], np.ones((3, 1)), []],
+                         ids=["3-D", "one value", "one per row", "empty"])
+def test_closed_form_ci_rejects_values_that_make_no_interval(values):
+    with pytest.raises(ValueError, match="values"):
+        closed_form_basic_ci(values)
+
+
+def test_an_infinite_cost_gives_a_nan_interval_and_a_failing_verdict(tmp_path, monkeypatch):
+    """A row with an overflowed cost gets a NaN interval, as the bootstrap's
+    2m - q is NaN there, and leaves the other rows alone. Through `risk`, a
+    constant-baseline trial whose exponent is about 5000, so that its cost
+    overflows to inf, fails the verdict closed, with no RuntimeWarning."""
+    x = np.exp(np.random.default_rng(1).standard_normal(500))
+    y = x.copy()
+    y[3] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cis = closed_form_basic_ci(np.stack([x, y]))
+    assert cis[0] == closed_form_basic_ci(x)
+    assert np.isnan(cis[1]).all()
+
+    from mirrorkit import experiments
+
+    def overflowing(spec, *args):
+        name, predictions = estimator_predictions(spec, *args)
+        if name != "constant":
+            return name, predictions
+        first = next(predictions)
+        first[0] = 100.0
+        return name, chain([first], predictions)
+
+    monkeypatch.setattr(experiments, "estimator_predictions", overflowing)
+    cfg = replace(parse_config(RISK_GAUSSIAN), n_trials=500, output_dir=str(tmp_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = dispatch(cfg, "risk")
+    constant = experiments.risk_compare(cfg).entry("constant")
+    assert constant.mc_cost == np.inf and np.isnan([constant.ci_low, constant.ci_high]).all()
+    assert constant.ess == pytest.approx(1.0)
+    assert verdict.code == EXIT_ASSERTION
+    assert verdict.reason.startswith("smd ci_high against the constant ci_low: ")
+    assert verdict.reason.endswith(" < nan fails")
+
+
+def test_effective_sample_size_stays_finite_where_the_weights_overflow():
+    """Kong's (sum e^S)^2 / sum e^(2S): n for equal weights, and the same
+    value from exponents shifted past what e^S can hold."""
+    S = np.random.default_rng(2).standard_normal(1000)
+    w = np.exp(S)
+    assert effective_sample_size(S) == pytest.approx(w.sum() ** 2 / np.sum(w * w), rel=1e-12)
+    assert effective_sample_size(S + 1000.0) == pytest.approx(effective_sample_size(S), rel=1e-12)
+    assert effective_sample_size(np.zeros(7)) == 7.0
+    assert effective_sample_size(np.array([800.0, 800.0, 0.0])) == 2.0
 
 
 @pytest.mark.parametrize("kind", ["squared_l2", "neg_entropy", "separable_q"])

@@ -123,8 +123,8 @@ def test_runtime_dependencies_are_numpy_only():
 
 
 def test_risk_run_loads_no_numpy_ma(tmp_path):
-    """np.quantile reaches numpy.ma through np.unique; the bootstrap takes its
-    order statistics without it, so a risk run never imports numpy.ma."""
+    """np.quantile reaches numpy.ma through np.unique; risk takes its
+    intervals in closed form, with no quantile, so it never imports numpy.ma."""
     cfg = tmp_path / "risk.json"
     cfg.write_text(json.dumps({
         "potential": "squared_l2", "loss": "quadratic", "dim": 2, "T": 5, "n_trials": 200,
