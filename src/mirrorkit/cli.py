@@ -195,8 +195,8 @@ def _cmd_risk(cfg):
 def _cmd_implicit(cfg):
     reports = exp_mod.implicit_reg_experiment(cfg)
     gap_tol = cfg.tolerances["gap_squared_l2" if cfg.potential["kind"] == "squared_l2" else "gap_general"]
-    rows = [[f"case{k}", r.gap, r.feasibility, r.kkt_residual] for k, r in enumerate(reports)]
-    return Verdict({"implicit.csv": (["case", "gap", "feasibility", "kkt_residual"], rows)},
+    rows = [[f"case{k}", r.gap, r.feasibility, r.kkt_residual, r.steps] for k, r in enumerate(reports)]
+    return Verdict({"implicit.csv": (["case", "gap", "feasibility", "kkt_residual", "steps"], rows)},
                    [Check("largest gap to the oracle", np.max([r.gap for r in reports]), gap_tol, "<="),
                     Check("largest oracle KKT residual", np.max([r.kkt_residual for r in reports]),
                           cfg.tolerances["kkt_tol"], "<=")])

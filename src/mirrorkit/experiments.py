@@ -479,16 +479,12 @@ def implicit_reg_experiment(cfg):
     feas_tol = cfg.tolerances["feasibility"]
     step_cap = cfg.tolerances["step_cap"]
     reports = []
-    for k, (X, y) in enumerate(zip(problems.X, problems.Y)):
+    for X, y in zip(problems.X, problems.Y):
         oracle = implicit_reg_oracle(X, y, p, w0)
         w_smd, steps, feas, _ = run_interpolating_descent(
             p, l, X, y, w0, cfg.schedule["eta"], feas_tol=feas_tol, step_cap=step_cap
         )
         gap = float(np.max(np.abs(w_smd - oracle.w_star)))
-        log.info(
-            "implicit reg case %d: gap=%.3e feasibility=%.3e kkt=%.3e steps=%d",
-            k, gap, feas, oracle.kkt_residual, steps,
-        )
         reports.append(ImplicitRegReport(w_smd, oracle.w_star, gap, feas, oracle.kkt_residual, steps))
     return reports
 

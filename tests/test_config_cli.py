@@ -762,6 +762,26 @@ def test_converge_writes_its_control_curve(tmp_path):
     assert without == [header[:2]] + [row[:2] for row in rows]
 
 
+def test_implicit_writes_each_cases_steps(tmp_path):
+    path = _write(tmp_path, _shipped("implicit_l2", output_dir=str(tmp_path / "o")))
+    assert main(["implicit", "--config", str(path)]) == EXIT_PASS
+    header, *rows = [line.split(",") for line in (tmp_path / "o" / "implicit.csv").read_text().splitlines()]
+    assert header == ["case", "gap", "feasibility", "kkt_residual", "steps"]
+    assert [case for case, *_ in rows] == [f"case{k}" for k in range(5)]
+    assert all(int(steps) >= 1 for *_, steps in rows)
+
+
+def test_implicit_logs_no_record_per_case(tmp_path, caplog):
+    # the cases are the rows of implicit.csv; the log has the defaults, the
+    # checks and the wrote record, as every subcommand's has
+    path = _write(tmp_path, _shipped("implicit_l2", output_dir=str(tmp_path / "o")))
+    with caplog.at_level(logging.DEBUG, logger="mirrorkit"):
+        assert main(["implicit", "--config", str(path)]) == EXIT_PASS
+    messages = [r.getMessage() for r in caplog.records]
+    assert not [m for m in messages if "case" in m]
+    assert len([m for m in messages if m.startswith("implicit checks: ")]) == 1
+
+
 def test_converge_fails_closed_when_the_control_diverges(tmp_path, caplog):
     # eta 5 makes the constant-rate control overflow to NaN; a NaN plateau
     # must not let the vanishing-rate run pass untested

@@ -1,5 +1,7 @@
+import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -23,6 +25,7 @@ from mirrorkit import (
 from mirrorkit.samplers import (
     TabulatedDensity,
     _splitmix64,
+    box_muller,
     derive_seed,
     trial_uniforms,
     white_noise_draw,
@@ -267,9 +270,44 @@ def test_prior_tables_are_built_once_across_trials(monkeypatch):
 
 def test_normal_is_box_muller_of_the_stream_uniforms():
     for n in (1, 2, 5, 8, 99):
-        pairs = (n + 1) // 2
-        u = RngStream(4, 2).uniform(2 * pairs)
-        r = np.sqrt(-2.0 * np.log(1.0 - u[:pairs]))
-        angle = 2.0 * np.pi * u[pairs:]
-        z = np.column_stack([r * np.cos(angle), r * np.sin(angle)]).ravel()[:n]
-        assert np.array_equal(RngStream(4, 2).normal(n), z)
+        u = RngStream(4, 2).uniform(n + n % 2)
+        assert np.array_equal(RngStream(4, 2).normal(n), box_muller(u[None, :], n)[0])
+
+
+# angle uniforms where the half-turn reduction changes branch or is exact
+EDGE_ANGLES = [0.0, 2.0**-53, 0.25, 0.25 - 2.0**-53, 0.25 + 2.0**-53, 0.5, 0.75, 1.0 - 2.0**-53]
+
+
+def test_box_muller_is_within_1e_15_r_of_the_exact_transform():
+    m = 10_000
+    U = trial_uniforms(25, 1, 2 * m)[0]
+    radii = np.concatenate([U[:m], U[: len(EDGE_ANGLES)]])
+    angles = np.concatenate([U[m:], EDGE_ANGLES])
+    z = box_muller(np.concatenate([radii, angles])[None, :], 2 * len(radii))[0].reshape(-1, 2)
+    with mpmath.workprec(113):
+        for (c, s), ur, a in zip(z, radii, angles):
+            r = mpmath.sqrt(-2 * mpmath.log(1 - mpmath.mpf(ur)))
+            turn = 2 * mpmath.pi * mpmath.mpf(a)
+            assert abs(c - r * mpmath.cos(turn)) <= 1e-15 * r
+            assert abs(s - r * mpmath.sin(turn)) <= 1e-15 * r
+
+
+def test_box_muller_is_exact_at_zero_and_half_a_turn():
+    radii = trial_uniforms(26, 1, 4)[0]
+    r = np.sqrt(-2.0 * np.log(1.0 - radii))
+    z = box_muller(np.concatenate([radii, [0.0, 0.0, 0.5, 0.5]])[None, :], 8)[0].reshape(-1, 2)
+    assert np.array_equal(z[:2], np.column_stack([r[:2], np.zeros(2)]))
+    assert np.array_equal(z[2:], np.column_stack([-r[2:], np.zeros(2)]))
+
+
+def test_box_muller_peak_memory_is_at_most_2_6_outputs():
+    # the in-place transform reads 2.0 and libm's cos and sin 2.5; the same
+    # formulas on fresh temporaries read 4.5, and risk's noise block shows it
+    U = trial_uniforms(27, 100_000, 20)
+    tracemalloc.start()
+    try:
+        z = box_muller(U, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * z.nbytes
