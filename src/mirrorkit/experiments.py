@@ -51,6 +51,15 @@ Z_975 = 1.9599639845400536
 # The linear-quadratic convergence runs jump this many steps per block map;
 # it divides 100, so every fixed checkpoint (100, 1000, 10 000) ends a block.
 MAP_STEPS = 10
+# `risk` and the blow-up probe read the linear-quadratic exponents off each
+# estimator's full prediction map up to this many steps, and step through
+# the recursion beyond it. The map costs n_trials * T^2 work and a T x T
+# matrix, the recursion n_trials * T * dim in T Python steps. For one smd
+# estimator on 2000 trials (dim 4, one BLAS thread, a 2-core VM, best of 5)
+# the recursion against the map took 27.1 against 14.6 ms at T 300, 64.5
+# against 39.9 at T 500, 95.0 against 79.6 at T 700 and 117 against 179 at
+# T 1000: the crossover is near T 800, and 500 keeps a margin below it.
+MAP_T = 500
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +119,25 @@ def estimator_predictions(spec, p, l, eta, X, Y, w0):
     W0 = np.tile(np.asarray(w0, dtype=float), (len(Y), 1))
     steps = mirror_steps(p, W0, X, Y.T, repeat(eta), shift)
     return name, (W @ x for x, W in zip(X, chain([W0], steps)))
+
+
+def prediction_map(spec, p, l, eta, X, w0):
+    """(name, c, K) of one config-level estimator whose predictions are
+    affine in the outputs, z = c + K y, as every estimator's are with the
+    squared-L2 potential, the quadratic loss and the linear model. `c` (T,)
+    holds the predictions from all-zero outputs and `K` (T, T), strictly
+    lower triangular by causality, how prediction i moves with output j.
+    Both come from one `estimator_predictions` call on the T + 1 output
+    trials [0; I_T]: `c` is trial 0's predictions, and row j of K^T is trial
+    j's minus `c`. A batch of trials with outputs Y (n_trials, T) is then
+    predicted as c + Y K^T. `risk` and the blow-up probe take their
+    linear-quadratic exponents from it up to MAP_T = 500 steps, below the
+    crossover near T 800 that MAP_T's comment measures; the map is T x T,
+    and its product with the outputs costs n_trials * T^2."""
+    T = len(X)
+    name, predictions = estimator_predictions(spec, p, l, eta, X, np.eye(T + 1, T, -1), w0)
+    Z = np.reshape(list(predictions), (T, T + 1))
+    return name, Z[:, 0], Z[:, 1:] - Z[:, :1]
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +312,55 @@ def _exponents_at(marks, mode, l, XW, Y, predictions):
     return exponents
 
 
+def _affine_exponents(marks, alpha, c, K, XW, Y):
+    """{t: every trial's exponent alpha * sum_{i <= t} (z_i - x_i^T w)^2} for t
+    in `marks`, for the predictions z = c + K y of `prediction_map`. The
+    residuals R = Y K^T + c - XW are made for a block of trials at a time, at
+    most BLOCK_VALUES values, and each row is summed from mark to mark, so no
+    (n_trials, T) residual matrix exists."""
+    marks = sorted(marks)
+    S = np.empty((len(marks), len(Y)))
+    rows = max(1, BLOCK_VALUES // max(len(c), 1))
+    with np.errstate(over="ignore"):
+        for a in range(0, len(Y), rows):
+            R = Y[a : a + rows] @ K.T
+            R += c
+            R -= XW[a : a + rows]
+            s = 0.0
+            for j, (start, t) in enumerate(zip([0] + marks, marks)):
+                r = R[:, start:t]
+                s = s + np.einsum("ij,ij->i", r, r)
+                S[j, a : a + rows] = s
+        return {t: alpha * s for t, s in zip(marks, S)}
+
+
+def _estimator_exponents(spec, mode, marks, p, l, eta, X, w0, XW, Y):
+    """(name, {t: every trial's cost exponent under `mode` after t steps})
+    for t in `marks`, of one config-level estimator on the trials (XW, Y).
+    With the squared-L2 potential and the quadratic loss, up to MAP_T steps,
+    the exponents come from the estimator's `prediction_map` by
+    `_affine_exponents`; otherwise its predictions are stepped through and
+    the exponents accumulated by `_exponents_at`."""
+    if isinstance(p, SquaredL2) and isinstance(l, Quadratic) and len(X) <= MAP_T:
+        name, c, K = prediction_map(spec, p, l, eta, X, w0)
+        # both Bregman costs of the quadratic loss are (x^T w - z)^2 / 2
+        alpha = mode.alpha if isinstance(mode, ScaledQuadratic) else 0.5
+        return name, _affine_exponents(marks, alpha, c, K, XW, Y)
+    name, predictions = estimator_predictions(spec, p, l, eta, X, Y, w0)
+    return name, _exponents_at(marks, mode, l, XW, Y, predictions)
+
+
 def risk_compare(cfg):
     """Monte Carlo exponential costs of the configured causal estimators.
 
     Weights and noises follow the exponential-family generative model; the
     symmetric-update estimator is scored under its own cost exponent and is
-    reported descriptively alongside the rest.
+    reported descriptively alongside the rest. In the linear-quadratic case
+    (the squared-L2 potential and the quadratic loss) up to MAP_T = 500 steps,
+    below the crossover near T 800 that MAP_T's comment measures, each
+    estimator's exponents are read off its affine `prediction_map`, one
+    matrix product per block of trials; every other case, and every longer
+    horizon, steps each estimator through `mirror_steps`.
     """
     require(cfg, "risk")
     p, l, eta, X, margin, w0, XW, Y = _risk_trials(cfg, cfg.T)
@@ -297,9 +368,9 @@ def risk_compare(cfg):
         raise ConfigError(margin)
     runs = []
     for spec in cfg.estimators:
-        name, predictions = estimator_predictions(spec, p, l, eta, X, Y, w0)
         mode = SSMDCost() if spec["kind"] == "ssmd" else SMDCost()
-        S = _exponents_at({cfg.T}, mode, l, XW, Y, predictions)[cfg.T]
+        name, exponents = _estimator_exponents(spec, mode, {cfg.T}, p, l, eta, X, w0, XW, Y)
+        S = exponents[cfg.T]
         with np.errstate(over="ignore"):
             costs = np.exp(S)
         runs.append((name, mode, costs, effective_sample_size(S)))
@@ -325,8 +396,8 @@ def exponent_blowup_probe(cfg, checkpoints=(10, 20, 30, 40, 50)):
     p, l, eta, X, margin, w0, XW, Y = _risk_trials(cfg, T)
     if margin:
         warnings.warn(margin)
-    _, predictions = estimator_predictions({"kind": "smd"}, p, l, eta, X, Y, w0)
-    exponents = _exponents_at(set(checkpoints), ScaledQuadratic(1.0), l, XW, Y, predictions)
+    _, exponents = _estimator_exponents({"kind": "smd"}, ScaledQuadratic(1.0), set(checkpoints),
+                                        p, l, eta, X, w0, XW, Y)
     with np.errstate(over="ignore"):
         costs = {t: np.exp(S) for t, S in exponents.items()}
     return [(t, float(c.max()), float(c.mean())) for t, c in sorted(costs.items())]

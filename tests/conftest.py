@@ -5,7 +5,7 @@ import pytest
 
 from mirrorkit import LogCosh, NegEntropy, Quadratic, Quartic, SeparableQ, SquaredL2
 from mirrorkit.datagen import make_inputs
-from mirrorkit.experiments import estimator_predictions
+from mirrorkit.experiments import prediction_map
 from mirrorkit.samplers import STREAM_TRIAL_BASE, _splitmix64, derive_seed
 
 
@@ -46,21 +46,18 @@ def gaussian_log_costs(cfg):
     """{estimator name: log E e^S}, exact, for a risk config on the squared-L2
     potential, the quadratic loss and the linear model, where the prior is
     N(w0, eta I) and the noise N(0, 1). Each estimator is affine in the
-    outputs, z = c + K y, read off one `estimator_predictions` call on the
-    T + 1 output trials [0; I_T]. With xi = (w - w0, v) ~ N(0, Sigma),
-    A = [K X - X, K] and b = c + (K X - X) w0, the exponent is
-    S = |A xi + b|^2 / 2, so with M = A Sigma A^T
+    outputs, z = c + K y, as `prediction_map` gives it. With
+    xi = (w - w0, v) ~ N(0, Sigma), A = [K X - X, K] and
+    b = c + (K X - X) w0, the exponent is S = |A xi + b|^2 / 2, so with
+    M = A Sigma A^T
     log E e^S = -log det(I - M) / 2 + b^T (I - M)^-1 b / 2, from one Cholesky
     factor of I - M; it is +inf where I - M is not positive definite."""
     p, l, eta, w0, T = cfg.build_potential(), cfg.build_loss(), cfg.schedule["eta"], cfg.w0_vector(), cfg.T
     X = make_inputs(cfg)
-    Y = np.vstack([np.zeros(T), np.eye(T)])
     sigma = np.concatenate([np.full(cfg.dim, eta), np.ones(T)])
     log_costs = {}
     for spec in cfg.estimators:
-        name, predictions = estimator_predictions(spec, p, l, eta, X, Y, w0)
-        Z = np.stack(list(predictions))
-        c, K = Z[:, 0], Z[:, 1:] - Z[:, :1]
+        name, c, K = prediction_map(spec, p, l, eta, X, w0)
         A = np.hstack([K @ X - X, K])
         b = c + A[:, : cfg.dim] @ w0
         try:

@@ -42,8 +42,8 @@ from mirrorkit import (
 )
 from mirrorkit.cli import EXIT_PASS, dispatch
 from mirrorkit.config import make_config
-from mirrorkit.datagen import gaussian_inputs, generate_problems
-from mirrorkit.experiments import SMDCost
+from mirrorkit.datagen import gaussian_inputs, generate_problems, make_inputs
+from mirrorkit.experiments import SMDCost, prediction_map
 
 IDENTITY_RTOL = 1e-8
 MINIMAX_SLACK = 1e-9
@@ -282,6 +282,31 @@ def test_criterion_5_exponent_bound_probe():
     assert growth >= 10.0
     _report(5, f"running-max growth T=10 to T=50 is {growth:.0f}x (>= 10x)",
             time.perf_counter() - t0, 600)
+
+
+def test_criterion_5_companion_critical_horizon():
+    """The probe's alpha-1 exponent |A xi + b|^2, xi = (w - w0, v) ~ N(0, Sigma)
+    with Sigma = diag(eta I, I) and A = [K X - X, K] from SMD's prediction
+    map, has a finite expectation exactly while SMD's squared gain
+    lambda_max(A Sigma A^T) is below 1/2. On criterion 5's config it first
+    reaches 1/2 at T* = 42, inside the probe's horizon of 50, and it never
+    falls as T grows."""
+    cfg = make_config(
+        T=50, n_trials=10_000, inputs={"kind": "unit"}, seed=123,
+        **RISK_CONFIGS["gaussian"],
+    )
+    p, l, eta, w0 = cfg.build_potential(), cfg.build_loss(), cfg.schedule["eta"], cfg.w0_vector()
+    gain2 = {}
+    for T in range(1, cfg.T + 1):
+        X = make_inputs(cfg, count=T)
+        _, _, K = prediction_map({"kind": "smd"}, p, l, eta, X, w0)
+        A = np.hstack([K @ X - X, K])
+        sigma = np.concatenate([np.full(cfg.dim, eta), np.ones(T)])
+        gain2[T] = float(np.linalg.eigvalsh((A * sigma) @ A.T)[-1])
+    critical = min(T for T, g in gain2.items() if g >= 0.5)
+    assert critical == 42
+    assert (round(gain2[41], 5), round(gain2[42], 5)) == (0.49596, 0.50857)
+    assert all(b >= a - 1e-12 for a, b in zip(list(gain2.values()), list(gain2.values())[1:]))
 
 
 def test_criterion_6_mean_square_convergence():

@@ -1,7 +1,6 @@
 import tracemalloc
 import warnings
 from dataclasses import replace
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -33,12 +32,16 @@ from mirrorkit.config import make_config, parse_config
 from mirrorkit.datagen import STREAM_BOOTSTRAP, generate_problems, problem_draws, trial_draws
 from mirrorkit.experiments import (
     BOOTSTRAP_RESAMPLES,
+    MAP_T,
+    _estimator_exponents,
     _exponents_at,
     _linear_quantile,
+    _risk_trials,
     bootstrap_basic_ci,
     closed_form_basic_ci,
     effective_sample_size,
     estimator_predictions,
+    prediction_map,
 )
 from mirrorkit.losses import LogCosh, Quartic
 from mirrorkit.samplers import (
@@ -53,6 +56,7 @@ from mirrorkit.samplers import (
 from conftest import CounterStream, gaussian_log_costs
 
 RISK_GAUSSIAN = Path(__file__).resolve().parent.parent / "configs" / "risk_gaussian.json"
+RISK_LOGCOSH_Q3 = RISK_GAUSSIAN.with_name("risk_logcosh_q3.json")
 
 
 def risk_cost(predictions, w, X, Y, l, mode=SMDCost()):
@@ -177,6 +181,16 @@ def test_risk_compare_is_deterministic():
         assert (ea.ci_low, ea.ci_high) == (eb.ci_low, eb.ci_high)
 
 
+def test_risk_costs_do_not_depend_on_the_trial_count():
+    """Trial t's cost is the same bits however many trials run, although the
+    map path makes its residuals in blocks of rows whose size and split
+    follow the trial count (819 rows a block at T 20)."""
+    full = risk_compare(_gaussian_cfg(n_trials=2000)).entries
+    for n in (2, 5, 820):
+        for a, b in zip(full, risk_compare(_gaussian_cfg(n_trials=n)).entries):
+            assert np.array_equal(a.costs[:n], b.costs), (n, a.name)
+
+
 def test_risk_neutral_requires_scalar():
     # the posterior-mean estimator is no longer a config-level kind
     with pytest.raises(ValidationError, match="risk_neutral"):
@@ -193,6 +207,74 @@ def test_risk_neutral_requires_scalar():
 def test_estimator_names(spec, name):
     X, Y = np.eye(2), np.zeros((3, 2))
     assert estimator_predictions(spec, SquaredL2(2), Quadratic(), 0.1, X, Y, np.zeros(2))[0] == name
+
+
+def _scored(spec):
+    """The cost `risk` scores an estimator under."""
+    return SSMDCost() if spec["kind"] == "ssmd" else SMDCost()
+
+
+def _sequential_exponents(spec, mode, marks, p, l, eta, X, w0, XW, Y):
+    _, predictions = estimator_predictions(spec, p, l, eta, X, Y, w0)
+    return _exponents_at(marks, mode, l, XW, Y, predictions)
+
+
+def _random_lq_config(rng, T, n_trials):
+    """A random risk config on the squared-L2 potential and the quadratic
+    loss, with a non-zero prior center and the five default estimators."""
+    dim = int(rng.integers(1, 6))
+    inputs = {"kind": "unit"} if rng.random() < 0.5 else {"kind": "gaussian", "scale": 0.3}
+    return make_config(potential="squared_l2", loss="quadratic", dim=dim, T=T, n_trials=n_trials,
+                       schedule={"kind": "constant", "eta": float(rng.uniform(0.02, 0.4))},
+                       inputs=inputs, w0=rng.uniform(-1.0, 1.0, dim).tolist(),
+                       seed=int(rng.integers(2**32)))
+
+
+@pytest.mark.parametrize("T", [1, 2, 20, MAP_T])
+def test_map_exponents_equal_the_sequential_ones(T):
+    """In the linear-quadratic case each estimator's exponents come from its
+    prediction map; they equal the stepped recursion's for every estimator
+    kind, under its own cost and under the blow-up probe's alpha-1 cost at
+    several marks. The tolerance is absolute as well as relative: the
+    sequential form ((y - xw) - (y - z))^2 cancels through y, so an exponent
+    near 0 carries an error of about 1e-13 relative to its terms."""
+    rng = np.random.default_rng(T)
+    marks = sorted({0, 1, (T + 1) // 2, T})
+    for _ in range(5):
+        cfg = _random_lq_config(rng, T, n_trials=16 if T == MAP_T else 64)
+        p, l, eta, X, _, w0, XW, Y = _risk_trials(cfg, T)
+        assert not np.array_equal(w0, np.zeros(cfg.dim))
+        # the map predicts what the recursion does, on the trials' outputs
+        _, c, K = prediction_map({"kind": "smd"}, p, l, eta, X, w0)
+        _, predictions = estimator_predictions({"kind": "smd"}, p, l, eta, X, Y, w0)
+        np.testing.assert_allclose(c + Y @ K.T, np.reshape(list(predictions), (T, -1)).T,
+                                   rtol=1e-12, atol=1e-12)
+        runs = [(spec, _scored(spec), {T}) for spec in cfg.estimators]
+        runs.append(({"kind": "smd"}, ScaledQuadratic(1.0), set(marks)))
+        for spec, mode, at in runs:
+            args = (spec, mode, at, p, l, eta, X, w0, XW, Y)
+            _, exponents = _estimator_exponents(*args)
+            expected = _sequential_exponents(*args)
+            assert exponents.keys() == expected.keys()
+            for t, S in expected.items():
+                np.testing.assert_allclose(exponents[t], S, rtol=1e-12, atol=1e-12, err_msg=f"{spec} {mode} {t}")
+
+
+@pytest.mark.parametrize("cfg", [
+    replace(parse_config(RISK_LOGCOSH_Q3), n_trials=64),
+    _gaussian_cfg(T=MAP_T + 1, n_trials=16),
+], ids=["risk_logcosh_q3", "squared_l2_past_MAP_T"])
+def test_other_pairs_and_longer_horizons_keep_the_sequential_exponents(cfg):
+    p, l, eta, X, _, w0, XW, Y = _risk_trials(cfg, cfg.T)
+    marks = {10, cfg.T}
+    runs = [(spec, _scored(spec), {cfg.T}) for spec in cfg.estimators]
+    runs.append(({"kind": "smd"}, ScaledQuadratic(1.0), marks))
+    for spec, mode, at in runs:
+        args = (spec, mode, at, p, l, eta, X, w0, XW, Y)
+        _, exponents = _estimator_exponents(*args)
+        expected = _sequential_exponents(*args)
+        assert exponents.keys() == expected.keys()
+        assert all(np.array_equal(exponents[t], S) for t, S in expected.items()), (spec, mode)
 
 
 def test_linear_quantile_equals_numpy_quantile():
@@ -424,7 +506,9 @@ def test_an_infinite_cost_gives_a_nan_interval_and_a_failing_verdict(tmp_path, m
     """A row with an overflowed cost gets a NaN interval, as the bootstrap's
     2m - q is NaN there, and leaves the other rows alone. Through `risk`, a
     constant-baseline trial whose exponent is about 5000, so that its cost
-    overflows to inf, fails the verdict closed, with no RuntimeWarning."""
+    overflows to inf, fails the verdict closed, with no RuntimeWarning. The
+    overflow is put into that trial's exponent, which both the map and the
+    stepped path hand to `risk` through `_estimator_exponents`."""
     x = np.exp(np.random.default_rng(1).standard_normal(500))
     y = x.copy()
     y[3] = np.inf
@@ -437,14 +521,13 @@ def test_an_infinite_cost_gives_a_nan_interval_and_a_failing_verdict(tmp_path, m
     from mirrorkit import experiments
 
     def overflowing(spec, *args):
-        name, predictions = estimator_predictions(spec, *args)
-        if name != "constant":
-            return name, predictions
-        first = next(predictions)
-        first[0] = 100.0
-        return name, chain([first], predictions)
+        name, exponents = _estimator_exponents(spec, *args)
+        if name == "constant":
+            for S in exponents.values():
+                S[0] += 5000.0
+        return name, exponents
 
-    monkeypatch.setattr(experiments, "estimator_predictions", overflowing)
+    monkeypatch.setattr(experiments, "_estimator_exponents", overflowing)
     cfg = replace(parse_config(RISK_GAUSSIAN), n_trials=500, output_dir=str(tmp_path))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
