@@ -50,7 +50,14 @@ BOOTSTRAP_BLOCK_VALUES = 2**18
 Z_975 = 1.9599639845400536
 # The linear-quadratic convergence runs jump this many steps per block map;
 # it divides 100, so every fixed checkpoint (100, 1000, 10 000) ends a block.
-MAP_STEPS = 10
+# Longer blocks mean fewer Python-level block steps and reversed steps per
+# map, but the output chunks are whole blocks of at most BLOCK_VALUES
+# values, so past 50 they shrink (150 steps at K 50, 100 at K 100, for 100
+# runs) and the noise windows cost more. `msq_convergence` on converge.json
+# (T 10^4, 100 runs and the control; one BLAS thread, a 2-core VM, best of
+# 25 in two rounds) took 32.7-33.5 ms at K 10, 29.0-29.1 at K 25,
+# 27.3-28.8 at K 50 and 30.6-32.1 at K 100.
+MAP_STEPS = 50
 # `risk` and the blow-up probe read the linear-quadratic exponents off each
 # estimator's full prediction map up to this many steps, and step through
 # the recursion beyond it. The map costs n_trials * T^2 work and a T x T
@@ -576,7 +583,8 @@ def _msq_runs(p, l, X, chunks, schedules, w0):
     arrive as step-major chunks (steps, n_runs) in step order, each a
     multiple of MAP_STEPS steps long except the last. Returns the
     checkpoints and the state at each. The squared-L2 potential with the
-    quadratic loss takes `_lms_blocks`."""
+    quadratic loss takes `_lms_blocks`, which jumps MAP_STEPS steps per
+    adjoint block map; every other pair steps `mirror_steps`."""
     chunks = iter(chunks)
     first = next(chunks)
     chunks = chain([first], chunks)
@@ -593,28 +601,38 @@ def _msq_runs(p, l, X, chunks, schedules, w0):
 
 def _lms_maps(p, X, etas, shift):
     """Each block's map (Phi, G) of the LMS recursion in step order, for
-    `_lms_blocks`. They come from `mirror_steps` on MAP_STEPS + dim trials:
-    the impulse trials start at 0 and read y = 1 at their own step and 0
-    elsewhere, giving the rows of G, and the basis trials start at e_k and
-    read 0, giving the rows of Phi. The last block is padded with x = 0,
-    eta = 0 steps, each an exact identity. Maps are made for a group of
-    blocks at once, at most BLOCK_VALUES state values."""
+    `_lms_blocks`, by reverse-mode (adjoint) accumulation. Step i maps the
+    state row w to w A_i + eta_i y_i x_i^T with A_i = I - eta_i x_i x_i^T
+    symmetric, so a block of steps 1 .. K has Phi = A_1 .. A_K, and row i of
+    G, the response of the block-end state to y_i, is
+    eta_i x_i^T A_{i+1} .. A_K. The dim basis trials start at I and run
+    `mirror_steps` over the block's steps in reverse order (reversed inputs
+    and rates, outputs 0), so each reversed step i maps their state M to
+    M A_i: the final state is A_K .. A_1 = Phi^T, and the state before step
+    i, A_K .. A_{i+1}, applied to the impulse eta_i x_i is row i of G, read
+    as the steps go. The last block is padded with x = 0, eta = 0 steps,
+    each an exact identity. Maps are made for a group of blocks at once, at
+    most BLOCK_VALUES state values; G holds their MAP_STEPS rows each."""
     K, (T, dim), B = MAP_STEPS, X.shape, len(etas)
     n_blocks = -(-T // K)
     pad = n_blocks * K - T
     Xb = np.pad(X, ((0, pad), (0, 0))).reshape(n_blocks, K, dim)
     Eb = np.pad(etas, ((0, 0), (0, pad))).reshape(B, n_blocks, K)
-    starts, outputs = np.eye(K + dim, dim, -K), np.eye(K, K + dim)
-    group = max(1, BLOCK_VALUES // (B * (K + dim) * dim))
+    group = max(1, BLOCK_VALUES // (B * dim * dim))
     for first in range(0, n_blocks, group):
         blocks = slice(first, first + group)
-        x = np.moveaxis(Xb[blocks], 1, 0)[:, :, None, :]
-        eta = np.moveaxis(Eb[:, blocks], -1, 0)[..., None]
-        M = np.broadcast_to(starts, (B, x.shape[1]) + starts.shape)
-        for M in mirror_steps(p, M, x, outputs, eta, shift):
-            pass
+        # step-major, each block's last step first: x (K, blocks, dim), eta (K, B, blocks)
+        x = np.moveaxis(Xb[blocks, ::-1], 1, 0)
+        eta = np.moveaxis(Eb[:, blocks, ::-1], -1, 0)
+        M = np.broadcast_to(np.eye(dim), (B, x.shape[1], dim, dim))
+        G = np.empty((B, x.shape[1], K, dim))
+        steps = mirror_steps(p, M, x[:, :, None], repeat(0.0), eta[..., None], shift)
+        for j, M_next in enumerate(steps):
+            G[:, :, K - 1 - j] = (M @ (eta[j, ..., None] * x[j])[..., None])[..., 0]
+            M = M_next
+        Phi = M.swapaxes(-1, -2)
         for j in range(x.shape[1]):
-            yield M[:, j, K:], M[:, j, :K]
+            yield Phi[:, j], G[:, j]
 
 
 def _lms_blocks(p, X, chunks, etas, W0, shift, marks):
@@ -622,8 +640,9 @@ def _lms_blocks(p, X, chunks, etas, W0, shift, marks):
     potential and the quadratic loss, the LMS recursion
     w_i = w_{i-1} (I - eta_i x_i x_i^T) + eta_i y_i x_i^T, MAP_STEPS steps
     at a time: a block of steps maps the state S (one row per run) to
-    S @ Phi + Y_block^T @ G, with the maps of `_lms_maps` and each block's
-    outputs sliced from its chunk, never padded or copied."""
+    S @ Phi + Y_block^T @ G, with the adjoint maps of `_lms_maps` (the dim
+    basis trials run backward through the block) and each block's outputs
+    sliced from its chunk, never padded or copied."""
     maps = _lms_maps(p, X, etas, shift)
     S, snaps, t = W0, {}, 0
     for Y in chunks:

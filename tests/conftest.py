@@ -5,6 +5,7 @@ import pytest
 
 from mirrorkit import LogCosh, NegEntropy, Quadratic, Quartic, SeparableQ, SquaredL2
 from mirrorkit.datagen import make_inputs
+from mirrorkit.descent import mirror_steps
 from mirrorkit.experiments import prediction_map
 from mirrorkit.samplers import STREAM_TRIAL_BASE, _splitmix64, derive_seed
 
@@ -67,6 +68,27 @@ def gaussian_log_costs(cfg):
             continue
         log_costs[name] = -np.log(np.diag(L)).sum() + 0.5 * np.sum(np.linalg.solve(L, b) ** 2)
     return log_costs
+
+
+def forward_lms_maps(p, X, etas, shift, K):
+    """Every K-step block's map (Phi, G) of the LMS recursion under each of
+    the B rate rows `etas`, as arrays (B, n_blocks, dim, dim) and
+    (B, n_blocks, K, dim), by forward accumulation: one `mirror_steps` call
+    over K + dim trials for every block. The impulse trials start at 0 and read
+    y = 1 at their own step and 0 elsewhere, giving the rows of G, and the
+    basis trials start at e_k and read 0, giving the rows of Phi. The last
+    block is padded with x = 0, eta = 0 steps. The reference for the
+    adjoint construction of `experiments._lms_maps`."""
+    (T, dim), B = X.shape, len(etas)
+    n_blocks = -(-T // K)
+    pad = n_blocks * K - T
+    x = np.pad(X, ((0, pad), (0, 0))).reshape(n_blocks, K, dim).swapaxes(0, 1)[:, :, None, :]
+    eta = np.moveaxis(np.pad(etas, ((0, 0), (0, pad))).reshape(B, n_blocks, K), -1, 0)[..., None]
+    starts, outputs = np.eye(K + dim, dim, -K), np.eye(K, K + dim)
+    M = np.broadcast_to(starts, (B, n_blocks) + starts.shape)
+    for M in mirror_steps(p, M, x, outputs, eta, shift):
+        pass
+    return M[:, :, K:], M[:, :, :K]
 
 
 @pytest.fixture

@@ -32,6 +32,7 @@ from mirrorkit.config import make_config, parse_config
 from mirrorkit.datagen import STREAM_BOOTSTRAP, generate_problems, problem_draws, trial_draws
 from mirrorkit.experiments import (
     BOOTSTRAP_RESAMPLES,
+    MAP_STEPS,
     MAP_T,
     _estimator_exponents,
     _exponents_at,
@@ -53,7 +54,7 @@ from mirrorkit.samplers import (
     weight_draw,
 )
 
-from conftest import CounterStream, gaussian_log_costs
+from conftest import CounterStream, forward_lms_maps, gaussian_log_costs
 
 RISK_GAUSSIAN = Path(__file__).resolve().parent.parent / "configs" / "risk_gaussian.json"
 RISK_LOGCOSH_Q3 = RISK_GAUSSIAN.with_name("risk_logcosh_q3.json")
@@ -686,9 +687,10 @@ def test_msq_decreases_and_beats_control():
 @pytest.mark.parametrize("noise", ["gaussian", "uniform", "rademacher"])
 def test_msq_checkpoints_do_not_depend_on_the_chunk_size(potential, noise, monkeypatch):
     """The outputs reach the recursion in chunks of at most BLOCK_VALUES
-    values; one chunk of all 1007 steps, chunks of 40 steps and chunks of
-    one 10-step block give the same checkpoints bit for bit, on the block
-    maps and on the sequential path."""
+    values; one chunk of all 1007 steps, chunks of four blocks of MAP_STEPS
+    steps and chunks of one block (with the block maps made in groups of
+    16 blocks, and of one) give the same checkpoints bit for bit, on the
+    block maps and on the sequential path."""
     from mirrorkit import experiments
 
     cfg = make_config(
@@ -697,12 +699,12 @@ def test_msq_checkpoints_do_not_depend_on_the_chunk_size(potential, noise, monke
         inputs={"kind": "basis_then_gaussian"}, seed=13, control_eta=0.02,
     )
     reports = []
-    for block_values in (experiments.BLOCK_VALUES, 300, 1):
+    for block_values in (experiments.BLOCK_VALUES, 4 * MAP_STEPS * cfg.n_trials, 300, 1):
         monkeypatch.setattr(experiments, "BLOCK_VALUES", block_values)
         rep = msq_convergence(cfg)
         reports.append((rep.checkpoints, rep.control))
     assert [t for t, _ in reports[0][0]] == [100, 1000, 1007]
-    assert reports[0] == reports[1] == reports[2]
+    assert reports[0] == reports[1] == reports[2] == reports[3]
 
 
 def test_msq_vectorized_matches_engine():
@@ -731,8 +733,10 @@ def test_engines_share_one_mirror_update_bitwise():
     trials take W @ x through BLAS, which can differ from the one-row dot
     product in the last bit.) The one exception is the convergence runner
     on the squared-L2 potential with the quadratic loss: it chains block
-    maps of the LMS recursion, which sums the same terms in another order,
-    so there it matches to rtol 1e-12, not bitwise."""
+    maps of the LMS recursion, each built by running the dim basis trials
+    backward through its steps (adjoint accumulation), which sums the same
+    terms in another order, so there it matches to rtol 1e-12, not
+    bitwise."""
     from mirrorkit import Constant, run_general_recursion
     from mirrorkit.experiments import _msq_runs
 
@@ -804,15 +808,18 @@ def test_msq_blocks_match_one_schedule_runs_bitwise():
     assert overflows == 4
 
 
-@pytest.mark.parametrize("T", [1, 9, 10, 11, 101, 1007])
+@pytest.mark.parametrize("T", sorted({
+    1, 9, 10, 11, MAP_STEPS - 1, MAP_STEPS, MAP_STEPS + 1, 2 * MAP_STEPS + 1, 1007}))
 @pytest.mark.parametrize("n_runs", [1, 4])
 @pytest.mark.parametrize("n_schedules", [1, 2])
 def test_msq_block_maps_match_the_sequential_recursion(T, n_schedules, n_runs):
     """On the squared-L2 potential with the quadratic loss, `_msq_runs`
     chains block maps of the LMS recursion. At every checkpoint each
     schedule's block must match a batch `iterate` run (one input row per
-    trial) on the same outputs from a non-zero start: for T shorter than a
-    block, on a block end, and with a padded last block."""
+    trial) on the same outputs from a non-zero start. The horizons follow
+    the block length K = MAP_STEPS: shorter than a block (1, K - 1, and
+    9 to 11), on a block end (K), and with a padded last block (K + 1,
+    2K + 1 and 1007)."""
     from mirrorkit.descent import Constant, RobbinsMonro
     from mirrorkit.experiments import _msq_runs
 
@@ -830,6 +837,32 @@ def test_msq_block_maps_match_the_sequential_recursion(T, n_schedules, n_runs):
         for t in marks:
             assert snaps[t].shape == (n_schedules, n_runs, 3)
             np.testing.assert_allclose(snaps[t][b], traj.path[:, t], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("block_values", [None, 36])
+@pytest.mark.parametrize("T", [MAP_STEPS - 1, 2 * MAP_STEPS, 4 * MAP_STEPS + 7])
+def test_lms_maps_match_the_forward_construction(T, block_values, monkeypatch):
+    """`_lms_maps` runs the dim basis trials backward through each block;
+    each block's (Phi, G) must match the forward construction (K impulse
+    and dim basis trials run forward through `mirror_steps`) at rtol 1e-12,
+    on random inputs under two schedules: for one padded block, on block
+    ends, and with a padded last block. BLOCK_VALUES 36 makes groups of two
+    blocks (two schedules, dim 3), so the maps also cross group ends."""
+    from mirrorkit import experiments
+    from mirrorkit.descent import Constant, RobbinsMonro, smd_shift
+
+    if block_values is not None:
+        monkeypatch.setattr(experiments, "BLOCK_VALUES", block_values)
+    rng = RngStream(24, T)
+    X = np.asarray(rng.normal((T, 3)))
+    etas = np.stack([RobbinsMonro(0.5).rates(T), Constant(0.05).rates(T)])
+    p, shift = SquaredL2(3), smd_shift(Quadratic(), Linear())
+    Phi, G = forward_lms_maps(p, X, etas, shift, MAP_STEPS)
+    maps = list(experiments._lms_maps(p, X, etas, shift))
+    assert len(maps) == Phi.shape[1] == -(-T // MAP_STEPS)
+    for j, (phi, g) in enumerate(maps):
+        np.testing.assert_allclose(phi, Phi[:, j], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(g, G[:, j], rtol=1e-12, atol=0)
 
 
 def test_shuffled_epochs_reach_same_limit():
