@@ -20,8 +20,10 @@ and laid out per subcommand as
     run, audit            trial 0 of minimax
     implicit (case t)     [inputs | planted]
 
-`converge` reads each chunk of steps from its own columns of the rows
-(`samplers.white_noise_window`); the layout is that of the whole row.
+`risk` and the blow-up probe read the rows a block of trials at a time
+(`trial_draws(..., first=a)`, `experiments.TRIAL_BLOCK` rows on the map
+path), and `converge` reads each chunk of steps from its own columns of the
+rows (`samplers.white_noise_window`); the layout is that of the whole row.
 `sample-check` alone reads PCG64 streams 1000-1003, for four draws that are
 not trials. Each transform below is a (k, values) pair, as in the samplers:
 k uniforms per draw, and `values` maps a (rows, k) block to one draw per row.
@@ -144,10 +146,11 @@ def prior_scale(cfg):
     return float(cfg.build_schedule().rates(1)[0])
 
 
-def trial_draws(seed, n, draws):
-    """The values of each (k, values) draw for trials 0 .. n-1: row t of
-    `trial_uniforms` holds trial t's uniforms of every draw, in order."""
-    U = trial_uniforms(seed, n, sum(k for k, _ in draws))
+def trial_draws(seed, n, draws, first=0):
+    """The values of each (k, values) draw for trials first .. first+n-1:
+    the row of trial t in `trial_uniforms` holds its uniforms of every draw,
+    in order."""
+    U = trial_uniforms(seed, n, sum(k for k, _ in draws), first=first)
     cuts = np.cumsum([k for k, _ in draws])[:-1]
     return [values(u) for (_, values), u in zip(draws, np.split(U, cuts, axis=1))]
 

@@ -62,11 +62,23 @@ MAP_STEPS = 50
 # estimator's full prediction map up to this many steps, and step through
 # the recursion beyond it. The map costs n_trials * T^2 work and a T x T
 # matrix, the recursion n_trials * T * dim in T Python steps. For one smd
-# estimator on 2000 trials (dim 4, one BLAS thread, a 2-core VM, best of 5)
-# the recursion against the map took 27.1 against 14.6 ms at T 300, 64.5
-# against 39.9 at T 500, 95.0 against 79.6 at T 700 and 117 against 179 at
-# T 1000: the crossover is near T 800, and 500 keeps a margin below it.
-MAP_T = 500
+# estimator on 2000 trials, one TRIAL_BLOCK (dim 4, one BLAS thread, a
+# 2-core VM, best of 5 in 2-3 rounds), the recursion against the map took
+# 26-33 against 13-16 ms at T 300, 62-78 against 31-46 at T 500, 87-119
+# against 58-80 at T 700, 123-147 against 110-112 at T 850 and 126-158
+# against 110-138 at T 1000: the crossover is near T 1000, and 700 keeps a
+# margin below it.
+MAP_T = 700
+# The map path of `risk` and the blow-up probe draws, predicts and scores
+# this many trials at a time, so a block's uniforms, outputs and residuals
+# stay in cache (at T 20 a block's 24 uniforms a trial take 384 KiB) while
+# its products stay large. `risk_compare` on risk_gaussian (10^4 trials,
+# T 20, 3 distinct maps; one BLAS thread, a 2-core VM, best of 64 in 8
+# rounds) took 11.0 ms at 682 rows, 10.8 at 1365, 10.1 at 2048, 9.6 at
+# 2500 (within the noise of 2048), 11.7 at 4096 and 13.9 in one block of
+# 10^4. It counts rows, not values, so that a long horizon still gets
+# thousands of trials a block (at T 3000 a trial takes 3004 uniforms).
+TRIAL_BLOCK = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +150,8 @@ def prediction_map(spec, p, l, eta, X, w0):
     trials [0; I_T]: `c` is trial 0's predictions, and row j of K^T is trial
     j's minus `c`. A batch of trials with outputs Y (n_trials, T) is then
     predicted as c + Y K^T. `risk` and the blow-up probe take their
-    linear-quadratic exponents from it up to MAP_T = 500 steps, below the
-    crossover near T 800 that MAP_T's comment measures; the map is T x T,
+    linear-quadratic exponents from it up to MAP_T = 700 steps, below the
+    crossover near T 1000 that MAP_T's comment measures; the map is T x T,
     and its product with the outputs costs n_trials * T^2."""
     T = len(X)
     name, predictions = estimator_predictions(spec, p, l, eta, X, np.eye(T + 1, T, -1), w0)
@@ -291,70 +303,103 @@ def certify_margin(p, l, eta, X, probe_ws):
 def _risk_trials(cfg, T):
     """The shared setup of the risk comparison and the blow-up probe: the
     constant rate, T inputs, why the convexity premise fails at them ("" when
-    it holds), and every trial's clean outputs XW and noisy outputs Y, both
-    (n_trials, T). Trial t's weight and noises are those of `problem_draws`;
-    the premise is probed at the prior center and the first trials' weights."""
+    it holds), the prior center, and `trials(a, b)`, which draws trials
+    a .. b-1 and gives their clean outputs XW and noisy outputs Y, both
+    (b - a, T). Trial t's weight and noises are those of `problem_draws`,
+    from row t of the trial uniforms; the premise is probed at the prior
+    center and the weights of trials 0-3, which are the leading columns of
+    their rows."""
     p = cfg.build_potential()
     l = cfg.build_loss()
     eta = cfg.schedule["eta"]
     X = make_inputs(cfg, count=T)
     w0 = cfg.w0_vector()
-    W_true, V = trial_draws(cfg.seed, cfg.n_trials, problem_draws(replace(cfg, T=T)))
-    margin = certify_margin(p, l, eta, X, np.vstack([w0, W_true[:4]]))
-    XW = W_true @ X.T
-    return p, l, eta, X, margin, w0, XW, XW + V
+    draws = problem_draws(replace(cfg, T=T))
+    (W_first,) = trial_draws(cfg.seed, min(4, cfg.n_trials), draws[:1])
+    margin = certify_margin(p, l, eta, X, np.vstack([w0, W_first]))
+
+    def trials(a, b):
+        W, V = trial_draws(cfg.seed, b - a, draws, first=a)
+        XW = W @ X.T
+        return XW, XW + V
+
+    return p, l, eta, X, margin, w0, trials
 
 
 def _exponents_at(marks, mode, l, XW, Y, predictions):
-    """{t: every trial's cost exponent after t steps} for t in `marks`; the
-    exponent is accumulated step by step as the predictions arrive, from 0
-    after no step."""
+    """Every trial's cost exponent after t steps, one row per t in the
+    sorted `marks`; the exponent is accumulated step by step as the
+    predictions arrive, from 0 after no step."""
+    rows = {t: j for j, t in enumerate(marks)}
+    out = np.zeros((len(marks), len(Y)))
     S = np.zeros(len(Y))
-    exponents = {0: S.copy()} if 0 in marks else {}
     with np.errstate(over="ignore"):
         for t, z in enumerate(predictions, 1):
             S += _mode_increment(mode, l, Y[:, t - 1], XW[:, t - 1], z)
-            if t in marks:
-                exponents[t] = S.copy()
-    return exponents
+            if t in rows:
+                out[rows[t]] = S
+    return out
 
 
-def _affine_exponents(marks, alpha, c, K, XW, Y):
-    """{t: every trial's exponent alpha * sum_{i <= t} (z_i - x_i^T w)^2} for t
-    in `marks`, for the predictions z = c + K y of `prediction_map`. The
-    residuals R = Y K^T + c - XW are made for a block of trials at a time, at
-    most BLOCK_VALUES values, and each row is summed from mark to mark, so no
-    (n_trials, T) residual matrix exists."""
-    marks = sorted(marks)
-    S = np.empty((len(marks), len(Y)))
-    rows = max(1, BLOCK_VALUES // max(len(c), 1))
-    with np.errstate(over="ignore"):
-        for a in range(0, len(Y), rows):
-            R = Y[a : a + rows] @ K.T
-            R += c
-            R -= XW[a : a + rows]
-            s = 0.0
-            for j, (start, t) in enumerate(zip([0] + marks, marks)):
-                r = R[:, start:t]
-                s = s + np.einsum("ij,ij->i", r, r)
-                S[j, a : a + rows] = s
-        return {t: alpha * s for t, s in zip(marks, S)}
+def _affine_sums(marks, c, K, XW, Y):
+    """Every trial's sum_{i <= t} (z_i - x_i^T w)^2, one row per t in the
+    sorted `marks`, for the predictions z = c + K y of `prediction_map`; a
+    map that ignores the outputs comes as K = None and takes no product.
+    Each row of the residuals R = Y K^T + c - XW is summed from mark to
+    mark."""
+    if K is None:
+        R = c - XW
+    else:
+        R = Y @ K.T
+        R += c
+        R -= XW
+    out = np.empty((len(marks), len(Y)))
+    s = 0.0
+    for j, (start, t) in enumerate(zip([0] + marks, marks)):
+        r = R[:, start:t]
+        s = s + np.einsum("ij,ij->i", r, r)
+        out[j] = s
+    return out
 
 
-def _estimator_exponents(spec, mode, marks, p, l, eta, X, w0, XW, Y):
-    """(name, {t: every trial's cost exponent under `mode` after t steps})
-    for t in `marks`, of one config-level estimator on the trials (XW, Y).
-    With the squared-L2 potential and the quadratic loss, up to MAP_T steps,
-    the exponents come from the estimator's `prediction_map` by
-    `_affine_exponents`; otherwise its predictions are stepped through and
-    the exponents accumulated by `_exponents_at`."""
+def _estimator_exponents(runs, marks, p, l, eta, X, w0, trials, n):
+    """(names, S) of the (spec, mode) `runs`, config-level estimators each
+    scored under its mode: S[e, j] holds every trial's exponent of run e
+    after marks[j] steps, `marks` sorted, on trials 0 .. n-1 of the
+    `trials` of `_risk_trials`. With the squared-L2 potential and the
+    quadratic loss, up to MAP_T steps, each distinct `prediction_map` is
+    built once, and the trials are drawn TRIAL_BLOCK at a time and each
+    map's squared residuals summed on them by `_affine_sums`. Otherwise
+    each estimator's predictions are stepped through on all trials at once
+    and its exponents accumulated by `_exponents_at`: the recursion costs
+    a Python step per step and block, not memory traffic, so more blocks
+    would only cost more steps."""
+    S = np.empty((len(runs), len(marks), n))
     if isinstance(p, SquaredL2) and isinstance(l, Quadratic) and len(X) <= MAP_T:
-        name, c, K = prediction_map(spec, p, l, eta, X, w0)
-        # both Bregman costs of the quadratic loss are (x^T w - z)^2 / 2
-        alpha = mode.alpha if isinstance(mode, ScaledQuadratic) else 0.5
-        return name, _affine_exponents(marks, alpha, c, K, XW, Y)
-    name, predictions = estimator_predictions(spec, p, l, eta, X, Y, w0)
-    return name, _exponents_at(marks, mode, l, XW, Y, predictions)
+        names, maps, which = [], [], []
+        for spec, _ in runs:
+            name, c, K = prediction_map(spec, p, l, eta, X, w0)
+            same = [d for d, (c2, K2) in enumerate(maps) if np.array_equal(c, c2) and np.array_equal(K, K2)]
+            if not same:
+                maps.append((c, K))
+            names.append(name)
+            which.append(same[0] if same else len(maps) - 1)
+        maps = [(c, K if K.any() else None) for c, K in maps]
+        sums = np.empty((len(maps), len(marks), n))
+        with np.errstate(over="ignore"):
+            for a in range(0, n, TRIAL_BLOCK):
+                XW, Y = trials(a, min(a + TRIAL_BLOCK, n))
+                for (c, K), out in zip(maps, sums):
+                    out[:, a : a + len(Y)] = _affine_sums(marks, c, K, XW, Y)
+            # both Bregman costs of the quadratic loss are (x^T w - z)^2 / 2
+            for (_, mode), d, out in zip(runs, which, S):
+                np.multiply(mode.alpha if isinstance(mode, ScaledQuadratic) else 0.5, sums[d], out=out)
+        return names, S
+    XW, Y = trials(0, n)
+    for (spec, mode), out in zip(runs, S):
+        _, predictions = estimator_predictions(spec, p, l, eta, X, Y, w0)
+        out[:] = _exponents_at(marks, mode, l, XW, Y, predictions)
+    return [estimator_name(spec) for spec, _ in runs], S
 
 
 def risk_compare(cfg):
@@ -363,27 +408,26 @@ def risk_compare(cfg):
     Weights and noises follow the exponential-family generative model; the
     symmetric-update estimator is scored under its own cost exponent and is
     reported descriptively alongside the rest. In the linear-quadratic case
-    (the squared-L2 potential and the quadratic loss) up to MAP_T = 500 steps,
-    below the crossover near T 800 that MAP_T's comment measures, each
-    estimator's exponents are read off its affine `prediction_map`, one
-    matrix product per block of trials; every other case, and every longer
-    horizon, steps each estimator through `mirror_steps`.
+    (the squared-L2 potential and the quadratic loss) up to MAP_T = 700
+    steps, below the crossover that MAP_T's comment measures, the trials are
+    drawn, predicted and scored TRIAL_BLOCK at a time, and their exponents
+    read off the estimators' affine `prediction_map`s, one matrix product
+    per distinct map and block (none for a map that ignores the outputs);
+    every other case, and every longer horizon, draws all trials at once
+    and steps each estimator through `mirror_steps`.
     """
     require(cfg, "risk")
-    p, l, eta, X, margin, w0, XW, Y = _risk_trials(cfg, cfg.T)
+    p, l, eta, X, margin, w0, trials = _risk_trials(cfg, cfg.T)
     if margin:
         raise ConfigError(margin)
-    runs = []
-    for spec in cfg.estimators:
-        mode = SSMDCost() if spec["kind"] == "ssmd" else SMDCost()
-        name, exponents = _estimator_exponents(spec, mode, {cfg.T}, p, l, eta, X, w0, XW, Y)
-        S = exponents[cfg.T]
-        with np.errstate(over="ignore"):
-            costs = np.exp(S)
-        runs.append((name, mode, costs, effective_sample_size(S)))
-    cis = closed_form_basic_ci(np.stack([c for _, _, c, _ in runs]))
-    entries = [EstimatorCost(name, float(costs.mean()), lo, hi, cfg.n_trials, mode, costs, ess)
-               for (name, mode, costs, ess), (lo, hi) in zip(runs, cis)]
+    runs = [(spec, SSMDCost() if spec["kind"] == "ssmd" else SMDCost()) for spec in cfg.estimators]
+    names, S = _estimator_exponents(runs, [cfg.T], p, l, eta, X, w0, trials, cfg.n_trials)
+    S = S[:, 0]
+    with np.errstate(over="ignore"):
+        costs = np.exp(S)
+    cis = closed_form_basic_ci(costs)
+    entries = [EstimatorCost(name, float(c.mean()), lo, hi, cfg.n_trials, mode, c, effective_sample_size(s))
+               for name, (_, mode), c, s, (lo, hi) in zip(names, runs, costs, S, cis)]
     return RiskReport(entries=entries)
 
 
@@ -397,17 +441,20 @@ def exponent_blowup_probe(cfg, checkpoints=(10, 20, 30, 40, 50)):
     premise is only warned about.
     """
     require(cfg, "blowup-probe")
-    T = max(checkpoints)
+    if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool) and t >= 0 for t in checkpoints):
+        raise ConfigError(f"the blow-up probe's checkpoints must be integers >= 0, got {list(checkpoints)}")
+    T = max(checkpoints, default=0)
     if T < 1:
         raise ConfigError(f"the blow-up probe needs at least one step, got T={T}")
-    p, l, eta, X, margin, w0, XW, Y = _risk_trials(cfg, T)
+    p, l, eta, X, margin, w0, trials = _risk_trials(cfg, T)
     if margin:
         warnings.warn(margin)
-    _, exponents = _estimator_exponents({"kind": "smd"}, ScaledQuadratic(1.0), set(checkpoints),
-                                        p, l, eta, X, w0, XW, Y)
+    marks = sorted(set(checkpoints))
+    _, S = _estimator_exponents([({"kind": "smd"}, ScaledQuadratic(1.0))], marks,
+                                p, l, eta, X, w0, trials, cfg.n_trials)
     with np.errstate(over="ignore"):
-        costs = {t: np.exp(S) for t, S in exponents.items()}
-    return [(t, float(c.max()), float(c.mean())) for t, c in sorted(costs.items())]
+        costs = np.exp(S[0])
+    return [(t, float(c.max()), float(c.mean())) for t, c in zip(marks, costs)]
 
 
 # ---------------------------------------------------------------------------

@@ -60,18 +60,18 @@ def derive_seed(seed, stream_index):
     return _splitmix64((int(seed) + (int(stream_index) + 1) * _GOLDEN) & _MASK64)
 
 
-def trial_uniforms(seed, n, k, column=0):
-    """An (n, k) block of U[0, 1) variates for trials 0 .. n-1:
+def trial_uniforms(seed, n, k, column=0, first=0):
+    """An (n, k) block of U[0, 1) variates for trials first .. first+n-1:
     the row of trial t holds outputs column .. column+k-1 of the splitmix64
     generator started at `derive_seed(seed, STREAM_TRIAL_BASE + t)`, each
     mapped to (x >> 11) * 2^-53. A row depends only on (seed, t), and each
     of its columns is computed directly from its counter, so a window of
-    columns equals those columns of any longer row bit for bit
+    rows or columns equals those of any larger block bit for bit
     (counter-based streams; Salmon et al., SC 2011). The uint64 arithmetic
     wraps modulo 2^64 on arrays, silently; rows are mixed BLOCK_VALUES
     values at a time to bound the temporaries."""
     golden = np.uint64(_GOLDEN)
-    trials = np.arange(n, dtype=np.uint64) + np.uint64(STREAM_TRIAL_BASE + 1)
+    trials = np.arange(first, first + n, dtype=np.uint64) + np.uint64(STREAM_TRIAL_BASE + 1)
     starts = _splitmix64(np.uint64(int(seed) & _MASK64) + trials * golden)
     steps = np.arange(column + 1, column + k + 1, dtype=np.uint64) * golden
     out = np.empty((n, k))

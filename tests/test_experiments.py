@@ -65,8 +65,8 @@ def risk_cost(predictions, w, X, Y, l, mode=SMDCost()):
     X (T, dim) and outputs Y (T,), through the risk comparison's accumulator."""
     T = len(Y)
     xw, Y = (np.asarray(X, dtype=float) @ w)[None, :], np.asarray(Y, dtype=float)[None, :]
-    exponents = _exponents_at({T}, mode, l, xw, Y, (np.array([z]) for z in predictions))
-    return float(np.exp(exponents[T][0]))
+    exponents = _exponents_at([T], mode, l, xw, Y, (np.array([z]) for z in predictions))
+    return float(np.exp(exponents[0, 0]))
 
 
 def test_risk_cost_clairvoyant_is_one(rng):
@@ -183,13 +183,49 @@ def test_risk_compare_is_deterministic():
 
 
 def test_risk_costs_do_not_depend_on_the_trial_count():
-    """Trial t's cost is the same bits however many trials run, although the
-    map path makes its residuals in blocks of rows whose size and split
-    follow the trial count (819 rows a block at T 20)."""
+    """Trial t's cost is the same bits however many trials run, although
+    the trials are drawn, predicted and scored in one block whose row count
+    is the trial count."""
     full = risk_compare(_gaussian_cfg(n_trials=2000)).entries
     for n in (2, 5, 820):
         for a, b in zip(full, risk_compare(_gaussian_cfg(n_trials=n)).entries):
             assert np.array_equal(a.costs[:n], b.costs), (n, a.name)
+
+
+def _risk_outputs(cfg, out):
+    """The bytes of the `risk.csv` that `cfg` writes to `out`, and its
+    blow-up curve at the default checkpoints."""
+    dispatch(replace(cfg, output_dir=str(out)), "risk")
+    return (out / "risk.csv").read_bytes(), exponent_blowup_probe(cfg)
+
+
+@pytest.mark.parametrize("cfg, same, close", [
+    (parse_config(RISK_GAUSSIAN), (3001, 10_000), (1,)),
+    (replace(parse_config(RISK_LOGCOSH_Q3), n_trials=60), (1, 7, 60), ()),
+], ids=["risk_gaussian", "risk_logcosh_q3"])
+def test_risk_outputs_do_not_depend_on_the_trial_block(cfg, same, close, tmp_path, monkeypatch):
+    """`risk.csv` and the blow-up curve are the same bits for every
+    TRIAL_BLOCK in `same`. On the map path (risk_gaussian, 10^4 trials)
+    those are blocks that leave a ragged last one (3 of 3001 rows and one
+    of 997) and one block of all trials. The stepped path (risk_logcosh_q3,
+    60 trials) draws all trials at once, so there no block size moves a
+    bit. With one trial a block the map path agrees to roundoff only:
+    numpy takes a 1-row matrix product through BLAS's matrix-vector kernel,
+    which sums in another order than the matrix-matrix one (1.9e-15
+    relative here)."""
+    from mirrorkit import experiments
+
+    default = _risk_outputs(cfg, tmp_path / "default")
+    for block in same:
+        monkeypatch.setattr(experiments, "TRIAL_BLOCK", block)
+        assert _risk_outputs(cfg, tmp_path / str(block)) == default, block
+    for block in close:
+        monkeypatch.setattr(experiments, "TRIAL_BLOCK", block)
+        csv, curve = _risk_outputs(cfg, tmp_path / str(block))
+        rows = [np.loadtxt(text.splitlines()[1:], delimiter=",", usecols=(1, 2, 3, 4, 5))
+                for text in (csv.decode(), default[0].decode())]
+        np.testing.assert_allclose(*rows, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(curve, default[1], rtol=1e-13, atol=0)
 
 
 def test_risk_neutral_requires_scalar():
@@ -220,6 +256,18 @@ def _sequential_exponents(spec, mode, marks, p, l, eta, X, w0, XW, Y):
     return _exponents_at(marks, mode, l, XW, Y, predictions)
 
 
+def _all_trials(cfg, T):
+    """`_risk_trials` with every trial's clean and noisy outputs (XW, Y),
+    each (n_trials, T), drawn at once."""
+    p, l, eta, X, margin, w0, trials = _risk_trials(cfg, T)
+    return p, l, eta, X, margin, w0, *trials(0, cfg.n_trials)
+
+
+def _slices(XW, Y):
+    """The `trials(a, b)` of `_risk_trials` for the given outputs."""
+    return lambda a, b: (XW[a:b], Y[a:b])
+
+
 def _random_lq_config(rng, T, n_trials):
     """A random risk config on the squared-L2 potential and the quadratic
     loss, with a non-zero prior center and the five default estimators."""
@@ -238,27 +286,34 @@ def test_map_exponents_equal_the_sequential_ones(T):
     kind, under its own cost and under the blow-up probe's alpha-1 cost at
     several marks. The tolerance is absolute as well as relative: the
     sequential form ((y - xw) - (y - z))^2 cancels through y, so an exponent
-    near 0 carries an error of about 1e-13 relative to its terms."""
+    near 0 carries an error of about 1e-13 relative to its terms. Scored
+    together, the estimators share their equal maps (ssmd's is smd's, and
+    `scaled_smd(1)`'s too), and ssmd gets the bits it gets alone."""
     rng = np.random.default_rng(T)
     marks = sorted({0, 1, (T + 1) // 2, T})
     for _ in range(5):
         cfg = _random_lq_config(rng, T, n_trials=16 if T == MAP_T else 64)
-        p, l, eta, X, _, w0, XW, Y = _risk_trials(cfg, T)
+        cfg = replace(cfg, estimators=[*cfg.estimators, {"kind": "scaled_smd", "gamma": 1.0}])
+        p, l, eta, X, _, w0, XW, Y = _all_trials(cfg, T)
         assert not np.array_equal(w0, np.zeros(cfg.dim))
         # the map predicts what the recursion does, on the trials' outputs
         _, c, K = prediction_map({"kind": "smd"}, p, l, eta, X, w0)
         _, predictions = estimator_predictions({"kind": "smd"}, p, l, eta, X, Y, w0)
         np.testing.assert_allclose(c + Y @ K.T, np.reshape(list(predictions), (T, -1)).T,
                                    rtol=1e-12, atol=1e-12)
-        runs = [(spec, _scored(spec), {T}) for spec in cfg.estimators]
-        runs.append(({"kind": "smd"}, ScaledQuadratic(1.0), set(marks)))
-        for spec, mode, at in runs:
-            args = (spec, mode, at, p, l, eta, X, w0, XW, Y)
-            _, exponents = _estimator_exponents(*args)
-            expected = _sequential_exponents(*args)
-            assert exponents.keys() == expected.keys()
-            for t, S in expected.items():
-                np.testing.assert_allclose(exponents[t], S, rtol=1e-12, atol=1e-12, err_msg=f"{spec} {mode} {t}")
+        trials = _slices(XW, Y)
+        runs = [(spec, _scored(spec)) for spec in cfg.estimators]
+        _, together = _estimator_exponents(runs, [T], p, l, eta, X, w0, trials, len(Y))
+        for (spec, mode), S in zip(runs, together):
+            expected = _sequential_exponents(spec, mode, [T], p, l, eta, X, w0, XW, Y)
+            np.testing.assert_allclose(S, expected, rtol=1e-12, atol=1e-12, err_msg=f"{spec} {mode}")
+        ssmd = [spec["kind"] for spec, _ in runs].index("ssmd")
+        _, alone = _estimator_exponents([runs[ssmd]], [T], p, l, eta, X, w0, trials, len(Y))
+        assert np.array_equal(alone[0], together[ssmd])
+        probe = ({"kind": "smd"}, ScaledQuadratic(1.0))
+        _, (S,) = _estimator_exponents([probe], marks, p, l, eta, X, w0, trials, len(Y))
+        expected = _sequential_exponents(*probe, marks, p, l, eta, X, w0, XW, Y)
+        np.testing.assert_allclose(S, expected, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -266,16 +321,13 @@ def test_map_exponents_equal_the_sequential_ones(T):
     _gaussian_cfg(T=MAP_T + 1, n_trials=16),
 ], ids=["risk_logcosh_q3", "squared_l2_past_MAP_T"])
 def test_other_pairs_and_longer_horizons_keep_the_sequential_exponents(cfg):
-    p, l, eta, X, _, w0, XW, Y = _risk_trials(cfg, cfg.T)
-    marks = {10, cfg.T}
-    runs = [(spec, _scored(spec), {cfg.T}) for spec in cfg.estimators]
-    runs.append(({"kind": "smd"}, ScaledQuadratic(1.0), marks))
+    p, l, eta, X, _, w0, XW, Y = _all_trials(cfg, cfg.T)
+    runs = [(spec, _scored(spec), [cfg.T]) for spec in cfg.estimators]
+    runs.append(({"kind": "smd"}, ScaledQuadratic(1.0), [10, cfg.T]))
     for spec, mode, at in runs:
-        args = (spec, mode, at, p, l, eta, X, w0, XW, Y)
-        _, exponents = _estimator_exponents(*args)
-        expected = _sequential_exponents(*args)
-        assert exponents.keys() == expected.keys()
-        assert all(np.array_equal(exponents[t], S) for t, S in expected.items()), (spec, mode)
+        _, S = _estimator_exponents([(spec, mode)], at, p, l, eta, X, w0, _slices(XW, Y), len(Y))
+        expected = _sequential_exponents(spec, mode, at, p, l, eta, X, w0, XW, Y)
+        assert np.array_equal(S[0], expected), (spec, mode)
 
 
 def test_linear_quantile_equals_numpy_quantile():
@@ -411,6 +463,21 @@ def test_converge_peak_memory_is_a_few_chunks():
     assert peak <= 3 * 2**20
 
 
+def test_risk_peak_memory_is_a_few_trial_blocks():
+    """`risk` draws, predicts and scores TRIAL_BLOCK trials at a time, so on
+    risk_gaussian (10^4 trials, T 20, 5 estimators) its traced peak stays
+    under 4 MiB: 2.47 MiB, where the whole (n_trials, T) uniforms, weights,
+    noises and outputs took 5.26 MiB."""
+    cfg = parse_config(RISK_GAUSSIAN)
+    tracemalloc.start()
+    try:
+        risk_compare(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
 @pytest.mark.parametrize("values", [[1.0], np.ones((3, 1)), []])
 def test_bootstrap_needs_two_values(values):
     with pytest.raises(ValueError, match="at least 2 values"):
@@ -509,7 +576,7 @@ def test_an_infinite_cost_gives_a_nan_interval_and_a_failing_verdict(tmp_path, m
     constant-baseline trial whose exponent is about 5000, so that its cost
     overflows to inf, fails the verdict closed, with no RuntimeWarning. The
     overflow is put into that trial's exponent, which both the map and the
-    stepped path hand to `risk` through `_estimator_exponents`."""
+    stepped path hand to `risk` in the stack `_estimator_exponents` returns."""
     x = np.exp(np.random.default_rng(1).standard_normal(500))
     y = x.copy()
     y[3] = np.inf
@@ -521,12 +588,10 @@ def test_an_infinite_cost_gives_a_nan_interval_and_a_failing_verdict(tmp_path, m
 
     from mirrorkit import experiments
 
-    def overflowing(spec, *args):
-        name, exponents = _estimator_exponents(spec, *args)
-        if name == "constant":
-            for S in exponents.values():
-                S[0] += 5000.0
-        return name, exponents
+    def overflowing(*args):
+        names, S = _estimator_exponents(*args)
+        S[names.index("constant"), :, 0] += 5000.0
+        return names, S
 
     monkeypatch.setattr(experiments, "_estimator_exponents", overflowing)
     cfg = replace(parse_config(RISK_GAUSSIAN), n_trials=500, output_dir=str(tmp_path))
@@ -580,6 +645,22 @@ def test_exponent_probe_grows():
     curve = exponent_blowup_probe(cfg, checkpoints=(10, 30, 50))
     assert [t for t, _, _ in curve] == [10, 30, 50]
     assert curve[-1][1] > 10.0 * curve[0][1]
+
+
+@pytest.mark.parametrize("cfg", [
+    replace(parse_config(RISK_GAUSSIAN), n_trials=50),
+    replace(parse_config(RISK_LOGCOSH_Q3), n_trials=50),
+], ids=["risk_gaussian", "risk_logcosh_q3"])
+@pytest.mark.parametrize("checkpoints", [(-5, 10), (10, 2.5), (10.0,), (True, 10), ()],
+                         ids=["negative", "fractional", "float", "bool", "none"])
+def test_blowup_probe_refuses_checkpoints_that_are_not_step_counts(cfg, checkpoints):
+    """A checkpoint is a step count, an integer >= 0. A negative one read a
+    slice from the end on the map path (-5 summed 5 steps) and was dropped
+    on the stepped path; both paths now refuse it, and every other
+    non-integer, before any trial is drawn."""
+    with pytest.raises(ConfigError, match="checkpoints must be integers >= 0|at least one step"):
+        exponent_blowup_probe(cfg, checkpoints=checkpoints)
+    assert [t for t, _, _ in exponent_blowup_probe(cfg, checkpoints=(0, np.int64(10)))] == [0, 10]
 
 
 def test_oracle_minimum_norm_examples():

@@ -84,6 +84,12 @@ def test_trial_uniforms_rows_depend_only_on_seed_and_trial():
     for column in (1, 17, 29):
         assert np.array_equal(trial_uniforms(5, 40, 30 - column, column=column), U[:, column:])
         assert np.array_equal(trial_uniforms(5, 7, 1, column=column), U[:7, column : column + 1])
+    # and rows taken from a first trial on are those rows of the full block,
+    # alone, as a tail, and in a window of rows and columns
+    for first in (1, 17, 39):
+        assert np.array_equal(trial_uniforms(5, 1, 30, first=first), U[first : first + 1])
+        assert np.array_equal(trial_uniforms(5, 40 - first, 30, first=first), U[first:])
+        assert np.array_equal(trial_uniforms(5, 1, 12, column=7, first=first), U[first : first + 1, 7:19])
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "uniform", "rademacher"])
