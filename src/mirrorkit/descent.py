@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .losses import LossFn
+from .losses import LossFn, Quadratic
 from .potentials import Potential, SeparableQ
 
 HESSIAN_PROBE_EXCLUSION = 1e-8
@@ -143,14 +143,24 @@ class Trajectory:
 
 
 def _dot(x, W):
-    # a shared input (dim,) takes one gemv, per-trial rows np.vecdot; on one start both are np.dot
-    return W @ x if x.ndim == 1 else np.vecdot(x, W)
+    # a shared input (dim,) takes W.dot(x) on a 1-D or 2-D state, bitwise W @ x there at about half
+    # its per-call cost; a 3-D state keeps @, since dot differs from the stacked matmul; per-trial
+    # rows take np.vecdot
+    if x.ndim > 1:
+        return np.vecdot(x, W)
+    return W.dot(x) if W.ndim < 3 else W @ x
 
 
 def smd_shift(l, m):
     """The SMD shift as shift(x, y, W): J_f(w) = g'(x^T w) x, so the step
-    moves grad psi(w) by eta * l'(y - g(x^T w)) g'(x^T w) * x."""
-    if isinstance(m, Linear):  # g(u) = u and g'(u) = 1, without their per-step calls
+    moves grad psi(w) by eta * l'(y - g(x^T w)) g'(x^T w) * x.
+
+    Two cases are inlined, without their per-step calls: the linear model's
+    g(u) = u and g'(u) = 1, and with it the quadratic loss's l'(r) = r + 0.0,
+    whose sum turns a -0.0 residual into +0.0 as `Quadratic.deriv` does."""
+    if isinstance(m, Linear):
+        if isinstance(l, Quadratic):  # Quadratic.deriv, inlined; checked bitwise against it in the tests
+            return lambda x, y, W: y - _dot(x, W) + 0.0
         return lambda x, y, W: l.deriv(y - _dot(x, W))
     def shift(x, y, W):
         u = _dot(x, W)
@@ -173,11 +183,15 @@ def mirror_steps(p, W, X, Y, etas, shift):
     output `Y[i]` (a scalar, or one per trial) and the rate `etas[i]` (a
     scalar, or one per block broadcast against the shift, e.g. (blocks, 1)
     for a state (blocks, n, dim)); all may be any iterables. The state
-    U = grad psi(W) is carried and never recomputed from W.
+    U = grad psi(W) is carried and never recomputed from W. The coefficient
+    c = eta_i * shift(...) multiplies x_i directly when it is 0-d (one
+    start; a Python float too) and is lifted to c[..., None] when it has a
+    trial axis.
     """
     U = p.grad(W)
     for x, y, eta in zip(X, Y, etas):
-        U = U + np.asarray(eta * shift(x, y, W))[..., None] * x
+        c = eta * shift(x, y, W)
+        U = U + (c[..., None] if getattr(c, "ndim", 0) else c) * x
         W = p.grad_inv(U)
         yield W
 

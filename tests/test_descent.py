@@ -20,7 +20,7 @@ from mirrorkit import (
 )
 from mirrorkit.cli import _iterate
 from mirrorkit.config import make_config
-from mirrorkit.descent import mirror_steps, premise_holds
+from mirrorkit.descent import _dot, mirror_steps, premise_holds, smd_shift
 from mirrorkit.datagen import gaussian_inputs, generate_problem, generate_problems
 from mirrorkit.samplers import RngStream
 
@@ -203,6 +203,50 @@ def test_mirror_steps_per_trial_rows_equal_row_loop(rng):
                 alone = mirror_steps(p, W[t], x if x.ndim == 2 else x[:, t], S[:, t], [0.05] * 4, shift)
                 for W1, w in zip(batch, alone):
                     assert np.array_equal(W1[t], w)
+        # a shared input with a 2-D batch of trials, (2, 3, dim)
+        blocks = list(mirror_steps(p, W.reshape(2, 3, 3), X[:, 0], S.reshape(4, 2, 3), [0.05] * 4, shift))
+        for t in range(6):
+            alone = mirror_steps(p, W[t], X[:, 0], S[:, t], [0.05] * 4, shift)
+            for W1, w in zip(blocks, alone):
+                assert np.array_equal(W1[t // 3, t % 3], w)
+
+
+def test_dot_of_a_shared_input_is_the_matmul_bitwise(rng):
+    """`_dot` takes W.dot(x) on 1-D and 2-D states and @ on a 3-D one; each
+    equals W @ x bit for bit, where the 3-D dot would not."""
+    for _ in range(200):
+        dim = int(rng.integers(1, 6))
+        x = rng.standard_normal(dim)
+        for shape in ((dim,), (int(rng.integers(1, 40)), dim), (int(rng.integers(1, 4)), int(rng.integers(1, 40)), dim)):
+            W = rng.standard_normal(shape) * 10.0 ** int(rng.integers(-5, 6))
+            assert np.array_equal(_dot(x, W), W @ x), shape
+
+
+def test_smd_shift_inlines_the_quadratic_derivative_bitwise(rng):
+    """The inlined l'(r) = r + 0.0 is Quadratic.deriv of the residual bit
+    for bit, and a -0.0 residual gives +0.0."""
+    l = Quadratic()
+    shift = smd_shift(l, Linear())
+    for W in (rng.standard_normal(3), rng.standard_normal((5, 3))):
+        x = rng.standard_normal(3)
+        for y in (rng.standard_normal(W.shape[:-1]), _dot(x, W), -0.0 * np.ones(W.shape[:-1])):
+            for xx in (x, np.zeros(3)):
+                got, want = shift(xx, y, W), l.deriv(y - _dot(xx, W))
+                assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    got = shift(np.zeros(3), -0.0, np.ones(3))  # -0.0 - 0.0 is -0.0
+    assert got == 0.0 and not np.signbit(got)
+
+
+def test_mirror_steps_take_a_shift_that_returns_a_python_float(rng):
+    """A 0-d coefficient, here a Python float with no `ndim` and no
+    `[..., None]`, multiplies x directly, bit for bit as a numpy one."""
+    p, l = NegEntropy(3), Quadratic()
+    w0 = random_in_domain(p, rng)
+    X, Y = rng.standard_normal((20, 3)), rng.standard_normal(20)
+    shift = smd_shift(l, Linear())
+    floats = list(mirror_steps(p, w0, X, Y.tolist(), [0.05] * 20, lambda x, y, W: float(shift(x, y, W))))
+    arrays = list(mirror_steps(p, w0, X, Y, [0.05] * 20, shift))
+    assert np.array_equal(floats, arrays)
 
 
 def test_ssmd_requires_linear():

@@ -71,6 +71,9 @@ def test_splitmix64_on_a_read_only_uint64_array_equals_it_on_python_ints():
     assert out.dtype == np.uint64
     assert out.tolist() == [_splitmix64(v) for v in values]
     assert z.tolist() == values
+    # nor is a writeable input written
+    w = np.array(values, dtype=np.uint64)
+    assert _splitmix64(w).tolist() == out.tolist() and w.tolist() == values
 
 
 def test_trial_uniforms_rows_depend_only_on_seed_and_trial():
