@@ -5,11 +5,9 @@ the same data from the same seed:
 
     0  inputs shared by the trials of risk, the blow-up probe and converge
     1  converge's planted weight
-    4  resampling, read only by `experiments.bootstrap_basic_ci`, which
-       `risk` no longer calls (its intervals are in closed form)
     1000+t  trial t: row t of `trial_uniforms`
 
-Streams 0, 1 and 4 are PCG64 `RngStream`s; streams 2 and 3 are retired.
+Streams 0 and 1 are PCG64 `RngStream`s; streams 2, 3 and 4 are retired.
 Trial t seeds no generator: its draws are row t of the counter-based block
 `samplers.trial_uniforms(seed, n, k)`, split across draws by `trial_draws`
 and laid out per subcommand as
@@ -47,7 +45,6 @@ from .samplers import (
 
 STREAM_INPUTS = 0
 STREAM_WEIGHT = 1
-STREAM_BOOTSTRAP = 4
 
 
 def unit_rows(X):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .losses import LossFn, Quadratic
+from .losses import LossFn
 from .potentials import Potential, SeparableQ
 
 HESSIAN_PROBE_EXCLUSION = 1e-8
@@ -155,12 +155,9 @@ def smd_shift(l, m):
     """The SMD shift as shift(x, y, W): J_f(w) = g'(x^T w) x, so the step
     moves grad psi(w) by eta * l'(y - g(x^T w)) g'(x^T w) * x.
 
-    Two cases are inlined, without their per-step calls: the linear model's
-    g(u) = u and g'(u) = 1, and with it the quadratic loss's l'(r) = r + 0.0,
-    whose sum turns a -0.0 residual into +0.0 as `Quadratic.deriv` does."""
+    The linear model's g(u) = u and g'(u) = 1 are inlined, without their
+    per-step calls."""
     if isinstance(m, Linear):
-        if isinstance(l, Quadratic):  # Quadratic.deriv, inlined; checked bitwise against it in the tests
-            return lambda x, y, W: y - _dot(x, W) + 0.0
         return lambda x, y, W: l.deriv(y - _dot(x, W))
     def shift(x, y, W):
         u = _dot(x, W)

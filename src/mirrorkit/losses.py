@@ -40,7 +40,7 @@ class Quadratic(LossFn):
         return 0.5 * np.square(v)
 
     def deriv(self, v):
-        return np.asarray(v, dtype=float) + 0.0
+        return v + 0.0  # turns a -0.0 into +0.0
 
     def second_deriv(self, v):
         return np.ones_like(np.asarray(v, dtype=float))

@@ -222,16 +222,15 @@ def test_dot_of_a_shared_input_is_the_matmul_bitwise(rng):
             assert np.array_equal(_dot(x, W), W @ x), shape
 
 
-def test_smd_shift_inlines_the_quadratic_derivative_bitwise(rng):
-    """The inlined l'(r) = r + 0.0 is Quadratic.deriv of the residual bit
-    for bit, and a -0.0 residual gives +0.0."""
-    l = Quadratic()
-    shift = smd_shift(l, Linear())
+def test_smd_shift_of_the_quadratic_loss_is_the_residual_plus_zero_bitwise(rng):
+    """The quadratic loss's shift on the linear model is r + 0.0 of the
+    residual r bit for bit, and a -0.0 residual gives +0.0."""
+    shift = smd_shift(Quadratic(), Linear())
     for W in (rng.standard_normal(3), rng.standard_normal((5, 3))):
         x = rng.standard_normal(3)
         for y in (rng.standard_normal(W.shape[:-1]), _dot(x, W), -0.0 * np.ones(W.shape[:-1])):
             for xx in (x, np.zeros(3)):
-                got, want = shift(xx, y, W), l.deriv(y - _dot(xx, W))
+                got, want = shift(xx, y, W), y - _dot(xx, W) + 0.0
                 assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
     got = shift(np.zeros(3), -0.0, np.ones(3))  # -0.0 - 0.0 is -0.0
     assert got == 0.0 and not np.signbit(got)

@@ -29,14 +29,13 @@ from mirrorkit import (
 )
 from mirrorkit.cli import EXIT_ASSERTION, dispatch
 from mirrorkit.config import make_config, parse_config
-from mirrorkit.datagen import STREAM_BOOTSTRAP, generate_problems, problem_draws, trial_draws
+from mirrorkit.datagen import generate_problems, problem_draws, trial_draws
 from mirrorkit.experiments import (
     BOOTSTRAP_RESAMPLES,
     MAP_STEPS,
     MAP_T,
     _estimator_exponents,
     _exponents_at,
-    _linear_quantile,
     _risk_trials,
     bootstrap_basic_ci,
     closed_form_basic_ci,
@@ -330,23 +329,6 @@ def test_other_pairs_and_longer_horizons_keep_the_sequential_exponents(cfg):
         assert np.array_equal(S[0], expected), (spec, mode)
 
 
-def test_linear_quantile_equals_numpy_quantile():
-    """The bootstrap's order statistics follow np.quantile's default rule
-    exactly, on light- and heavy-tailed samples, ties, infinities and NaN."""
-    rng = np.random.default_rng(3)
-    n = BOOTSTRAP_RESAMPLES
-    alpha = (1.0 - 0.95) / 2.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        samples = [rng.standard_normal(n), rng.lognormal(0.0, 3.0, n), 1.0 + rng.pareto(0.7, n),
-                   np.round(rng.standard_normal(n), 1), np.exp(rng.standard_normal(n) * 300.0)]
-        samples.append(np.where(rng.uniform(size=n) < 0.01, np.nan, samples[0]))
-        samples += [rng.standard_normal(k) for k in (1, 2, 3, 7)]
-        for x in samples:
-            s = np.sort(x)
-            for q in (alpha, 1.0 - alpha, 0.0, 0.1, 0.5, 0.9, 1.0):
-                assert np.array_equal(_linear_quantile(s, q), np.quantile(x, q), equal_nan=True), (x.size, q)
-
-
 def test_bootstrap_ci_brackets_mean():
     rng = RngStream(5, 0)
     values = 1.0 + np.asarray(rng.normal(4000)) * 0.1
@@ -359,7 +341,7 @@ def test_bootstrap_ci_brackets_mean():
 
 def test_stacked_bootstrap_shares_indices_row_by_row():
     rng = np.random.default_rng(3)
-    a = np.exp(rng.standard_normal(3000))  # 3000 values: 25 blocks of 80 resamples
+    a = np.exp(rng.standard_normal(3000))  # 3000 values: 400 blocks of 5 resamples
     b = a + 0.25
     cis = bootstrap_basic_ci(np.stack([a, b, a]), RngStream(8, 4))
     assert len(cis) == 3
@@ -368,72 +350,63 @@ def test_stacked_bootstrap_shares_indices_row_by_row():
     # paired: resampled on the same trials, a shifted row's interval shifts
     # by exactly the offset, up to roundoff
     np.testing.assert_allclose(cis[1], np.add(cis[0], 0.25), rtol=0, atol=1e-12)
-    # a resample mean sees only its own row, and adds an overflowed value
-    # only where it was drawn: an inf in the count product itself would
-    # make every mean of row 1 NaN (0 * inf)
+    # a resample mean gathers values of its own row only: the resamples
+    # that drew the overflowed value have mean inf, and row 0 does not move
     b[7] = np.inf
     overflowed = bootstrap_basic_ci(np.stack([a, b]), RngStream(8, 4))
     assert overflowed[0] == cis[0]
     assert overflowed[1][1] == np.inf
 
 
-def gathered_bootstrap_ci(values, rng, n_resamples=BOOTSTRAP_RESAMPLES):
-    """The reference 95% bootstrap: each resample gathers its drawn values
-    and averages them, from the same index draws split into chunks of
-    2e6 values, not into the bootstrap's own blocks."""
-    rows = np.atleast_2d(np.asarray(values, dtype=float))
-    n, k = rows.shape[1], n_resamples
-    means = np.empty((len(rows), k))
-    chunk = max(1, min(k, int(2e6) // n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for done in range(0, k, chunk):
-            idx = rng.integers(0, n, (min(chunk, k - done), n))
-            for row, row_means in zip(rows, means):
-                row_means[done : done + len(idx)] = row[idx].mean(axis=1)
-        cis = [(2.0 * row.mean() - np.quantile(m, 0.975), 2.0 * row.mean() - np.quantile(m, 0.025))
-               for row, m in zip(rows, means)]
-    return cis if np.ndim(values) == 2 else cis[0]
-
-
 @pytest.mark.parametrize("draw, n_resamples", [
-    (lambda rng: rng.standard_normal(3001), BOOTSTRAP_RESAMPLES),
-    (lambda rng: rng.lognormal(0.0, 3.0, 3001), BOOTSTRAP_RESAMPLES),
-    (lambda rng: 1.0 + rng.pareto(0.7, 3001), BOOTSTRAP_RESAMPLES),
+    (lambda rng: rng.standard_normal(3001), 200),
+    (lambda rng: rng.lognormal(0.0, 3.0, 3001), 200),
+    (lambda rng: 1.0 + rng.pareto(0.7, 3001), 200),
     (lambda rng: rng.standard_normal(3), BOOTSTRAP_RESAMPLES),
-    (lambda rng: rng.lognormal(0.0, 1.0, 5000), BOOTSTRAP_RESAMPLES),
-    (lambda rng: rng.standard_normal(40_000), 200),
+    (lambda rng: rng.lognormal(0.0, 1.0, 5000), 200),
+    (lambda rng: rng.standard_normal(40_000), 50),
 ], ids=["normal", "lognormal", "pareto", "three", "5000 values", "40000 values"])
-def test_count_bootstrap_equals_gathered_on_finite_rows(draw, n_resamples):
-    """3001 values give 25 blocks of 80 resamples; 5000 values give blocks
-    of 48 and a last one of 32; 40 000 values give blocks of 6, too few to
-    round. The reference splits the same draws into chunks of its own, so
-    this also checks that the split does not change the draws. The count
-    products sum in another order than the gathered means, so the intervals
-    agree to roundoff; an endpoint near 0 keeps only an absolute agreement,
-    on the scale of the values."""
+def test_bootstrap_intervals_do_not_depend_on_the_block(monkeypatch, draw, n_resamples):
+    """The intervals are the same bits with the default blocks, one resample
+    per block, seven, and all resamples in one block: the blocks split one
+    stream of index draws, and a resample's mean reads its own indices
+    only. 40 000 values are above BLOCK_VALUES, one resample per block by
+    default."""
+    from mirrorkit import experiments
+
     x = draw(np.random.default_rng(0))
-    got = bootstrap_basic_ci(x, RngStream(8, 4), n_resamples)
-    want = gathered_bootstrap_ci(x, RngStream(8, 4), n_resamples)
-    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(x).mean())
+    cis = [bootstrap_basic_ci(x, RngStream(8, 4), n_resamples)]
+    for block_values in (x.size, 7 * x.size, n_resamples * x.size):
+        monkeypatch.setattr(experiments, "BLOCK_VALUES", block_values)
+        cis.append(bootstrap_basic_ci(x, RngStream(8, 4), n_resamples))
+    assert cis[1:] == cis[:-1], cis
 
 
 @pytest.mark.parametrize("bad", [[np.inf], [-np.inf], [np.nan], [np.inf, -np.inf]],
                          ids=["inf", "-inf", "nan", "both infs"])
-def test_count_bootstrap_equals_gathered_on_non_finite_rows(bad):
+def test_bootstrap_non_finite_row_leaves_the_other_rows_alone(bad):
+    """A row with a non-finite value leaves each other row's interval bit
+    for bit as that row gives it alone, and gets its own interval as alone.
+    A resample that drew inf has mean inf, so the interval is infinite on
+    that side; a NaN, or both infinities, make a NaN interval."""
     x = np.random.default_rng(0).standard_normal(3001)
     y = x.copy()
     y[[7, 2000][: len(bad)]] = bad
-    got = bootstrap_basic_ci(np.stack([x, y]), RngStream(8, 4))
-    want = gathered_bootstrap_ci(np.stack([x, y]), RngStream(8, 4))
-    np.testing.assert_allclose(got[0], want[0], rtol=1e-13, atol=1e-13)
-    assert np.array_equal(got[1], want[1], equal_nan=True)
+    cis = bootstrap_basic_ci(np.stack([x, y, x + 1.0]), RngStream(8, 4))
+    assert cis[0] == bootstrap_basic_ci(x, RngStream(8, 4))
+    assert cis[2] == bootstrap_basic_ci(x + 1.0, RngStream(8, 4))
+    assert np.array_equal(cis[1], bootstrap_basic_ci(y, RngStream(8, 4)), equal_nan=True)
+    if len(bad) == 1 and np.isinf(bad[0]):
+        assert (cis[1][1] if bad[0] > 0 else cis[1][0]) == bad[0]
+    else:
+        assert np.isnan(cis[1]).all()
 
 
 def test_bootstrap_peak_memory_is_two_index_blocks():
-    """The index block and the count buffer each hold at most 2**18 values
-    (2 MiB); with the means and the per-estimator copies of the costs a
-    (5, 10**4) bootstrap stays under 6 MiB, where blocks of 2e6 values
-    took 30.7 MiB."""
+    """The index block and the values it gathers each hold at most
+    BLOCK_VALUES = 2**14 values (128 KiB); with the means a (5, 10**4)
+    bootstrap's traced peak is 0.24 MiB, under 6 MiB, where one block of
+    all 2000 resamples would take about 300 MiB."""
     costs = np.exp(np.random.default_rng(1).standard_normal((5, 10**4)))
     tracemalloc.start()
     try:
@@ -529,9 +502,10 @@ def test_closed_form_ci_agrees_with_the_bootstrap():
     a tenth of the bootstrap's half-width of the bootstrap's endpoint (at
     most 0.045 here). The 2000 resamples alone move a 2.5% quantile by about
     0.03 of the half-width, one standard error."""
+    stream = 4  # a stream that no subcommand reads
     cfg = parse_config(RISK_GAUSSIAN)
     entries = risk_compare(cfg).entries
-    boot = bootstrap_basic_ci(np.stack([e.costs for e in entries]), RngStream(cfg.seed, STREAM_BOOTSTRAP))
+    boot = bootstrap_basic_ci(np.stack([e.costs for e in entries]), RngStream(cfg.seed, stream))
     for e, (lo, hi) in zip(entries, boot):
         half = (hi - lo) / 2.0
         assert abs(e.ci_low - lo) <= 0.1 * half and abs(e.ci_high - hi) <= 0.1 * half, (e.name, lo, hi)

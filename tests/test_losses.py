@@ -43,6 +43,19 @@ def test_logcosh_large_arguments_stable():
     assert np.isfinite(l.deriv(800.0))
 
 
+def test_quadratic_deriv_is_the_float_rule_bitwise(rng):
+    """l'(v) = v + 0.0 is np.asarray(v, dtype=float) + 0.0 bit for bit on
+    Python floats and ints, np.float64 and 0-d and n-d arrays; -0.0 gives
+    +0.0."""
+    l = Quadratic()
+    for v in (1.5, -0.0, 0.0, 3, -2, np.float64(-0.7), np.float64(-0.0), np.array(2.5), np.array(-0.0),
+              rng.standard_normal(5), rng.standard_normal((3, 4)), np.array([-0.0, 0.0, np.inf, -np.inf, np.nan]),
+              np.arange(-3, 3)):
+        got, want = l.deriv(v), np.asarray(v, dtype=float) + 0.0
+        assert np.array_equal(got, want, equal_nan=True) and np.array_equal(np.signbit(got), np.signbit(want)), v
+    assert not np.signbit(l.deriv(-0.0))
+
+
 def test_quadratic_bregman_is_half_squared_difference(rng):
     l = Quadratic()
     for a, b in rng.uniform(-4, 4, size=(30, 2)):

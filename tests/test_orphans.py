@@ -1,10 +1,11 @@
-"""No leftovers in the package: every module-level import is used and every
-module-level private function is called from somewhere in `src/`.
+"""No leftovers in the package: every module-level import is used, and every
+module-level private function and upper-case constant is referred to from
+somewhere else in `src/`.
 
 A name counts as used when the package refers to it outside its own binding:
 as a name or an attribute anywhere in `src/`, or, for an import, when another
-module imports it from this one. `__init__.py` imports are the public API
-and are exempt. The test reads the sources with `ast` and imports nothing.
+module imports it from this one. `__init__.py` is the public API, and its names
+are exempt. The test reads the sources with `ast` and imports nothing.
 """
 
 import ast
@@ -69,3 +70,19 @@ def test_every_private_function_is_referenced():
                 if referring[node.name] == (node.name in refs):
                     orphans.append(f"{module}.{node.name}")
     assert not orphans, f"private functions nothing in src/ refers to: {orphans}"
+
+
+def test_every_module_level_constant_is_referenced():
+    referring = Counter(name for nodes in TOP_LEVEL.values() for _, refs in nodes for name in refs)
+    orphans = []
+    for module, nodes in TOP_LEVEL.items():
+        if module == "__init__":
+            continue
+        for node, refs in nodes:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    # the assignment names its own target, which does not count
+                    if referring[target.id] == (target.id in refs):
+                        orphans.append(f"{module}.{target.id}")
+    assert not orphans, f"upper-case constants nothing else in src/ refers to: {orphans}"
