@@ -52,8 +52,8 @@ Z_975 = 1.9599639845400536
 # values, so past 50 they shrink (150 steps at K 50, 100 at K 100, for 100
 # runs) and the noise windows cost more. `msq_convergence` on converge.json
 # (T 10^4, 100 runs and the control; one BLAS thread, a 2-core VM, best of
-# 25 in two rounds) took 32.7-33.5 ms at K 10, 29.0-29.1 at K 25,
-# 27.3-28.8 at K 50 and 30.6-32.1 at K 100.
+# 50 with the four K interleaved, in two rounds) took 25.9-26.3 ms at K 10,
+# 22.5-22.7 at K 25, 21.9-22.1 at K 50 and 22.8-23.0 at K 100.
 MAP_STEPS = 50
 # `risk` and the blow-up probe read the linear-quadratic exponents off each
 # estimator's full prediction map up to this many steps, and step through

@@ -14,6 +14,14 @@ cos 2 pi a = (-1)^h (1 - t^2) / (1 + t^2) and sin 2 pi a = (-1)^h 2t / (1 + t^2)
 within 3.7e-16 r of mpmath's values where libm's cos and sin of the rounded
 2 pi a read 6.9e-16 r. As with np.log and np.exp, the last bit of a value
 can differ with numpy's CPU dispatch (NPY_DISABLE_CPU_FEATURES).
+
+The transform is one kernel, `box_muller_pairs`, from a block of radius
+uniforms and a block of angle uniforms of one shape, every pass of which
+writes a contiguous temporary of that shape. `box_muller` hands it row
+blocks of at most BLOCK_VALUES pairs, so the temporaries stay in cache, and
+writes each block's cosines and sines once into the interleaved output;
+`white_noise_window` makes the radius and angle uniforms of its runs in one
+counter pass, as two contiguous halves, and hands them over the same way.
 """
 
 import logging
@@ -32,7 +40,7 @@ log = logging.getLogger("mirrorkit")
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 STREAM_TRIAL_BASE = 1000  # trial t draws from stream 1000 + t
-BLOCK_VALUES = 1 << 14  # trial uniforms made in one pass
+BLOCK_VALUES = 1 << 14  # trial uniforms, or Box-Muller pairs, made in one pass
 
 GRID_HALF_WIDTH = 12.0  # scale units on each side of the peak, before doubling
 GRID_POINTS = 4096
@@ -67,18 +75,22 @@ def trial_uniforms(seed, n, k, column=0, first=0):
     mapped to (x >> 11) * 2^-53. A row depends only on (seed, t), and each
     of its columns is computed directly from its counter, so a window of
     rows or columns equals those of any larger block bit for bit
-    (counter-based streams; Salmon et al., SC 2011). The uint64 arithmetic
-    wraps modulo 2^64 on arrays, silently; rows are mixed BLOCK_VALUES
-    values at a time to bound the temporaries."""
+    (counter-based streams; Salmon et al., SC 2011). A sequence of first
+    columns gives one contiguous (n, k) block per entry, shape (m, n, k),
+    all mixed in the same pass. The uint64 arithmetic wraps modulo 2^64 on
+    arrays, silently; rows are mixed BLOCK_VALUES values at a time to bound
+    the temporaries."""
     golden = np.uint64(_GOLDEN)
     trials = np.arange(first, first + n, dtype=np.uint64) + np.uint64(STREAM_TRIAL_BASE + 1)
-    starts = _splitmix64(np.uint64(int(seed) & _MASK64) + trials * golden)
-    steps = np.arange(column + 1, column + k + 1, dtype=np.uint64) * golden
-    out = np.empty((n, k))
-    rows = max(1, BLOCK_VALUES // max(k, 1))
+    starts = _splitmix64(np.uint64(int(seed) & _MASK64) + trials * golden)[:, None]
+    columns = np.asarray(column, dtype=np.uint64)[..., None, None]
+    steps = (columns + np.arange(1, k + 1, dtype=np.uint64)) * golden
+    out = np.empty(columns.shape[:-2] + (n, k))
+    rows = max(1, BLOCK_VALUES // max(steps.size, 1))
     for r in range(0, n, rows):
-        x = _splitmix64(starts[r : r + rows, None] + steps)
-        out[r : r + rows] = (x >> np.uint64(11)) * 2.0**-53
+        x = _splitmix64(starts[r : r + rows] + steps)
+        x >>= np.uint64(11)
+        np.multiply(x, 2.0**-53, out=out[..., r : r + rows, :])
     return out
 
 
@@ -89,43 +101,63 @@ def one_draw(draw, rng):
     return values(rng.uniform((1, k)))[0]
 
 
-def box_muller(u, n):
-    """n standard normals from each row of the uniforms `u`, shape
-    (rows, n + n % 2), by the Box-Muller transform: a row's first half holds
-    the radius uniforms, its second half the angle uniforms a, and pair i is
-    r (cos 2 pi a, sin 2 pi a), r = sqrt(-2 log(1 - u)), through the
-    half-turn reduction and half-angle formulas of the module docstring,
-    with (-1)^h = 2 (h - 1)^2 - 1. A value depends only on its two uniforms;
-    a = 0 gives (r, 0) and a = 1/2 gives (-r, -0). The work is done in place
-    in the output and two (rows, n / 2) buffers."""
-    pairs = (n + 1) // 2
-    a = u[:, pairs:]
-    z = np.empty((len(u), 2 * pairs))
-    c, s = z[:, 0::2], z[:, 1::2]
-    h = np.multiply(a, 2.0)
+def box_muller_pairs(R, A):
+    """The Box-Muller pairs (c, s) = r (cos 2 pi a, sin 2 pi a),
+    r = sqrt(-2 log(1 - R)), of the radius uniforms R and the angle uniforms
+    A = a, two arrays of one shape, through the half-turn reduction and
+    half-angle formulas of the module docstring, with
+    (-1)^h = 2 (h - 1)^2 - 1. A value depends only on its two uniforms;
+    a = 0 gives (r, 0) and a = 1/2 gives (-r, -0). Every pass writes a
+    contiguous temporary of that shape: c, s or one of two more."""
+    h = np.multiply(A, 2.0)
     np.rint(h, out=h)
     t = np.multiply(h, -0.5)
-    t += a
+    t += A
     t *= np.pi
     np.tan(t, out=t)
-    np.multiply(t, t, out=c)
+    c = np.multiply(t, t)
     h -= 1.0  # the sign 2 (h - 1)^2 - 1 over 1 + t^2
     h *= h
     h += h
     h -= 1.0
-    np.add(c, 1.0, out=s)
+    s = np.add(c, 1.0)
     h /= s
     np.add(t, t, out=s)
     s *= h
     np.subtract(1.0, c, out=c)
     c *= h
-    np.subtract(1.0, u[:, :pairs], out=t)  # the radii
+    np.subtract(1.0, R, out=t)  # the radii
     np.log(t, out=t)
     t *= -2.0
     np.sqrt(t, out=t)
     c *= t
     s *= t
-    return z[:, :n]
+    return c, s
+
+
+def _interleaved_pairs(R, A):
+    """(rows, 2 * pairs) normals from the (rows, pairs) radius and angle
+    uniforms, pair i of a row at columns 2i and 2i + 1: `box_muller_pairs`
+    on blocks of at most BLOCK_VALUES pairs, so its temporaries stay in
+    cache, and each block's c and s written once into the output."""
+    pairs = R.shape[1]
+    z = np.empty((len(R), 2 * pairs))
+    rows = max(1, BLOCK_VALUES // max(pairs, 1))
+    for r in range(0, len(R), rows):
+        z[r : r + rows, 0::2], z[r : r + rows, 1::2] = box_muller_pairs(R[r : r + rows], A[r : r + rows])
+    return z
+
+
+def box_muller(u, n):
+    """n standard normals from each row of the uniforms `u`, shape
+    (rows, n + n % 2), by the Box-Muller transform: a row's first half holds
+    the radius uniforms, its second half the angle uniforms, and pair i,
+    `box_muller_pairs` of column i of each half, fills normals 2i and 2i + 1.
+    Rows go through the transform in blocks of at most BLOCK_VALUES pairs,
+    so besides the output it holds only the kernel's four buffers of one
+    block; the values do not depend on the blocks."""
+    pairs = (n + 1) // 2
+    return _interleaved_pairs(u[:, :pairs], u[:, pairs:])[:, :n]
 
 
 class RngStream:
@@ -396,14 +428,15 @@ def white_noise_window(kind, variance, T, seed, n, a, b):
     and reading only the uniforms they take. Uniform and Rademacher noise
     read columns a .. b-1; Gaussian step i is half of the Box-Muller pair
     i // 2, whose radius is column i // 2 and whose angle is column
-    P + i // 2, P = (T + 1) // 2, so the window transforms the pairs it
-    touches and drops a leading sine or trailing cosine outside it."""
+    P + i // 2, P = (T + 1) // 2. The pairs the window touches, columns
+    lo .. and P + lo .. of every run, come from one counter pass as two
+    contiguous (n, pairs) halves, go through the transform in row blocks,
+    and the window drops a leading sine or trailing cosine outside it."""
     if kind != "gaussian":
         return white_noise_draw(kind, variance, b - a)[1](trial_uniforms(seed, n, b - a, column=a))
     lo, pairs = a // 2, (b + 1) // 2 - a // 2
-    U = np.concatenate([trial_uniforms(seed, n, pairs, column=lo),
-                        trial_uniforms(seed, n, pairs, column=(T + 1) // 2 + lo)], axis=1)
-    return white_noise_draw(kind, variance, 2 * pairs)[1](U)[:, a - 2 * lo : b - 2 * lo]
+    R, A = trial_uniforms(seed, n, pairs, column=(lo, (T + 1) // 2 + lo))
+    return np.sqrt(variance) * _interleaved_pairs(R, A)[:, a - 2 * lo : b - 2 * lo]
 
 
 def sample_white_noise(kind, variance, rng, size):

@@ -21,6 +21,7 @@ from mirrorkit import (
     sample_noise,
     sample_weight,
     sample_white_noise,
+    samplers,
 )
 from mirrorkit.samplers import (
     TabulatedDensity,
@@ -93,20 +94,29 @@ def test_trial_uniforms_rows_depend_only_on_seed_and_trial():
         assert np.array_equal(trial_uniforms(5, 1, 30, first=first), U[first : first + 1])
         assert np.array_equal(trial_uniforms(5, 40 - first, 30, first=first), U[first:])
         assert np.array_equal(trial_uniforms(5, 1, 12, column=7, first=first), U[first : first + 1, 7:19])
+    # and several first columns give one contiguous block each from one pass
+    halves = trial_uniforms(5, 40, 10, column=(3, 17))
+    assert halves.shape == (2, 40, 10) and all(h.flags.c_contiguous for h in halves)
+    assert np.array_equal(halves, np.stack([U[:, 3:13], U[:, 17:27]]))
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "uniform", "rademacher"])
 @pytest.mark.parametrize("T", [11, 12, 1001])
-def test_white_noise_windows_equal_the_full_draw_bitwise(kind, T):
+def test_white_noise_windows_equal_the_full_draw_bitwise(kind, T, monkeypatch):
     """Steps a .. b-1 of the windowed draw are those columns of the full
     T-step draw on the same trial rows, bit for bit: from step 0, mid-row,
-    from an odd step, to the end, and of one step."""
-    k, values = white_noise_draw(kind, 2.0, T)
-    full = values(trial_uniforms(41, 6, k))
+    from an odd step, to the end, and of one step. Six runs fit in one row
+    block; at T 1001, 300 runs in blocks of 64 values span many, both in
+    the counter pass and in the transform."""
     windows = [(0, T), (0, 4), (0, 5), (4, 8), (3, 8), (3, 6), (5, T), (6, T), (T - 1, T), (7, 8),
                (T // 3, 2 * T // 3 + 1)]
-    for a, b in windows:
-        assert np.array_equal(white_noise_window(kind, 2.0, T, 41, 6, a, b), full[:, a:b]), (a, b)
+    for runs, block_values in [(6, samplers.BLOCK_VALUES)] + [(300, 64)] * (T == 1001):
+        k, values = white_noise_draw(kind, 2.0, T)
+        full = values(trial_uniforms(41, runs, k))
+        monkeypatch.setattr(samplers, "BLOCK_VALUES", block_values)
+        for a, b in windows:
+            window = white_noise_window(kind, 2.0, T, 41, runs, a, b)
+            assert np.array_equal(window, full[:, a:b]), (runs, a, b)
 
 
 def test_trial_uniforms_are_uniform_and_warning_free():
@@ -309,9 +319,66 @@ def test_box_muller_is_exact_at_zero_and_half_a_turn():
     assert np.array_equal(z[2:], np.column_stack([-r[2:], np.zeros(2)]))
 
 
+def whole_array_box_muller(u, n):
+    """`box_muller` in one block: the same passes over all rows at once,
+    with c and s written through the stride-2 views of the output. The
+    reference that the row-blocked transform must equal bit for bit."""
+    pairs = (n + 1) // 2
+    a = u[:, pairs:]
+    z = np.empty((len(u), 2 * pairs))
+    c, s = z[:, 0::2], z[:, 1::2]
+    h = np.multiply(a, 2.0)
+    np.rint(h, out=h)
+    t = np.multiply(h, -0.5)
+    t += a
+    t *= np.pi
+    np.tan(t, out=t)
+    np.multiply(t, t, out=c)
+    h -= 1.0
+    h *= h
+    h += h
+    h -= 1.0
+    np.add(c, 1.0, out=s)
+    h /= s
+    np.add(t, t, out=s)
+    s *= h
+    np.subtract(1.0, c, out=c)
+    c *= h
+    np.subtract(1.0, u[:, :pairs], out=t)
+    np.log(t, out=t)
+    t *= -2.0
+    np.sqrt(t, out=t)
+    c *= t
+    s *= t
+    return z[:, :n]
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, None], ids=["1-row", "7-rows", "default"])
+@pytest.mark.parametrize("rows, n", [(0, 5), (1, 0), (9, 0), (23, 1), (23, 7), (23, 20), (10_000, 4)])
+def test_box_muller_row_blocks_do_not_change_bits(rows, n, block_rows, monkeypatch):
+    """The normals are the same bits whatever the row blocks: blocks of 1
+    row, of 7 rows and of the default BLOCK_VALUES pairs, for odd n, n = 0,
+    no rows, and the (10^4, 4) block of a T 10^4, dim 4 input draw, against
+    the whole-array transform; the first row holds the edge angles."""
+    pairs = (n + 1) // 2
+    U = trial_uniforms(28, rows, 2 * pairs)
+    if rows:
+        U[0, pairs:] = np.resize(EDGE_ANGLES, pairs)
+    if block_rows is not None:
+        monkeypatch.setattr(samplers, "BLOCK_VALUES", block_rows * pairs)
+    z = box_muller(U, n)
+    assert z.shape == (rows, n)
+    assert np.array_equal(bits(z), bits(whole_array_box_muller(U, n)))
+
+
 def test_box_muller_peak_memory_is_at_most_2_6_outputs():
-    # the in-place transform reads 2.0 and libm's cos and sin 2.5; the same
-    # formulas on fresh temporaries read 4.5, and risk's noise block shows it
+    # the row-blocked transform reads 1.04 (its buffers on the whole array
+    # read 3.0) and libm's cos and sin 2.5; the same formulas on fresh
+    # temporaries read 4.5, and risk's noise block shows it
     U = trial_uniforms(27, 100_000, 20)
     tracemalloc.start()
     try:
@@ -320,3 +387,18 @@ def test_box_muller_peak_memory_is_at_most_2_6_outputs():
     finally:
         tracemalloc.stop()
     assert peak <= 2.6 * z.nbytes
+
+
+def test_white_noise_window_peak_memory_is_at_most_4_5_outputs():
+    # converge's chunk shape, 100 runs of 150 steps, from an odd step: the
+    # counter pass (the uniforms, the counters, their mixed copy and a
+    # shifted temporary) and the transform (the uniforms, the normals and
+    # the kernel's four half-size buffers) each read about 4.1 outputs
+    tracemalloc.start()
+    try:
+        z = white_noise_window("gaussian", 1.0, 10_000, 7, 100, 4951, 5101)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert z.shape == (100, 150)
+    assert peak <= 4.5 * z.nbytes
