@@ -1,3 +1,4 @@
+import argparse
 import json
 import logging
 import os
@@ -21,9 +22,11 @@ from mirrorkit.cli import (
     EXIT_PASS,
     SUBCOMMANDS,
     Check,
+    UsageError,
     _fmt,
     dispatch,
     main,
+    parse_args,
     write_csv,
 )
 from mirrorkit.config import SCHEMA, config_from_mapping, make_config
@@ -287,9 +290,9 @@ def test_main_end_to_end(tmp_path):
 
 
 def test_one_process_parses_like_fresh_ones(tmp_path, capsys):
-    """The parser is shared by every main call in a process and keeps nothing
-    from one call to the next: after --help, a usage error and a seeded run,
-    an unseeded run writes the bytes a fresh process writes."""
+    """Parsing the command line keeps nothing from one main call to the next:
+    after --help, a usage error and a seeded run, an unseeded run writes the
+    bytes a fresh process writes."""
     config = str(ROOT / "configs" / "audit.json")
     runs = [["run", "--config", config, "--seed", "5"], ["minimax", "--config", config]]
     assert main(["--help"]) == EXIT_PASS
@@ -843,6 +846,92 @@ def test_implicit_rejects_noisy_data(tmp_path, caplog):
 ])
 def test_usage_errors_exit_1_and_help_exits_0(argv, code, capsys):
     assert main(argv) == code
+
+
+def _reference_parser():
+    """The argparse parser the CLI was built on: `parse_args` must read every
+    command line as it does, and refuse what it refuses with its message."""
+    parser = argparse.ArgumentParser(
+        prog="mirrorkit",
+        description="Mirror-descent experiments with step-level identity auditing.",
+    )
+    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("--config", required=True, help="path to a JSON config file")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--out", default=None, help="override the config output directory")
+    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
+    return parser
+
+
+ARGV_CASES = [
+    # options before and after the subcommand, and --opt=value
+    ["run", "--config", "c.json"],
+    ["--config", "c.json", "--seed", "7", "minimax"],
+    ["--out", "o", "risk", "--config", "c.json", "-v"],
+    ["--config=c.json", "audit", "--seed=7", "--out=o", "--verbose"],
+    ["sample-check", "--config=", "--out=-o"],
+    # unique prefixes and repeated options: the last value wins
+    ["converge", "--conf", "c.json", "--se", "3", "--o", "o", "--verb"],
+    ["implicit", "--c=c.json", "--s=3"],
+    ["run", "--config", "a.json", "--seed", "1", "--config", "b.json", "--seed", "2", "-v", "-v"],
+    # a negative number and a token with a space are values
+    ["run", "--config", "c.json", "--seed", "-3"],
+    ["run", "--config", "c.json", "--out", "-my out"],
+    ["run", "--config", "c.json", "-vv"],
+    # help wherever it comes, unless a refusal comes before it
+    ["-h"],
+    ["run", "-h"],
+    ["run", "--config", "c.json", "--strict", "-h"],
+    ["--seed", "abc", "--help"],
+    ["--he", "optimize"],
+    ["optimize", "-h"],
+    ["run", "--config", "c.json", "-vh"],
+    # refusals
+    ["run", "extra", "--config", "c.json"],
+    ["run", "--config", "c.json", "--strict"],
+    ["run", "--config", "c.json", "-x", "extra"],
+    ["optimize", "--config", "c.json"],
+    ["run", "--config", "c.json", "--seed", "abc"],
+    ["run", "--config", "c.json", "--seed", "1.5"],
+    ["run", "--config"],
+    ["run", "--config", "--seed", "3"],
+    ["run", "--config", "c.json", "--out", "-x"],
+    ["run"],
+    ["--config", "c.json"],
+    [],
+    ["run", "--config", "c.json", "--verbose=1"],
+    ["run", "--config", "c.json", "-vx"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGV_CASES, ids=lambda argv: " ".join(argv) or "(empty)")
+def test_parse_args_reads_a_command_line_as_argparse_does(argv, capsys):
+    try:
+        expected = vars(_reference_parser().parse_args(argv))
+    except SystemExit as e:
+        # --help exits 0; a usage error exits 2, its message after "error: "
+        expected = None if e.code == 0 else capsys.readouterr().err.split("error: ", 1)[1].rstrip("\n")
+    try:
+        got = parse_args(list(argv))
+    except UsageError as e:
+        got = str(e)
+    assert got == expected
+
+
+def test_help_and_a_usage_error_print_what_argparse_prints(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal
+    reference = _reference_parser()
+    with pytest.raises(SystemExit):
+        reference.parse_args(["--help"])
+    # Python 3.10 heads the options "optional arguments:"
+    expected_help = capsys.readouterr().out.replace("optional arguments:", "options:")
+    with pytest.raises(SystemExit):
+        reference.parse_args(["run", "--strict"])
+    expected_error = capsys.readouterr().err
+    assert main(["--help"]) == EXIT_PASS
+    assert capsys.readouterr() == (expected_help, "")
+    assert main(["run", "--strict"]) == EXIT_ERROR
+    assert capsys.readouterr() == ("", expected_error)
 
 
 def test_verbose_applies_to_every_call_in_a_process(tmp_path, monkeypatch, caplog):

@@ -113,6 +113,26 @@ def test_import_loads_no_scipy_and_loads_numpy_random():
     assert out[1] == "True"
 
 
+def test_a_cli_call_loads_no_argparse_gettext_or_locale(tmp_path):
+    """The CLI reads its command line itself: --help, a usage error and a
+    minimax run load none of argparse, gettext and locale."""
+    cfg = tmp_path / "minimax.json"
+    cfg.write_text(json.dumps({
+        "potential": "squared_l2", "loss": "quadratic", "dim": 2, "T": 5, "n_trials": 20,
+        "schedule": {"kind": "constant", "eta": 0.05},
+    }))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = (
+        "import sys; from mirrorkit.cli import main; "
+        "print(main(['--help']), main(['run']), "
+        f"main(['minimax', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]), file=sys.stderr); "
+        "print(sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stderr.splitlines()[-1] == "0 1 0"
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_runtime_dependencies_are_numpy_only():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:
