@@ -147,6 +147,15 @@ def _cmd_run(cfg):
     return Verdict({"trajectory.csv": (header, rows)}, [])
 
 
+# The bounds of the checks below. They are fixed here, not read from the
+# config, so that a config cannot set the bound its run is checked against.
+IDENTITY_RTOL = 1e-8  # audit: relative residual of the conservation identity
+MINIMAX_SLACK = 1e-9  # minimax: the largest certified ratio is <= 1 + MINIMAX_SLACK
+GAP_SQUARED_L2 = 1e-6  # implicit: largest gap to the oracle on squared_l2
+GAP_GENERAL = 1e-5  # implicit: largest gap to the oracle on any other potential
+KKT_TOL = 1e-10  # implicit: largest KKT residual of the oracle
+
+
 def _cmd_audit(cfg):
     require(cfg, "audit")
     problem = generate_problem(cfg)
@@ -155,10 +164,9 @@ def _cmd_audit(cfg):
     # the columns are the record's fields: step, d_psi_prev, d_psi_next,
     # d_loss_bregman, e_term, loss_noise, local_residual
     columns = [c.tolist() for c in vars(terms).values()]
-    tol = cfg.tolerances["identity_rtol"]
     return Verdict({"audit.csv": (list(vars(terms)), list(zip(*columns)))},
-                   [Check("worst local residual", terms.local_residual.max(), tol, "<="),
-                    Check("global residual", global_residual, tol, "<=")])
+                   [Check("worst local residual", terms.local_residual.max(), IDENTITY_RTOL, "<="),
+                    Check("global residual", global_residual, IDENTITY_RTOL, "<=")])
 
 
 def _cmd_minimax(cfg):
@@ -171,11 +179,11 @@ def _cmd_minimax(cfg):
     header = ["trial", "numerator", "denominator", "ratio", "premise_certified"]
     rows = list(zip(range(cfg.n_trials), report.numerator.tolist(), report.denominator.tolist(),
                     report.ratio.tolist(), certified.tolist()))
-    bound = 1.0 + cfg.tolerances["minimax_slack"]
     return Verdict({"minimax.csv": (header, rows)},
                    [Check(f"certified trials of {cfg.n_trials}", np.count_nonzero(certified), 1, ">="),
                     Check("non-finite certified ratios", np.count_nonzero(~np.isfinite(ratios)), 0, "<="),
-                    Check("largest certified ratio", np.max(ratios, initial=-np.inf), bound, "<=")])
+                    Check("largest certified ratio", np.max(ratios, initial=-np.inf), 1.0 + MINIMAX_SLACK,
+                          "<=")])
 
 
 def _cmd_risk(cfg):
@@ -194,12 +202,12 @@ def _cmd_risk(cfg):
 
 def _cmd_implicit(cfg):
     reports = exp_mod.implicit_reg_experiment(cfg)
-    gap_tol = cfg.tolerances["gap_squared_l2" if cfg.potential["kind"] == "squared_l2" else "gap_general"]
+    gap_tol = GAP_SQUARED_L2 if cfg.potential["kind"] == "squared_l2" else GAP_GENERAL
     rows = [[f"case{k}", r.gap, r.feasibility, r.kkt_residual, r.steps] for k, r in enumerate(reports)]
     return Verdict({"implicit.csv": (["case", "gap", "feasibility", "kkt_residual", "steps"], rows)},
                    [Check("largest gap to the oracle", np.max([r.gap for r in reports]), gap_tol, "<="),
-                    Check("largest oracle KKT residual", np.max([r.kkt_residual for r in reports]),
-                          cfg.tolerances["kkt_tol"], "<=")])
+                    Check("largest oracle KKT residual", np.max([r.kkt_residual for r in reports]), KKT_TOL,
+                          "<=")])
 
 
 def _cmd_converge(cfg):

@@ -3,9 +3,11 @@ echoed defaults.
 
 `SCHEMA` has one row per key a config may set: its default and the one check
 its value must pass. A variant block ("potential", "schedule", ...) lists
-each kind's parameters as rows too, only for the kinds that read them, and
-the nested record "tolerances" has one row per key. Unknown and repeated
-keys are rejected outright; a typo that silently fell back to a default or
+each kind's parameters as rows too, only for the kinds that read them.
+The bounds the verdicts are checked against are not config keys: each is a
+named constant next to the check or premise that reads it, so a config
+cannot set the bound it is checked against. Unknown and repeated keys are
+rejected outright; a typo that silently fell back to a default or
 replaced a value would invalidate a scientific run. The defaults that do get
 applied are echoed to the log in one record. The resolved config re-parses
 to itself: `config_from_mapping(asdict(cfg)) == cfg`.
@@ -43,13 +45,11 @@ class ExperimentConfig:
     T: int
     n_trials: int
     seed: int
-    delta_pe: float
     w0: object
     inputs: dict
     noise: dict
     planted: dict
     estimators: list
-    tolerances: dict
     control_eta: float | None
     output_dir: str
 
@@ -156,17 +156,6 @@ def _variant(kinds):
     return check
 
 
-def _record(rows):
-    """An object with one row per key."""
-
-    def check(value, path, applied):
-        if not isinstance(value, dict):
-            raise ValidationError(f"{path} must be an object, got {value!r}")
-        return _resolve(rows, value, path, applied)
-
-    return check
-
-
 def _start(value, path, applied):
     """One number for every coordinate, or a list of numbers."""
     if isinstance(value, list):
@@ -226,7 +215,6 @@ SCHEMA = {
     "T": (50, _integer(0)),
     "n_trials": (1000, _integer(1)),
     "seed": (0, _integer(0, 2**64)),
-    "delta_pe": (0.1, POSITIVE),
     "w0": (None, _start),
     "inputs": ({"kind": "gaussian"}, _variant(dict.fromkeys(
         ("gaussian", "unit", "basis_then_gaussian"), {"scale": (1.0, POSITIVE)},
@@ -249,15 +237,6 @@ SCHEMA = {
          {"kind": "scaled_smd", "gamma": 2.0}, {"kind": "ssmd"}),
         _estimators,
     ),
-    "tolerances": ({}, _record({
-        "identity_rtol": (1e-8, POSITIVE),
-        "minimax_slack": (1e-9, POSITIVE),
-        "feasibility": (1e-9, POSITIVE),
-        "gap_squared_l2": (1e-6, POSITIVE),
-        "gap_general": (1e-5, POSITIVE),
-        "kkt_tol": (1e-10, POSITIVE),
-        "step_cap": (1_000_000, _integer(1)),
-    })),
     "control_eta": (None, POSITIVE),
     "output_dir": ("out", _text),
 }
@@ -308,9 +287,8 @@ def require(cfg, claim):
 
 def _resolve(rows, mapping, path, applied):
     """Check `mapping` against `rows`. An absent or null key takes its row's
-    default: None stays None, and an empty record defaults each of its own
-    rows. Each default applied other than None or {} is appended to
-    `applied` as "name = default"."""
+    default, and None stays None. Each default applied other than None is
+    appended to `applied` as "name = default"."""
     for key in mapping:
         if key not in rows:
             raise ParseError(f"unknown key {key!r} in {path or 'config'}")
@@ -321,7 +299,7 @@ def _resolve(rows, mapping, path, applied):
         if value is None:
             if default is REQUIRED:
                 raise ValidationError(f"{name} is required")
-            if default not in (None, {}):
+            if default is not None:
                 applied.append(f"{name} = {default!r}")
             value = default
         resolved[key] = None if value is None else check(value, name, applied)

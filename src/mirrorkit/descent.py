@@ -210,8 +210,10 @@ def _recursion(p, X, Y, w0, schedule, shift, S=None):
     path = np.empty(Y.shape[:-1] + (len(etas) + 1, w0.size))
     path[..., 0, :] = w0
     steps = mirror_steps(p, w0, np.moveaxis(X, -2, 0), np.moveaxis(Y if S is None else S, -1, 0), etas, shift)
-    for i, w in enumerate(steps, 1):
-        path[..., i, :] = w
+    # a diverging run overflows to inf and nan quietly: the domain check below names its step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, w in enumerate(steps, 1):
+            path[..., i, :] = w
     try:
         p.check_domain(path)
     except DomainError:

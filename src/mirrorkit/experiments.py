@@ -442,7 +442,7 @@ class OracleSolution:
 def _grad_inv_deriv(p, w):
     with np.errstate(divide="ignore"):
         h = p.hessian_diag(w)
-    return np.where(np.isfinite(h) & (h > 0.0), 1.0 / h, 0.0)
+    return np.divide(1.0, h, out=np.zeros_like(h), where=np.isfinite(h) & (h > 0.0))
 
 
 _ORACLE_TOL = 1e-11
@@ -561,6 +561,12 @@ class ImplicitRegReport:
     steps: int
 
 
+# the interpolating descent stops once max |X w - y| < FEASIBILITY_TOL, and
+# fails with StepCapError after STEP_CAP steps
+FEASIBILITY_TOL = 1e-9
+STEP_CAP = 1_000_000
+
+
 def implicit_reg_experiment(cfg):
     """Run interpolating mirror descent on noiseless underdetermined systems
     and compare each limit against the constrained-divergence oracle. Case t
@@ -570,13 +576,11 @@ def implicit_reg_experiment(cfg):
     l = cfg.build_loss()
     problems = generate_problems(cfg, cfg.n_trials)
     w0 = cfg.w0_vector()
-    feas_tol = cfg.tolerances["feasibility"]
-    step_cap = cfg.tolerances["step_cap"]
     reports = []
     for X, y in zip(problems.X, problems.Y):
         oracle = implicit_reg_oracle(X, y, p, w0)
         w_smd, steps, feas, _ = run_interpolating_descent(
-            p, l, X, y, w0, cfg.schedule["eta"], feas_tol=feas_tol, step_cap=step_cap
+            p, l, X, y, w0, cfg.schedule["eta"], feas_tol=FEASIBILITY_TOL, step_cap=STEP_CAP
         )
         gap = float(np.max(np.abs(w_smd - oracle.w_star)))
         reports.append(ImplicitRegReport(w_smd, oracle.w_star, gap, feas, oracle.kkt_residual, steps))
@@ -677,6 +681,11 @@ def _checkpoints(T):
     return sorted({c for c in (100, 1000, 10_000) if c <= T} | {T})
 
 
+# the least eigenvalue of sum x_i x_i^T at which converge's inputs count as
+# persistently exciting
+DELTA_PE = 0.1
+
+
 def msq_convergence(cfg):
     """Mean-square error to the planted weight at geometric checkpoints.
 
@@ -692,9 +701,9 @@ def msq_convergence(cfg):
     l = cfg.build_loss()
     T, n_runs = cfg.T, cfg.n_trials
     X = make_inputs(cfg)
-    ok, t_found = persistent_excitation(X, cfg.delta_pe)
+    ok, t_found = persistent_excitation(X, DELTA_PE)
     if not ok:
-        raise ConfigError(f"inputs are not persistently exciting at delta={cfg.delta_pe}")
+        raise ConfigError(f"inputs are not persistently exciting at delta={DELTA_PE}")
     log.info("persistent excitation reached at T=%d", t_found)
     w_true = planted_weight(cfg, p, RngStream(cfg.seed, STREAM_WEIGHT))
     y_clean = X @ w_true

@@ -10,6 +10,13 @@ from mirrorkit.experiments import prediction_map
 from mirrorkit.samplers import STREAM_TRIAL_BASE, _splitmix64, derive_seed
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "bitwise: a bitwise or sampler check that CI also runs off numpy's AVX512 loops",
+    )
+
+
 def all_potentials(dim):
     return [SquaredL2(dim), NegEntropy(dim), SeparableQ(3.0, dim), SeparableQ(1.5, dim)]
 

@@ -369,7 +369,7 @@ def test_local_identity_softplus_link(rng):
 def test_audit_fails_a_nudged_iterate():
     # a 1e-5 relative nudge of w_25 breaks the identity at steps 25 and 26
     # and in the telescoped balance, each well above the tolerance
-    from mirrorkit.cli import _iterate, generate_problem
+    from mirrorkit.cli import IDENTITY_RTOL, _iterate, generate_problem
     from mirrorkit.config import parse_config
 
     cfg = parse_config(Path(__file__).resolve().parent.parent / "configs" / "audit.json")
@@ -377,6 +377,5 @@ def test_audit_fails_a_nudged_iterate():
     traj = _iterate(cfg, problem)
     traj.path[25] *= 1 + 1e-5
     terms, global_residual = audit_trajectory(traj, problem.w_true, noises=problem.noises)
-    tol = cfg.tolerances["identity_rtol"]
-    assert terms.local_residual.max() > tol
-    assert global_residual > tol
+    assert terms.local_residual.max() > IDENTITY_RTOL
+    assert global_residual > IDENTITY_RTOL

@@ -48,10 +48,8 @@ def test_applied_defaults_are_one_record(caplog):
     assert message.startswith("applied defaults: ")
     names = [item.split(" = ")[0] for item in message.removeprefix("applied defaults: ").split("; ")]
     assert names == [
-        "algorithm", "model", "delta_pe", "inputs", "inputs.gaussian.scale", "noise", "planted",
-        "planted.auto.support", "estimators", "tolerances.identity_rtol", "tolerances.minimax_slack",
-        "tolerances.feasibility", "tolerances.gap_squared_l2", "tolerances.gap_general", "tolerances.kkt_tol",
-        "tolerances.step_cap",
+        "algorithm", "model", "inputs", "inputs.gaussian.scale", "noise", "planted", "planted.auto.support",
+        "estimators",
     ]
     assert "estimators = ({'kind': 'smd'}, {'kind': 'constant'}" in message
 
@@ -65,7 +63,7 @@ def test_minimal_config_applies_defaults(tmp_path, caplog):
     assert cfg.schedule == {"kind": "constant", "eta": 0.1}
     echoed = [r.message for r in caplog.records if "applied default" in r.message]
     assert any("algorithm" in m for m in echoed)
-    assert any("tolerances.identity_rtol" in m for m in echoed)
+    assert any("inputs.gaussian.scale" in m for m in echoed)
 
 
 def test_zero_eta_rejected(tmp_path):
@@ -89,7 +87,7 @@ def test_nested_unknown_key_rejected(tmp_path):
 @pytest.mark.parametrize("text, key", [
     ('{"T": 5, "seed": 1, "T": 7}', "T"),
     ('{"schedule": {"kind": "constant", "eta": 0.1, "eta": 5.0}}', "eta"),
-    ('{"tolerances": {"identity_rtol": 1e-8, "identity_rtol": 1.0}}', "identity_rtol"),
+    ('{"potential": {"kind": "separable_q", "q": 3.0, "q": 1.5}}', "q"),
 ])
 def test_repeated_key_exits_1_and_writes_nothing(text, key, tmp_path, caplog):
     # json.loads alone keeps the last value, so the run would use the second
@@ -270,10 +268,11 @@ def test_different_seed_changes_artifact(tmp_path):
     assert (out1 / "trajectory.csv").read_bytes() != (out2 / "trajectory.csv").read_bytes()
 
 
-def test_audit_exit_code_on_forced_failure(tmp_path):
-    cfg = _cfg_for("audit", tmp_path)
-    cfg.tolerances["identity_rtol"] = 1e-30  # below roundoff: must fail
-    assert dispatch(cfg, "audit").code == EXIT_ASSERTION
+def test_audit_exit_code_on_forced_failure(tmp_path, monkeypatch):
+    from mirrorkit import cli
+
+    monkeypatch.setattr(cli, "IDENTITY_RTOL", 1e-30)  # below roundoff: must fail
+    assert dispatch(_cfg_for("audit", tmp_path), "audit").code == EXIT_ASSERTION
 
 
 def test_dispatch_unknown_subcommand(tmp_path):
@@ -595,18 +594,16 @@ def test_risk_verdict_fails_on_nan(field, tmp_path, monkeypatch):
 BAD_CONFIGS = {
     "T_string": ({"T": "abc"}, ValidationError),
     "seed_string": ({"seed": "x"}, ValidationError),
-    "tolerances_number": ({"tolerances": 5}, ValidationError),
     "grid_number": ({"grid": 3}, ParseError),
     "w0_strings": ({"w0": ["a", "b"]}, ValidationError),
     "w0_wrong_length": ({"dim": 3, "w0": [1.0, 2.0]}, ValidationError),
     "dim_fraction": ({"dim": 2.7}, ValidationError),
     "T_fraction": ({"T": 2.5}, ValidationError),
     "dim_bool": ({"dim": True}, ValidationError),
-    "delta_pe_past_double_range": ({"delta_pe": 10**400}, ValidationError),
+    "control_eta_past_double_range": ({"control_eta": 10**400}, ValidationError),
     "model_noise_sigma2": ({"noise": {"kind": "model", "sigma2": 1.0}}, ParseError),
     "gaussian_planted_support": ({"planted": {"kind": "gaussian", "support": 3}}, ParseError),
     "check_margin_removed": ({"check_margin": False}, ParseError),
-    "cosines_rtol_removed": ({"tolerances": {"cosines_rtol": 1e-9}}, ParseError),
 }
 
 
@@ -619,6 +616,17 @@ def test_bad_value_is_a_config_error(case, tmp_path, caplog):
     with caplog.at_level(logging.ERROR, logger="mirrorkit"):
         assert main(["run", "--config", str(path)]) == EXIT_ERROR
     assert any(r.message.startswith(error.__name__) for r in caplog.records)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("raw", [{"tolerances": {"identity_rtol": 1.0}}, {"tolerances": 5}, {"delta_pe": 0.1}],
+                         ids=["tolerances", "tolerances_number", "delta_pe"])
+def test_a_config_sets_no_bound(raw, tmp_path, caplog):
+    # each bound is a constant next to the check or premise that reads it
+    path = _write(tmp_path, dict(raw, output_dir=str(tmp_path / "o")))
+    with caplog.at_level(logging.ERROR, logger="mirrorkit"):
+        assert main(["audit", "--config", str(path)]) == EXIT_ERROR
+    assert [r.getMessage() for r in caplog.records] == [f"ParseError: unknown key {next(iter(raw))!r} in config"]
     assert not (tmp_path / "o").exists()
 
 
@@ -823,6 +831,22 @@ def test_verdicts_need_at_least_one_step(sub, tmp_path, caplog):
     # a path of w_0 alone asserts nothing, so `run` still writes it
     assert main(["run", "--config", str(path)]) == EXIT_PASS
     assert len((tmp_path / "o" / "trajectory.csv").read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("sub", ["run", "audit", "minimax"])
+def test_a_diverging_recursion_names_its_step(sub, tmp_path, caplog):
+    # eta 2 on unit rows overflows the q = 1.5 mirror map; the domain check
+    # names the step, and numpy's overflow warnings stay inside
+    path = _write(tmp_path, {
+        "potential": {"kind": "separable_q", "q": 1.5}, "schedule": {"kind": "constant", "eta": 2.0},
+        "inputs": "unit", "dim": 2, "T": 20, "seed": 916, "output_dir": str(tmp_path / "o"),
+    })
+    with warnings.catch_warnings(), caplog.at_level(logging.ERROR, logger="mirrorkit"):
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([sub, "--config", str(path)]) == EXIT_ERROR
+    [message] = [r.getMessage() for r in caplog.records]
+    assert re.fullmatch(r"DomainError: step \d+: non-finite coordinate", message)
+    assert not (tmp_path / "o").exists()
 
 
 def test_implicit_rejects_noisy_data(tmp_path, caplog):

@@ -23,6 +23,9 @@ from mirrorkit.samplers import (
 
 from conftest import CounterStream
 
+# CI re-runs this module off numpy's AVX512 loops
+pytestmark = pytest.mark.bitwise
+
 
 def _per_row(dim, count, rng, unit=False, scale=1.0, basis=0):
     """Reference: the first `basis` rows sweep the standard basis, then one

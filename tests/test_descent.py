@@ -192,6 +192,7 @@ def test_iterate_rejects_bad_observations(X, Y):
         iterate(SquaredL2(2), Quadratic(), Linear(), X, Y, Constant(0.1), np.zeros(2))
 
 
+@pytest.mark.bitwise
 def test_mirror_steps_per_trial_rows_equal_row_loop(rng):
     shift = lambda x, y, W: y  # the shift as data, as in the prediction-driven recursion
     for p in all_potentials(3):
@@ -211,6 +212,7 @@ def test_mirror_steps_per_trial_rows_equal_row_loop(rng):
                 assert np.array_equal(W1[t // 3, t % 3], w)
 
 
+@pytest.mark.bitwise
 def test_dot_of_a_shared_input_is_the_matmul_bitwise(rng):
     """`_dot` takes W.dot(x) on 1-D and 2-D states and @ on a 3-D one; each
     equals W @ x bit for bit, where the 3-D dot would not."""
@@ -222,6 +224,7 @@ def test_dot_of_a_shared_input_is_the_matmul_bitwise(rng):
             assert np.array_equal(_dot(x, W), W @ x), shape
 
 
+@pytest.mark.bitwise
 def test_smd_shift_of_the_quadratic_loss_is_the_residual_plus_zero_bitwise(rng):
     """The quadratic loss's shift on the linear model is r + 0.0 of the
     residual r bit for bit, and a -0.0 residual gives +0.0."""
@@ -236,6 +239,7 @@ def test_smd_shift_of_the_quadratic_loss_is_the_residual_plus_zero_bitwise(rng):
     assert got == 0.0 and not np.signbit(got)
 
 
+@pytest.mark.bitwise
 def test_mirror_steps_take_a_shift_that_returns_a_python_float(rng):
     """A 0-d coefficient, here a Python float with no `ndim` and no
     `[..., None]`, multiplies x directly, bit for bit as a numpy one."""

@@ -202,6 +202,7 @@ def _risk_outputs(cfg, out):
     (parse_config(RISK_GAUSSIAN), (3001, 10_000), (1,)),
     (replace(parse_config(RISK_LOGCOSH_Q3), n_trials=60), (1, 7, 60), ()),
 ], ids=["risk_gaussian", "risk_logcosh_q3"])
+@pytest.mark.bitwise
 def test_risk_outputs_do_not_depend_on_the_trial_block(cfg, same, close, tmp_path, monkeypatch):
     """`risk.csv` and the blow-up curve are the same bits for every
     TRIAL_BLOCK in `same`. On the map path (risk_gaussian, 10^4 trials)
@@ -279,6 +280,7 @@ def _random_lq_config(rng, T, n_trials):
 
 
 @pytest.mark.parametrize("T", [1, 2, 20, MAP_T])
+@pytest.mark.bitwise
 def test_map_exponents_equal_the_sequential_ones(T):
     """In the linear-quadratic case each estimator's exponents come from its
     prediction map; they equal the stepped recursion's for every estimator
@@ -670,6 +672,16 @@ def test_oracle_sparse_exponent(rng):
     assert sol.constraint_residual <= 1e-10
 
 
+def test_oracle_q_above_two_divides_by_no_zero_curvature():
+    # hess psi of q = 3 vanishes at the untouched coordinates 0, where the
+    # Newton step's d grad_inv is taken as 0 without dividing by it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = implicit_reg_oracle([[1.0, 0.0, 0.0]], [4.0], SeparableQ(3.0, 3), np.zeros(3))
+    np.testing.assert_allclose(sol.w_star, [4.0, 0.0, 0.0], atol=1e-10)
+    assert sol.kkt_residual <= 1e-10
+
+
 def test_interpolating_descent_step_cap():
     X = np.array([[1.0, 0.0], [0.0, 1.0]])
     y = np.array([1.0, 1.0])
@@ -740,6 +752,7 @@ def test_msq_decreases_and_beats_control():
 
 @pytest.mark.parametrize("potential", ["squared_l2", "neg_entropy"])
 @pytest.mark.parametrize("noise", ["gaussian", "uniform", "rademacher"])
+@pytest.mark.bitwise
 def test_msq_checkpoints_do_not_depend_on_the_chunk_size(potential, noise, monkeypatch):
     """The outputs reach the recursion in chunks of at most BLOCK_VALUES
     values; one chunk of all 1007 steps, chunks of four blocks of MAP_STEPS
@@ -824,6 +837,7 @@ def test_engines_share_one_mirror_update_bitwise():
             assert np.array_equal(gen.path, traj.path)
 
 
+@pytest.mark.bitwise
 def test_msq_blocks_match_one_schedule_runs_bitwise():
     """Each block of a three-schedule run is the one-schedule run of its
     schedule, bit for bit, on the sequential path and on the block maps of
@@ -867,6 +881,7 @@ def test_msq_blocks_match_one_schedule_runs_bitwise():
     1, 9, 10, 11, MAP_STEPS - 1, MAP_STEPS, MAP_STEPS + 1, 2 * MAP_STEPS + 1, 1007}))
 @pytest.mark.parametrize("n_runs", [1, 4])
 @pytest.mark.parametrize("n_schedules", [1, 2])
+@pytest.mark.bitwise
 def test_msq_block_maps_match_the_sequential_recursion(T, n_schedules, n_runs):
     """On the squared-L2 potential with the quadratic loss, `_msq_runs`
     chains block maps of the LMS recursion. At every checkpoint each
@@ -896,6 +911,7 @@ def test_msq_block_maps_match_the_sequential_recursion(T, n_schedules, n_runs):
 
 @pytest.mark.parametrize("block_values", [None, 36])
 @pytest.mark.parametrize("T", [MAP_STEPS - 1, 2 * MAP_STEPS, 4 * MAP_STEPS + 7])
+@pytest.mark.bitwise
 def test_lms_maps_match_the_forward_construction(T, block_values, monkeypatch):
     """`_lms_maps` runs the dim basis trials backward through each block;
     each block's (Phi, G) must match the forward construction (K impulse

@@ -35,6 +35,9 @@ from mirrorkit.samplers import (
 
 from conftest import CounterStream
 
+# CI re-runs this module off numpy's AVX512 loops
+pytestmark = pytest.mark.bitwise
+
 N = 100_000
 
 
