@@ -8,8 +8,6 @@ implementation; anything larger indicates a broken update rule or a
 mismatched argument. Per-step terms are computed once, as arrays over steps.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bregman import bregman
@@ -19,28 +17,28 @@ from .errors import DegenerateError, ScheduleError
 DENOMINATOR_FLOOR = 1e-14
 
 
-@dataclass
 class AuditRecord:
     """All terms of the per-step balance around one update, or one array per
-    term over the steps of a trajectory."""
+    term over the steps of a trajectory; `vars` lists them in this order."""
 
-    step: int
-    d_psi_prev: float
-    d_psi_next: float
-    d_loss_bregman: float
-    e_term: float
-    loss_noise: float
-    local_residual: float
+    def __init__(self, step, d_psi_prev, d_psi_next, d_loss_bregman, e_term, loss_noise, local_residual):
+        self.step = step
+        self.d_psi_prev = d_psi_prev
+        self.d_psi_next = d_psi_next
+        self.d_loss_bregman = d_loss_bregman
+        self.e_term = e_term
+        self.loss_noise = loss_noise
+        self.local_residual = local_residual
 
 
-@dataclass
 class MinimaxReport:
     """Energy-gain ratio against a reference weight, of one run or per run of a batch."""
 
-    numerator: float
-    denominator: float
-    ratio: float
-    premise_certified: bool
+    def __init__(self, numerator, denominator, ratio, premise_certified):
+        self.numerator = numerator
+        self.denominator = denominator
+        self.ratio = ratio
+        self.premise_certified = premise_certified
 
 
 def _rowdot(a, b):

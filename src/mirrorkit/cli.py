@@ -6,12 +6,10 @@ configuration or runtime error exits 1 and writes nothing. CSV output is
 byte-stable: fixed column order, 17-significant-digit floats, LF endings.
 """
 
-import functools
 import logging
 import operator
 import re
 import sys
-from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
@@ -98,32 +96,32 @@ def _g(value):
     return text if value.ndim == 0 else f"[{text}]"
 
 
-@dataclass(frozen=True)
+_RELATIONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
+
+
 class Check:
     """One comparison a verdict rests on, `value relation bound`, elementwise
-    when either side is an array and decided once; a NaN on either side fails it."""
+    when either side is an array and decided once, in `holds`; a NaN on
+    either side fails it."""
 
-    name: str
-    value: object
-    bound: object
-    relation: str
-
-    @functools.cached_property
-    def holds(self):
-        compare = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}[self.relation]
-        return bool(compare(np.asarray(self.value), np.asarray(self.bound)).all())
+    def __init__(self, name, value, bound, relation):
+        self.name = name
+        self.value = value
+        self.bound = bound
+        self.relation = relation
+        self.holds = bool(_RELATIONS[relation](np.asarray(value), np.asarray(bound)).all())
 
     def __str__(self):
         return f"{self.name}: {_g(self.value)} {self.relation} {_g(self.bound)}"
 
 
-@dataclass
 class Verdict:
     """The CSVs a subcommand writes, as {file name: (header, rows)}, and the checks
     its claim rests on; it exits 2, naming the first that fails, unless all hold."""
 
-    artifacts: dict = field(repr=False)
-    checks: list
+    def __init__(self, artifacts, checks):
+        self.artifacts = artifacts
+        self.checks = checks
 
     @property
     def code(self):

@@ -10,7 +10,8 @@ cannot set the bound it is checked against. Unknown and repeated keys are
 rejected outright; a typo that silently fell back to a default or
 replaced a value would invalidate a scientific run. The defaults that do get
 applied are echoed to the log in one record. The resolved config re-parses
-to itself: `config_from_mapping(asdict(cfg)) == cfg`.
+to itself: `config_from_mapping(vars(cfg)) == cfg`, and so does a copy made
+by `cfg.replace(...)` with valid values.
 
 `PREMISES` has one row per premise of the paper's claims, and `require`
 refuses a config outside a claim's premises before anything is computed.
@@ -20,7 +21,6 @@ import json
 import logging
 import math
 import numbers
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,26 +32,41 @@ from .potentials import NegEntropy, SeparableQ, SquaredL2
 log = logging.getLogger("mirrorkit")
 
 
-@dataclass
 class ExperimentConfig:
-    """A validated, fully defaulted description of one run."""
+    """A validated, fully defaulted description of one run. Two configs are
+    equal when every field is; `vars(cfg)` is the config as a mapping."""
 
-    algorithm: str
-    potential: dict
-    loss: str
-    model: dict
-    schedule: dict
-    dim: int
-    T: int
-    n_trials: int
-    seed: int
-    w0: object
-    inputs: dict
-    noise: dict
-    planted: dict
-    estimators: list
-    control_eta: float | None
-    output_dir: str
+    def __init__(self, algorithm, potential, loss, model, schedule, dim, T, n_trials, seed, w0,
+                 inputs, noise, planted, estimators, control_eta, output_dir):
+        self.algorithm = algorithm
+        self.potential = potential
+        self.loss = loss
+        self.model = model
+        self.schedule = schedule
+        self.dim = dim
+        self.T = T
+        self.n_trials = n_trials
+        self.seed = seed
+        self.w0 = w0
+        self.inputs = inputs
+        self.noise = noise
+        self.planted = planted
+        self.estimators = estimators
+        self.control_eta = control_eta
+        self.output_dir = output_dir
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        return f"ExperimentConfig({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+    def replace(self, **changes):
+        """A copy with `changes` to its fields, which are not checked; the
+        original is left as it is."""
+        return ExperimentConfig(**{**vars(self), **changes})
 
     def build_potential(self):
         kind = self.potential["kind"]
@@ -83,7 +98,7 @@ class ExperimentConfig:
     def with_overrides(self, seed=None, output_dir=None):
         """A copy with the command-line overrides, checked like the file."""
         given = {"seed": seed, "output_dir": output_dir}
-        return replace(self, **{k: SCHEMA[k][1](v, k, []) for k, v in given.items() if v is not None})
+        return self.replace(**{k: SCHEMA[k][1](v, k, []) for k, v in given.items() if v is not None})
 
 
 # One check per value type: each takes (value, path, applied) and returns the

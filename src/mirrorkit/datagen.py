@@ -27,8 +27,6 @@ not trials. Each transform below is a (k, values) pair, as in the samplers:
 k uniforms per draw, and `values` maps a (rows, k) block to one draw per row.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .potentials import NegEntropy
@@ -127,15 +125,15 @@ def planted_weight(cfg, potential, rng):
     return one_draw(planted_draw(cfg, potential), rng)
 
 
-@dataclass
 class Problem:
     """One generated estimation problem: truth, inputs X (T, dim), outputs
     Y (T,) and noise stream; a batch of trials adds a leading axis to each."""
 
-    w_true: np.ndarray
-    X: np.ndarray
-    Y: np.ndarray
-    noises: np.ndarray
+    def __init__(self, w_true, X, Y, noises):
+        self.w_true = w_true
+        self.X = X
+        self.Y = Y
+        self.noises = noises
 
 
 def prior_scale(cfg):

@@ -8,13 +8,10 @@ algorithm is one shift rule, `smd_shift` or `ssmd_shift`. SGD is SMD with
 the squared-L2 potential, whose mirror map is the identity.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .losses import LossFn
-from .potentials import Potential, SeparableQ
+from .potentials import SeparableQ
 
 HESSIAN_PROBE_EXCLUSION = 1e-8
 
@@ -78,32 +75,36 @@ class Linear(GeneralizedLinear):
         return "Linear()"
 
 
-@dataclass(frozen=True)
 class Constant:
     """Fixed learning rate."""
 
-    eta: float
     kind = "constant"
 
-    def __post_init__(self):
-        if not self.eta > 0.0:
+    def __init__(self, eta):
+        if not eta > 0.0:
             raise ValueError("eta must be > 0")
+        self.eta = eta
+
+    def __repr__(self):
+        return f"Constant(eta={self.eta!r})"
 
     def rates(self, T):
         """eta_1 .. eta_T as a float array."""
         return np.full(T, float(self.eta))
 
 
-@dataclass(frozen=True)
 class RobbinsMonro:
     """eta_i = c / i: divergent sum, summable squares."""
 
-    c: float
     kind = "robbins_monro"
 
-    def __post_init__(self):
-        if not self.c > 0.0:
+    def __init__(self, c):
+        if not c > 0.0:
             raise ValueError("c must be > 0")
+        self.c = c
+
+    def __repr__(self):
+        return f"RobbinsMonro(c={self.c!r})"
 
     def rates(self, T):
         """eta_1 .. eta_T as a float array; each c / i is the correctly
@@ -111,19 +112,20 @@ class RobbinsMonro:
         return self.c / np.arange(1, T + 1)
 
 
-@dataclass
 class Trajectory:
     """One run as a (T+1, dim) path (w_0 first), its data as arrays (inputs
-    X (T, dim), outputs Y (T,)), and everything needed to audit it; a batch
-    of n runs from one start adds a leading trial axis to each array."""
+    X (T, dim), outputs Y (T,)), and everything needed to audit it: the
+    schedule, the Potential, the LossFn and the model. A batch of n runs
+    from one start adds a leading trial axis to each array."""
 
-    path: np.ndarray
-    X: np.ndarray
-    Y: np.ndarray
-    schedule: object
-    potential: Potential
-    loss: LossFn
-    model: object
+    def __init__(self, path, X, Y, schedule, potential, loss, model):
+        self.path = path
+        self.X = X
+        self.Y = Y
+        self.schedule = schedule
+        self.potential = potential
+        self.loss = loss
+        self.model = model
 
     def __len__(self):
         return self.path.shape[-2] - 1

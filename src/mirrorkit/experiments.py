@@ -11,7 +11,6 @@ product whose summation order follows the row count of its trial block
 
 import logging
 import warnings
-from dataclasses import dataclass, field, replace
 from itertools import chain, cycle, repeat
 
 import numpy as np
@@ -82,22 +81,20 @@ TRIAL_BLOCK = 2048
 # exponential-cost criteria
 
 
-@dataclass(frozen=True)
 class SMDCost:
     """Exponent sum_i D_l(y_i - x_i^T w, y_i - z_i)."""
 
 
-@dataclass(frozen=True)
 class SSMDCost:
     """Exponent sum_i D_l(x_i^T w, z_i)."""
 
 
-@dataclass(frozen=True)
 class ScaledQuadratic:
     """Exponent alpha * sum_i (x_i^T w - z_i)^2; alpha = 1/2 matches the
     quadratic-loss SMD cost."""
 
-    alpha: float
+    def __init__(self, alpha):
+        self.alpha = alpha
 
 
 def _mode_increment(mode, l, y, xw_true, z):
@@ -160,21 +157,22 @@ def prediction_map(spec, p, l, eta, X, w0):
 # risk-sensitive comparison
 
 
-@dataclass
 class EstimatorCost:
-    name: str
-    mc_cost: float
-    ci_low: float
-    ci_high: float
-    n_trials: int
-    mode: object = SMDCost()
-    costs: np.ndarray = field(default=None, repr=False)
-    ess: float = float("nan")
+    def __init__(self, name, mc_cost, ci_low, ci_high, n_trials, mode=SMDCost(), costs=None,
+                 ess=float("nan")):
+        self.name = name
+        self.mc_cost = mc_cost
+        self.ci_low = ci_low
+        self.ci_high = ci_high
+        self.n_trials = n_trials
+        self.mode = mode
+        self.costs = costs
+        self.ess = ess
 
 
-@dataclass
 class RiskReport:
-    entries: list
+    def __init__(self, entries):
+        self.entries = entries
 
     def entry(self, name):
         return {e.name: e for e in self.entries}[name]
@@ -283,7 +281,7 @@ def _risk_trials(cfg, T):
     eta = cfg.schedule["eta"]
     X = make_inputs(cfg, count=T)
     w0 = cfg.w0_vector()
-    draws = problem_draws(replace(cfg, T=T))
+    draws = problem_draws(cfg.replace(T=T))
     (W_first,) = trial_draws(cfg.seed, min(4, cfg.n_trials), draws[:1])
     margin = certify_margin(p, l, eta, X, np.vstack([w0, W_first]))
 
@@ -430,13 +428,13 @@ def exponent_blowup_probe(cfg, checkpoints=(10, 20, 30, 40, 50)):
 # implicit regularization
 
 
-@dataclass
 class OracleSolution:
     """Feasible minimizer of the start-anchored divergence over X w = y."""
 
-    w_star: np.ndarray
-    kkt_residual: float
-    constraint_residual: float
+    def __init__(self, w_star, kkt_residual, constraint_residual):
+        self.w_star = w_star
+        self.kkt_residual = kkt_residual
+        self.constraint_residual = constraint_residual
 
 
 def _grad_inv_deriv(p, w):
@@ -513,21 +511,48 @@ def implicit_reg_oracle(X, y, p, w0):
     return OracleSolution(w, kkt_residual, constraint_residual)
 
 
+class _MirrorStateProbe:
+    """The potential `p` as `mirror_steps` uses it, keeping in `u` the
+    mirror state it last mapped back to an iterate. That state, with the row
+    phase, is all the recursion carries; the iterate alone does not fix it
+    where grad_inv is many-to-one in floating point (exp, or a root)."""
+
+    def __init__(self, p):
+        self.grad = p.grad
+        self._grad_inv = p.grad_inv
+        self.u = None
+
+    def grad_inv(self, u):
+        self.u = u
+        return self._grad_inv(u)
+
+
 def run_interpolating_descent(p, l, X, y, w0, eta, feas_tol, step_cap):
     """Cycle the rows of (X, y) in order with mirror steps until X w = y
     within feas_tol (the limit point does not depend on the order, only the
     path does). Returns (w, steps, feasibility, progress log); progress is
     sampled at geometrically spaced steps so even a capped run stays
     diagnosable.
+
+    A run whose mirror state at a sweep boundary (row phase 0) equals, bit
+    for bit, its state at an earlier boundary repeats its path from there
+    on, so it never reaches feas_tol: it raises StepCapError at once instead
+    of at the cap. Brent's method finds the repeat: each boundary state is
+    compared with one anchor, moved to the current boundary after 1, 2, 4,
+    ... sweeps, so a cycle entered after m steps with period L is caught
+    within about 2 * max(m, L) + L steps. The feasibility, a function of
+    the state, is compared first.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     w = p.check_domain(np.asarray(w0, dtype=float)).copy()
-    ws = mirror_steps(p, w, cycle(X), cycle(y), repeat(eta), smd_shift(l, Linear()))
+    probe = _MirrorStateProbe(p)
+    ws = mirror_steps(probe, w, cycle(X), cycle(y), repeat(eta), smd_shift(l, Linear()))
     progress = []
     next_log = 1
     steps = 0
     feas = float(np.max(np.abs(X @ w - y)))
+    anchor, anchor_feas, power, sweeps = None, None, 1, 0
     while feas >= feas_tol:
         if steps >= step_cap:
             raise StepCapError(
@@ -543,26 +568,38 @@ def run_interpolating_descent(p, l, X, y, w0, eta, feas_tol, step_cap):
             )
         w = next(ws)
         steps += 1
-        if steps == next_log or steps % len(X) == 0:
+        boundary = steps % len(X) == 0
+        if steps == next_log or boundary:
             feas = float(np.max(np.abs(X @ w - y)))
             if steps == next_log:
                 progress.append((steps, feas))
                 next_log *= 2
+        if boundary:
+            sweeps += 1
+            if feas == anchor_feas and np.array_equal(probe.u, anchor):
+                raise StepCapError(
+                    f"feasibility {feas:.3e} after {steps} steps, where the descent repeats itself "
+                    f"with period {sweeps * len(X)} steps, so it never falls below {feas_tol:g}",
+                    steps=steps,
+                    residual=feas,
+                )
+            if sweeps == power:
+                anchor, anchor_feas, power, sweeps = probe.u, feas, 2 * power, 0
     return w, steps, feas, progress
 
 
-@dataclass
 class ImplicitRegReport:
-    w_smd: np.ndarray
-    w_oracle: np.ndarray
-    gap: float
-    feasibility: float
-    kkt_residual: float
-    steps: int
+    def __init__(self, w_smd, w_oracle, gap, feasibility, kkt_residual, steps):
+        self.w_smd = w_smd
+        self.w_oracle = w_oracle
+        self.gap = gap
+        self.feasibility = feasibility
+        self.kkt_residual = kkt_residual
+        self.steps = steps
 
 
 # the interpolating descent stops once max |X w - y| < FEASIBILITY_TOL, and
-# fails with StepCapError after STEP_CAP steps
+# fails with StepCapError after STEP_CAP steps, or once its mirror state cycles
 FEASIBILITY_TOL = 1e-9
 STEP_CAP = 1_000_000
 
@@ -591,10 +628,10 @@ def implicit_reg_experiment(cfg):
 # mean-square convergence under vanishing steps
 
 
-@dataclass
 class MsqReport:
-    checkpoints: list
-    control: list | None = None
+    def __init__(self, checkpoints, control=None):
+        self.checkpoints = checkpoints
+        self.control = control
 
 
 def _msq_runs(p, l, X, chunks, schedules, w0):

@@ -26,7 +26,6 @@ counter pass, as two contiguous halves, and hands them over the same way.
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import PCG64, Generator  # loaded at import, not lazily in the first draw
@@ -383,14 +382,14 @@ def sample_noise(l, rng, size, force_tabulated=False):
     return one_draw(noise_draw(l, size, force_tabulated), rng)
 
 
-@dataclass
 class MirrorMeanReport:
     """Monte Carlo check that the mean of grad psi(w) equals grad psi(center)."""
 
-    mc_estimate: np.ndarray
-    target: np.ndarray
-    sigma_bound: np.ndarray
-    passed: bool
+    def __init__(self, mc_estimate, target, sigma_bound, passed):
+        self.mc_estimate = mc_estimate
+        self.target = target
+        self.sigma_bound = sigma_bound
+        self.passed = passed
 
 
 def mirror_mean_check(spec, n_samples, rng):

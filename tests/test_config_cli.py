@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -648,12 +647,22 @@ def test_seed_override_is_checked_like_the_file(seed, tmp_path, caplog):
 @pytest.mark.parametrize("name", [p.stem for p in sorted(ROOT.glob("configs/*.json"))] + ["make_config"])
 def test_resolved_config_round_trips(name, caplog):
     cfg = make_config() if name == "make_config" else parse_config(ROOT / "configs" / f"{name}.json")
-    resolved = asdict(cfg)
+    resolved = vars(cfg)
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="mirrorkit"):
         assert config_from_mapping(resolved) == cfg
         assert config_from_mapping(json.loads(json.dumps(resolved, sort_keys=True))) == cfg
     assert not [r for r in caplog.records if "applied default" in r.message]
+
+
+def test_a_replaced_copy_leaves_its_original_and_equals_the_parsed_mapping():
+    raw = json.loads((ROOT / "configs" / "risk_gaussian.json").read_text(encoding="utf-8"))
+    cfg = parse_config(ROOT / "configs" / "risk_gaussian.json")
+    fields = dict(vars(cfg))
+    copy = cfg.replace(n_trials=60, seed=7, estimators=[{"kind": "smd"}, {"kind": "constant"}])
+    assert vars(cfg) == fields and cfg == config_from_mapping(raw)
+    assert copy == config_from_mapping(dict(raw, n_trials=60, seed=7, estimators=["smd", "constant"]))
+    assert copy != cfg and copy.replace(**fields) == cfg
 
 
 def test_readme_config_table_lists_every_key():

@@ -1,6 +1,5 @@
 import tracemalloc
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +31,10 @@ from mirrorkit.config import make_config, parse_config
 from mirrorkit.datagen import generate_problems, problem_draws, trial_draws
 from mirrorkit.experiments import (
     BOOTSTRAP_RESAMPLES,
+    FEASIBILITY_TOL,
     MAP_STEPS,
     MAP_T,
+    STEP_CAP,
     _estimator_exponents,
     _exponents_at,
     _risk_trials,
@@ -194,13 +195,13 @@ def test_risk_costs_do_not_depend_on_the_trial_count():
 def _risk_outputs(cfg, out):
     """The bytes of the `risk.csv` that `cfg` writes to `out`, and its
     blow-up curve at the default checkpoints."""
-    dispatch(replace(cfg, output_dir=str(out)), "risk")
+    dispatch(cfg.replace(output_dir=str(out)), "risk")
     return (out / "risk.csv").read_bytes(), exponent_blowup_probe(cfg)
 
 
 @pytest.mark.parametrize("cfg, same, close", [
     (parse_config(RISK_GAUSSIAN), (3001, 10_000), (1,)),
-    (replace(parse_config(RISK_LOGCOSH_Q3), n_trials=60), (1, 7, 60), ()),
+    (parse_config(RISK_LOGCOSH_Q3).replace(n_trials=60), (1, 7, 60), ()),
 ], ids=["risk_gaussian", "risk_logcosh_q3"])
 @pytest.mark.bitwise
 def test_risk_outputs_do_not_depend_on_the_trial_block(cfg, same, close, tmp_path, monkeypatch):
@@ -294,7 +295,7 @@ def test_map_exponents_equal_the_sequential_ones(T):
     marks = sorted({0, 1, (T + 1) // 2, T})
     for _ in range(5):
         cfg = _random_lq_config(rng, T, n_trials=16 if T == MAP_T else 64)
-        cfg = replace(cfg, estimators=[*cfg.estimators, {"kind": "scaled_smd", "gamma": 1.0}])
+        cfg = cfg.replace(estimators=[*cfg.estimators, {"kind": "scaled_smd", "gamma": 1.0}])
         p, l, eta, X, _, w0, XW, Y = _all_trials(cfg, T)
         assert not np.array_equal(w0, np.zeros(cfg.dim))
         # the map predicts what the recursion does, on the trials' outputs
@@ -318,7 +319,7 @@ def test_map_exponents_equal_the_sequential_ones(T):
 
 
 @pytest.mark.parametrize("cfg", [
-    replace(parse_config(RISK_LOGCOSH_Q3), n_trials=64),
+    parse_config(RISK_LOGCOSH_Q3).replace(n_trials=64),
     _gaussian_cfg(T=MAP_T + 1, n_trials=16),
 ], ids=["risk_logcosh_q3", "squared_l2_past_MAP_T"])
 def test_other_pairs_and_longer_horizons_keep_the_sequential_exponents(cfg):
@@ -486,10 +487,10 @@ def test_closed_form_intervals_cover_the_exact_costs():
     the SMD cost has its exact cost inside its 95% interval on at least 0.9
     of 200 seeds (0.945-0.965 here; the bootstrap read 0.95-0.965). A seed
     moves the inputs too, so the exact costs are taken per seed."""
-    base = replace(parse_config(RISK_GAUSSIAN), n_trials=2000)
+    base = parse_config(RISK_GAUSSIAN).replace(n_trials=2000)
     covered = {}
     for seed in range(200):
-        cfg = replace(base, seed=seed)
+        cfg = base.replace(seed=seed)
         exact = gaussian_log_costs(cfg)
         for e in risk_compare(cfg).entries:
             if isinstance(e.mode, SMDCost):
@@ -570,7 +571,7 @@ def test_an_infinite_cost_gives_a_nan_interval_and_a_failing_verdict(tmp_path, m
         return names, S
 
     monkeypatch.setattr(experiments, "_estimator_exponents", overflowing)
-    cfg = replace(parse_config(RISK_GAUSSIAN), n_trials=500, output_dir=str(tmp_path))
+    cfg = parse_config(RISK_GAUSSIAN).replace(n_trials=500, output_dir=str(tmp_path))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         verdict = dispatch(cfg, "risk")
@@ -624,8 +625,8 @@ def test_exponent_probe_grows():
 
 
 @pytest.mark.parametrize("cfg", [
-    replace(parse_config(RISK_GAUSSIAN), n_trials=50),
-    replace(parse_config(RISK_LOGCOSH_Q3), n_trials=50),
+    parse_config(RISK_GAUSSIAN).replace(n_trials=50),
+    parse_config(RISK_LOGCOSH_Q3).replace(n_trials=50),
 ], ids=["risk_gaussian", "risk_logcosh_q3"])
 @pytest.mark.parametrize("checkpoints", [(-5, 10), (10, 2.5), (10.0,), (True, 10), ()],
                          ids=["negative", "fractional", "float", "bool", "none"])
@@ -693,6 +694,21 @@ def test_interpolating_descent_step_cap():
     assert exc.value.residual > 0
 
 
+@pytest.mark.parametrize("y,period", [(-0.024975119306399472, 4), (-0.016508656252444073, 2),
+                                      (0.002274870723734314, 2)])
+def test_interpolating_descent_refuses_a_cycle_at_once(y, period):
+    """Cases 23, 70 and 224 of implicit on separable_q q 3, dim 3, T 1,
+    basis_then_gaussian inputs, noise none and seed 733: from step 612, 35
+    and 14 the mirror state repeats bit for bit with period 4, 2 and 2 (its
+    maps are a square and a square root, correctly rounded on every CPU).
+    Each is refused within a few thousand steps, not at the 10^6-step cap."""
+    with pytest.raises(StepCapError, match=f"repeats itself with period {period} steps") as exc:
+        run_interpolating_descent(SeparableQ(3.0, 3), Quadratic(), [[1.0, 0.0, 0.0]], [y], np.zeros(3), 0.1,
+                                  feas_tol=FEASIBILITY_TOL, step_cap=STEP_CAP)
+    assert exc.value.steps <= 4096
+    assert exc.value.residual > 0.02
+
+
 def test_implicit_reg_experiment_squared_l2():
     cfg = make_config(
         potential="squared_l2", loss="quadratic", dim=20, T=5, n_trials=1,
@@ -713,7 +729,7 @@ def test_implicit_cases_are_trials():
         inputs={"kind": "unit"}, seed=17,
     )
     five = implicit_reg_experiment(cfg)
-    two = implicit_reg_experiment(replace(cfg, n_trials=2))
+    two = implicit_reg_experiment(cfg.replace(n_trials=2))
     problems = generate_problems(cfg, 5)
     assert len(five) == 5 and len(two) == 2
     p, w0 = cfg.build_potential(), cfg.w0_vector()

@@ -1,8 +1,8 @@
 """The runtime needs numpy only; scipy serves the tests as an independent oracle.
 
 Each numpy form that replaced a scipy call is pinned here to scipy's own
-value, two gates keep scipy off the import path, and a third keeps numpy.ma
-off the path of a risk run.
+value, two gates keep scipy, dataclasses and argparse off the import path,
+and a third keeps numpy.ma off the path of a risk run.
 """
 
 import json
@@ -113,23 +113,32 @@ def test_import_loads_no_scipy_and_loads_numpy_random():
     assert out[1] == "True"
 
 
-def test_a_cli_call_loads_no_argparse_gettext_or_locale(tmp_path):
-    """The CLI reads its command line itself: --help, a usage error and a
-    minimax run load none of argparse, gettext and locale."""
-    cfg = tmp_path / "minimax.json"
-    cfg.write_text(json.dumps({
-        "potential": "squared_l2", "loss": "quadratic", "dim": 2, "T": 5, "n_trials": 20,
-        "schedule": {"kind": "constant", "eta": 0.05},
-    }))
+def test_a_cli_call_loads_no_dataclasses_argparse_gettext_or_locale(tmp_path):
+    """The CLI reads its command line itself and its records are plain
+    classes: --help, a usage error and a minimax, a risk and a converge run
+    load none of dataclasses, argparse, gettext and locale."""
+    base = {"potential": "squared_l2", "loss": "quadratic", "dim": 2}
+    configs = {
+        "minimax": dict(base, T=5, n_trials=20, schedule={"kind": "constant", "eta": 0.05}),
+        "risk": dict(base, T=5, n_trials=200, w0=0.0, inputs={"kind": "unit"},
+                     schedule={"kind": "constant", "eta": 0.05}),
+        "converge": dict(base, T=2000, n_trials=20, noise={"kind": "gaussian"},
+                         schedule={"kind": "robbins_monro", "c": 0.5}),
+    }
+    calls = []
+    for sub, raw in configs.items():
+        cfg = tmp_path / f"{sub}.json"
+        cfg.write_text(json.dumps(raw))
+        calls.append(f"main([{sub!r}, '--config', {str(cfg)!r}, '--out', {str(tmp_path / sub)!r}])")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = (
         "import sys; from mirrorkit.cli import main; "
-        "print(main(['--help']), main(['run']), "
-        f"main(['minimax', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]), file=sys.stderr); "
-        "print(sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))"
+        f"print(main(['--help']), main(['run']), {', '.join(calls)}, file=sys.stderr); "
+        "print(sorted(m for m in ('dataclasses', 'argparse', 'gettext', 'locale') if m in sys.modules))"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert proc.stderr.splitlines()[-1] == "0 1 0"
+    # risk's smd interval overlaps the constant baseline's at 200 trials: exit 2
+    assert proc.stderr.splitlines()[-1] == "0 1 0 2 0"
     assert proc.stdout.splitlines()[-1] == "[]"
 
 

@@ -256,8 +256,6 @@ def test_weight_draw_shapes():
 
 
 def test_prior_tables_are_built_once_across_trials(monkeypatch):
-    from dataclasses import replace
-
     from mirrorkit import samplers
     from mirrorkit.config import make_config
     from mirrorkit.datagen import generate_problem
@@ -268,7 +266,7 @@ def test_prior_tables_are_built_once_across_trials(monkeypatch):
         make_config(potential={"kind": "separable_q", "q": 3.0}, loss="logcosh", dim=2, T=5,
                     w0=1.0, schedule={"kind": "constant", "eta": 0.1}),
     ]
-    trials = [replace(cfg, seed=cfg.seed + 1 + t) for cfg in cfgs for t in range(50)]
+    trials = [cfg.replace(seed=cfg.seed + 1 + t) for cfg in cfgs for t in range(50)]
     fresh = []
     for cfg in trials:  # every trial with its own tables, as without the memo
         monkeypatch.setattr(samplers, "_PRIOR_TABLES", {})
