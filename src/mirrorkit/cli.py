@@ -8,6 +8,7 @@ byte-stable: fixed column order, 17-significant-digit floats, LF endings.
 
 import logging
 import operator
+import os
 import re
 import sys
 from itertools import chain
@@ -79,13 +80,31 @@ def _format_rows(rows):
 
 def write_csv(path, header, rows):
     """Write `header` and the list `rows` to `path` as CSV, CSV_CHUNK_ROWS
-    rows at a time."""
+    rows at a time.
+
+    The rows go to a new file, `.<name>.<pid>.tmp` in the same directory,
+    created exclusively; then the old file at `path`, if any, is removed and
+    the new one renamed into the free name. No existing file is truncated or
+    renamed over, either of which makes ext4 (`auto_da_alloc`) start
+    writeback. A write that fails, an interrupt included, keeps the previous
+    file and removes the new one. Nothing is fsynced."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(rows), CSV_CHUNK_ROWS):
-            fh.write(_format_rows(rows[start : start + CSV_CHUNK_ROWS]))
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(",".join(header) + "\n")
+            for start in range(0, len(rows), CSV_CHUNK_ROWS):
+                fh.write(_format_rows(rows[start : start + CSV_CHUNK_ROWS]))
+        path.unlink(missing_ok=True)
+        tmp.rename(path)
+    except BaseException:
+        try:
+            tmp.unlink()
+        except OSError:  # re-raise the error that stopped the write, not this one
+            pass
+        raise
     log.info("wrote %s (%d rows)", path, len(rows))
 
 

@@ -3,6 +3,7 @@ import json
 import logging
 import os
 import re
+import stat
 import subprocess
 import sys
 import warnings
@@ -185,6 +186,44 @@ def test_csv_rendering(tmp_path):
         assert path.read_bytes() == _fmt_csv(header, rows), name
 
 
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_a_rewrite_that_fails_midway_keeps_the_previous_artifact(tmp_path, error):
+    """A value whose str() raises in the second chunk stops a rewrite after
+    the first chunk is written; the old file stays byte for byte, and no
+    temporary file is left beside it."""
+
+    class Unprintable:
+        def __str__(self):
+            raise error("unprintable")
+
+    path = tmp_path / "x.csv"
+    write_csv(path, ["a"], [[1], [2]])
+    before = path.read_bytes()
+    with pytest.raises(error, match="unprintable"):
+        write_csv(path, ["a"], [[i] for i in range(CSV_CHUNK_ROWS)] + [[Unprintable()]])
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_rewrite_makes_a_new_file_with_a_first_writes_mode_and_bytes(tmp_path):
+    header, rows = ["a", "b"], [[1, 0.5], [2, 1.5]]
+    first, again = tmp_path / "first" / "x.csv", tmp_path / "again" / "x.csv"
+    write_csv(first, header, rows)
+    write_csv(again, ["old"], [["row"]])
+    # a second name for the old file, through which a write in place would show
+    held = tmp_path / "held"
+    os.link(again, held)
+    write_csv(again, header, rows)
+    assert os.stat(again).st_ino != os.stat(held).st_ino
+    assert held.read_bytes() == b"old\nrow\n"
+    assert again.read_bytes() == first.read_bytes()
+    # the mode of a file that open(..., "w") creates, not mkstemp's 0600
+    plain = tmp_path / "plain"
+    plain.write_text("", encoding="utf-8")
+    assert stat.S_IMODE(os.stat(again).st_mode) == stat.S_IMODE(os.stat(plain).st_mode)
+    assert list(again.parent.iterdir()) == [again]
+
+
 @pytest.mark.parametrize("name", [p.stem for p in sorted(ROOT.glob("configs/*.json"))])
 def test_shipped_artifacts_render_as_per_value_fmt(name, tmp_path):
     """Every CSV a shipped config writes equals its rows rendered value by value."""
@@ -314,6 +353,20 @@ def test_unwritable_output_exits_1_naming_the_path(tmp_path, caplog):
         assert main(["run", "--config", str(ROOT / "configs" / "audit.json"), "--out", str(out)]) == EXIT_ERROR
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert errors == [f"ArtifactError: cannot write {out / 'trajectory.csv'}: Not a directory"]
+
+
+def test_an_artifact_path_that_is_a_directory_exits_1_and_is_left_as_it_was(tmp_path, caplog):
+    out = tmp_path / "out"
+    artifact = out / "trajectory.csv"
+    artifact.mkdir(parents=True)
+    (artifact / "kept").write_text("kept", encoding="utf-8")
+    with caplog.at_level(logging.ERROR, logger="mirrorkit"):
+        assert main(["run", "--config", str(ROOT / "configs" / "audit.json"), "--out", str(out)]) == EXIT_ERROR
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert errors == [f"ArtifactError: cannot write {artifact}: Is a directory"]
+    assert list(out.iterdir()) == [artifact]
+    assert list(artifact.iterdir()) == [artifact / "kept"]
+    assert (artifact / "kept").read_text(encoding="utf-8") == "kept"
 
 
 def test_main_error_exit(tmp_path):
