@@ -91,6 +91,7 @@ def write_csv(path, header, rows):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    # opened before the try, so that a file this call did not create is never removed
     fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
         with fh:
