@@ -8,6 +8,8 @@ implementation; anything larger indicates a broken update rule or a
 mismatched argument. Per-step terms are computed once, as arrays over steps.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from .bregman import bregman
@@ -17,28 +19,15 @@ from .errors import DegenerateError, ScheduleError
 DENOMINATOR_FLOOR = 1e-14
 
 
-class AuditRecord:
+class AuditRecord(SimpleNamespace):
     """All terms of the per-step balance around one update, or one array per
-    term over the steps of a trajectory; `vars` lists them in this order."""
-
-    def __init__(self, step, d_psi_prev, d_psi_next, d_loss_bregman, e_term, loss_noise, local_residual):
-        self.step = step
-        self.d_psi_prev = d_psi_prev
-        self.d_psi_next = d_psi_next
-        self.d_loss_bregman = d_loss_bregman
-        self.e_term = e_term
-        self.loss_noise = loss_noise
-        self.local_residual = local_residual
+    term over the steps of a trajectory; `vars` lists them in the order that
+    `_step_terms` passes them, which is audit.csv's header."""
 
 
-class MinimaxReport:
-    """Energy-gain ratio against a reference weight, of one run or per run of a batch."""
-
-    def __init__(self, numerator, denominator, ratio, premise_certified):
-        self.numerator = numerator
-        self.denominator = denominator
-        self.ratio = ratio
-        self.premise_certified = premise_certified
+class MinimaxReport(SimpleNamespace):
+    """Energy-gain ratio against a reference weight, of one run or per run of
+    a batch: numerator, denominator, ratio and premise_certified."""
 
 
 def _rowdot(a, b):
@@ -73,7 +62,8 @@ def _step_terms(p, l, m, X, Y, path, w, eta):
     rhs = d_psi_next + eta * d_lb + e_term
     residual = np.abs(lhs - rhs) / (1.0 + np.abs(lhs))
     steps = np.arange(1, len(Y) + 1)
-    return AuditRecord(steps, d_psi_prev, d_psi_next, d_lb, e_term, loss_noise, residual)
+    return AuditRecord(step=steps, d_psi_prev=d_psi_prev, d_psi_next=d_psi_next, d_loss_bregman=d_lb,
+                       e_term=e_term, loss_noise=loss_noise, local_residual=residual)
 
 
 def local_identity(p, l, m, w, w_prev, w_next, x, y, eta, step=0):
@@ -83,8 +73,8 @@ def local_identity(p, l, m, w, w_prev, w_next, x, y, eta, step=0):
     path = np.stack([np.asarray(w_prev, dtype=float), np.asarray(w_next, dtype=float)])
     w = np.asarray(w, dtype=float)
     X = np.asarray(x, dtype=float)[None, :]
-    _, *terms = vars(_step_terms(p, l, m, X, np.array([y], dtype=float), path, w, eta)).values()
-    return AuditRecord(step, *(float(t[0]) for t in terms))
+    terms = vars(_step_terms(p, l, m, X, np.array([y], dtype=float), path, w, eta))
+    return AuditRecord(**{name: float(t[0]) for name, t in terms.items()} | {"step": step})
 
 
 def _require_constant(traj):
@@ -161,14 +151,16 @@ def energy_gain(traj, w, noises=None):
     probes = np.concatenate([prev, traj.iterates], axis=-2)
     XX, YY = np.concatenate([X, X], axis=-2), np.concatenate([Y, Y], axis=-1)
     certified = premise_holds(p, l, m, eta, probes, XX, YY).all(axis=-1) & (len(traj) > 0)
-    return MinimaxReport(numerator, denominator, ratio, certified)
+    return MinimaxReport(numerator=numerator, denominator=denominator, ratio=ratio,
+                         premise_certified=certified)
 
 
 def minimax_ratio(traj, w, noises=None):
     """`energy_gain` of one trajectory, as floats. Nothing in the package calls
     it; the benchmark's layer trace (perfbench/layers.py) counts its calls."""
     r = energy_gain(traj, w, noises)
-    return MinimaxReport(float(r.numerator), float(r.denominator), float(r.ratio), bool(r.premise_certified))
+    return MinimaxReport(numerator=float(r.numerator), denominator=float(r.denominator), ratio=float(r.ratio),
+                         premise_certified=bool(r.premise_certified))
 
 
 def exponent_identity_residual(p, l, w, traj, z):

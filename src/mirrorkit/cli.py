@@ -13,6 +13,7 @@ import re
 import sys
 from itertools import chain
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -91,8 +92,13 @@ def write_csv(path, header, rows):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    # opened before the try, so that a file this call did not create is never removed
-    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    # opened before the try, so that its cleanup removes only a file this call created; a file already
+    # at `tmp` is safe to remove: every write removes its own, so a killed process with this pid left it
+    try:
+        fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    except FileExistsError:
+        tmp.unlink()
+        fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
         with fh:
             fh.write(",".join(header) + "\n")
@@ -135,13 +141,9 @@ class Check:
         return f"{self.name}: {_g(self.value)} {self.relation} {_g(self.bound)}"
 
 
-class Verdict:
-    """The CSVs a subcommand writes, as {file name: (header, rows)}, and the checks
-    its claim rests on; it exits 2, naming the first that fails, unless all hold."""
-
-    def __init__(self, artifacts, checks):
-        self.artifacts = artifacts
-        self.checks = checks
+class Verdict(SimpleNamespace):
+    """The CSVs a subcommand writes, `artifacts` {file name: (header, rows)}, and the
+    `checks` its claim rests on; it exits 2, naming the first that fails, unless all hold."""
 
     @property
     def code(self):
@@ -162,7 +164,7 @@ def _cmd_run(cfg):
     traj = _iterate(cfg, generate_problem(cfg))
     header = ["step"] + [f"w{j}" for j in range(cfg.dim)]
     rows = [[i] + list(w) for i, w in enumerate(traj.path)]
-    return Verdict({"trajectory.csv": (header, rows)}, [])
+    return Verdict(artifacts={"trajectory.csv": (header, rows)}, checks=[])
 
 
 # The bounds of the checks below. They are fixed here, not read from the
@@ -179,12 +181,10 @@ def _cmd_audit(cfg):
     problem = generate_problem(cfg)
     traj = _iterate(cfg, problem)
     terms, global_residual = audit_mod.audit_trajectory(traj, problem.w_true, noises=problem.noises)
-    # the columns are the record's fields: step, d_psi_prev, d_psi_next,
-    # d_loss_bregman, e_term, loss_noise, local_residual
     columns = [c.tolist() for c in vars(terms).values()]
-    return Verdict({"audit.csv": (list(vars(terms)), list(zip(*columns)))},
-                   [Check("worst local residual", terms.local_residual.max(), IDENTITY_RTOL, "<="),
-                    Check("global residual", global_residual, IDENTITY_RTOL, "<=")])
+    checks = [Check("worst local residual", terms.local_residual.max(), IDENTITY_RTOL, "<="),
+              Check("global residual", global_residual, IDENTITY_RTOL, "<=")]
+    return Verdict(artifacts={"audit.csv": (list(vars(terms)), list(zip(*columns)))}, checks=checks)
 
 
 def _cmd_minimax(cfg):
@@ -197,11 +197,10 @@ def _cmd_minimax(cfg):
     header = ["trial", "numerator", "denominator", "ratio", "premise_certified"]
     rows = list(zip(range(cfg.n_trials), report.numerator.tolist(), report.denominator.tolist(),
                     report.ratio.tolist(), certified.tolist()))
-    return Verdict({"minimax.csv": (header, rows)},
-                   [Check(f"certified trials of {cfg.n_trials}", np.count_nonzero(certified), 1, ">="),
-                    Check("non-finite certified ratios", np.count_nonzero(~np.isfinite(ratios)), 0, "<="),
-                    Check("largest certified ratio", np.max(ratios, initial=-np.inf), 1.0 + MINIMAX_SLACK,
-                          "<=")])
+    checks = [Check(f"certified trials of {cfg.n_trials}", np.count_nonzero(certified), 1, ">="),
+              Check("non-finite certified ratios", np.count_nonzero(~np.isfinite(ratios)), 0, "<="),
+              Check("largest certified ratio", np.max(ratios, initial=-np.inf), 1.0 + MINIMAX_SLACK, "<=")]
+    return Verdict(artifacts={"minimax.csv": (header, rows)}, checks=checks)
 
 
 def _cmd_risk(cfg):
@@ -213,19 +212,20 @@ def _cmd_risk(cfg):
     costs = [e.mc_cost for e in baselines]
     # np.argmax takes the first NaN, where max() would depend on the order
     worst = baselines[int(np.argmax(costs))]
-    return Verdict({"risk.csv": (["estimator", "mc_cost", "ci_low", "ci_high", "n_trials", "ess"], rows)},
-                   [Check("smd mc_cost against the least baseline mc_cost", smd.mc_cost, np.min(costs), "<="),
-                    Check(f"smd ci_high against the {worst.name} ci_low", smd.ci_high, worst.ci_low, "<")])
+    header = ["estimator", "mc_cost", "ci_low", "ci_high", "n_trials", "ess"]
+    checks = [Check("smd mc_cost against the least baseline mc_cost", smd.mc_cost, np.min(costs), "<="),
+              Check(f"smd ci_high against the {worst.name} ci_low", smd.ci_high, worst.ci_low, "<")]
+    return Verdict(artifacts={"risk.csv": (header, rows)}, checks=checks)
 
 
 def _cmd_implicit(cfg):
     reports = exp_mod.implicit_reg_experiment(cfg)
     gap_tol = GAP_SQUARED_L2 if cfg.potential["kind"] == "squared_l2" else GAP_GENERAL
     rows = [[f"case{k}", r.gap, r.feasibility, r.kkt_residual, r.steps] for k, r in enumerate(reports)]
-    return Verdict({"implicit.csv": (["case", "gap", "feasibility", "kkt_residual", "steps"], rows)},
-                   [Check("largest gap to the oracle", np.max([r.gap for r in reports]), gap_tol, "<="),
-                    Check("largest oracle KKT residual", np.max([r.kkt_residual for r in reports]), KKT_TOL,
-                          "<=")])
+    header = ["case", "gap", "feasibility", "kkt_residual", "steps"]
+    checks = [Check("largest gap to the oracle", np.max([r.gap for r in reports]), gap_tol, "<="),
+              Check("largest oracle KKT residual", np.max([r.kkt_residual for r in reports]), KKT_TOL, "<=")]
+    return Verdict(artifacts={"implicit.csv": (header, rows)}, checks=checks)
 
 
 def _cmd_converge(cfg):
@@ -242,7 +242,7 @@ def _cmd_converge(cfg):
                    Check("last mean-square error against the plateau", errors[-1], plateau, "<")]
         header = header + ["control_mean_sq_error"]
         rows = [(t, mse, control) for (t, mse), (_, control) in zip(rows, report.control)]
-    return Verdict({"converge.csv": (header, rows)}, checks)
+    return Verdict(artifacts={"converge.csv": (header, rows)}, checks=checks)
 
 
 def _cmd_sample_check(cfg):
@@ -269,7 +269,8 @@ def _cmd_sample_check(cfg):
     rows.append(["ks_tabulated_vs_short_circuit", p.kind, l.kind, 0,
                  ks_stat, 0.0, ks_pvalue, ks_check.holds])
     header = ["check", "potential", "loss", "coordinate", "mc_estimate", "target", "sigma_bound", "pass"]
-    return Verdict({"sample_check.csv": (header, rows)}, [mirror_check, noise_check, ks_check])
+    checks = [mirror_check, noise_check, ks_check]
+    return Verdict(artifacts={"sample_check.csv": (header, rows)}, checks=checks)
 
 
 _HANDLERS = {

@@ -21,6 +21,7 @@ import json
 import logging
 import math
 import numbers
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -32,36 +33,9 @@ from .potentials import NegEntropy, SeparableQ, SquaredL2
 log = logging.getLogger("mirrorkit")
 
 
-class ExperimentConfig:
+class ExperimentConfig(SimpleNamespace):
     """A validated, fully defaulted description of one run. Two configs are
     equal when every field is; `vars(cfg)` is the config as a mapping."""
-
-    def __init__(self, algorithm, potential, loss, model, schedule, dim, T, n_trials, seed, w0,
-                 inputs, noise, planted, estimators, control_eta, output_dir):
-        self.algorithm = algorithm
-        self.potential = potential
-        self.loss = loss
-        self.model = model
-        self.schedule = schedule
-        self.dim = dim
-        self.T = T
-        self.n_trials = n_trials
-        self.seed = seed
-        self.w0 = w0
-        self.inputs = inputs
-        self.noise = noise
-        self.planted = planted
-        self.estimators = estimators
-        self.control_eta = control_eta
-        self.output_dir = output_dir
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self):
-        return f"ExperimentConfig({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     def replace(self, **changes):
         """A copy with `changes` to its fields, which are not checked; the

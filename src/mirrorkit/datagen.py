@@ -27,6 +27,8 @@ not trials. Each transform below is a (k, values) pair, as in the samplers:
 k uniforms per draw, and `values` maps a (rows, k) block to one draw per row.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from .potentials import NegEntropy
@@ -125,15 +127,9 @@ def planted_weight(cfg, potential, rng):
     return one_draw(planted_draw(cfg, potential), rng)
 
 
-class Problem:
-    """One generated estimation problem: truth, inputs X (T, dim), outputs
-    Y (T,) and noise stream; a batch of trials adds a leading axis to each."""
-
-    def __init__(self, w_true, X, Y, noises):
-        self.w_true = w_true
-        self.X = X
-        self.Y = Y
-        self.noises = noises
+class Problem(SimpleNamespace):
+    """One generated estimation problem: truth w_true, inputs X (T, dim),
+    outputs Y (T,) and noises; a batch of trials adds a leading axis to each."""
 
 
 def prior_scale(cfg):

@@ -8,6 +8,8 @@ algorithm is one shift rule, `smd_shift` or `ssmd_shift`. SGD is SMD with
 the squared-L2 potential, whose mirror map is the identity.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from .errors import ConfigError, DomainError
@@ -112,20 +114,11 @@ class RobbinsMonro:
         return self.c / np.arange(1, T + 1)
 
 
-class Trajectory:
+class Trajectory(SimpleNamespace):
     """One run as a (T+1, dim) path (w_0 first), its data as arrays (inputs
     X (T, dim), outputs Y (T,)), and everything needed to audit it: the
     schedule, the Potential, the LossFn and the model. A batch of n runs
     from one start adds a leading trial axis to each array."""
-
-    def __init__(self, path, X, Y, schedule, potential, loss, model):
-        self.path = path
-        self.X = X
-        self.Y = Y
-        self.schedule = schedule
-        self.potential = potential
-        self.loss = loss
-        self.model = model
 
     def __len__(self):
         return self.path.shape[-2] - 1
@@ -242,7 +235,7 @@ def iterate(p, l, m, X, Y, schedule, w0, algorithm="smd"):
         raise ConfigError("ssmd is defined for linear models only")
     shift = ssmd_shift(l) if algorithm == "ssmd" else smd_shift(l, m)
     path, X, Y = _recursion(p, X, Y, w0, schedule, shift)
-    return Trajectory(path, X, Y, schedule, p, l, m)
+    return Trajectory(path=path, X=X, Y=Y, schedule=schedule, potential=p, loss=l, model=m)
 
 
 def run_general_recursion(p, l, X, Y, z, eta, w0):
@@ -255,7 +248,7 @@ def run_general_recursion(p, l, X, Y, z, eta, w0):
     schedule = Constant(eta)
     S = l.deriv(np.asarray(Y, dtype=float) - np.asarray(z, dtype=float))
     path, X, Y = _recursion(p, X, Y, w0, schedule, lambda x, s, W: s, S)
-    return Trajectory(path, X, Y, schedule, p, l, Linear())
+    return Trajectory(path=path, X=X, Y=Y, schedule=schedule, potential=p, loss=l, model=Linear())
 
 
 def _loss_curvature(l, m, u, y):

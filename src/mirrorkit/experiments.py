@@ -12,6 +12,7 @@ product whose summation order follows the row count of its trial block
 import logging
 import warnings
 from itertools import chain, cycle, repeat
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -89,12 +90,9 @@ class SSMDCost:
     """Exponent sum_i D_l(x_i^T w, z_i)."""
 
 
-class ScaledQuadratic:
+class ScaledQuadratic(SimpleNamespace):
     """Exponent alpha * sum_i (x_i^T w - z_i)^2; alpha = 1/2 matches the
     quadratic-loss SMD cost."""
-
-    def __init__(self, alpha):
-        self.alpha = alpha
 
 
 def _mode_increment(mode, l, y, xw_true, z):
@@ -157,22 +155,17 @@ def prediction_map(spec, p, l, eta, X, w0):
 # risk-sensitive comparison
 
 
-class EstimatorCost:
-    def __init__(self, name, mc_cost, ci_low, ci_high, n_trials, mode=SMDCost(), costs=None,
-                 ess=float("nan")):
-        self.name = name
-        self.mc_cost = mc_cost
-        self.ci_low = ci_low
-        self.ci_high = ci_high
-        self.n_trials = n_trials
-        self.mode = mode
-        self.costs = costs
-        self.ess = ess
+class EstimatorCost(SimpleNamespace):
+    """One estimator's name, mc_cost and ci_low .. ci_high over n_trials, its
+    cost mode, and the per-trial costs with their effective sample size ess."""
+
+    mode = SMDCost()
+    costs = None
+    ess = float("nan")
 
 
-class RiskReport:
-    def __init__(self, entries):
-        self.entries = entries
+class RiskReport(SimpleNamespace):
+    """The EstimatorCost `entries` of one comparison."""
 
     def entry(self, name):
         return {e.name: e for e in self.entries}[name]
@@ -393,7 +386,8 @@ def risk_compare(cfg):
     with np.errstate(over="ignore"):
         costs = np.exp(S)
     cis = closed_form_basic_ci(costs)
-    entries = [EstimatorCost(name, float(c.mean()), lo, hi, cfg.n_trials, mode, c, effective_sample_size(s))
+    entries = [EstimatorCost(name=name, mc_cost=float(c.mean()), ci_low=lo, ci_high=hi, n_trials=cfg.n_trials,
+                             mode=mode, costs=c, ess=effective_sample_size(s))
                for name, (_, mode), c, s, (lo, hi) in zip(names, runs, costs, S, cis)]
     return RiskReport(entries=entries)
 
@@ -417,7 +411,7 @@ def exponent_blowup_probe(cfg, checkpoints=(10, 20, 30, 40, 50)):
     if margin:
         warnings.warn(margin)
     marks = sorted(set(checkpoints))
-    _, S = _estimator_exponents([({"kind": "smd"}, ScaledQuadratic(1.0))], marks,
+    _, S = _estimator_exponents([({"kind": "smd"}, ScaledQuadratic(alpha=1.0))], marks,
                                 p, l, eta, X, w0, trials, cfg.n_trials)
     with np.errstate(over="ignore"):
         costs = np.exp(S[0])
@@ -428,13 +422,9 @@ def exponent_blowup_probe(cfg, checkpoints=(10, 20, 30, 40, 50)):
 # implicit regularization
 
 
-class OracleSolution:
-    """Feasible minimizer of the start-anchored divergence over X w = y."""
-
-    def __init__(self, w_star, kkt_residual, constraint_residual):
-        self.w_star = w_star
-        self.kkt_residual = kkt_residual
-        self.constraint_residual = constraint_residual
+class OracleSolution(SimpleNamespace):
+    """Feasible minimizer w_star of the start-anchored divergence over
+    X w = y, with its kkt_residual and constraint_residual."""
 
 
 def _grad_inv_deriv(p, w):
@@ -508,7 +498,7 @@ def implicit_reg_oracle(X, y, p, w0):
 
     kkt_residual = float(np.max(np.abs(p.grad(w) - u0 - X.T @ lam)))
     constraint_residual = float(np.max(np.abs(X @ w - y)))
-    return OracleSolution(w, kkt_residual, constraint_residual)
+    return OracleSolution(w_star=w, kkt_residual=kkt_residual, constraint_residual=constraint_residual)
 
 
 class _MirrorStateProbe:
@@ -588,14 +578,9 @@ def run_interpolating_descent(p, l, X, y, w0, eta, feas_tol, step_cap):
     return w, steps, feas, progress
 
 
-class ImplicitRegReport:
-    def __init__(self, w_smd, w_oracle, gap, feasibility, kkt_residual, steps):
-        self.w_smd = w_smd
-        self.w_oracle = w_oracle
-        self.gap = gap
-        self.feasibility = feasibility
-        self.kkt_residual = kkt_residual
-        self.steps = steps
+class ImplicitRegReport(SimpleNamespace):
+    """One case's limit w_smd, the oracle's w_oracle, their gap, the limit's
+    feasibility, the oracle's kkt_residual and the descent's steps."""
 
 
 # the interpolating descent stops once max |X w - y| < FEASIBILITY_TOL, and
@@ -620,7 +605,8 @@ def implicit_reg_experiment(cfg):
             p, l, X, y, w0, cfg.schedule["eta"], feas_tol=FEASIBILITY_TOL, step_cap=STEP_CAP
         )
         gap = float(np.max(np.abs(w_smd - oracle.w_star)))
-        reports.append(ImplicitRegReport(w_smd, oracle.w_star, gap, feas, oracle.kkt_residual, steps))
+        reports.append(ImplicitRegReport(w_smd=w_smd, w_oracle=oracle.w_star, gap=gap, feasibility=feas,
+                                         kkt_residual=oracle.kkt_residual, steps=steps))
     return reports
 
 
@@ -628,10 +614,10 @@ def implicit_reg_experiment(cfg):
 # mean-square convergence under vanishing steps
 
 
-class MsqReport:
-    def __init__(self, checkpoints, control=None):
-        self.checkpoints = checkpoints
-        self.control = control
+class MsqReport(SimpleNamespace):
+    """The (T, mean-square error) checkpoints, and the constant-rate control's."""
+
+    control = None
 
 
 def _msq_runs(p, l, X, chunks, schedules, w0):

@@ -26,6 +26,7 @@ counter pass, as two contiguous halves, and hands them over the same way.
 
 import logging
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.random import PCG64, Generator  # loaded at import, not lazily in the first draw
@@ -382,14 +383,9 @@ def sample_noise(l, rng, size, force_tabulated=False):
     return one_draw(noise_draw(l, size, force_tabulated), rng)
 
 
-class MirrorMeanReport:
-    """Monte Carlo check that the mean of grad psi(w) equals grad psi(center)."""
-
-    def __init__(self, mc_estimate, target, sigma_bound, passed):
-        self.mc_estimate = mc_estimate
-        self.target = target
-        self.sigma_bound = sigma_bound
-        self.passed = passed
+class MirrorMeanReport(SimpleNamespace):
+    """Monte Carlo check that the mean of grad psi(w), mc_estimate, equals
+    grad psi(center), target, within sigma_bound, and whether it passed."""
 
 
 def mirror_mean_check(spec, n_samples, rng):
@@ -402,7 +398,8 @@ def mirror_mean_check(spec, n_samples, rng):
     sd = mirror.std(axis=0, ddof=1)
     bound = 3.0 * sd / np.sqrt(n_samples)
     target = spec.potential.grad(spec.center)
-    return MirrorMeanReport(est, target, bound, bool(np.all(np.abs(est - target) <= bound)))
+    return MirrorMeanReport(mc_estimate=est, target=target, sigma_bound=bound,
+                            passed=bool(np.all(np.abs(est - target) <= bound)))
 
 
 def white_noise_draw(kind, variance, size):

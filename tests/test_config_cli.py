@@ -224,6 +224,19 @@ def test_a_rewrite_makes_a_new_file_with_a_first_writes_mode_and_bytes(tmp_path)
     assert list(again.parent.iterdir()) == [again]
 
 
+def test_a_temporary_file_left_by_a_killed_write_does_not_block_the_next(tmp_path):
+    header, rows = ["a", "b"], [[1, 0.5], [2, 1.5]]
+    first, artifact = tmp_path / "first" / "x.csv", tmp_path / "again" / "x.csv"
+    write_csv(first, header, rows)
+    write_csv(artifact, ["old"], [["row"]])
+    # what a write killed by SIGKILL leaves, under the name this process's writes use
+    stale = artifact.with_name(f".{artifact.name}.{os.getpid()}.tmp")
+    stale.write_text("partial\n", encoding="utf-8")
+    write_csv(artifact, header, rows)
+    assert artifact.read_bytes() == first.read_bytes()
+    assert list(artifact.parent.iterdir()) == [artifact]
+
+
 @pytest.mark.parametrize("name", [p.stem for p in sorted(ROOT.glob("configs/*.json"))])
 def test_shipped_artifacts_render_as_per_value_fmt(name, tmp_path):
     """Every CSV a shipped config writes equals its rows rendered value by value."""
@@ -395,6 +408,18 @@ def test_a_failing_premise_is_certified_by_the_claim_not_the_run(tmp_path, capsy
     assert len(rows) == BASE["n_trials"] and all(row.endswith(",false") for row in rows)
 
 
+def test_audit_csv_header_is_the_audit_records_fields_in_order(tmp_path):
+    from mirrorkit import Linear, Quadratic, SquaredL2, local_identity
+
+    header = "step,d_psi_prev,d_psi_next,d_loss_bregman,e_term,loss_noise,local_residual"
+    path = _write(tmp_path, BASE)
+    assert main(["audit", "--config", str(path), "--out", str(tmp_path / "audit")]) == EXIT_PASS
+    assert (tmp_path / "audit" / "audit.csv").read_text().splitlines()[0] == header
+    w, x = np.array([0.4, -0.2]), np.array([1.0, 2.0])
+    rec = local_identity(SquaredL2(2), Quadratic(), Linear(), w, w, w + 0.1, x, 0.3, 0.05, step=7)
+    assert list(vars(rec)) == header.split(",") and rec.step == 7
+
+
 def _assert_refused(sub, mapping, reason, tmp_path, caplog):
     """`sub` on `mapping` exits 1 with `reason` and makes no output directory."""
     path = _write(tmp_path, dict(mapping, output_dir=str(tmp_path / "o")))
@@ -527,15 +552,19 @@ def _with_nan_global_residual(traj, w, noises=None):
 def _implicit_reports(gap, kkt_residual):
     from mirrorkit.experiments import ImplicitRegReport
 
-    return lambda cfg: [ImplicitRegReport(np.zeros(2), np.zeros(2), gap, 0.0, kkt_residual, 1)]
+    return lambda cfg: [ImplicitRegReport(w_smd=np.zeros(2), w_oracle=np.zeros(2), gap=gap, feasibility=0.0,
+                                          kkt_residual=kkt_residual, steps=1)]
 
 
 def _risk_report(smd_ci_high=1.1, second_baseline_cost=3.0):
     from mirrorkit.experiments import EstimatorCost, RiskReport
 
-    report = RiskReport(entries=[EstimatorCost("smd", 1.0, 0.9, smd_ci_high, 10),
-                                 EstimatorCost("constant", 2.0, 1.8, 2.2, 10),
-                                 EstimatorCost("scaled_smd(2)", second_baseline_cost, 2.8, 3.2, 10)])
+    report = RiskReport(entries=[
+        EstimatorCost(name="smd", mc_cost=1.0, ci_low=0.9, ci_high=smd_ci_high, n_trials=10),
+        EstimatorCost(name="constant", mc_cost=2.0, ci_low=1.8, ci_high=2.2, n_trials=10),
+        EstimatorCost(name="scaled_smd(2)", mc_cost=second_baseline_cost, ci_low=2.8, ci_high=3.2,
+                      n_trials=10),
+    ])
     return lambda cfg: report
 
 
@@ -556,13 +585,15 @@ def _msq_report(errors, control=None):
     from mirrorkit.experiments import MsqReport
 
     checkpoints = list(zip([100, 1000, 10_000], [1.0, *errors]))
-    return lambda cfg: MsqReport(checkpoints, None if control is None else [(100, 1.0), (1000, control)])
+    return lambda cfg: MsqReport(checkpoints=checkpoints,
+                                 control=None if control is None else [(100, 1.0), (1000, control)])
 
 
 def _mirror_mean_report(spec, n, rng):
     from mirrorkit.samplers import MirrorMeanReport
 
-    return MirrorMeanReport(np.array([np.nan]), np.array([0.0]), np.array([0.1]), False)
+    return MirrorMeanReport(mc_estimate=np.array([np.nan]), target=np.array([0.0]),
+                            sigma_bound=np.array([0.1]), passed=False)
 
 
 NAN = float("nan")
@@ -637,7 +668,8 @@ def test_risk_verdict_fails_on_nan(field, tmp_path, monkeypatch):
     baseline = dict(name="constant", mc_cost=2.0, ci_low=1.8, ci_high=2.2, n_trials=10)
     baseline[field] = float("nan")
     report = RiskReport(
-        entries=[EstimatorCost("smd", 1.0, 0.9, 1.1, 10), EstimatorCost(**baseline)],
+        entries=[EstimatorCost(name="smd", mc_cost=1.0, ci_low=0.9, ci_high=1.1, n_trials=10),
+                 EstimatorCost(**baseline)],
     )
     monkeypatch.setattr(experiments, "risk_compare", lambda cfg: report)
     assert dispatch(_cfg_for("risk", tmp_path), "risk").code == EXIT_ASSERTION

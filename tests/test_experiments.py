@@ -94,7 +94,7 @@ def test_risk_cost_modes(rng):
     z = [0.5]
     smd = risk_cost(z, w, X, Y, l, SMDCost())
     ssmd = risk_cost(z, w, X, Y, l, SSMDCost())
-    scaled = risk_cost(z, w, X, Y, l, ScaledQuadratic(0.5))
+    scaled = risk_cost(z, w, X, Y, l, ScaledQuadratic(alpha=0.5))
     assert smd == pytest.approx(np.exp(0.5 * 1.5**2))
     assert ssmd == pytest.approx(smd)  # quadratic bregman depends on the gap only
     assert scaled == pytest.approx(smd)
@@ -312,7 +312,7 @@ def test_map_exponents_equal_the_sequential_ones(T):
         ssmd = [spec["kind"] for spec, _ in runs].index("ssmd")
         _, alone = _estimator_exponents([runs[ssmd]], [T], p, l, eta, X, w0, trials, len(Y))
         assert np.array_equal(alone[0], together[ssmd])
-        probe = ({"kind": "smd"}, ScaledQuadratic(1.0))
+        probe = ({"kind": "smd"}, ScaledQuadratic(alpha=1.0))
         _, (S,) = _estimator_exponents([probe], marks, p, l, eta, X, w0, trials, len(Y))
         expected = _sequential_exponents(*probe, marks, p, l, eta, X, w0, XW, Y)
         np.testing.assert_allclose(S, expected, rtol=1e-12, atol=1e-12)
@@ -325,7 +325,7 @@ def test_map_exponents_equal_the_sequential_ones(T):
 def test_other_pairs_and_longer_horizons_keep_the_sequential_exponents(cfg):
     p, l, eta, X, _, w0, XW, Y = _all_trials(cfg, cfg.T)
     runs = [(spec, _scored(spec), [cfg.T]) for spec in cfg.estimators]
-    runs.append(({"kind": "smd"}, ScaledQuadratic(1.0), [10, cfg.T]))
+    runs.append(({"kind": "smd"}, ScaledQuadratic(alpha=1.0), [10, cfg.T]))
     for spec, mode, at in runs:
         _, S = _estimator_exponents([(spec, mode)], at, p, l, eta, X, w0, _slices(XW, Y), len(Y))
         expected = _sequential_exponents(spec, mode, at, p, l, eta, X, w0, XW, Y)

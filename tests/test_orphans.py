@@ -1,6 +1,7 @@
-"""No leftovers in the package: every module-level import is used, and every
+"""No leftovers in the package: every module-level import is used, every
 module-level private function and upper-case constant is referred to from
-somewhere else in `src/`.
+somewhere else in `src/`, and no class has an `__init__` that only stores its
+arguments, which a `types.SimpleNamespace` subclass does without one.
 
 A name counts as used when the package refers to it outside its own binding:
 as a name or an attribute anywhere in `src/`, or, for an import, when another
@@ -86,3 +87,32 @@ def test_every_module_level_constant_is_referenced():
                     if referring[target.id] == (target.id in refs):
                         orphans.append(f"{module}.{target.id}")
     assert not orphans, f"upper-case constants nothing else in src/ refers to: {orphans}"
+
+
+def _only_stores_its_parameters(init):
+    """Whether the body of `init`, docstring aside, is one or more
+    `self.<attr> = <parameter>` statements and nothing else."""
+    self_name, *params = [a.arg for a in init.args.posonlyargs + init.args.args + init.args.kwonlyargs]
+    body = init.body[1:] if ast.get_docstring(init) is not None else init.body
+    return bool(body) and all(
+        isinstance(stmt, ast.Assign)
+        and len(stmt.targets) == 1
+        and isinstance(stmt.targets[0], ast.Attribute)
+        and isinstance(stmt.targets[0].value, ast.Name)
+        and stmt.targets[0].value.id == self_name
+        and isinstance(stmt.value, ast.Name)
+        and stmt.value.id in params
+        for stmt in body
+    )
+
+
+def test_no_class_has_an_init_that_only_stores_its_arguments():
+    records = [
+        f"{module}.{node.name}"
+        for module, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for init in node.body
+        if isinstance(init, ast.FunctionDef) and init.name == "__init__" and _only_stores_its_parameters(init)
+    ]
+    assert not records, f"make these types.SimpleNamespace subclasses, whose __init__ only stores: {records}"
