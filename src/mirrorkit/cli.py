@@ -20,11 +20,10 @@ import numpy as np
 from . import audit as audit_mod
 from . import experiments as exp_mod
 from .config import parse_config, require
-from .datagen import generate_problem, generate_problems, prior_scale
+from .datagen import STREAM_SAMPLE_CHECK, generate_problem, generate_problems, prior_scale
 from .descent import iterate
 from .errors import ArtifactError, MirrorkitError
 from .samplers import (
-    STREAM_TRIAL_BASE,
     ExpFamilySpec,
     RngStream,
     ks_two_sample,
@@ -250,20 +249,20 @@ def _cmd_sample_check(cfg):
     l = cfg.build_loss()
     n = max(cfg.n_trials, 10_000)
     spec = ExpFamilySpec(p, cfg.w0_vector(), prior_scale(cfg))
-    report = mirror_mean_check(spec, n, RngStream(cfg.seed, STREAM_TRIAL_BASE))
+    report = mirror_mean_check(spec, n, RngStream(cfg.seed, STREAM_SAMPLE_CHECK))
     rows = [["mirror_mean", p.kind, l.kind, j, est, target, sigma, abs(est - target) <= sigma]
             for j, (est, target, sigma) in enumerate(zip(report.mc_estimate, report.target,
                                                          report.sigma_bound))]
     mirror_check = Check("mirror mean's distance from its target", np.abs(report.mc_estimate - report.target),
                          report.sigma_bound, "<=")
-    noise = np.asarray(sample_noise(l, RngStream(cfg.seed, STREAM_TRIAL_BASE + 1), size=n))
+    noise = np.asarray(sample_noise(l, RngStream(cfg.seed, STREAM_SAMPLE_CHECK + 1), size=n))
     mean = float(noise.mean())
     bound = 3.0 * float(noise.std(ddof=1)) / np.sqrt(n)
     noise_check = Check("noise mean's distance from 0", abs(mean), bound, "<=")
     rows.append(["noise_mean", p.kind, l.kind, 0, mean, 0.0, bound, noise_check.holds])
-    tab = np.asarray(sample_weight(spec, RngStream(cfg.seed, STREAM_TRIAL_BASE + 2),
+    tab = np.asarray(sample_weight(spec, RngStream(cfg.seed, STREAM_SAMPLE_CHECK + 2),
                                    size=n, force_tabulated=True))[:, 0]
-    short = np.asarray(sample_weight(spec, RngStream(cfg.seed, STREAM_TRIAL_BASE + 3), size=n))[:, 0]
+    short = np.asarray(sample_weight(spec, RngStream(cfg.seed, STREAM_SAMPLE_CHECK + 3), size=n))[:, 0]
     ks_stat, ks_pvalue = ks_two_sample(tab, short)
     ks_check = Check("KS p-value of the tabulated against the direct sampler", ks_pvalue, 0.01, ">")
     rows.append(["ks_tabulated_vs_short_circuit", p.kind, l.kind, 0,

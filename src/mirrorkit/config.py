@@ -38,8 +38,10 @@ class ExperimentConfig(SimpleNamespace):
     equal when every field is; `vars(cfg)` is the config as a mapping."""
 
     def replace(self, **changes):
-        """A copy with `changes` to its fields, which are not checked; the
-        original is left as it is."""
+        """A copy with `changes` to its fields, whose names must be config
+        keys and whose values are not checked; the original is left as it is."""
+        if unknown := sorted(changes.keys() - SCHEMA.keys()):
+            raise TypeError(f"replace() got names that are not config keys: {', '.join(unknown)}")
         return ExperimentConfig(**{**vars(self), **changes})
 
     def build_potential(self):

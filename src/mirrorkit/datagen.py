@@ -5,12 +5,12 @@ the same data from the same seed:
 
     0  inputs shared by the trials of risk, the blow-up probe and converge
     1  converge's planted weight
-    1000+t  trial t: row t of `trial_uniforms`
+    2-5  sample-check's mirror-mean, noise, tabulated and direct draws
+    1000+t  trial t
 
-Streams 0 and 1 are PCG64 `RngStream`s; streams 2, 3 and 4 are retired.
-Trial t seeds no generator: its draws are row t of the counter-based block
-`samplers.trial_uniforms(seed, n, k)`, split across draws by `trial_draws`
-and laid out per subcommand as
+Each is a splitmix64 counter row of `samplers.trial_uniforms(seed, n, k)`,
+which an `RngStream` reads in order. Trial t's draws are row t, split
+across draws by `trial_draws` and laid out per subcommand as
 
     risk, blow-up probe   [weight | noises]
     converge (run t)      [noises], read by step windows
@@ -22,9 +22,8 @@ and laid out per subcommand as
 (`trial_draws(..., first=a)`, `experiments.TRIAL_BLOCK` rows on the map
 path), and `converge` reads each chunk of steps from its own columns of the
 rows (`samplers.white_noise_window`); the layout is that of the whole row.
-`sample-check` alone reads PCG64 streams 1000-1003, for four draws that are
-not trials. Each transform below is a (k, values) pair, as in the samplers:
-k uniforms per draw, and `values` maps a (rows, k) block to one draw per row.
+Each transform below is a (k, values) pair, as in the samplers: k uniforms
+per draw, and `values` maps a (rows, k) block to one draw per row.
 """
 
 from types import SimpleNamespace
@@ -45,6 +44,7 @@ from .samplers import (
 
 STREAM_INPUTS = 0
 STREAM_WEIGHT = 1
+STREAM_SAMPLE_CHECK = 2  # and 3, 4 and 5
 
 
 def unit_rows(X):

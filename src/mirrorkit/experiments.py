@@ -174,10 +174,10 @@ class RiskReport(SimpleNamespace):
 def bootstrap_basic_ci(values, rng, n_resamples=BOOTSTRAP_RESAMPLES, level=0.95):
     """Basic (reverse-percentile) bootstrap interval for the mean of `values`
     (n,), or one per row of a stack (E, n) of paired samples. All rows share
-    the resampling indices, drawn in blocks of at most BLOCK_VALUES values.
-    A resample mean is the mean of the values it gathers from its own row,
-    so a row's interval depends on that row alone, and a resample that drew
-    an overflowed value has mean inf."""
+    the resampling indices, drawn by `rng.integers` (from numpy's `default_rng`)
+    in blocks of at most BLOCK_VALUES values. A resample mean is the mean of
+    the values it gathers from its own row, so a row's interval depends on
+    that row alone, and a resample that drew an overflowed value has mean inf."""
     values = np.asarray(values, dtype=float)
     if values.ndim > 2:
         raise ValueError(f"values must be (n,) or (E, n), got shape {values.shape}")

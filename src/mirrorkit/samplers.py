@@ -29,7 +29,6 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
-from numpy.random import PCG64, Generator  # loaded at import, not lazily in the first draw
 
 from .errors import GridError
 from .losses import Quadratic
@@ -72,25 +71,28 @@ def trial_uniforms(seed, n, k, column=0, first=0):
     """An (n, k) block of U[0, 1) variates for trials first .. first+n-1:
     the row of trial t holds outputs column .. column+k-1 of the splitmix64
     generator started at `derive_seed(seed, STREAM_TRIAL_BASE + t)`, each
-    mapped to (x >> 11) * 2^-53. A row depends only on (seed, t), and each
-    of its columns is computed directly from its counter, so a window of
+    mapped to (x >> 11) * 2^-53; a t below 0 gives the row of `RngStream`
+    STREAM_TRIAL_BASE + t. A row depends only on (seed, t), and each of its
+    columns is computed directly from its counter, so a window of
     rows or columns equals those of any larger block bit for bit
     (counter-based streams; Salmon et al., SC 2011). A sequence of first
     columns gives one contiguous (n, k) block per entry, shape (m, n, k),
     all mixed in the same pass. The uint64 arithmetic wraps modulo 2^64 on
-    arrays, silently; rows are mixed BLOCK_VALUES values at a time to bound
-    the temporaries."""
+    arrays, silently; blocks of rows, or of the columns of a wide row, are
+    mixed at most BLOCK_VALUES values at a time to bound the temporaries."""
     golden = np.uint64(_GOLDEN)
-    trials = np.arange(first, first + n, dtype=np.uint64) + np.uint64(STREAM_TRIAL_BASE + 1)
+    trials = np.arange(n, dtype=np.uint64) + np.uint64(first + STREAM_TRIAL_BASE + 1)
     starts = _splitmix64(np.uint64(int(seed) & _MASK64) + trials * golden)[:, None]
     columns = np.asarray(column, dtype=np.uint64)[..., None, None]
     steps = (columns + np.arange(1, k + 1, dtype=np.uint64)) * golden
     out = np.empty(columns.shape[:-2] + (n, k))
     rows = max(1, BLOCK_VALUES // max(steps.size, 1))
+    cols = max(1, BLOCK_VALUES // columns.size)
     for r in range(0, n, rows):
-        x = _splitmix64(starts[r : r + rows] + steps)
-        x >>= np.uint64(11)
-        np.multiply(x, 2.0**-53, out=out[..., r : r + rows, :])
+        for c in range(0, k, cols):
+            x = _splitmix64(starts[r : r + rows] + steps[..., c : c + cols])
+            x >>= np.uint64(11)
+            np.multiply(x, 2.0**-53, out=out[..., r : r + rows, c : c + cols])
     return out
 
 
@@ -161,34 +163,29 @@ def box_muller(u, n):
 
 
 class RngStream:
-    """A named, reproducible random stream.
-
-    The pair (seed, stream_index) fully determines the draw sequence;
-    distinct stream indices give statistically independent streams via the
-    splitmix64 derivation above.
-    """
+    """A named, reproducible random stream: the splitmix64 generator started
+    at `derive_seed(seed, stream_index)`, which is the row of `trial_uniforms`
+    at t = stream_index - STREAM_TRIAL_BASE, read in order: each `uniform`
+    call continues the last. Distinct indices give independent streams."""
 
     def __init__(self, seed, stream_index=0):
         self.seed = int(seed)
         self.stream_index = int(stream_index)
-        self._gen = Generator(PCG64(derive_seed(seed, stream_index)))
+        self.drawn = 0
 
-    def uniform(self, size=None):
-        """U[0, 1) variates."""
-        return self._gen.random(size)
+    def uniform(self, size):
+        """The stream's next prod(size) U[0, 1) variates, in shape `size`."""
+        k = int(np.prod(size))
+        u = trial_uniforms(self.seed, 1, k, column=self.drawn, first=self.stream_index - STREAM_TRIAL_BASE)
+        self.drawn += k
+        return u.reshape(size)
 
     def normal(self, size):
         """Standard normals of shape `size`, one Box-Muller draw of all
         n = prod(size) values. All radii come before all angles
         (`box_muller`), so a shorter draw is not a prefix of a longer one."""
         n = int(np.prod(size))
-        return box_muller(self._gen.random((1, n + n % 2)), n)[0].reshape(size)
-
-    def integers(self, low, high, size=None):
-        return self._gen.integers(low, high, size=size)
-
-    def __repr__(self):
-        return f"RngStream(seed={self.seed}, stream_index={self.stream_index})"
+        return box_muller(self.uniform((1, n + n % 2)), n)[0].reshape(size)
 
 
 def _cumulative_trapezoid(y, x):

@@ -750,6 +750,13 @@ def test_a_replaced_copy_leaves_its_original_and_equals_the_parsed_mapping():
     assert copy != cfg and copy.replace(**fields) == cfg
 
 
+def test_replace_refuses_a_name_that_is_not_a_config_key():
+    cfg = parse_config(ROOT / "configs" / "audit.json")
+    with pytest.raises(TypeError, match=r"not config keys: n_trail, sed$"):
+        cfg.replace(n_trials=5, sed=1, n_trail=5)
+    assert cfg == parse_config(ROOT / "configs" / "audit.json")
+
+
 def test_readme_config_table_lists_every_key():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Config keys\n", 1)[1].split("\n## ", 1)[0]
@@ -859,7 +866,7 @@ def test_converge_writes_its_control_curve(tmp_path):
     header, *rows = [line.split(",") for line in (tmp_path / "o" / "converge.csv").read_text().splitlines()]
     assert header == ["checkpoint_T", "mean_sq_error", "control_mean_sq_error"]
     assert [int(t) for t, *_ in rows] == [100, 1000, 10_000]
-    assert [round(float(c), 4) for *_, c in rows[:2]] == [0.4276, 0.0200]
+    assert [round(float(c), 4) for *_, c in rows[:2]] == [0.6246, 0.0195]
     del mapping["control_eta"]
     path = _write(tmp_path, dict(mapping, output_dir=str(tmp_path / "p")))
     assert main(["converge", "--config", str(path)]) == EXIT_PASS

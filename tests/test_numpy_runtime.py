@@ -100,23 +100,25 @@ def test_neg_entropy_coordinate_divergence():
     np.testing.assert_allclose(ours, xlogy(xs, xs / c) - xs + c, rtol=1e-13, atol=1e-15)
 
 
-def test_import_loads_no_scipy_and_loads_numpy_random():
+def test_import_loads_neither_scipy_nor_numpy_random():
+    """Every stream is a splitmix64 counter row, so the package needs no
+    numpy.random generator."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = (
         "import sys, mirrorkit.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))); "
-        "print('numpy.random' in sys.modules)"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+        "or m == 'numpy.random' or m.startswith('numpy.random.')))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout.split("\n")
     assert out[0] == "[]"
-    assert out[1] == "True"
 
 
 def test_a_cli_call_loads_no_dataclasses_argparse_gettext_or_locale(tmp_path):
-    """The CLI reads its command line itself and its records are plain
-    classes: --help, a usage error and a minimax, a risk and a converge run
-    load none of dataclasses, argparse, gettext and locale."""
+    """The CLI reads its command line itself, its records are plain
+    classes and its streams are counter rows: --help, a usage error and a
+    minimax, a risk and a converge run load none of dataclasses, argparse,
+    gettext, locale and numpy.random."""
     base = {"potential": "squared_l2", "loss": "quadratic", "dim": 2}
     configs = {
         "minimax": dict(base, T=5, n_trials=20, schedule={"kind": "constant", "eta": 0.05}),
@@ -134,11 +136,15 @@ def test_a_cli_call_loads_no_dataclasses_argparse_gettext_or_locale(tmp_path):
     code = (
         "import sys; from mirrorkit.cli import main; "
         f"print(main(['--help']), main(['run']), {', '.join(calls)}, file=sys.stderr); "
-        "print(sorted(m for m in ('dataclasses', 'argparse', 'gettext', 'locale') if m in sys.modules))"
+        "print(sorted(m for m in ('dataclasses', 'argparse', 'gettext', 'locale', 'numpy.random') "
+        "if m in sys.modules))"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    # risk's smd interval overlaps the constant baseline's at 200 trials: exit 2
-    assert proc.stderr.splitlines()[-1] == "0 1 0 2 0"
+    # risk's smd interval overlaps the constant baseline's at 200 trials: exit 2;
+    # converge's last error, 0.0015743, misses a tenth of its first, 0.0012483,
+    # at seed 0: exit 2. Over seeds 0-199 this config exits 2 at 9 seeds, and
+    # did at 10 with the former PCG64 streams, so seed 0's is chance, not a defect
+    assert proc.stderr.splitlines()[-1] == "0 1 0 2 2"
     assert proc.stdout.splitlines()[-1] == "[]"
 
 

@@ -24,6 +24,7 @@ from mirrorkit import (
     samplers,
 )
 from mirrorkit.samplers import (
+    STREAM_TRIAL_BASE,
     TabulatedDensity,
     _splitmix64,
     box_muller,
@@ -65,6 +66,56 @@ def test_trial_uniforms_are_the_splitmix64_counter_streams(seed):
         assert np.array_equal(U[t], CounterStream(seed, t).uniform(11))
     assert trial_uniforms(seed, 0, 5).shape == (0, 5)
     assert trial_uniforms(seed, 3, 0).shape == (3, 0)
+
+
+@pytest.mark.parametrize("block_values", [samplers.BLOCK_VALUES, 4])
+@pytest.mark.parametrize("seed", [0, 17, 2**64 - 1])
+def test_a_stream_at_the_trial_base_reads_the_trials_row(seed, block_values, monkeypatch):
+    """RngStream(seed, STREAM_TRIAL_BASE + t) and trial t are one splitmix64
+    row: the same outputs, bit for bit, also when a row is mixed a block of
+    4 columns at a time."""
+    monkeypatch.setattr(samplers, "BLOCK_VALUES", block_values)
+    U = trial_uniforms(seed, 4, 9)
+    for t in range(4):
+        row = RngStream(seed, STREAM_TRIAL_BASE + t).uniform(9)
+        assert np.array_equal(row, U[t])
+        assert np.array_equal(row, CounterStream(seed, t).uniform(9))
+
+
+def test_successive_uniform_calls_continue_one_row():
+    """Each call returns the stream's next outputs, so successive calls equal
+    one longer call; a named stream below the trials is its splitmix64 row."""
+    rng = RngStream(5, 3)
+    parts = [rng.uniform(4), rng.uniform((2, 3)), rng.uniform(1), rng.normal(3)]
+    assert [p.shape for p in parts] == [(4,), (2, 3), (1,), (3,)]
+    whole = RngStream(5, 3).uniform(15)
+    assert np.array_equal(np.concatenate([p.ravel() for p in parts[:3]]), whole[:11])
+    assert np.array_equal(parts[3], box_muller(whole[None, 11:], 3)[0])
+    assert np.array_equal(whole, CounterStream(5, 3 - STREAM_TRIAL_BASE).uniform(15))
+
+
+def test_every_named_stream_lies_below_the_trial_streams(monkeypatch):
+    """The streams that risk, converge and sample-check open are the inputs,
+    the planted weight and sample-check's four draws, and none is a trial's."""
+    from mirrorkit import cli
+    from mirrorkit.config import make_config
+    from mirrorkit.datagen import STREAM_INPUTS, STREAM_SAMPLE_CHECK, STREAM_WEIGHT
+
+    opened = set()
+    init = RngStream.__init__
+
+    def recording_init(self, seed, stream_index=0):
+        opened.add(stream_index)
+        init(self, seed, stream_index)
+
+    monkeypatch.setattr(RngStream, "__init__", recording_init)
+    cli._HANDLERS["risk"](make_config(T=5, n_trials=50))
+    cli._HANDLERS["converge"](make_config(T=200, n_trials=5, noise={"kind": "gaussian"},
+                                          schedule={"kind": "robbins_monro", "c": 0.5}))
+    cli._HANDLERS["sample-check"](make_config())
+    named = {STREAM_INPUTS, STREAM_WEIGHT, *range(STREAM_SAMPLE_CHECK, STREAM_SAMPLE_CHECK + 4)}
+    assert opened == named and len(named) == 6
+    assert max(named) < STREAM_TRIAL_BASE
 
 
 def test_splitmix64_on_a_read_only_uint64_array_equals_it_on_python_ints():
