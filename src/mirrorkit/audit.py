@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .bregman import bregman
-from .descent import Linear, premise_holds
+from .descent import Linear, _rowdot, premise_holds
 from .errors import DegenerateError, ScheduleError
 
 DENOMINATOR_FLOOR = 1e-14
@@ -28,10 +28,6 @@ class AuditRecord(SimpleNamespace):
 class MinimaxReport(SimpleNamespace):
     """Energy-gain ratio against a reference weight, of one run or per run of
     a batch: numerator, denominator, ratio and premise_certified."""
-
-
-def _rowdot(a, b):
-    return np.sum(a * b, axis=-1)
 
 
 def loss_map_bregman(l, m, X, Y, A, B):
@@ -148,9 +144,8 @@ def energy_gain(traj, w, noises=None):
         raise DegenerateError(
             "denominator vanishes: reference equals the start and all noises are zero"
         )
-    probes = np.concatenate([prev, traj.iterates], axis=-2)
-    XX, YY = np.concatenate([X, X], axis=-2), np.concatenate([Y, Y], axis=-1)
-    certified = premise_holds(p, l, m, eta, probes, XX, YY).all(axis=-1) & (len(traj) > 0)
+    holds = premise_holds(p, l, m, eta, prev, X, Y) & premise_holds(p, l, m, eta, traj.iterates, X, Y)
+    certified = holds.all(axis=-1) & (len(traj) > 0)
     return MinimaxReport(numerator=numerator, denominator=denominator, ratio=ratio,
                          premise_certified=certified)
 

@@ -13,7 +13,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .potentials import SeparableQ
+from .losses import Quadratic
+from .potentials import SeparableQ, SquaredL2
 
 HESSIAN_PROBE_EXCLUSION = 1e-8
 
@@ -251,6 +252,11 @@ def run_general_recursion(p, l, X, Y, z, eta, w0):
     return Trajectory(path=path, X=X, Y=Y, schedule=schedule, potential=p, loss=l, model=Linear())
 
 
+def _rowdot(a, b):
+    """x^T w of each row, as one contraction over the last axis."""
+    return np.einsum("...j,...j->...", a, b)
+
+
 def _loss_curvature(l, m, u, y):
     """c in hess_w l(y - g(x^T w)) = c * x x^T, at u = x^T w."""
     r = y - m.g(u)
@@ -268,12 +274,20 @@ def premise_holds(p, l, m, eta, W, X, Y):
     The loss Hessian is rank one, c * x x^T, so with D the diagonal of
     hess psi on the kept coordinates the premise holds exactly when
     eta * c * x^T D^{-1} x <= 1. A probe with no kept coordinate passes, as
-    in `convexity_margin`. `eta` is one scalar rate.
+    in `convexity_margin`: on `SeparableQ` at w = 0 every coordinate is
+    excluded, so the probe passes vacuously. `eta` is one scalar rate.
+
+    With the squared-L2 potential, the quadratic loss and the linear model,
+    D = I and c = 1, so the rule is the LMS step bound eta * |x|^2 <= 1,
+    held where the residual y - x^T w is finite (a non-finite one makes c
+    NaN); it takes no Hessian, and a state holding inf or nan fails it.
     """
+    if isinstance(p, SquaredL2) and isinstance(l, Quadratic) and isinstance(m, Linear):
+        return (eta * _rowdot(X, X) <= 1.0) & np.isfinite(Y - _rowdot(X, W))
     keep = _kept(p, W)
     D = p.hessian_diag(W)
-    s = np.sum(np.divide(np.square(X), D, out=np.zeros_like(D), where=keep), axis=-1)
-    c = _loss_curvature(l, m, np.sum(X * W, axis=-1), Y)
+    s = _rowdot(X, np.divide(X, D, out=np.zeros_like(D), where=keep))
+    c = _loss_curvature(l, m, _rowdot(X, W), Y)
     return (eta * c * s <= 1.0) | ~keep.any(axis=-1)
 
 

@@ -28,6 +28,7 @@ from .datagen import (
 from .descent import (
     Constant,
     Linear,
+    _rowdot,
     mirror_steps,
     persistent_excitation,
     premise_holds,
@@ -255,7 +256,7 @@ def certify_margin(p, l, eta, X, probe_ws):
     Xp = np.tile(X, (len(probe_ws), 1))
     # zero-residual observations maximize the loss curvature for the
     # quadratic and log-cosh losses, making the probe conservative there
-    holds = premise_holds(p, l, Linear(), eta, W, Xp, np.sum(Xp * W, axis=-1))
+    holds = premise_holds(p, l, Linear(), eta, W, Xp, _rowdot(Xp, W))
     failing = int(np.count_nonzero(~holds))
     return f"convexity premise fails at {failing} of {holds.size} probes for eta={eta}" if failing else ""
 
@@ -268,7 +269,7 @@ def _risk_trials(cfg, T):
     (b - a, T). Trial t's weight and noises are those of `problem_draws`,
     from row t of the trial uniforms; the premise is probed at the prior
     center and the weights of trials 0-3, which are the leading columns of
-    their rows."""
+    their rows; on squared-L2 with the quadratic loss the rule, eta |x_i|^2 <= 1, reads no weight."""
     p = cfg.build_potential()
     l = cfg.build_loss()
     eta = cfg.schedule["eta"]

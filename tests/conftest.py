@@ -5,7 +5,7 @@ import pytest
 
 from mirrorkit import LogCosh, NegEntropy, Quadratic, Quartic, SeparableQ, SquaredL2
 from mirrorkit.datagen import make_inputs
-from mirrorkit.descent import mirror_steps
+from mirrorkit.descent import HESSIAN_PROBE_EXCLUSION, mirror_steps
 from mirrorkit.experiments import prediction_map
 from mirrorkit.samplers import STREAM_TRIAL_BASE, _splitmix64, derive_seed
 
@@ -23,6 +23,28 @@ def all_potentials(dim):
 
 def all_losses():
     return [Quadratic(), Quartic(), LogCosh()]
+
+
+def einsum_rowdot(a, b):
+    return np.einsum("...j,...j->...", a, b)
+
+
+def rank_one_premise(p, l, m, eta, W, X, Y, rowdot=einsum_rowdot):
+    """The general rank-one test of the convexity premise at each probe
+    (rows of W, X, Y), as `descent.premise_holds` makes it for every
+    (potential, loss, model): with D the diagonal of hess psi on the kept
+    coordinates and c = l''(r) g'(u)^2 - l'(r) g''(u) the loss curvature at
+    u = x^T w and r = y - g(u), the premise holds where
+    eta * c * x^T D^{-1} x <= 1, and a probe with no kept coordinate passes.
+    Row dots default to `descent`'s contraction. The reference for the
+    closed form of the linear-quadratic case."""
+    keep = np.abs(W) >= HESSIAN_PROBE_EXCLUSION if isinstance(p, SeparableQ) else np.ones(np.shape(W), bool)
+    D = p.hessian_diag(W)
+    s = rowdot(X, np.divide(X, D, out=np.zeros_like(D), where=keep))
+    u = rowdot(X, W)
+    r = Y - m.g(u)
+    c = l.second_deriv(r) * m.g_prime(u) ** 2 - l.deriv(r) * m.g_second(u)
+    return (eta * c * s <= 1.0) | ~keep.any(axis=-1)
 
 
 def random_in_domain(p, rng, low=0.1, high=2.0):

@@ -25,11 +25,12 @@ from mirrorkit import (
     step_exponent_residual,
 )
 from mirrorkit.audit import loss_map_bregman, minimax_ratio
+from mirrorkit.bregman import bregman
 from mirrorkit.config import make_config
 from mirrorkit.datagen import gaussian_inputs, generate_problems
 from mirrorkit.samplers import RngStream
 
-from conftest import all_losses, all_potentials, random_in_domain
+from conftest import all_losses, all_potentials, random_in_domain, rank_one_premise
 from test_acceptance import MINIMAX_CONFIGS
 
 ETA = 0.05
@@ -266,6 +267,61 @@ def test_energy_gain_certifies_nothing_without_a_step():
     rep = energy_gain(batch, np.tile(w, (3, 1)), np.zeros((3, 0)))
     assert rep.premise_certified.shape == (3,) and not rep.premise_certified.any()
     assert (rep.ratio == 1.0).all()
+
+
+def _summed_rowdot(a, b):
+    return np.sum(a * b, axis=-1)
+
+
+def _concatenated_energy_gain(traj, w, noises):
+    """(numerator, denominator, ratio, premise_certified) as `energy_gain`
+    computed them with concatenated probes: w_{i-1} and w_i stacked along
+    the step axis against two copies of X and Y, the general rank-one
+    premise test on every pair, and row dots as np.sum(a * b, axis=-1)."""
+    p, l, m, eta = traj.potential, traj.loss, traj.model, traj.schedule.eta
+    X, Y, prev = traj.X, traj.Y, traj.path[..., :-1, :]
+    w = np.asarray(w, dtype=float)
+    A = w[..., None, :]
+    ub = _summed_rowdot(X, prev)
+    rb = Y - m.g(ub)
+    d_loss = (l.value(Y - m.g(_summed_rowdot(X, A))) - l.value(rb)
+              + l.deriv(rb) * m.g_prime(ub) * _summed_rowdot(X, A - prev))
+    numerator = bregman(p, w, traj.final) + eta * np.sum(d_loss, axis=-1)
+    denominator = bregman(p, w, traj.w0) + eta * np.sum(l.value(noises), axis=-1)
+    probes = np.concatenate([prev, traj.iterates], axis=-2)
+    XX, YY = np.concatenate([X, X], axis=-2), np.concatenate([Y, Y], axis=-1)
+    holds = rank_one_premise(p, l, m, eta, probes, XX, YY, rowdot=_summed_rowdot)
+    certified = holds.all(axis=-1) & (len(traj) > 0)
+    return numerator, denominator, numerator / denominator, certified
+
+
+def test_energy_gain_equals_the_concatenated_probe_formulation(rng):
+    """One run and a batch of every potential, loss and model: the shared-X
+    probes and the contracted row dots certify the same trials, and the
+    energies agree at roundoff."""
+    n, T, dim = 6, 12, 3
+    certified = []
+    for p in all_potentials(dim):
+        for l in all_losses():
+            for m in (Linear(), GeneralizedLinear("tanh"), GeneralizedLinear("softplus")):
+                w0 = random_in_domain(p, rng)
+                W = np.array([random_in_domain(p, rng) for _ in range(n)])
+                X = np.stack([gaussian_inputs(dim, T, RngStream(40 + t, 0), unit=True) for t in range(n)])
+                V = 0.1 * rng.standard_normal((n, T))
+                Y = m.g(np.einsum("ntj,nj->nt", X, W)) + V
+                # large enough rates that some trials leave the premise
+                eta = 0.02 if l.kind == "quartic" else 0.6
+                batch = iterate(p, l, m, X, Y, Constant(eta), w0)
+                single = iterate(p, l, m, X[0], Y[0], Constant(eta), w0)
+                for traj, w, v in ((single, W[0], V[0]), (batch, W, V)):
+                    rep = energy_gain(traj, w, v)
+                    numerator, denominator, ratio, holds = _concatenated_energy_gain(traj, w, v)
+                    assert np.array_equal(rep.premise_certified, holds), (p, l, m)
+                    np.testing.assert_allclose(rep.numerator, numerator, rtol=1e-12)
+                    np.testing.assert_allclose(rep.denominator, denominator, rtol=1e-12)
+                    np.testing.assert_allclose(rep.ratio, ratio, rtol=1e-12)
+                certified.extend(rep.premise_certified)
+    assert 0 < sum(certified) < len(certified)
 
 
 def test_exponent_identity_random_z(rng):

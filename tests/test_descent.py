@@ -24,7 +24,7 @@ from mirrorkit.descent import _dot, mirror_steps, premise_holds, smd_shift
 from mirrorkit.datagen import gaussian_inputs, generate_problem, generate_problems
 from mirrorkit.samplers import RngStream
 
-from conftest import all_losses, all_potentials, random_in_domain
+from conftest import all_losses, all_potentials, einsum_rowdot, random_in_domain, rank_one_premise
 
 
 def _one_step(p, l, w, x, y, eta, algorithm="smd"):
@@ -319,6 +319,49 @@ def test_rank_one_certificate_matches_finite_difference_oracle(rng):
                     assert margin == pytest.approx(oracle, rel=1e-6, abs=1e-6)
                     verdicts.append(bool(holds[0]))
     assert len(verdicts) > 300 and 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.bitwise
+def test_lms_premise_in_closed_form_decides_as_the_rank_one_rule_bitwise(rng):
+    """On the squared-L2 potential with the quadratic loss and the linear
+    model, `premise_holds` decides eta * |x|^2 <= 1 where the residual is
+    finite; the general rank-one computation must reach the same decision on
+    every probe, at the bound and one float above it too."""
+    p, l, m = SquaredL2(3), Quadratic(), Linear()
+
+    def same(eta, W, X, Y):
+        holds = premise_holds(p, l, m, eta, W, X, Y)
+        assert np.array_equal(holds, rank_one_premise(p, l, m, eta, W, X, Y))
+        return holds
+
+    for scale in (0.3, 1.0, 3.0):
+        W, Y = rng.normal(size=(2, 500, 3)), rng.normal(size=500)
+        # the inputs shared by both probe rows, one row per probe, and a strided view
+        wide = scale * rng.normal(size=(2, 500, 5))
+        for X in (wide[0, :, :3][None], wide[..., :3].copy(), wide[..., 1:4]):
+            for eta in (0.05, 0.2, 1.0):
+                assert same(eta, W, X, Y).shape == (2, 500)
+            # rates at each of the first rows' own bound, computed as the rule computes |x|^2
+            for eta in 1.0 / einsum_rowdot(X, X)[0, :20]:
+                same(eta, W, X, Y)
+    x = np.array([[2.0, 0.0, 0.0]])
+    assert same(0.25, rng.normal(size=(1, 3)), x, np.array([0.7])).all()
+    above = np.nextafter(0.25, 1.0)
+    assert above * 4.0 == np.nextafter(1.0, 2.0)
+    assert not same(above, rng.normal(size=(1, 3)), x, np.array([0.7])).any()
+    assert same(0.7, np.zeros((4, 3)), np.zeros((4, 3)), np.zeros(4)).all()
+    assert same(1e300, rng.normal(size=(4, 3)), np.zeros((4, 3)), rng.normal(size=4)).all()
+    # a finite state whose prediction or residual overflows, and a non-finite output
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = np.array([[1e300, 0.0, 0.0], [1e308, 1e308, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+        X = np.array([[1e10, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.0], [0.0, 0.5, 0.0]])
+        Y = np.array([0.0, -1e308, np.inf, np.nan])
+        assert not same(0.1, W, X, Y).any()
+        # a state holding inf or nan, which the rank-one rule refuses as off the domain
+        W = np.array([[np.inf, 0.0, 0.0], [0.0, -np.inf, 1.0], [np.nan, 0.0, 0.0], [0.0, 0.0, np.nan]])
+        assert not premise_holds(p, l, m, 0.1, W, np.full((4, 3), 0.5), np.zeros(4)).any()
+        with pytest.raises(DomainError):
+            rank_one_premise(p, l, m, 0.1, W, np.full((4, 3), 0.5), np.zeros(4))
 
 
 def test_persistent_excitation_basis():

@@ -28,7 +28,7 @@ from mirrorkit import (
 )
 from mirrorkit.cli import EXIT_ASSERTION, dispatch
 from mirrorkit.config import make_config, parse_config
-from mirrorkit.datagen import generate_problems, problem_draws, trial_draws
+from mirrorkit.datagen import generate_problems, make_inputs, problem_draws, trial_draws
 from mirrorkit.experiments import (
     BOOTSTRAP_RESAMPLES,
     FEASIBILITY_TOL,
@@ -39,6 +39,7 @@ from mirrorkit.experiments import (
     _exponents_at,
     _risk_trials,
     bootstrap_basic_ci,
+    certify_margin,
     closed_form_basic_ci,
     effective_sample_size,
     estimator_predictions,
@@ -172,6 +173,21 @@ def test_risk_probes_the_premise_at_the_prior_center_and_the_first_trials(over, 
     probes = np.vstack([w0, weights(trial_uniforms(cfg.seed, 4, k))])
     assert len(seen) == 1
     assert np.array_equal(seen[0], np.repeat(probes, cfg.T, axis=0))
+
+
+def test_lms_premise_of_risk_does_not_depend_on_the_probed_weights():
+    """On the squared-L2 potential with the quadratic loss the premise is
+    eta * |x_i|^2 <= 1 at every weight, so probing one more weight, far from
+    the prior center, changes no verdict: it holds at risk_gaussian's rate,
+    and at a rate it fails it fails at the same inputs."""
+    cfg = parse_config(RISK_GAUSSIAN)
+    p, l, X, w0 = cfg.build_potential(), cfg.build_loss(), make_inputs(cfg, count=cfg.T), cfg.w0_vector()
+    one, two = w0[None], np.vstack([w0, w0 + 1e3])
+    eta = cfg.schedule["eta"]
+    assert certify_margin(p, l, eta, X, one) == certify_margin(p, l, eta, X, two) == ""
+    T = len(X)
+    assert certify_margin(p, l, 1.5, X, one) == f"convexity premise fails at {T} of {T} probes for eta=1.5"
+    assert certify_margin(p, l, 1.5, X, two) == f"convexity premise fails at {2 * T} of {2 * T} probes for eta=1.5"
 
 
 def test_risk_compare_is_deterministic():
