@@ -137,10 +137,12 @@ def energy_gain(traj, w, noises=None):
     # caller reports a non-finite ratio, so numpy's warnings would only repeat it
     with np.errstate(all="ignore"):
         d_loss = loss_map_bregman(l, m, X, Y, w[..., None, :], prev)
-        numerator = bregman(p, w, traj.final) + eta * np.sum(d_loss, axis=-1)
-        denominator = bregman(p, w, traj.w0) + eta * np.sum(l.value(v), axis=-1)
+        # D_psi(w, w_T) and D_psi(w, w_0) of each run in one call, on a pair axis before the last
+        d_psi = bregman(p, w[..., None, :], traj.path.take([-1, 0], axis=-2))
+        numerator = d_psi[..., 0] + eta * d_loss.sum(axis=-1)
+        denominator = d_psi[..., 1] + eta * l.value(v).sum(axis=-1)
         ratio = numerator / denominator
-    if np.any(denominator < DENOMINATOR_FLOOR):
+    if (denominator < DENOMINATOR_FLOOR).any():
         raise DegenerateError(
             "denominator vanishes: reference equals the start and all noises are zero"
         )

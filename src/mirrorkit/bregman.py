@@ -8,10 +8,10 @@ from .potentials import POSITIVE_ORTHANT, SeparableQ, SquaredL2
 
 def bregman(p, w, w_ref):
     """D_psi(w, w_ref) = psi(w) - psi(w_ref) - grad psi(w_ref)^T (w - w_ref), per row."""
-    w = p.check_domain(np.asarray(w, dtype=float))
-    w_ref = p.check_domain(np.asarray(w_ref, dtype=float))
+    w = p.check_domain(w)
+    w_ref = p.check_domain(w_ref)
     terms = p.elementwise_value(w) - p.elementwise_value(w_ref) - p.grad(w_ref) * (w - w_ref)
-    return np.sum(terms, axis=-1)
+    return terms.sum(axis=-1)
 
 
 def law_of_cosines_residual(p, w, w_prime, w_dprime):

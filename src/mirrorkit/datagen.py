@@ -54,7 +54,8 @@ def unit_rows(X):
     # norm is bit for bit np.linalg.norm of that row
     norm = np.sqrt(np.vecdot(X, X))[..., None]
     zero = norm[..., 0] < 1e-12
-    X[zero], norm[zero] = np.eye(X.shape[-1])[0], 1.0
+    if zero.any():
+        X[zero], norm[zero] = np.eye(X.shape[-1])[0], 1.0
     return X / norm
 
 
@@ -142,8 +143,11 @@ def trial_draws(seed, n, draws, first=0):
     the row of trial t in `trial_uniforms` holds its uniforms of every draw,
     in order."""
     U = trial_uniforms(seed, n, sum(k for k, _ in draws), first=first)
-    cuts = np.cumsum([k for k, _ in draws])[:-1]
-    return [values(u) for (_, values), u in zip(draws, np.split(U, cuts, axis=1))]
+    out, a = [], 0
+    for k, values in draws:
+        out.append(values(U[:, a : a + k]))
+        a += k
+    return out
 
 
 def problem_draws(cfg):

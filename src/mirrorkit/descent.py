@@ -204,16 +204,19 @@ def _recursion(p, X, Y, w0, schedule, shift, S=None):
         raise ValueError("observations have non-finite entries")
     etas = schedule.rates(Y.shape[-1])
     path = np.empty(Y.shape[:-1] + (len(etas) + 1, w0.size))
-    path[..., 0, :] = w0
-    steps = mirror_steps(p, w0, np.moveaxis(X, -2, 0), np.moveaxis(Y if S is None else S, -1, 0), etas, shift)
+    # with at most one trial axis, swapaxes puts the step axis first as moveaxis would, as a view:
+    # rows[i] is w_i, and X and Y (or S, of Y's shape) are read step by step
+    rows = path.swapaxes(0, -2)
+    rows[0] = w0
+    steps = mirror_steps(p, w0, X.swapaxes(0, -2), (Y if S is None else S).swapaxes(0, -1), etas, shift)
     # a diverging run overflows to inf and nan quietly: the domain check below names its step
     with np.errstate(over="ignore", invalid="ignore"):
         for i, w in enumerate(steps, 1):
-            path[..., i, :] = w
+            rows[i] = w
     try:
         p.check_domain(path)
     except DomainError:
-        for i, w in enumerate(np.moveaxis(path, -2, 0)):
+        for i, w in enumerate(rows):
             try:
                 p.check_domain(w)
             except DomainError as e:
@@ -281,13 +284,18 @@ def premise_holds(p, l, m, eta, W, X, Y):
     D = I and c = 1, so the rule is the LMS step bound eta * |x|^2 <= 1,
     held where the residual y - x^T w is finite (a non-finite one makes c
     NaN); it takes no Hessian, and a state holding inf or nan fails it.
+    Only `SeparableQ` excludes coordinates, so only it takes the mask of
+    kept coordinates.
     """
     if isinstance(p, SquaredL2) and isinstance(l, Quadratic) and isinstance(m, Linear):
         return (eta * _rowdot(X, X) <= 1.0) & np.isfinite(Y - _rowdot(X, W))
-    keep = _kept(p, W)
     D = p.hessian_diag(W)
-    s = _rowdot(X, np.divide(X, D, out=np.zeros_like(D), where=keep))
     c = _loss_curvature(l, m, _rowdot(X, W), Y)
+    if not isinstance(p, SeparableQ):
+        # every coordinate is kept: no mask, and no probe passes vacuously
+        return eta * c * _rowdot(X, X / D) <= 1.0
+    keep = _kept(p, W)
+    s = _rowdot(X, np.divide(X, D, out=np.zeros_like(D), where=keep))
     return (eta * c * s <= 1.0) | ~keep.any(axis=-1)
 
 

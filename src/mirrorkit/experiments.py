@@ -380,7 +380,7 @@ def risk_compare(cfg):
     require(cfg, "risk")
     p, l, eta, X, margin, w0, trials = _risk_trials(cfg, cfg.T)
     if margin:
-        raise ConfigError(margin)
+        raise ConfigError(f"risk {margin}")
     runs = [(spec, SSMDCost() if spec["kind"] == "ssmd" else SMDCost()) for spec in cfg.estimators]
     names, S = _estimator_exponents(runs, [cfg.T], p, l, eta, X, w0, trials, cfg.n_trials)
     S = S[:, 0]

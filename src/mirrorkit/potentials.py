@@ -34,9 +34,9 @@ class Potential:
             raise DomainError(
                 f"expected vectors of length {self.dim}, got shape {w.shape}"
             )
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise DomainError("non-finite coordinate")
-        if self.domain == POSITIVE_ORTHANT and np.any(w <= 0.0):
+        if self.domain == POSITIVE_ORTHANT and (w <= 0.0).any():
             raise DomainError(f"{self.kind} requires strictly positive coordinates")
         return w
 
@@ -81,7 +81,7 @@ class SquaredL2(Potential):
         return w.copy()
 
     def grad_inv(self, u):
-        return np.asarray(u, dtype=float).copy()
+        return np.array(u, dtype=float)
 
     def hessian_diag(self, w):
         w = self.check_domain(w)

@@ -38,6 +38,9 @@ log = logging.getLogger("mirrorkit")
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# the array mixing's operands as numpy scalars, which a ufunc call takes without converting a Python int
+_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_U11, _U27, _U30, _U31 = (np.uint64(b) for b in (11, 27, 30, 31))
 STREAM_TRIAL_BASE = 1000  # trial t draws from stream 1000 + t
 BLOCK_VALUES = 1 << 14  # trial uniforms, or Box-Muller pairs, made in one pass
 
@@ -53,13 +56,26 @@ def _splitmix64(z):
     Python int, masked to 64 bits, or elementwise on a uint64 array, whose
     arithmetic wraps modulo 2^64 without a mask; the array is not written."""
     if not isinstance(z, int):
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-        return z ^ (z >> 31)
+        z = np.array(z, dtype=np.uint64)
+        _mix_in_place(z, np.empty_like(z))
+        return z
     z &= _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def _mix_in_place(z, t):
+    """`_splitmix64` of the uint64 array z written over z, every pass an
+    out= ufunc on z or on t, a scratch array of z's shape."""
+    np.right_shift(z, _U30, out=t)
+    z ^= t
+    z *= _MIX1
+    np.right_shift(z, _U27, out=t)
+    z ^= t
+    z *= _MIX2
+    np.right_shift(z, _U31, out=t)
+    z ^= t
 
 
 def derive_seed(seed, stream_index):
@@ -90,9 +106,11 @@ def trial_uniforms(seed, n, k, column=0, first=0):
     cols = max(1, BLOCK_VALUES // columns.size)
     for r in range(0, n, rows):
         for c in range(0, k, cols):
-            x = _splitmix64(starts[r : r + rows] + steps[..., c : c + cols])
-            x >>= np.uint64(11)
-            np.multiply(x, 2.0**-53, out=out[..., r : r + rows, c : c + cols])
+            x = starts[r : r + rows] + steps[..., c : c + cols]
+            _mix_in_place(x, np.empty_like(x))
+            x >>= _U11
+            # below 2^53 after the shift, so the int64 view converts exactly, and faster than uint64
+            np.multiply(x.view(np.int64), 2.0**-53, out=out[..., r : r + rows, c : c + cols])
     return out
 
 

@@ -324,6 +324,34 @@ def test_energy_gain_equals_the_concatenated_probe_formulation(rng):
     assert 0 < sum(certified) < len(certified)
 
 
+@pytest.mark.bitwise
+def test_energy_gain_energies_equal_two_bregman_calls_bitwise(rng):
+    """D_psi(w, w_T) and D_psi(w, w_0) come from one `bregman` call on the
+    pair (w_T, w_0) of each run; numerator and denominator equal those made
+    with one call each, bit for bit, for one run and for a batch."""
+    n, T, dim = 5, 9, 3
+    for p in all_potentials(dim):
+        for l in all_losses():
+            for m in (Linear(), GeneralizedLinear("tanh")):
+                w0 = random_in_domain(p, rng)
+                W = np.array([random_in_domain(p, rng) for _ in range(n)])
+                X = rng.normal(size=(n, T, dim)) / np.sqrt(dim)
+                V = 0.1 * rng.standard_normal((n, T))
+                Y = m.g(np.einsum("ntj,nj->nt", X, W)) + V
+                eta = _eta_for(l)
+                batch = iterate(p, l, m, X, Y, Constant(eta), w0)
+                single = iterate(p, l, m, X[0], Y[0], Constant(eta), w0)
+                for traj, w, v in ((single, W[0], V[0]), (batch, W, V)):
+                    rep = energy_gain(traj, w, v)
+                    d_loss = loss_map_bregman(l, m, traj.X, traj.Y, w[..., None, :], traj.path[..., :-1, :])
+                    numerator = bregman(p, w, traj.final) + eta * np.sum(d_loss, axis=-1)
+                    denominator = bregman(p, w, traj.w0) + eta * np.sum(l.value(v), axis=-1)
+                    assert np.shape(rep.numerator) == np.shape(numerator) == v.shape[:-1]
+                    assert np.array_equal(rep.numerator, numerator), (p, l, m)
+                    assert np.array_equal(rep.denominator, denominator), (p, l, m)
+                    assert np.array_equal(rep.ratio, numerator / denominator), (p, l, m)
+
+
 def test_exponent_identity_random_z(rng):
     for p in all_potentials(3):
         for l in all_losses():

@@ -789,6 +789,17 @@ def test_risk_needs_two_trials(tmp_path, caplog):
     assert (tmp_path / "o" / "risk.csv").exists()
 
 
+def test_risk_off_the_convexity_premise_is_refused_as_a_risk_premise(tmp_path, caplog):
+    # eta 1.5 on unit inputs breaks eta |x|^2 <= 1 at every probe; the refusal
+    # names its claim, as the premises of `require` do
+    path = _write(tmp_path, _shipped("risk_gaussian", schedule={"kind": "constant", "eta": 1.5},
+                                     output_dir=str(tmp_path / "o")))
+    with caplog.at_level(logging.INFO, logger="mirrorkit"):
+        assert main(["risk", "--config", str(path)]) == EXIT_ERROR
+    assert caplog.records[-1].getMessage().startswith("ConfigError: risk convexity premise fails at ")
+    assert not (tmp_path / "o").exists()
+
+
 RISK_SMALL = dict(potential="squared_l2", loss="quadratic", dim=2, T=5, n_trials=50, seed=3,
                   inputs={"kind": "unit"}, schedule={"kind": "constant", "eta": 0.05})
 

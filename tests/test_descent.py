@@ -364,6 +364,56 @@ def test_lms_premise_in_closed_form_decides_as_the_rank_one_rule_bitwise(rng):
             rank_one_premise(p, l, m, 0.1, W, np.full((4, 3), 0.5), np.zeros(4))
 
 
+@pytest.mark.bitwise
+def test_unmasked_premise_decides_as_the_masked_rank_one_rule_bitwise(rng):
+    """Only `SeparableQ` excludes coordinates, so on every other potential
+    `premise_holds` takes no kept-coordinate mask; the masked rank-one rule
+    must reach the same decision on every probe: random batches, probes at
+    the bound and one float above it, NaN curvature and overflowing residuals."""
+    models = (Linear(), GeneralizedLinear("tanh"), GeneralizedLinear("softplus"))
+    triples = [(p, l, m) for p in (SquaredL2(3), NegEntropy(3)) for l in all_losses() for m in models
+               if not (p.kind == "squared_l2" and l.kind == "quadratic" and m.kind == "linear")]
+    assert len(triples) == 17
+
+    def same(p, l, m, eta, W, X, Y):
+        holds = premise_holds(p, l, m, eta, W, X, Y)
+        assert np.array_equal(holds, rank_one_premise(p, l, m, eta, W, X, Y)), (p, l, m, eta)
+        return holds
+
+    decided = []
+    for p, l, m in triples:
+        W = np.array([[random_in_domain(p, rng) for _ in range(300)] for _ in range(2)])
+        Y = rng.normal(size=300)
+        for scale in (0.3, 1.0, 3.0):
+            X = scale * rng.normal(size=(300, 3))
+            for eta in (0.01, 0.1, 1.0):
+                decided.extend(same(p, l, m, eta, W, X, Y).ravel())
+    assert 0 < sum(decided) < len(decided)
+    # eta * c * x^T D^{-1} x exactly 1, and the next rate above it: the linear model at
+    # u = 0.25 with c = 1 and D = 1 / w = 4 on the one input coordinate
+    w, x = np.array([[0.25, 1.0, 1.0]]), np.array([[1.0, 0.0, 0.0]])
+    above = np.nextafter(4.0, 5.0)
+    assert above * 0.25 == np.nextafter(1.0, 2.0)
+    assert same(NegEntropy(3), Quadratic(), Linear(), 4.0, w, x, np.array([0.7])).all()
+    assert not same(NegEntropy(3), Quadratic(), Linear(), above, w, x, np.array([0.7])).any()
+    # the tanh link at u = 0 has g' = 1 and g'' = 0, and log-cosh has l''(0) = 1
+    w, x = np.zeros((1, 3)), np.array([[2.0, 0.0, 0.0]])
+    tanh = GeneralizedLinear("tanh")
+    assert same(SquaredL2(3), LogCosh(), tanh, 0.25, w, x, np.zeros(1)).all()
+    assert not same(SquaredL2(3), LogCosh(), tanh, np.nextafter(0.25, 1.0), w, x, np.zeros(1)).any()
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a NaN output makes the curvature NaN, which fails the probe
+        for p, l, m in triples:
+            W = np.ones((2, 3))
+            assert not same(p, l, m, 0.1, W, np.full((2, 3), 0.5), np.array([np.nan, np.nan])).any()
+        # finite states and inputs whose prediction or residual overflows
+        W = np.array([[1e300, 1.0, 1.0], [1e308, 1e308, 1.0], [1.0, 1.0, 1.0]])
+        X = np.array([[1e10, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.0]])
+        Y = np.array([0.0, -1e308, np.inf])
+        for p, l, m in triples:
+            same(p, l, m, 0.1, W, X, Y)
+
+
 def test_persistent_excitation_basis():
     m = 4
     X = np.eye(m)[np.arange(3 * m) % m]

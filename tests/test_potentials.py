@@ -44,6 +44,32 @@ def test_wrong_length_rejected():
         SquaredL2(3).value([1.0, 2.0])
 
 
+@pytest.mark.parametrize("p", all_potentials(3), ids=repr)
+def test_check_domain_keeps_its_contract(p):
+    """The shape is checked first, then finiteness, then the orthant, which
+    only the negative entropy requires; an empty batch passes."""
+    for shape in ((2,), (4,), (5, 2)):
+        with pytest.raises(DomainError, match=rf"^expected vectors of length 3, got shape \({shape[0]},"):
+            p.check_domain(np.ones(shape))
+    orthant = f"^{p.kind} requires strictly positive coordinates$"
+    for bad in (np.nan, np.inf, -np.inf):
+        # a non-finite coordinate is named as such, also beside one off the orthant
+        for w in ([1.0, bad, 1.0], [[1.0, 1.0, 1.0], [-1.0, 0.0, bad]]):
+            with pytest.raises(DomainError, match="^non-finite coordinate$"):
+                p.check_domain(w)
+    for w in ([0.0, 1.0, 1.0], [1.0, 1.0, -0.0], [[1.0, 1.0, 1.0], [1.0, -2.0, 1.0]], [1.0, 1.0, -5e-324]):
+        if p.domain == "positive_orthant":
+            with pytest.raises(DomainError, match=orthant):
+                p.check_domain(w)
+        else:
+            assert np.array_equal(p.check_domain(w), w)
+    empty = p.check_domain(np.empty((0, 3)))
+    assert empty.shape == (0, 3) and empty.dtype == float
+    assert p.check_domain(np.empty((2, 0, 3))).shape == (2, 0, 3)
+    w = [[0.5, 1.0, 2.0]]
+    assert np.array_equal(p.check_domain(w), w) and p.check_domain(w).dtype == float
+
+
 def test_round_trip_inverse(rng):
     for p in all_potentials(4):
         for _ in range(50):
