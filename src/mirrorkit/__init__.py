@@ -12,7 +12,6 @@ from .audit import (
     audit_trajectory,
     energy_gain,
     exponent_identity_residual,
-    global_identity,
     local_identity,
     step_exponent_residual,
 )

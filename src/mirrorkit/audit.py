@@ -107,15 +107,6 @@ def audit_trajectory(traj, w, noises=None):
     return terms, float(abs(lhs - rhs) / scale)
 
 
-def global_identity(traj, w, noises=None):
-    """Telescoped balance over the whole trajectory (fixed learning rate).
-
-    `noises` defaults to y_i - f(x_i, w), the only values for which the
-    identity is exact.
-    """
-    return audit_trajectory(traj, w, noises)[1]
-
-
 def energy_gain(traj, w, noises=None):
     """Energy-gain ratio; at most 1 whenever the convexity premise holds.
 

@@ -9,8 +9,9 @@ from .potentials import POSITIVE_ORTHANT, SeparableQ, SquaredL2
 def bregman(p, w, w_ref):
     """D_psi(w, w_ref) = psi(w) - psi(w_ref) - grad psi(w_ref)^T (w - w_ref), per row."""
     w = p.check_domain(w)
-    w_ref = p.check_domain(w_ref)
-    terms = p.elementwise_value(w) - p.elementwise_value(w_ref) - p.grad(w_ref) * (w - w_ref)
+    g = p.grad(w_ref)  # checks w_ref's domain
+    w_ref = np.asarray(w_ref, dtype=float)
+    terms = p.elementwise_value(w) - p.elementwise_value(w_ref) - g * (w - w_ref)
     return terms.sum(axis=-1)
 
 

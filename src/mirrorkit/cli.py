@@ -9,8 +9,8 @@ byte-stable: fixed column order, 17-significant-digit floats, LF endings.
 import logging
 import operator
 import os
-import re
 import sys
+from functools import cache
 from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
@@ -309,130 +309,71 @@ def dispatch(cfg, subcommand):
     return verdict
 
 
-_USAGE = ("usage: mirrorkit [-h] --config CONFIG [--seed SEED] [--out OUT] [-v]\n"
-          f"                 {{{','.join(SUBCOMMANDS)}}}\n")
-_HELP = f"""{_USAGE}
-Mirror-descent experiments with step-level identity auditing.
-
-positional arguments:
-  {{{','.join(SUBCOMMANDS)}}}
-
-options:
-  -h, --help            show this help message and exit
-  --config CONFIG       path to a JSON config file
-  --seed SEED           override the config seed
-  --out OUT             override the config output directory
-  -v, --verbose         debug logging
-"""
-# each option by its long name, with the name a usage error gives it; a
-# prefix that matches several is ambiguous, and lists them in this order
-_OPTIONS = {"--help": "-h/--help", "--config": "--config", "--seed": "--seed",
-            "--out": "--out", "--verbose": "-v/--verbose"}
-_SHORT = {"-h": "--help", "-v": "--verbose"}
-
-
 class UsageError(Exception):
     """A command line the CLI refuses; the message says why."""
 
 
-def _read_token(token):
-    """None when `token` is a value, else (option, explicit value or None);
-    the option is None for an unknown one. An option is one of `_OPTIONS` or
-    `_SHORT`, a unique prefix of a long one, or a short flag with more flags
-    after it (`-vh`); a token with a space in it and a negative number are
-    values."""
-    if token in _OPTIONS or token in _SHORT:
-        return token, None
-    if not token.startswith("-") or len(token) == 1:
-        return None
-    name, eq, value = token.partition("=")
-    if eq and (name in _OPTIONS or name in _SHORT):
-        return name, value
-    if token[1] == "-":
-        matches = [option for option in _OPTIONS if option.startswith(name)]
-        if len(matches) > 1:
-            raise UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
-        if matches:
-            return matches[0], value if eq else None
-    elif token[:2] in _SHORT:
-        return token[:2], token[2:]
-    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
-        return None
-    return None, None
+@cache
+def _parser():
+    """The argparse parser of the command line, its errors raised as
+    UsageError; built on first use, as importing argparse loads gettext and
+    locale."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
+    parser = Parser(prog="mirrorkit", description="Mirror-descent experiments with step-level identity auditing.")
+    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("--config", required=True, help="path to a JSON config file")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--out", default=None, help="override the config output directory")
+    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
+    return parser
 
 
-def _flags(option, value):
-    """The flags one token sets: `option`, then each short flag concatenated
-    after a short one (`-vh`); any other explicit value is refused."""
-    flags = [option]
-    if value is not None:
-        while option in _SHORT and value and "-" + value[0] in _SHORT:
-            option = "-" + value[0]
-            flags.append(option)
-            value = value[1:]
-        if value or len(flags) == 1:
-            raise UsageError(f"argument {_OPTIONS[_SHORT.get(option, option)]}: "
-                             f"ignored explicit argument {value!r}")
-    return [_SHORT.get(flag, flag) for flag in flags]
+def _read_plain(argv):
+    """The reading of a plain command line, or None for any other line: one
+    subcommand, `--config`, and `--seed` and `--out` if given, each followed
+    by a value that does not start with "-", a seed an int; `-v`/`--verbose`;
+    in any order. `_parser` reads a plain line the same way."""
+    args = {"subcommand": None, "config": None, "seed": None, "out": None, "verbose": False}
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("--config", "--seed", "--out"):
+            value = next(tokens, "-")  # a missing value is argparse's to refuse, as a "-" one is
+            if value.startswith("-"):
+                return None
+            if token == "--seed":
+                try:
+                    value = int(value)  # every repeat, as argparse converts each
+                except ValueError:
+                    return None
+            args[token[2:]] = value
+        elif token in ("-v", "--verbose"):
+            args["verbose"] = True
+        elif token in SUBCOMMANDS and args["subcommand"] is None:
+            args["subcommand"] = token
+        else:
+            return None
+    return args if args["subcommand"] is not None and args["config"] is not None else None
 
 
 def parse_args(argv):
     """The command line `argv` as a dict of subcommand, config, seed, out and
-    verbose, or None for --help; a refused line raises UsageError.
+    verbose, or None for --help once argparse has printed the help; a refused
+    line raises UsageError with argparse's message.
 
-    The subcommand and the options come in any order, an option's value as
-    the next token or after `=`; a repeated option's last value wins, and
-    every token after `--` is a value. tests/test_config_cli.py keeps the
-    reference parser whose readings and messages these are."""
-    cut = argv.index("--") if "--" in argv else len(argv)
-    # every token before `--` is read before any is used, so an ambiguous option is
-    # refused first; `--` reads as an option of its own, every token after it as a value
-    read = [_read_token(token) for token in argv[:cut]] + [("--", None)] + [None] * len(argv[cut + 1:])
-    args = {"subcommand": None, "config": None, "seed": None, "out": None, "verbose": False}
-    extras = []
-    subcommand_at = None
-    i = 0
-    while i < len(argv):
-        token, option = argv[i], read[i]
-        i += 1
-        if option is None:
-            if args["subcommand"] is not None:
-                extras.append(token)
-            elif token in SUBCOMMANDS:
-                args["subcommand"], subcommand_at = token, i - 1
-            else:
-                raise UsageError(f"argument subcommand: invalid choice: {token!r} "
-                                 f"(choose from {', '.join(map(repr, SUBCOMMANDS))})")
-            continue
-        option, value = option
-        if option == "--":
-            # the subcommand takes a `--` next to it, before or after
-            if subcommand_at != i - 2 and (args["subcommand"] is not None or i == len(argv)):
-                extras.append(token)
-        elif option is None:
-            extras.append(token)
-        elif option in ("--config", "--seed", "--out"):
-            if value is None:
-                if i == len(argv) or read[i] is not None:
-                    raise UsageError(f"argument {option}: expected one argument")
-                value = argv[i]
-                i += 1
-            if option == "--seed":
-                try:
-                    value = int(value)
-                except ValueError:
-                    raise UsageError(f"argument --seed: invalid int value: {value!r}") from None
-            args[option[2:]] = value
-        elif "--help" in _flags(option, value):
-            return None
-        else:
-            args["verbose"] = True
-    missing = [name for name in ("subcommand", "--config") if args[name.lstrip("-")] is None]
-    if missing:
-        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
-    if extras:
-        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    A plain line is read without argparse, so that a call on one imports
+    neither argparse nor gettext nor locale; argparse reads every other."""
+    args = _read_plain(argv)
+    if args is not None:
+        return args
+    try:
+        return vars(_parser().parse_args(argv))
+    except SystemExit:  # --help; every refusal raises UsageError
+        return None
 
 
 def main(argv=None):
@@ -441,10 +382,9 @@ def main(argv=None):
         args = parse_args(argv)
     except UsageError as e:
         # a usage error exits 1, as a configuration error does: 2 is a failed check
-        sys.stderr.write(f"{_USAGE}mirrorkit: error: {e}\n")
+        sys.stderr.write(f"{_parser().format_usage()}mirrorkit: error: {e}\n")
         return EXIT_ERROR
     if args is None:
-        sys.stdout.write(_HELP)
         return EXIT_PASS
 
     # basicConfig is a no-op once the root logger has a handler: set the level on every call

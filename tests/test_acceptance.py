@@ -22,12 +22,12 @@ from mirrorkit import (
     RngStream,
     SeparableQ,
     SquaredL2,
+    audit_trajectory,
     bregman,
     complete_squares,
     energy_gain,
     exponent_blowup_probe,
     exponent_identity_residual,
-    global_identity,
     implicit_reg_experiment,
     iterate,
     law_of_cosines_residual,
@@ -98,7 +98,7 @@ def test_criterion_1_identity_suite():
                         p, l, m, w_ref, traj.path[i - 1], traj.iterates[i - 1], x, y, eta, step=i
                     )
                     worst["local"] = max(worst["local"], rec.local_residual)
-                worst["global"] = max(worst["global"], global_identity(traj, w_ref, noises))
+                worst["global"] = max(worst["global"], audit_trajectory(traj, w_ref, noises)[1])
                 if model_kind == "linear":
                     z = rng.standard_normal(T)
                     gen = run_general_recursion(p, l, X, Y, z, eta, _in_domain(p, rng))

@@ -18,7 +18,6 @@ from mirrorkit import (
     audit_trajectory,
     energy_gain,
     exponent_identity_residual,
-    global_identity,
     iterate,
     local_identity,
     run_general_recursion,
@@ -93,13 +92,13 @@ def test_global_identity_random_trajectories(rng):
             w_ref, noises, X, Y = _make_problem(p, m, rng, T=50, dim=4)
             eta = _eta_for(l)
             traj = iterate(p, l, m, X, Y, Constant(eta), random_in_domain(p, rng))
-            assert global_identity(traj, w_ref, noises) <= 1e-8
+            assert audit_trajectory(traj, w_ref, noises)[1] <= 1e-8
 
 
 def test_global_identity_empty_trajectory(rng):
     p = SquaredL2(2)
     traj = iterate(p, Quadratic(), Linear(), np.empty((0, 2)), [], Constant(ETA), np.zeros(2))
-    assert global_identity(traj, np.array([1.0, 2.0]), []) == 0.0
+    assert audit_trajectory(traj, np.array([1.0, 2.0]), [])[1] == 0.0
 
 
 def test_global_equals_telescoped_locals(rng):
@@ -143,7 +142,7 @@ def test_global_identity_requires_constant_schedule(rng):
     w_ref, noises, X, Y = _make_problem(p, m, rng, T=5)
     traj = iterate(p, l, m, X, Y, RobbinsMonro(1.0), np.zeros(2))
     with pytest.raises(ScheduleError):
-        global_identity(traj, w_ref, noises)
+        audit_trajectory(traj, w_ref, noises)[1]
 
 
 def test_e_term_nonnegative_under_certified_margin(rng):

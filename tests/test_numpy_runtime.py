@@ -1,8 +1,8 @@
 """The runtime needs numpy only; scipy serves the tests as an independent oracle.
 
 Each numpy form that replaced a scipy call is pinned here to scipy's own
-value, two gates keep scipy, dataclasses and argparse off the import path,
-and a third keeps numpy.ma off the path of a risk run.
+value, three gates keep scipy, dataclasses and argparse off the import path,
+and a fourth keeps numpy.ma off the path of a risk run.
 """
 
 import json
@@ -115,10 +115,11 @@ def test_import_loads_neither_scipy_nor_numpy_random():
 
 
 def test_a_cli_call_loads_no_dataclasses_argparse_gettext_or_locale(tmp_path):
-    """The CLI reads its command line itself, its records are plain
-    classes and its streams are counter rows: --help, a usage error and a
-    minimax, a risk and a converge run load none of dataclasses, argparse,
-    gettext, locale and numpy.random."""
+    """The CLI reads a plain command line without argparse, its records are
+    plain classes and its streams are counter rows: a minimax, a risk and a
+    converge run load none of dataclasses, argparse, gettext, locale and
+    numpy.random. --help and a usage error, which argparse reads, still exit
+    0 and 1."""
     base = {"potential": "squared_l2", "loss": "quadratic", "dim": 2}
     configs = {
         "minimax": dict(base, T=5, n_trials=20, schedule={"kind": "constant", "eta": 0.05}),
@@ -135,17 +136,36 @@ def test_a_cli_call_loads_no_dataclasses_argparse_gettext_or_locale(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = (
         "import sys; from mirrorkit.cli import main; "
-        f"print(main(['--help']), main(['run']), {', '.join(calls)}, file=sys.stderr); "
-        "print(sorted(m for m in ('dataclasses', 'argparse', 'gettext', 'locale', 'numpy.random') "
-        "if m in sys.modules))"
+        f"codes = [{', '.join(calls)}]; "
+        "loaded = sorted(m for m in ('dataclasses', 'argparse', 'gettext', 'locale', 'numpy.random') "
+        "if m in sys.modules); "
+        "print(*codes, main(['--help']), main(['run']), file=sys.stderr); print(loaded)"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     # risk's smd interval overlaps the constant baseline's at 200 trials: exit 2;
     # converge's last error, 0.0015743, misses a tenth of its first, 0.0012483,
     # at seed 0: exit 2. Over seeds 0-199 this config exits 2 at 9 seeds, and
     # did at 10 with the former PCG64 streams, so seed 0's is chance, not a defect
-    assert proc.stderr.splitlines()[-1] == "0 1 0 2 2"
+    assert proc.stderr.splitlines()[-1] == "0 2 2 0 1"
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_the_benchmark_argv_form_loads_no_argparse(tmp_path):
+    """perfbench calls `main` with `SUB --config P --seed N --out D`; that
+    plain line, with -v as well, is read without argparse, gettext or
+    locale."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"potential": "squared_l2", "loss": "quadratic", "dim": 2, "T": 3}))
+    argv = ["run", "--config", str(cfg), "--seed", "4", "--out", str(tmp_path / "out"), "-v"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = (
+        "import sys; from mirrorkit.cli import main; "
+        f"code = main({argv!r}); "
+        "print(code, sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "out" / "trajectory.csv").is_file()
 
 
 def test_runtime_dependencies_are_numpy_only():
